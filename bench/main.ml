@@ -240,110 +240,6 @@ let a2 () =
   identical
 
 (* ------------------------------------------------------------------ *)
-(* PRUNE: pre-fixpoint qualifier-space pruning                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Runs the T1 suite with the pre-fixpoint prune on and off in
-   drift-cancelling ABBA order and compares verdict fingerprints
-   byte-for-byte.  Gates on two facts: the reports must be identical,
-   and the prune must actually park instances somewhere on the suite
-   (a silently disengaged prune would pass the identity check
-   vacuously).  Returns whether both gates hold plus a JSON fragment
-   for BENCH_fixpoint.json. *)
-let prune_bench () =
-  section "PRUNE: qualifier-space pruning (on vs off)";
-  Fmt.pr
-    "Before the weakening loop, a per-κ analysis parks candidate@.\
-     instances that cannot matter: orientation duplicates, instances@.\
-     unsatisfiable under the κ's WF environment, and instances implied@.\
-     by their surviving siblings (checked over an incremental SMT@.\
-     assertion context).  After the loop, an optimistic-restart@.\
-     reinstatement restores exactly the instances the unpruned greatest@.\
-     fixpoint would keep, so verdicts, errors and inferred types are@.\
-     byte-identical — compared below.  Pruned solve times include the@.\
-     prune and reinstatement passes.@.@.";
-  let run_arm prune =
-    Liquid_smt.Solver.clear_cache ();
-    Liquid_smt.Solver.reset_stats ();
-    let t0 = Unix.gettimeofday () in
-    let rows =
-      List.map
-        (fun b -> Liquid_suite.Runner.verify ~prune b)
-        Liquid_suite.Programs.all
-    in
-    let dt = Unix.gettimeofday () -. t0 in
-    let sum sel =
-      List.fold_left
-        (fun acc (r : Liquid_suite.Runner.row) ->
-          acc
-          + sel r.Liquid_suite.Runner.report.Liquid_driver.Pipeline.stats)
-        0 rows
-    in
-    let solve_time =
-      List.fold_left
-        (fun acc (r : Liquid_suite.Runner.row) ->
-          List.fold_left
-            (fun acc (phase, t) -> if phase = "solve" then acc +. t else acc)
-            acc
-            r.Liquid_suite.Runner.report.Liquid_driver.Pipeline.stats
-              .Liquid_driver.Pipeline.phases)
-        0.0 rows
-    in
-    ( rows,
-      sum (fun s -> s.Liquid_driver.Pipeline.n_quals_pruned),
-      sum (fun s -> s.Liquid_driver.Pipeline.n_reinstated),
-      solve_time,
-      dt )
-  in
-  ignore (run_arm true);
-  (* warm-up *)
-  let f1 = run_arm false in
-  let p1 = run_arm true in
-  let p2 = run_arm true in
-  let f2 = run_arm false in
-  let mean sel a b = (sel a +. sel b) /. 2.0 in
-  let rows_f, _, _, _, _ = f1 in
-  let rows_p, pruned, reinstated, _, _ = p1 in
-  let solve_f = mean (fun (_, _, _, s, _) -> s) f1 f2 in
-  let solve_p = mean (fun (_, _, _, s, _) -> s) p1 p2 in
-  let t_f = mean (fun (_, _, _, _, t) -> t) f1 f2 in
-  let t_p = mean (fun (_, _, _, _, t) -> t) p1 p2 in
-  let agree = fingerprint rows_f = fingerprint rows_p in
-  let cut =
-    if solve_f <= 0.0 then 0.0
-    else 100.0 *. (solve_f -. solve_p) /. solve_f
-  in
-  Fmt.pr "%-12s %10s %10s %10s %12s@." "prune" "time(s)*" "solve(s)*"
-    "pruned" "reinstated";
-  Fmt.pr "(* mean of 2 runs in drift-cancelling ABBA order, after warm-up)@.";
-  Fmt.pr "%-12s %10.2f %10.2f %10s %12s@." "off" t_f solve_f "-" "-";
-  Fmt.pr "%-12s %10.2f %10.2f %10d %12d@." "on" t_p solve_p pruned reinstated;
-  Fmt.pr
-    "solve-time cut: %.1f%%   instances parked: %d   identical \
-     verdicts+types: %b@."
-    cut pruned agree;
-  if not agree then
-    List.iter2
-      (fun a b ->
-        if a <> b then
-          let name, _, _, _ = a in
-          Fmt.pr "  MISMATCH: %s@." name)
-      (fingerprint rows_f) (fingerprint rows_p);
-  if pruned = 0 then Fmt.pr "  GATE: prune parked nothing on the T1 suite@.";
-  let module J = Liquid_analysis.Json in
-  ( agree && pruned > 0,
-    J.Obj
-      [
-        ("prune_agree", J.Bool agree);
-        ("pruned", J.Int pruned);
-        ("reinstated", J.Int reinstated);
-        ("solve_off_s", J.Float solve_f);
-        ("solve_on_s", J.Float solve_p);
-        ("cut_pct", J.Float cut);
-        ("gate_ok", J.Bool (agree && pruned > 0));
-      ] )
-
-(* ------------------------------------------------------------------ *)
 (* PARTITION: κ-dependency sharding and the parallel scheduler          *)
 (* ------------------------------------------------------------------ *)
 
@@ -1606,8 +1502,8 @@ let gradual_bench () =
 (* FIXPOINT: per-benchmark solver counters → BENCH_fixpoint.json        *)
 (* ------------------------------------------------------------------ *)
 
-let bench_fixpoint ~prune_json ~partition_json ~server_json ~load_json
-    ~incr_json ~explain_json ~adt_json ~gradual_json () =
+let bench_fixpoint ~partition_json ~server_json ~load_json ~incr_json
+    ~explain_json ~adt_json ~gradual_json () =
   section "FIXPOINT: per-benchmark solver counters (BENCH_fixpoint.json)";
   Fmt.pr
     "Per-benchmark wall-clock and solver counters for the default@.\
@@ -1650,10 +1546,9 @@ let bench_fixpoint ~prune_json ~partition_json ~server_json ~load_json
   let json =
     J.Obj
       [
-        ("schema", J.String "bench_fixpoint/v9");
+        ("schema", J.String "bench_fixpoint/v10");
         ("engine", J.String "incremental");
         ("benchmarks", J.List (List.map snd rows_and_entries));
-        ("prune", prune_json);
         ("partition", partition_json);
         ("server", server_json);
         ("load", load_json);
@@ -1802,18 +1697,6 @@ let () =
       line;
     exit (if load_ok then 0 else 1)
   end;
-  (* [prune] mode runs only the pruning section — the CI step that
-     gates byte-identical verdicts with pruning on/off and a non-empty
-     prune on the T1 suite. *)
-  if Array.exists (fun a -> a = "prune") Sys.argv then begin
-    let prune_ok, _ = prune_bench () in
-    Fmt.pr "@.%s@.Prune: %s@.%s@." line
-      (if prune_ok then
-         "verdicts identical with pruning on/off, instances parked"
-       else "PRUNED VERDICTS DIVERGED (or the prune parked nothing)")
-      line;
-    exit (if prune_ok then 0 else 1)
-  end;
   (* [incr] mode runs only the incremental section — the CI step that
      gates warm re-verification at half the cold time with at least one
      partition reused and byte-identical reports. *)
@@ -1860,7 +1743,6 @@ let () =
   f1 ();
   a1 ();
   let engines_agree = a2 () in
-  let prune_ok, prune_json = prune_bench () in
   let jobs_agree, partition_json = partition_bench () in
   let server_agree, server_json = server_bench () in
   let load_ok, load_json = load_bench () in
@@ -1869,8 +1751,8 @@ let () =
   let adt_ok, adt_json = adt_bench () in
   let gradual_ok, gradual_json = gradual_bench () in
   let fixpoint_rows =
-    bench_fixpoint ~prune_json ~partition_json ~server_json ~load_json
-      ~incr_json ~explain_json ~adt_json ~gradual_json ()
+    bench_fixpoint ~partition_json ~server_json ~load_json ~incr_json
+      ~explain_json ~adt_json ~gradual_json ()
   in
   e1 ();
   if not quick then begin
@@ -1882,13 +1764,13 @@ let () =
       (fun (r : Liquid_suite.Runner.row) ->
         r.Liquid_suite.Runner.report.Liquid_driver.Pipeline.safe)
       (rows @ fixpoint_rows)
-    && engines_agree && prune_ok && jobs_agree && server_agree && load_ok
+    && engines_agree && jobs_agree && server_agree && load_ok
     && incr_ok && explain_ok && adt_ok && gradual_ok
   in
   Fmt.pr "@.%s@.Overall: %s@.%s@." line
     (if all_safe then "all benchmarks verified SAFE"
      else
-       "SOME BENCHMARKS FAILED (or job counts diverged, or the prune or \
-        explain gate broke)")
+       "SOME BENCHMARKS FAILED (or job counts diverged, or the explain gate \
+        broke)")
     line;
   exit (if all_safe then 0 else 1)

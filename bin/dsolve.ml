@@ -14,9 +14,7 @@
     processes ([--partition-timeout] bounds each one; an exceeded
     partition degrades to ⊤ with a P001 diagnostic).  [--cache DIR]
     persists verification results on disk so an unchanged program is
-    re-verified for the cost of a digest.  [--no-prune] disables the
-    pre-fixpoint qualifier-space prune (results are identical; only the
-    solve work changes).  [--explain] explains each
+    re-verified for the cost of a digest.  [--explain] explains each
     failed obligation (minimal core, blame path, witness, repair hint;
     [--explain-limit N] caps how many).  [--gradual] turns unrefuted
     failing obligations into residual runtime casts (verdict SAFE /
@@ -55,10 +53,10 @@ let print_stats ~jobs (s : Pipeline.stats) =
     s.n_pcache_lookups s.n_pcache_hits s.n_punit_hits s.n_punit_misses
     s.elapsed;
   Fmt.pr
-    "prune: collapsed=%d pruned=%d dedup=%d refuted=%d subsumed=%d \
-     reinstated=%d prune-time=%.3fs reinstate-time=%.3fs@."
-    s.n_alpha_collapsed s.n_quals_pruned s.n_pruned_dedup s.n_pruned_refuted
-    s.n_pruned_subsumed s.n_reinstated s.prune_time s.reinstate_time;
+    "prune: collapsed=%d pruned=%d reinstated=%d prune-time=%.3fs \
+     reinstate-time=%.3fs@."
+    s.n_alpha_collapsed s.n_quals_pruned s.n_reinstated s.prune_time
+    s.reinstate_time;
   Fmt.pr "gradual: residuals=%d residuals-degraded=%d uncacheable-degraded=%d@."
     s.n_residuals s.n_residuals_degraded s.n_uncacheable_degraded;
   List.iter
@@ -84,8 +82,8 @@ let code_of_report ~warn_error (report : Pipeline.report) =
 (* One-shot mode                                                       *)
 
 let run_oneshot file ~quals ~specfile ~show_stats ~execute ~lint ~warn_error
-    ~format ~prune ~jobs ~partition_timeout ~cache_dir ~explain ~explain_limit
-    ~gradual =
+    ~format ~jobs ~partition_timeout ~cache_dir ~explain ~explain_limit ~gradual
+    =
   let specs =
     match specfile with
     | None -> []
@@ -97,7 +95,6 @@ let run_oneshot file ~quals ~specfile ~show_stats ~execute ~lint ~warn_error
       Pipeline.quals;
       specs;
       lint;
-      prune;
       jobs;
       partition_timeout;
       cache_dir;
@@ -222,7 +219,7 @@ let run_client sock files ~qual_text ~no_defaults ~list_quals ~spec_text
 (* ------------------------------------------------------------------ *)
 
 let run files qualfile inline_quals no_defaults list_quals specfile show_stats
-    execute lint warn_error format no_prune jobs partition_timeout cache_dir
+    execute lint warn_error format jobs partition_timeout cache_dir
     explain explain_limit gradual serve connect request_timeout max_inflight
     client_queue idle_timeout server_stats server_shutdown =
   let qual_text =
@@ -290,9 +287,8 @@ let run files qualfile inline_quals no_defaults list_quals specfile show_stats
               base @ Liquid_infer.Qualifier.parse_string qual_text
             in
             run_oneshot file ~quals ~specfile ~show_stats ~execute
-              ~lint:(lint || warn_error) ~warn_error ~format
-              ~prune:(not no_prune) ~jobs ~partition_timeout ~cache_dir
-              ~explain ~explain_limit ~gradual
+              ~lint:(lint || warn_error) ~warn_error ~format ~jobs
+              ~partition_timeout ~cache_dir ~explain ~explain_limit ~gradual
         | [] ->
             Fmt.epr "error: a FILE argument is required@.";
             2
@@ -384,16 +380,6 @@ let warn_error_arg =
     & info [ "warn-error" ]
         ~doc:"Treat lint warnings as errors: exit non-zero if any \
               warning-severity diagnostic is reported (implies $(b,--lint))")
-
-let no_prune_arg =
-  Arg.(
-    value & flag
-    & info [ "no-prune" ]
-        ~doc:"Disable the pre-fixpoint qualifier-space prune (orientation \
-              dedup, WF-refutation, sibling subsumption) and its \
-              post-fixpoint reinstatement.  Verdicts, types, and \
-              explanations are identical either way; pruning only shrinks \
-              the solve work")
 
 let jobs_arg =
   Arg.(
@@ -533,7 +519,7 @@ let cmd =
     Term.(
       const run $ files_arg $ qualfile_arg $ inline_quals_arg $ no_defaults_arg
       $ list_quals_arg $ spec_arg $ stats_arg $ run_arg $ lint_arg
-      $ warn_error_arg $ format_arg $ no_prune_arg $ jobs_arg
+      $ warn_error_arg $ format_arg $ jobs_arg
       $ partition_timeout_arg $ cache_arg $ explain_arg $ explain_limit_arg
       $ gradual_arg $ serve_arg $ connect_arg $ request_timeout_arg
       $ max_inflight_arg

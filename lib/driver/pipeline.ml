@@ -45,9 +45,6 @@ type stats = {
   n_alpha_collapsed : int;
       (* instances collapsed by orientation-level dedup at instantiation *)
   n_quals_pruned : int; (* instances parked by the pre-fixpoint prune *)
-  n_pruned_dedup : int; (* ... as orientation duplicates *)
-  n_pruned_refuted : int; (* ... as unsat under the κ's WF environment *)
-  n_pruned_subsumed : int; (* ... as implied by surviving siblings *)
   n_reinstated : int; (* instances restored by the reinstatement pass *)
   prune_time : float; (* seconds in the prune analysis *)
   reinstate_time : float; (* seconds in the reinstatement pass *)
@@ -103,7 +100,6 @@ type options = {
   specs : Spec.t; (* external function signatures *)
   lint : bool; (* run the semantic-lint pass *)
   incremental : bool; (* incremental fixpoint engine *)
-  prune : bool; (* pre-fixpoint qualifier-space pruning *)
   jobs : int; (* concurrent solve workers; 1 = in-process *)
   partition_timeout : float option; (* per-partition wall-clock budget *)
   cache_dir : string option; (* persistent result cache root; None = off *)
@@ -121,7 +117,6 @@ let default =
     specs = [];
     lint = false;
     incremental = true;
-    prune = true;
     jobs = 1;
     partition_timeout = Some 60.0;
     cache_dir = None;
@@ -234,7 +229,6 @@ let verify_program ?(options = default) ?(parse_time = 0.0)
     specs;
     lint;
     incremental;
-    prune;
     jobs;
     partition_timeout;
     cache_dir;
@@ -336,8 +330,8 @@ let verify_program ?(options = default) ?(parse_time = 0.0)
                  either way, but gradual runs and plain runs must never
                  share cache entries — a stale partial served across the
                  mode boundary would make the two reports drift. *)
-              Fmt.str "%s|incremental=%b|prune=%b|gradual=%b%s"
-                Fixpoint.partial_version incremental prune gradual
+              Fmt.str "%s|incremental=%b|gradual=%b%s"
+                Fixpoint.partial_version incremental gradual
                 (match Measures.fingerprint decls with
                 | "" -> ""
                 | d -> "|decls=" ^ d)
@@ -353,9 +347,9 @@ let verify_program ?(options = default) ?(parse_time = 0.0)
                     ~fingerprint p) )
       in
       let o =
-        Liquid_engine.Psolve.solve ~incremental ~prune
-          ?timeout:partition_timeout ?reuse ?persist ~jobs ~quals ~consts
-          out.Congen.wfs out.Congen.subs plan
+        Liquid_engine.Psolve.solve ~incremental ?timeout:partition_timeout
+          ?reuse ?persist ~jobs ~quals ~consts out.Congen.wfs out.Congen.subs
+          plan
       in
       let wall = Unix.gettimeofday () -. t0 in
       (* Workers overlap, so per-unit solve/check CPU times don't sum to
@@ -386,14 +380,13 @@ let verify_program ?(options = default) ?(parse_time = 0.0)
     end
     else begin
       let res =
-        Fixpoint.solve ~quals ~consts ~incremental ~prune out.Congen.wfs
+        Fixpoint.solve ~quals ~consts ~incremental out.Congen.wfs
           out.Congen.subs
       in
       (* The "solve" phase covers the whole solver-side work — prune
          analysis, weakening loop, reinstatement — so [elapsed] stays the
-         sum of the phases whether or not pruning is on; the prune and
-         reinstatement shares are also reported separately in the
-         stats. *)
+         sum of the phases; the prune and reinstatement shares are also
+         reported separately in the stats. *)
       phases :=
         ("merge", 0.0)
         :: ("concrete_check", res.Fixpoint.solver_stats.Fixpoint.check_time)
@@ -577,14 +570,7 @@ let verify_program ?(options = default) ?(parse_time = 0.0)
           res.Fixpoint.solver_stats.Fixpoint.initial_candidates;
         n_alpha_collapsed =
           res.Fixpoint.solver_stats.Fixpoint.alpha_collapsed;
-        n_quals_pruned =
-          res.Fixpoint.solver_stats.Fixpoint.pruned_dedup
-          + res.Fixpoint.solver_stats.Fixpoint.pruned_refuted
-          + res.Fixpoint.solver_stats.Fixpoint.pruned_subsumed;
-        n_pruned_dedup = res.Fixpoint.solver_stats.Fixpoint.pruned_dedup;
-        n_pruned_refuted = res.Fixpoint.solver_stats.Fixpoint.pruned_refuted;
-        n_pruned_subsumed =
-          res.Fixpoint.solver_stats.Fixpoint.pruned_subsumed;
+        n_quals_pruned = res.Fixpoint.solver_stats.Fixpoint.pruned;
         n_reinstated = res.Fixpoint.solver_stats.Fixpoint.reinstated;
         prune_time = res.Fixpoint.solver_stats.Fixpoint.prune_time;
         reinstate_time = res.Fixpoint.solver_stats.Fixpoint.reinstate_time;
@@ -627,8 +613,8 @@ let verify_program ?(options = default) ?(parse_time = 0.0)
    type. *)
 let options_fingerprint (o : options) : string =
   Fmt.str
-    "pipeline-report/v6|mine=%b|lint=%b|incremental=%b|prune=%b|explain=%b|explain_limit=%d|gradual=%b|quals=[%a]|specs=[%a]"
-    o.mine o.lint o.incremental o.prune o.explain o.explain_limit o.gradual
+    "pipeline-report/v7|mine=%b|lint=%b|incremental=%b|explain=%b|explain_limit=%d|gradual=%b|quals=[%a]|specs=[%a]"
+    o.mine o.lint o.incremental o.explain o.explain_limit o.gradual
     Fmt.(list ~sep:(any " ;; ") Qualifier.pp)
     o.quals Spec.pp o.specs
 
@@ -925,9 +911,6 @@ let json_of_stats (s : stats) : Liquid_analysis.Json.t =
       ("initial_candidates", Json.Int s.n_initial_candidates);
       ("alpha_collapsed", Json.Int s.n_alpha_collapsed);
       ("quals_pruned", Json.Int s.n_quals_pruned);
-      ("pruned_dedup", Json.Int s.n_pruned_dedup);
-      ("pruned_refuted", Json.Int s.n_pruned_refuted);
-      ("pruned_subsumed", Json.Int s.n_pruned_subsumed);
       ("reinstated", Json.Int s.n_reinstated);
       ("prune_time", Json.Float s.prune_time);
       ("reinstate_time", Json.Float s.reinstate_time);

@@ -41,9 +41,6 @@ type stats = {
   n_alpha_collapsed : int;
       (* instances collapsed by orientation-level dedup at instantiation *)
   n_quals_pruned : int; (* instances parked by the pre-fixpoint prune *)
-  n_pruned_dedup : int; (* ... as orientation duplicates *)
-  n_pruned_refuted : int; (* ... as unsat under the κ's WF environment *)
-  n_pruned_subsumed : int; (* ... as implied by surviving siblings *)
   n_reinstated : int; (* instances restored by the reinstatement pass *)
   prune_time : float; (* seconds in the prune analysis *)
   reinstate_time : float; (* seconds in the reinstatement pass *)
@@ -129,11 +126,7 @@ val mine_constants : Ast.program -> int list
     the {e pre-ANF} source AST; [specs] supplies external signatures;
     [lint] runs the semantic-lint pass ({!Liquid_analysis.Lint}) and
     fills [report.lints]; [incremental] selects the fixpoint engine
-    (see {!Liquid_infer.Fixpoint.solve}); [prune] runs the pre-fixpoint
-    qualifier-space prune and post-fixpoint reinstatement
-    ({!Liquid_infer.Prune}) — verdicts, types, and explanations are
-    identical with it on or off, only the solve work shrinks;
-    [jobs] > 1 solves independent
+    (see {!Liquid_infer.Fixpoint.solve}); [jobs] > 1 solves independent
     constraint partitions in concurrent worker processes (verdicts,
     errors, and inferred types are identical to [jobs = 1]: the liquid
     fixpoint is unique); [partition_timeout] is the per-partition
@@ -158,7 +151,6 @@ type options = {
   specs : Spec.t;
   lint : bool;
   incremental : bool;
-  prune : bool;
   jobs : int;
   partition_timeout : float option;
   cache_dir : string option;
@@ -179,7 +171,7 @@ type options = {
 }
 
 (** Defaults: {!Liquid_infer.Qualifier.defaults}, mining on, no specs,
-    lint off, incremental engine, pruning on, [jobs = 1], 60 s partition
+    lint off, incremental engine, [jobs = 1], 60 s partition
     timeout, no persistent cache, explanation off with a limit of 5,
     gradual mode off. *)
 val default : options

@@ -50,7 +50,7 @@ type outcome = {
   ps_punit_misses : int; (* units solved live (hooks present) *)
 }
 
-let solve ?(incremental = true) ?(prune = false) ?timeout
+let solve ?(incremental = true) ?timeout
     ?(reuse : (string -> Fixpoint.partial option) option)
     ?(persist : (string -> Fixpoint.partial -> unit) option) ~(jobs : int)
     ~(quals : Qualifier.t list) ~(consts : int list) (wfs : Constr.wf list)
@@ -63,7 +63,7 @@ let solve ?(incremental = true) ?(prune = false) ?timeout
      this point and see the map via inherited memory.  Units prune only
      κs present in their own [init], so no per-partition restriction is
      needed. *)
-  let prune_wf = if prune then Some (Prune.wf_facts wfs) else None in
+  let prune_wf = Prune.wf_facts wfs in
   (* Initial assignment restricted to each partition's own κs. *)
   let init_of = Array.map
       (fun (p : Constr.partition) ->
@@ -147,7 +147,7 @@ let solve ?(incremental = true) ?(prune = false) ?timeout
           r
   in
   let work u =
-    Fixpoint.solve_unit ~incremental ?prune_wf ~base:!merged_sol
+    Fixpoint.solve_unit ~incremental ~prune_wf ~base:!merged_sol
       ~init:init_of.(u) parts.(u).Constr.part_subs
   in
   (* [replay]: fold the partial's SMT-counter delta into the parent's

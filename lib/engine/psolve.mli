@@ -29,16 +29,15 @@ type outcome = {
   ps_punit_misses : int; (* units solved live (hooks present) *)
 }
 
-(** [solve ?incremental ?prune ?timeout ?reuse ?persist ~jobs ~quals
+(** [solve ?incremental ?timeout ?reuse ?persist ~jobs ~quals
     ~consts wfs subs plan] solves the system described by [plan] (built
     from [wfs]/[subs]) with up to [jobs] concurrent workers ([jobs <=
     1]: in-process, sequential).  Failures are returned in
     original-constraint order regardless of scheduling; verdicts and
     inferred refinements are scheduling-independent (the fixpoint is
-    unique).  [prune] (default [false]) runs the pre-fixpoint
-    qualifier-space prune and post-fixpoint reinstatement inside each
-    unit (see {!Prune}).  [subs] must be the same list [plan] was built
-    from.
+    unique).  Each unit runs the pre-fixpoint qualifier-space prune and
+    post-fixpoint reinstatement (see {!Prune}).  [subs] must be the same
+    list [plan] was built from.
 
     [reuse]/[persist] connect a per-partition result cache.  Each unit
     is addressed by a content key digesting {!Constr.unit_signature}
@@ -54,7 +53,6 @@ type outcome = {
     their inputs embed one run's scheduling accidents. *)
 val solve :
   ?incremental:bool ->
-  ?prune:bool ->
   ?timeout:float ->
   ?reuse:(string -> Fixpoint.partial option) ->
   ?persist:(string -> Fixpoint.partial -> unit) ->

@@ -67,14 +67,9 @@ type stats = {
   mutable iterations : int; (* worklist pops *)
   mutable implication_checks : int;
   mutable initial_candidates : int;
-  mutable skipped_rechecks : int;
-      (* instances retained without a solver call because no κ in their
-         recorded dependency set weakened (incremental engine only) *)
   mutable alpha_collapsed : int;
       (* instances collapsed by orientation-level dedup at instantiation *)
-  mutable pruned_dedup : int; (* parked by the pre-fixpoint prune phases *)
-  mutable pruned_refuted : int;
-  mutable pruned_subsumed : int;
+  mutable pruned : int; (* parked by the pre-fixpoint prune *)
   mutable reinstated : int;
       (* parked/weakened instances restored by the post-fixpoint
          reinstatement pass *)
@@ -457,8 +452,6 @@ let weaken_incremental (compiled_of : Constr.sub -> compiled)
           (not (sh.settled k q)) && not (up_to_date inst))
         current
     in
-    sh.stats.skipped_rechecks <-
-      sh.stats.skipped_rechecks + (List.length current - List.length stale);
     if stale <> [] then begin
       let hyps, origins = expand_hyps sh.lookup comp.hyp_slots in
       let kept = expand_kept sh.lookup comp.kept_slots in
@@ -539,7 +532,6 @@ let weaken_incremental (compiled_of : Constr.sub -> compiled)
           (fun ((q, _) as inst) ->
             match Hashtbl.find_opt comp.checks (Pred.tag q) with
             | Some (_, tags) when still_identical inst ->
-                sh.stats.skipped_rechecks <- sh.stats.skipped_rechecks + 1;
                 revalidate inst tags;
                 false
             | _ -> true)
@@ -804,24 +796,25 @@ type partial = {
    across rebuilds; this tag additionally keys the {e meaning} of the
    payload, so a semantic change (what a partial promises, not just its
    shape) can invalidate old entries explicitly. *)
-let partial_version = "fixpoint-partial/v1"
+let partial_version = "fixpoint-partial/v2"
 
 let fresh_stats () =
   {
     iterations = 0;
     implication_checks = 0;
     initial_candidates = 0;
-    skipped_rechecks = 0;
     alpha_collapsed = 0;
-    pruned_dedup = 0;
-    pruned_refuted = 0;
-    pruned_subsumed = 0;
+    pruned = 0;
     reinstated = 0;
     solve_time = 0.0;
     check_time = 0.0;
     prune_time = 0.0;
     reinstate_time = 0.0;
   }
+
+(* Number of instances over all κs of an assignment. *)
+let size (a : candidates) : int =
+  KMap.fold (fun _ ps n -> n + List.length ps) a 0
 
 (* -- Reinstatement -------------------------------------------------------------- *)
 
@@ -842,15 +835,9 @@ let fresh_stats () =
    stops at a solution — hence at S itself.  This restart handles what a
    one-at-a-time from-below reinstatement cannot: instances that support
    themselves (or each other) through recursive constraints, the normal
-   shape of a loop invariant.
-
-   [Dup]-parked instances are never checked: normalization commutes
-   with substitution, and canon-equal queries decide identically, so a
-   dup is in the final solution iff its representative is.  They sit
-   the removal loop out entirely (their representative speaks for them
-   in the hypotheses, up to logical equivalence) and are re-added — in
-   [init] order, so printed conjunctions are unchanged — once the loop
-   converges.
+   shape of a loop invariant.  Removal filters each κ's list in place,
+   so the result keeps [init] order and printed conjunctions are
+   unchanged.
 
    The loop itself is {!run_worklist} with the pruned run's survivors
    marked [settled]: the same dependency-directed scheduling and (with
@@ -858,21 +845,9 @@ let fresh_stats () =
    check the pruned run already vouches for is skipped.  The work is
    thereby bounded by the parked/weakened instances, not by the full
    candidate population. *)
-let reinstate ?(incremental = true) (stats : stats)
-    (plan : SSet.t Prune.plan) (subs : Constr.sub list)
+let reinstate ?(incremental = true) (stats : stats) (subs : Constr.sub list)
     ~(base : Constr.solution) ~(init : candidates)
     (assignment : candidates ref) : unit =
-  (* Dup tag -> representative tag. *)
-  let is_dup : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  KMap.iter
-    (fun _ ps ->
-      List.iter
-        (function
-          | p, _, Prune.Dup rep ->
-              Hashtbl.replace is_dup (Pred.tag p) (Pred.tag rep)
-          | _ -> ())
-        ps)
-    plan.Prune.parked;
   (* Instances the pruned weaken loop kept: proven members of the final
      solution, exempt from re-checking. *)
   let stable : ISet.t KMap.t =
@@ -880,15 +855,9 @@ let reinstate ?(incremental = true) (stats : stats)
       (fun ps -> ISet.of_list (List.map (fun (p, _) -> Pred.tag p) ps))
       !assignment
   in
-  let n_stable =
-    KMap.fold (fun _ ps n -> n + List.length ps) !assignment 0
-  in
-  (* Optimistic restart from the full unpruned assignment, dups left
-     out. *)
-  assignment :=
-    KMap.map
-      (List.filter (fun (q, _) -> not (Hashtbl.mem is_dup (Pred.tag q))))
-      init;
+  let n_stable = size !assignment in
+  (* Optimistic restart from the full unpruned assignment. *)
+  assignment := init;
   let settled k q =
     match KMap.find_opt k stable with
     | Some s -> ISet.mem (Pred.tag q) s
@@ -920,33 +889,16 @@ let reinstate ?(incremental = true) (stats : stats)
        ~weaken:(weaken_incremental compiled_of version)
    end
    else run_worklist ~settled subs stats assignment ~base ~weaken:weaken_naive);
-  (* Re-add the dups of surviving representatives, in [init] order. *)
-  assignment :=
-    KMap.mapi
-      (fun k full ->
-        let live =
-          match KMap.find_opt k !assignment with
-          | Some ps -> ISet.of_list (List.map (fun (p, _) -> Pred.tag p) ps)
-          | None -> ISet.empty
-        in
-        List.filter
-          (fun (q, _) ->
-            let t = Pred.tag q in
-            match Hashtbl.find_opt is_dup t with
-            | Some rep -> ISet.mem rep live
-            | None -> ISet.mem t live)
-          full)
-      init;
-  let n_final = KMap.fold (fun _ ps n -> n + List.length ps) !assignment 0 in
-  stats.reinstated <- stats.reinstated + (n_final - n_stable)
+  stats.reinstated <- stats.reinstated + (size !assignment - n_stable)
 
 (** Solve one unit to fixpoint and check its concrete obligations.
     [init] is the initial (strongest) assignment of the unit's own κs;
     [base] holds the final solutions of every upstream κ the unit's
     constraints read.  [prune_wf] (per-κ well-formedness facts, see
     {!Prune.wf_facts}) enables the pre-fixpoint prune analysis and the
-    post-fixpoint reinstatement pass.  All engine state is local to this
-    call. *)
+    post-fixpoint reinstatement pass; without it the unit is solved
+    unpruned, the reference the pruned engine must match.  All engine
+    state is local to this call. *)
 let solve_unit ?(incremental = true)
     ?(prune_wf : Pred.t list KMap.t option) ~(base : Constr.solution)
     ~(init : candidates) (subs : Constr.sub list) : partial =
@@ -957,26 +909,18 @@ let solve_unit ?(incremental = true)
       Solver.stats.Solver.sat_checks,
       Solver.stats.Solver.unknowns )
   in
-  KMap.iter
-    (fun _ ps ->
-      stats.initial_candidates <- stats.initial_candidates + List.length ps)
-    init;
-  let plan =
+  stats.initial_candidates <- size init;
+  let assignment =
     match prune_wf with
-    | None -> None
+    | None -> ref init
     | Some wf_facts ->
         let tp = Unix.gettimeofday () in
-        let pl = Prune.analyze ~wf_facts subs init in
-        stats.pruned_dedup <- pl.Prune.n_dup;
-        stats.pruned_refuted <- pl.Prune.n_refuted;
-        stats.pruned_subsumed <- pl.Prune.n_subsumed;
+        let kept = Prune.analyze ~wf_facts subs init in
+        stats.pruned <- stats.initial_candidates - size kept;
         stats.prune_time <- Unix.gettimeofday () -. tp;
-        Some pl
+        ref kept
   in
   let t0 = Unix.gettimeofday () in
-  let assignment =
-    ref (match plan with Some pl -> pl.Prune.kept | None -> init)
-  in
   (if incremental then begin
      let table : (int, compiled) Hashtbl.t = Hashtbl.create 64 in
      let compiled_of c =
@@ -993,12 +937,11 @@ let solve_unit ?(incremental = true)
    end
    else run_worklist subs stats assignment ~base ~weaken:weaken_naive);
   stats.solve_time <- Unix.gettimeofday () -. t0;
-  (match plan with
-  | None -> ()
-  | Some pl ->
-      let tr = Unix.gettimeofday () in
-      reinstate ~incremental stats pl subs ~base ~init assignment;
-      stats.reinstate_time <- Unix.gettimeofday () -. tr);
+  if Option.is_some prune_wf then begin
+    let tr = Unix.gettimeofday () in
+    reinstate ~incremental stats subs ~base ~init assignment;
+    stats.reinstate_time <- Unix.gettimeofday () -. tr
+  end;
   let lookup k =
     match KMap.find_opt k !assignment with
     | Some ps -> List.map fst ps
@@ -1064,11 +1007,8 @@ let merge_stats (a : stats) (b : stats) : stats =
     iterations = a.iterations + b.iterations;
     implication_checks = a.implication_checks + b.implication_checks;
     initial_candidates = a.initial_candidates + b.initial_candidates;
-    skipped_rechecks = a.skipped_rechecks + b.skipped_rechecks;
     alpha_collapsed = a.alpha_collapsed + b.alpha_collapsed;
-    pruned_dedup = a.pruned_dedup + b.pruned_dedup;
-    pruned_refuted = a.pruned_refuted + b.pruned_refuted;
-    pruned_subsumed = a.pruned_subsumed + b.pruned_subsumed;
+    pruned = a.pruned + b.pruned;
     reinstated = a.reinstated + b.reinstated;
     solve_time = a.solve_time +. b.solve_time;
     check_time = a.check_time +. b.check_time;
@@ -1112,13 +1052,12 @@ let rehash_partial (p : partial) : partial =
 (* -- Solving ------------------------------------------------------------------------- *)
 
 let solve ?(quals = Qualifier.defaults) ?(consts = []) ?(incremental = true)
-    ?(prune = false) (wfs : Constr.wf list) (subs : Constr.sub list) : result
-    =
+    (wfs : Constr.wf list) (subs : Constr.sub list) : result =
   let collapsed = ref 0 in
   let initial = init_assignment ~consts ~collapsed quals wfs in
-  let prune_wf = if prune then Some (Prune.wf_facts wfs) else None in
   let partial =
-    solve_unit ~incremental ?prune_wf ~base:KMap.empty ~init:initial subs
+    solve_unit ~incremental ~prune_wf:(Prune.wf_facts wfs) ~base:KMap.empty
+      ~init:initial subs
   in
   partial.pr_stats.alpha_collapsed <- !collapsed;
   {

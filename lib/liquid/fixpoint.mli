@@ -22,14 +22,9 @@ type stats = {
   mutable iterations : int;
   mutable implication_checks : int;
   mutable initial_candidates : int;
-  mutable skipped_rechecks : int;
-      (* instances retained without a solver call because no κ in their
-         recorded dependency set weakened (incremental engine only) *)
   mutable alpha_collapsed : int;
       (* instances collapsed by orientation-level dedup at instantiation *)
-  mutable pruned_dedup : int; (* parked by the pre-fixpoint prune phases *)
-  mutable pruned_refuted : int;
-  mutable pruned_subsumed : int;
+  mutable pruned : int; (* parked by the pre-fixpoint prune *)
   mutable reinstated : int;
       (* parked/weakened instances restored by the post-fixpoint
          reinstatement pass *)
@@ -108,7 +103,8 @@ val partial_version : string
     own κs.  [prune_wf] (per-κ well-formedness facts, {!Prune.wf_facts})
     enables the pre-fixpoint prune analysis and the post-fixpoint
     reinstatement pass; the final solution is unchanged, only the work
-    to reach it shrinks. *)
+    to reach it shrinks.  Without [prune_wf] the unit is solved
+    unpruned: the reference that tests hold the pruned engine to. *)
 val solve_unit :
   ?incremental:bool ->
   ?prune_wf:Pred.t list KMap.t ->
@@ -140,14 +136,13 @@ val rehash_partial : partial -> partial
     invalidation, re-checking only instances whose recorded κ-dependency
     set weakened; [false] runs the naive reference engine, which
     re-embeds and re-checks everything on each pop.  Both compute the
-    same solution and failures, in the same order.  [prune] (default
-    [false]) runs the pre-fixpoint qualifier-space prune and the
-    post-fixpoint reinstatement (see {!Prune}). *)
+    same solution and failures, in the same order.  The solve always
+    runs the pre-fixpoint qualifier-space prune and the post-fixpoint
+    reinstatement (see {!Prune}). *)
 val solve :
   ?quals:Qualifier.t list ->
   ?consts:int list ->
   ?incremental:bool ->
-  ?prune:bool ->
   Constr.wf list ->
   Constr.sub list ->
   result

@@ -4,30 +4,22 @@
 
     Fixpoint cost is |instances| × constraints: every candidate at every
     κ is re-checked as the assignment weakens, yet many instances are
-    statically redundant.  Three phases shrink each κ's set — only for
-    κs some constraint of the unit actually writes (writerless κs are
-    never weakened, so pruning them could only lose precision):
+    statically redundant.  One rule shrinks each κ's set — only for κs
+    some constraint of the unit actually writes (writerless κs are never
+    weakened, so pruning them could only lose precision): a greedy
+    deletion pass parks instances implied, under the κ's well-formedness
+    facts, by the conjunction of the remaining siblings.  The surviving
+    set has the same conjunctive meaning, so hypotheses instantiated from
+    the κ are semantically unchanged; the parked instance is the
+    {e weaker} side of each implication, which is exactly the kind that
+    tends to survive weakening — the reinstatement pass in {!Fixpoint}
+    restores it cheaply afterwards.
 
-    1. {e orientation dedup}: instances whose {!Liquid_smt.Prop.normalize}
-       forms coincide are alpha-equivalent modulo atom orientation; all
-       but the first are parked as [Dup] of it.  Normal forms are stable
-       under substitution, so a dup and its representative produce
-       canon-identical queries at every instantiation site and travel in
-       lockstep through the whole run — a dup is reinstatable by a pure
-       membership test on its representative, no solver call.
-    2. {e WF-refutation}: instances unsatisfiable under the κ's
-       well-formedness environment (its binding facts and guards, κs
-       read as ⊤) can never distinguish states at any site where the
-       environment holds; they are parked as [Refuted].
-    3. {e subsumption}: a greedy deletion pass parks instances implied,
-       under the WF facts, by the conjunction of the remaining siblings
-       ([Subsumed]).  The surviving set has the same conjunctive meaning,
-       so hypotheses instantiated from the κ are semantically unchanged;
-       the parked instance is the {e weaker} side of each implication,
-       which is exactly the kind that tends to survive weakening — the
-       reinstatement pass in {!Fixpoint} restores it cheaply afterwards.
+    Orientation twins need no rule here: {!Qualifier.instances_tagged}
+    already collapses instances with equal {!Liquid_smt.Prop.normalize}
+    forms at instantiation.
 
-    Phases 2–3 run against one persistent incremental solver context
+    The probes run against one persistent incremental solver context
     ({!Liquid_smt.Solver.ctx_assert}): each κ's facts are encoded once
     into a pushed frame, and every candidate probe is a small push /
     assert / check / pop against the accumulated clauses.
@@ -43,27 +35,10 @@ open Liquid_smt
 module KMap = Constr.KMap
 module ISet = Set.Make (Int)
 
-(** Why an instance was parked.  [Dup] carries the surviving
-    representative: the dup belongs in the final solution iff the
-    representative does. *)
-type reason = Dup of Pred.t | Refuted | Subsumed
-
-(** Result of the analysis over one initial assignment.  [kept] and
-    [parked] partition each κ's candidate list, both in original
-    candidate order; the payload ['a] (qualifier provenance in the
-    engine) is carried through untouched. *)
-type 'a plan = {
-  kept : (Pred.t * 'a) list KMap.t;
-  parked : (Pred.t * 'a * reason) list KMap.t;
-  n_dup : int;
-  n_refuted : int;
-  n_subsumed : int;
-}
-
-(** Per-κ well-formedness facts for the refutation and subsumption
-    phases: binding facts and guards of the κ's (first) wf environment,
-    with κ refinements read as ⊤ — a sound weakening, since any fact
-    derived without them holds a fortiori under the full environment. *)
+(** Per-κ well-formedness facts for the subsumption probes: binding
+    facts and guards of the κ's (first) wf environment, with κ
+    refinements read as ⊤ — a sound weakening, since any fact derived
+    without them holds a fortiori under the full environment. *)
 let wf_facts (wfs : Constr.wf list) : Pred.t list KMap.t =
   List.fold_left
     (fun acc (wf : Constr.wf) ->
@@ -76,124 +51,55 @@ let wf_facts (wfs : Constr.wf list) : Pred.t list KMap.t =
           KMap.add wf.Constr.wf_kvar (facts @ guards) acc)
     KMap.empty wfs
 
-(* Is the current context plus [p] unsatisfiable?  Conservative on
-   [Unknown] (counts as satisfiable, so the instance is kept). *)
-let refuted_by ctx p =
-  Solver.ctx_push ctx;
-  Solver.ctx_assert ctx p;
-  let sat = Solver.ctx_consistent ctx in
-  Solver.ctx_pop ctx;
-  not sat
-
 let analyze ~(wf_facts : Pred.t list KMap.t) (subs : Constr.sub list)
-    (init : (Pred.t * 'a) list KMap.t) : 'a plan =
+    (init : (Pred.t * 'a) list KMap.t) : (Pred.t * 'a) list KMap.t =
   let writers =
     List.fold_left
       (fun s c ->
         match Constr.writes c with Some k -> ISet.add k s | None -> s)
       ISet.empty subs
   in
-  let n_dup = ref 0 and n_refuted = ref 0 and n_subsumed = ref 0 in
-  let parked_all = ref KMap.empty in
   Solver.with_context (fun ctx ->
-      let kept =
-        (* [mapi] visits κs in increasing order: deterministic. *)
-        KMap.mapi
-          (fun k insts ->
-            if not (ISet.mem k writers) then insts
-            else begin
-              let parked = ref [] in
-              let park p tag r = parked := (p, tag, r) :: !parked in
-              (* Phase 1: orientation dedup. *)
-              let seen : Pred.t Pred.Tbl.t = Pred.Tbl.create 32 in
-              let s1 =
-                List.filter
-                  (fun (p, tag) ->
-                    let key = Prop.normalize p in
-                    match Pred.Tbl.find_opt seen key with
-                    | None ->
-                        Pred.Tbl.add seen key p;
-                        true
-                    | Some rep ->
-                        incr n_dup;
-                        park p tag (Dup rep);
-                        false)
-                  insts
-              in
-              let facts =
-                match KMap.find_opt k wf_facts with
-                | Some fs -> fs
-                | None -> []
-              in
-              Solver.ctx_push ctx;
-              List.iter (Solver.ctx_assert ctx) facts;
-              let survivors =
-                if not (Solver.ctx_consistent ctx) then
-                  (* Inconsistent wf environment: every instance would be
-                     "refuted"; keep them all (the weaken loop retains
-                     them all too, since dead hypotheses prove
-                     anything). *)
-                  s1
-                else begin
-                  (* Phase 2: WF-refutation. *)
-                  let s2 =
-                    List.filter
-                      (fun (p, tag) ->
-                        if refuted_by ctx p then begin
-                          incr n_refuted;
-                          park p tag Refuted;
-                          false
-                        end
-                        else true)
-                      s1
-                  in
-                  (* Phase 3: greedy subsumption.  [present] shrinks as
-                     instances are parked, so each test is against the
-                     conjunction of the instances actually surviving —
-                     the surviving set keeps the conjunctive meaning. *)
-                  let present =
-                    ref
-                      (ISet.of_list
-                         (List.map (fun (p, _) -> Pred.tag p) s2))
-                  in
-                  List.filter
-                    (fun (p, tag) ->
-                      if ISet.cardinal !present <= 1 then true
-                      else begin
-                        Solver.ctx_push ctx;
-                        List.iter
-                          (fun (q, _) ->
-                            if
-                              Pred.tag q <> Pred.tag p
-                              && ISet.mem (Pred.tag q) !present
-                            then Solver.ctx_assert ctx q)
-                          s2;
-                        let r = Solver.ctx_entails ctx p in
-                        Solver.ctx_pop ctx;
-                        if r = Solver.Valid then begin
-                          present := ISet.remove (Pred.tag p) !present;
-                          incr n_subsumed;
-                          park p tag Subsumed;
-                          false
-                        end
-                        else true
-                      end)
-                    s2
-                end
-              in
-              Solver.ctx_pop ctx;
-              if !parked <> [] then
-                parked_all := KMap.add k (List.rev !parked) !parked_all;
-              survivors
-            end)
-          init
-      in
-      {
-        kept;
-        parked = !parked_all;
-        n_dup = !n_dup;
-        n_refuted = !n_refuted;
-        n_subsumed = !n_subsumed;
-      })
-
-let total (p : 'a plan) : int = p.n_dup + p.n_refuted + p.n_subsumed
+      (* [mapi] visits κs in increasing order: deterministic. *)
+      KMap.mapi
+        (fun k insts ->
+          if not (ISet.mem k writers) then insts
+          else begin
+            Solver.ctx_push ctx;
+            List.iter (Solver.ctx_assert ctx)
+              (Option.value ~default:[] (KMap.find_opt k wf_facts));
+            (* [present] shrinks as instances are parked, so each test is
+               against the conjunction of the instances actually
+               surviving — the surviving set keeps the conjunctive
+               meaning.  Inconsistent facts entail every instance, so
+               all but one are parked; reinstatement restores them. *)
+            let present =
+              ref (ISet.of_list (List.map (fun (p, _) -> Pred.tag p) insts))
+            in
+            let kept =
+              List.filter
+                (fun (p, _) ->
+                  if ISet.cardinal !present <= 1 then true
+                  else begin
+                    Solver.ctx_push ctx;
+                    List.iter
+                      (fun (q, _) ->
+                        if
+                          Pred.tag q <> Pred.tag p
+                          && ISet.mem (Pred.tag q) !present
+                        then Solver.ctx_assert ctx q)
+                      insts;
+                    let r = Solver.ctx_entails ctx p in
+                    Solver.ctx_pop ctx;
+                    if r = Solver.Valid then begin
+                      present := ISet.remove (Pred.tag p) !present;
+                      false
+                    end
+                    else true
+                  end)
+                insts
+            in
+            Solver.ctx_pop ctx;
+            kept
+          end)
+        init)

@@ -1,42 +1,25 @@
 (** Qualifier-space pruning: a pre-fixpoint static analysis shrinking
-    each κ's candidate set by orientation dedup, WF-refutation, and
-    sibling subsumption, over one persistent incremental solver context.
-    Pruning under-approximates the initial assignment; the reinstatement
-    pass in {!Fixpoint.solve_unit} restores exactness of the final
-    solution. *)
+    each κ's candidate set by sibling subsumption, over one persistent
+    incremental solver context.  Pruning under-approximates the initial
+    assignment; the reinstatement pass in {!Fixpoint.solve_unit}
+    restores exactness of the final solution. *)
 
 open Liquid_logic
 module KMap = Constr.KMap
 
-(** Why an instance was parked.  [Dup] carries the surviving
-    representative: normal forms are substitution-stable, so the dup
-    belongs in the final solution iff the representative does. *)
-type reason = Dup of Pred.t | Refuted | Subsumed
-
-(** Partition of each κ's candidate list into survivors and parked
-    instances, both in original candidate order, with per-phase counts.
-    The payload ['a] (qualifier provenance in the engine) is carried
-    through untouched. *)
-type 'a plan = {
-  kept : (Pred.t * 'a) list KMap.t;
-  parked : (Pred.t * 'a * reason) list KMap.t;
-  n_dup : int;
-  n_refuted : int;
-  n_subsumed : int;
-}
-
-(** Per-κ facts for the refutation/subsumption phases: binding facts and
-    guards of the κ's (first) wf environment, κ refinements read as ⊤. *)
+(** Per-κ facts for the subsumption probes: binding facts and guards of
+    the κ's (first) wf environment, κ refinements read as ⊤. *)
 val wf_facts : Constr.wf list -> Pred.t list KMap.t
 
-(** Run the three phases over an initial assignment.  Only κs written by
-    some constraint of [subs] are pruned (writerless κs are never
-    weakened, so shrinking them could only lose precision). *)
+(** The survivors of each κ's candidate list, in original candidate
+    order: greedily, an instance implied under the κ's [wf_facts] by
+    the conjunction of its surviving siblings is parked.  Only κs
+    written by some constraint of [subs] are pruned (writerless κs are
+    never weakened, so shrinking them could only lose precision).  The
+    payload ['a] (qualifier provenance in the engine) is carried through
+    untouched. *)
 val analyze :
   wf_facts:Pred.t list KMap.t ->
   Constr.sub list ->
   (Pred.t * 'a) list KMap.t ->
-  'a plan
-
-(** Total parked instances across the three phases. *)
-val total : 'a plan -> int
+  (Pred.t * 'a) list KMap.t

@@ -425,8 +425,6 @@ let ctx_run (c : context) : Dpll.result =
   stats.time <- stats.time +. (Unix.gettimeofday () -. t0);
   r
 
-let ctx_consistent (c : context) : bool = ctx_run c <> Dpll.Unsat
-
 let ctx_entails (c : context) (goal : Pred.t) : result =
   stats.queries <- stats.queries + 1;
   ctx_push c;

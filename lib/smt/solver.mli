@@ -105,7 +105,7 @@ val is_sat : Pred.t -> bool
     shared builder (atom table, clause list) and participate in every
     subsequent check; [push]/[pop] bracket speculative assertions by
     truncating the builder back to saved marks.  The qualifier-pruning
-    pass asserts a κ's well-formedness facts once and then refutes /
+    pass asserts a κ's well-formedness facts once and then
     subsumption-checks each candidate against them incrementally. *)
 
 type context
@@ -129,10 +129,6 @@ val ctx_assert : context -> Pred.t -> unit
 
 (** The currently-asserted facts, oldest first (for tests). *)
 val ctx_assertions : context -> Pred.t list
-
-(** Satisfiability of the asserted facts ([Unknown] conservatively
-    counts as consistent). *)
-val ctx_consistent : context -> bool
 
 (** Whether the asserted facts entail [goal]: checks
     [facts /\ not goal] inside a private frame, leaving the context as

@@ -26,8 +26,8 @@ let default_jobs () =
 (** Verify one benchmark with its qualifier set.  Constant mining is off
     by default: the paper's evaluation supplies qualifiers explicitly, and
     mining only grows the candidate sets on these programs. *)
-let verify ?quals ?(mine = false) ?(lint = false) ?(incremental = true)
-    ?(prune = true) ?jobs (b : Programs.benchmark) : row =
+let verify ?quals ?(mine = false) ?(lint = false) ?(incremental = true) ?jobs
+    (b : Programs.benchmark) : row =
   let quals = match quals with Some q -> q | None -> qualifiers_of b in
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
   let options =
@@ -37,7 +37,6 @@ let verify ?quals ?(mine = false) ?(lint = false) ?(incremental = true)
       mine;
       lint;
       incremental;
-      prune;
       jobs;
     }
   in

@@ -13,8 +13,7 @@ val qualifiers_of : Programs.benchmark -> Liquid_infer.Qualifier.t list
 (** Verify one benchmark with its qualifier set ([quals] overrides;
     constant mining off by default — the suite supplies qualifiers
     explicitly, as the paper's evaluation did; [lint] additionally runs
-    the semantic-lint pass and fills [report.lints]; [prune] toggles the
-    pre-fixpoint qualifier-space prune, default on; [jobs] defaults to
+    the semantic-lint pass and fills [report.lints]; [jobs] defaults to
     the [DSOLVE_JOBS] environment variable when set, else 1, so CI can
     run the whole suite sharded). *)
 val verify :
@@ -22,7 +21,6 @@ val verify :
   ?mine:bool ->
   ?lint:bool ->
   ?incremental:bool ->
-  ?prune:bool ->
   ?jobs:int ->
   Programs.benchmark ->
   row

@@ -1,8 +1,8 @@
 (* Tests for user-declared algebraic datatypes and measures: declaration
    validation (structured diagnostics with spans), measure-indexed
    refinement inference, measure hypotheses in explanation cores,
-   determinism across engines (prune on/off, jobs 1/4, cache, daemon),
-   and the cache-soundness of the declaration digest. *)
+   determinism across engines (pruned and unpruned, jobs 1/4, cache,
+   daemon), and the cache-soundness of the declaration digest. *)
 
 open Liquid_lang
 module Pipeline = Liquid_driver.Pipeline
@@ -118,15 +118,6 @@ let test_unsafe_explain_cites_measure () =
 (* ------------------------------------------------------------------ *)
 (* Determinism across engines                                          *)
 (* ------------------------------------------------------------------ *)
-
-let test_prune_identity () =
-  let on = verify src_tree_safe in
-  let off =
-    verify ~options:{ Pipeline.default with Pipeline.prune = false }
-      src_tree_safe
-  in
-  check_string "prune on/off reports identical" (report_fingerprint on)
-    (report_fingerprint off)
 
 let test_jobs_identity () =
   let seq = verify src_tree_safe in
@@ -329,6 +320,26 @@ let test_unrelated_edit_reuses_partitions () =
       check_string "report identical to an uncached run"
         (report_fingerprint (verify src_measure_v3))
         (report_fingerprint v3))
+
+(* ------------------------------------------------------------------ *)
+(* Pruned solve = unpruned reference                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The datatype programs the prune is held to its reference on: safe,
+   unsafe, and unsafe through an edited measure definition. *)
+let prune_programs =
+  [
+    ("tree", src_tree_safe);
+    ("tree-unsafe", src_tree_unsafe);
+    ("measure-unsafe", src_measure_v2);
+  ]
+
+let test_prune_identity () =
+  List.iter
+    (fun (name, src) ->
+      ignore
+        (Prune_reference.check_reference (Prune_reference.system name src)))
+    prune_programs
 
 (* ------------------------------------------------------------------ *)
 (* Daemon round-trip                                                   *)

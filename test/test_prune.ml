@@ -1,13 +1,16 @@
-(* Tests for the pre-fixpoint qualifier-space prune: soundness of each
-   phase (orientation dedup, WF-refutation, sibling subsumption), report
-   byte-identity with pruning on and off — sequential, sharded, through
-   the persistent cache, and through the daemon — and the
-   instantiation-time orientation collapse. *)
+(* Tests for the pre-fixpoint qualifier-space prune: equality of the
+   pruned solve with the unpruned reference (see [Prune_reference]) on
+   every T1 and E1 program, soundness of every parking decision,
+   twin-free instantiation (why sibling subsumption is the only rule the
+   prune needs), the SMT counter invariant, the instantiation-time
+   orientation collapse, and pruned reports sharded, through the
+   persistent cache and through the daemon. *)
 
 open Liquid_smt
 open Liquid_logic
 open Liquid_infer
 open Liquid_suite
+open Prune_reference
 module Pipeline = Liquid_driver.Pipeline
 module KMap = Constr.KMap
 
@@ -23,25 +26,22 @@ let loop_src =
    end else ()\n\
    let _ = go 0"
 
-(* An unsafe program, so errors and explanations cross the prune path. *)
+(* An unsafe program, so failures cross the prune path. *)
 let overrun_src = "let a = Array.make 8 0\nlet _ = a.(8)"
 
-let verify ?(prune = true) ?(jobs = 1) ?(explain = false) ?quals ?cache_dir
-    ?(name = "test.ml") src =
-  let options =
-    { Pipeline.default with Pipeline.prune; jobs; explain; cache_dir }
-  in
+let verify ?(explain = false) ?quals ?cache_dir src =
+  let options = { Pipeline.default with Pipeline.explain; cache_dir } in
   let options =
     match quals with
     | None -> options
     | Some q -> { options with Pipeline.quals = q }
   in
-  Pipeline.verify_string ~options ~name src
+  Pipeline.verify_string ~options ~name:"test.ml" src
 
 (* Everything report-shaped the user can observe, rendered: verdict,
    errors, inferred types, diagnostics (via [pp_report]), and the
    explanations (via their JSON).  Stats are deliberately excluded —
-   prune counters and times legitimately differ. *)
+   counters and times legitimately differ between runs. *)
 let fingerprint (r : Pipeline.report) =
   ( r.Pipeline.safe,
     Fmt.str "%a" Pipeline.pp_report r,
@@ -50,83 +50,153 @@ let fingerprint (r : Pipeline.report) =
         Liquid_analysis.Json.to_string (Pipeline.json_of_explanation e))
       r.Pipeline.explanations )
 
-let constraints_of src =
-  let prog =
-    Liquid_anf.Anf.normalize_program (Liquid_lang.Parser.program_of_string src)
+(* ------------------------------------------------------------------ *)
+(* Corpus constraint systems                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* T1 and E1, with the qualifiers and mining their suites verify them
+   with.  Each is a thunk: build a system only right before solving it
+   (see [Prune_reference.system]). *)
+let suite_systems =
+  let bench ~mine (b : Programs.benchmark) () =
+    system ~mine ~quals:(Runner.qualifiers_of b) b.Programs.name
+      b.Programs.source
   in
-  let info = Liquid_typing.Infer.infer_program prog in
-  let out = Congen.generate info prog in
-  (out.Congen.wfs, out.Congen.subs)
+  List.map (bench ~mine:false) Programs.all
+  @ List.map (bench ~mine:true) Extended.all
+
+(* Every T1, E1 and datatype program, plus a failing input. *)
+let all_systems =
+  suite_systems
+  @ List.map
+      (fun (name, src) () -> system name src)
+      (Test_adt.prune_programs @ [ ("overrun", overrun_src) ])
+
+let each_system builds f = List.iter (fun build -> f (build ())) builds
 
 (* ------------------------------------------------------------------ *)
 (* The prune engages and the report does not move                      *)
 (* ------------------------------------------------------------------ *)
 
+(* On a safe and an unsafe program the pruned solve parks instances yet
+   reaches the unpruned reference's solution and failures; the pipeline
+   reports the prune's work and still explains the failure. *)
 let test_prune_active () =
-  let on = verify ~prune:true loop_src in
-  let off = verify ~prune:false loop_src in
-  check_bool "program is safe" true on.Pipeline.safe;
-  check_bool "prune parked instances" true
-    (on.Pipeline.stats.Pipeline.n_quals_pruned > 0);
-  check_int "unpruned run parks nothing" 0
-    off.Pipeline.stats.Pipeline.n_quals_pruned;
+  let loop = system "loop.ml" loop_src in
+  let st = check_reference loop in
+  check_bool "prune parked instances" true (st.Fixpoint.pruned > 0);
   check_int "initial candidates counted pre-prune"
-    off.Pipeline.stats.Pipeline.n_initial_candidates
-    on.Pipeline.stats.Pipeline.n_initial_candidates;
-  check_bool "reports byte-identical" true (fingerprint on = fingerprint off);
-  (* Unsafe programs: errors and explanations are identical too. *)
-  let eon = verify ~prune:true ~explain:true overrun_src in
-  let eoff = verify ~prune:false ~explain:true overrun_src in
-  check_bool "unsafe program stays unsafe" false eon.Pipeline.safe;
-  check_bool "explanations produced" true (eon.Pipeline.explanations <> []);
-  check_bool "unsafe reports byte-identical" true
-    (fingerprint eon = fingerprint eoff)
+    (KMap.fold (fun _ insts n -> n + List.length insts) (initial loop) 0)
+    st.Fixpoint.initial_candidates;
+  ignore (check_reference (system "overrun.ml" overrun_src));
+  let r = verify loop_src in
+  check_bool "program is safe" true r.Pipeline.safe;
+  check_bool "pipeline reports parked instances" true
+    (r.Pipeline.stats.Pipeline.n_quals_pruned > 0);
+  let e = verify ~explain:true overrun_src in
+  check_bool "unsafe program stays unsafe" false e.Pipeline.safe;
+  check_bool "explanations produced" true (e.Pipeline.explanations <> [])
 
 (* ------------------------------------------------------------------ *)
-(* Per-phase soundness, against the solver directly                    *)
+(* Soundness of every parking decision                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Every parking decision must be re-derivable from first principles:
-   a [Dup] normalizes like its representative; a [Refuted] instance is
-   unsatisfiable under its κ's WF facts; a [Subsumed] instance is
-   implied by the conjunction of the survivors (greedy deletion
-   preserves the conjunctive meaning, so the final kept set suffices). *)
+(* A parked instance must be implied, under its κ's WF facts, by the
+   conjunction of the survivors (greedy deletion preserves the
+   conjunctive meaning, so the final kept set suffices). *)
 let test_phase_soundness () =
-  let wfs, subs = constraints_of loop_src in
-  (* An always-false qualifier guarantees phase-2 coverage. *)
-  let quals =
-    Qualifier.defaults @ Qualifier.parse_string "qualif Absurd(v) : v < v"
-  in
-  let init = Fixpoint.init_assignment quals wfs in
-  let wf_facts = Prune.wf_facts wfs in
-  let plan = Prune.analyze ~wf_facts subs init in
-  check_bool "something was parked" true (Prune.total plan > 0);
-  check_bool "the absurd instance was refuted" true (plan.Prune.n_refuted > 0);
-  check_bool "subsumption engaged" true (plan.Prune.n_subsumed > 0);
+  let s = system "loop.ml" loop_src in
+  let init = Fixpoint.init_assignment ~consts:s.consts s.quals s.wfs in
+  let wf_facts = Prune.wf_facts s.wfs in
+  let kept = Prune.analyze ~wf_facts s.subs init in
+  let parked = ref 0 in
   KMap.iter
-    (fun k parked ->
-      let facts =
-        match KMap.find_opt k wf_facts with Some fs -> fs | None -> []
-      in
-      let kept =
-        match KMap.find_opt k plan.Prune.kept with
-        | Some ps -> List.map fst ps
-        | None -> []
+    (fun k insts ->
+      let facts = Option.value ~default:[] (KMap.find_opt k wf_facts) in
+      let survivors =
+        List.map fst (Option.value ~default:[] (KMap.find_opt k kept))
       in
       List.iter
-        (fun (p, _, reason) ->
-          match reason with
-          | Prune.Dup rep ->
-              check_bool "dup normalizes like its representative" true
-                (Pred.compare (Prop.normalize p) (Prop.normalize rep) = 0)
-          | Prune.Refuted ->
-              check_bool "refuted instance unsat under WF facts" true
-                (Solver.check_valid facts (Pred.not_ p) = Solver.Valid)
-          | Prune.Subsumed ->
-              check_bool "subsumed instance implied by survivors" true
-                (Solver.check_valid (facts @ kept) p = Solver.Valid))
-        parked)
-    plan.Prune.parked
+        (fun (p, _) ->
+          if not (List.exists (Pred.equal p) survivors) then begin
+            incr parked;
+            check_bool "parked instance implied by survivors" true
+              (Solver.check_valid (facts @ survivors) p = Solver.Valid)
+          end)
+        insts)
+    init;
+  check_bool "subsumption engaged" true (!parked > 0)
+
+(* ------------------------------------------------------------------ *)
+(* Twin-free instantiation                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* No κ starts with two instances of equal normal form, even under a
+   qualifier set that mirrors a default: instantiation collapses
+   orientation twins, so the prune never needs a dedup rule. *)
+let test_twin_free () =
+  let mirror = Qualifier.parse_string "qualif LeFlip(v) : _ >= v" in
+  each_system all_systems (fun s ->
+      List.iter
+        (fun quals ->
+          let init = Fixpoint.init_assignment ~consts:s.consts quals s.wfs in
+          check_bool
+            (s.name ^ ": no two instances of one κ normalize alike")
+            true
+            (KMap.for_all
+               (fun _ insts ->
+                 let keys = List.map (fun (p, _) -> Prop.normalize p) insts in
+                 List.length (List.sort_uniq Pred.compare keys)
+                 = List.length keys)
+               init))
+        [ s.quals; s.quals @ mirror ])
+
+(* ------------------------------------------------------------------ *)
+(* The suites: pruned = reference, sequential and sharded              *)
+(* ------------------------------------------------------------------ *)
+
+(* Every T1 and E1 program's pruned solve equals the unpruned reference
+   and the prune engages somewhere; T1 reports are byte-identical
+   whether solved whole or sharded over four workers. *)
+let test_suite_identity () =
+  let parked = ref 0 in
+  each_system suite_systems (fun s ->
+      parked := !parked + (check_reference s).Fixpoint.pruned);
+  check_bool "suite parks instances" true (!parked > 0);
+  List.iter
+    (fun (b : Programs.benchmark) ->
+      let seq = Runner.verify ~jobs:1 b in
+      let par = Runner.verify ~jobs:4 b in
+      check_bool
+        (b.Programs.name ^ ": sharded report identical")
+        true
+        (fingerprint seq.Runner.report = fingerprint par.Runner.report))
+    Programs.all
+
+(* ------------------------------------------------------------------ *)
+(* SMT counters add up                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Every SAT check and every cache hit answers a query of its own
+   ([queries = sat_checks + cache_hits + trivial]), so neither side may
+   outgrow the query count over a verification run. *)
+let test_counter_invariant () =
+  List.iter
+    (fun (b : Programs.benchmark) ->
+      let s = Solver.stats in
+      let q0 = s.Solver.queries
+      and c0 = s.Solver.sat_checks
+      and h0 = s.Solver.cache_hits in
+      ignore (Runner.verify ~jobs:1 b);
+      let queries = s.Solver.queries - q0
+      and sat_checks = s.Solver.sat_checks - c0
+      and cache_hits = s.Solver.cache_hits - h0 in
+      check_bool
+        (Fmt.str "%s: %d SAT checks + %d cache hits <= %d queries"
+           b.Programs.name sat_checks cache_hits queries)
+        true
+        (sat_checks + cache_hits <= queries))
+    Programs.all
 
 (* ------------------------------------------------------------------ *)
 (* Instantiation-time orientation collapse                             *)
@@ -149,40 +219,7 @@ let test_alpha_collapse () =
     (fingerprint withm = fingerprint base)
 
 (* ------------------------------------------------------------------ *)
-(* Byte-identity across the suite, sequential and sharded              *)
-(* ------------------------------------------------------------------ *)
-
-let suite_fingerprint ~prune ~jobs =
-  List.map
-    (fun (b : Programs.benchmark) ->
-      let row = Runner.verify ~prune ~jobs b in
-      (b.Programs.name, fingerprint row.Runner.report, row.Runner.report))
-    Programs.all
-
-let test_suite_identity () =
-  let reference = suite_fingerprint ~prune:false ~jobs:1 in
-  let pruned = suite_fingerprint ~prune:true ~jobs:1 in
-  List.iter2
-    (fun (name, fp_r, _) (_, fp_p, _) ->
-      check_bool (name ^ ": pruned report identical") true (fp_r = fp_p))
-    reference pruned;
-  (* The prune must actually engage somewhere on the suite — the CI
-     gate relies on it. *)
-  check_bool "suite parks instances" true
-    (List.exists
-       (fun (_, _, (r : Pipeline.report)) ->
-         r.Pipeline.stats.Pipeline.n_quals_pruned > 0)
-       pruned);
-  (* And composes with partitioned solving. *)
-  let sharded = suite_fingerprint ~prune:true ~jobs:4 in
-  List.iter2
-    (fun (name, fp_r, _) (_, fp_s, _) ->
-      check_bool (name ^ ": sharded pruned report identical") true
-        (fp_r = fp_s))
-    reference sharded
-
-(* ------------------------------------------------------------------ *)
-(* Persistent cache: pruned and unpruned runs key separately           *)
+(* Persistent cache                                                    *)
 (* ------------------------------------------------------------------ *)
 
 let test_cache_replay () =
@@ -198,17 +235,7 @@ let test_cache_replay () =
       check_bool "replayed report matches direct" true
         (fingerprint warm = expected);
       check_bool "replayed stats keep the prune counters" true
-        (warm.Pipeline.stats.Pipeline.n_quals_pruned > 0);
-      (* The options fingerprint separates prune from no-prune: an
-         unpruned run must not be served the pruned entry. *)
-      let off_cold = verify ~prune:false ~cache_dir:base loop_src in
-      check_int "unpruned run does not hit the pruned entry" 0
-        off_cold.Pipeline.stats.Pipeline.n_pcache_hits;
-      check_bool "unpruned cached report matches too" true
-        (fingerprint off_cold = expected);
-      let off_warm = verify ~prune:false ~cache_dir:base loop_src in
-      check_int "unpruned rerun hits its own entry" 1
-        off_warm.Pipeline.stats.Pipeline.n_pcache_hits)
+        (warm.Pipeline.stats.Pipeline.n_quals_pruned > 0))
 
 (* ------------------------------------------------------------------ *)
 (* Daemon round-trip                                                   *)
@@ -234,8 +261,10 @@ let tests =
   [
     tc "prune engages, report unchanged" test_prune_active;
     tc "every parking decision is sound" test_phase_soundness;
+    tc "no orientation twins at instantiation" test_twin_free;
     tc "orientation mirrors collapse at instantiation" test_alpha_collapse;
     slow "suite byte-identical prune on/off, jobs 1/4" test_suite_identity;
-    tc "persistent cache keys prune separately" test_cache_replay;
+    slow "sat checks + cache hits <= queries" test_counter_invariant;
+    tc "persistent cache replays pruned report" test_cache_replay;
     tc "daemon round-trips a pruned report" test_daemon_round_trip;
   ]

@@ -288,7 +288,8 @@ let test_prepared_queries () =
 let test_ctx_push_pop () =
   Solver.with_context (fun c ->
       Solver.ctx_assert c (Pred.le x y);
-      check_bool "base consistent" true (Solver.ctx_consistent c);
+      check_bool "base consistent" true
+        (Solver.ctx_entails c Pred.ff = Solver.Invalid);
       Solver.ctx_push c;
       Solver.ctx_assert c (Pred.le y z);
       check_bool "x<=y, y<=z |= x<=z" true
@@ -317,7 +318,8 @@ let test_ctx_pop_empty_raises () =
       Solver.ctx_push c;
       Solver.ctx_assert c (Pred.lt x y);
       Solver.ctx_pop c;
-      check_bool "context still usable" true (Solver.ctx_consistent c))
+      check_bool "context still usable" true
+        (Solver.ctx_entails c Pred.ff = Solver.Invalid))
 
 let test_ctx_assert_after_pop () =
   Solver.with_context (fun c ->
@@ -327,15 +329,17 @@ let test_ctx_assert_after_pop () =
       (* the popped x<=0 must be gone: x>=1 alone is consistent *)
       Solver.ctx_assert c (Pred.ge x (i 1));
       check_bool "popped assertion really retracted" true
-        (Solver.ctx_consistent c);
+        (Solver.ctx_entails c Pred.ff = Solver.Invalid);
       check_bool "assertions list reflects the live frame" true
         (Solver.ctx_assertions c = [ Pred.ge x (i 1) ]);
       (* and contradiction is still detected when actually asserted *)
       Solver.ctx_push c;
       Solver.ctx_assert c (Pred.le x (i 0));
-      check_bool "contradiction detected" false (Solver.ctx_consistent c);
+      check_bool "contradiction detected" true
+        (Solver.ctx_entails c Pred.ff = Solver.Valid);
       Solver.ctx_pop c;
-      check_bool "consistent again after pop" true (Solver.ctx_consistent c))
+      check_bool "consistent again after pop" true
+        (Solver.ctx_entails c Pred.ff = Solver.Invalid))
 
 (* A reused context must decide entailment exactly like a fresh
    [check_valid] over the same hypotheses. *)
