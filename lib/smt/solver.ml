@@ -62,8 +62,6 @@ type centry = {
 
 let cache : centry Pred.Tbl.t = Pred.Tbl.create 4096
 
-let cache_enabled = ref true
-
 let clear_cache () = Pred.Tbl.reset cache
 
 (* ------------------------------------------------------------------ *)
@@ -149,73 +147,68 @@ let check_formula (q : Pred.t) : result =
 (* Hypothesis relevance pruning                                        *)
 (* ------------------------------------------------------------------ *)
 
-(** Restrict hypotheses to those transitively sharing a variable with the
-    goal.  Dropping hypotheses can only make an implication {e harder} to
-    prove, so pruning is sound for a validity checker; the precision cost
-    (a contradiction among pruned hypotheses is no longer detected) is the
-    classic trade DSOLVE makes, and it shrinks queries dramatically:
-    liquid environments embed every in-scope binding, most of which are
-    irrelevant to any one obligation. *)
-let prune_enabled = ref true
-
 let pred_vars p = List.map fst (Pred.free_vars p)
 
-(** Indices (into [hyps]) retained by relevance pruning against a seed
-    predicate.  Ground hypotheses are always retained.  Free-variable
-    sets come memoized off the hash-consed nodes, so tagging is cheap;
-    the closure itself is a breadth-first search over an inverted
-    variable → hypothesis index, linear in total variable occurrences. *)
+(** Hypothesis relevance pruning: restrict hypotheses to those
+    transitively sharing a variable with the goal.  Dropping hypotheses
+    can only make an implication {e harder} to prove, so pruning is sound
+    for a validity checker; the precision cost (a contradiction among
+    pruned hypotheses is no longer detected) is the classic trade DSOLVE
+    makes, and it shrinks queries dramatically: liquid environments embed
+    every in-scope binding, most of which are irrelevant to any one
+    obligation.
+
+    Returns the indices (into [hyps]) retained against a seed predicate.
+    Ground hypotheses are always retained.  Free-variable sets come
+    memoized off the hash-consed nodes, so tagging is cheap; the closure
+    itself is a breadth-first search over an inverted variable →
+    hypothesis index, linear in total variable occurrences. *)
 let prune_hyps_idx (hyps : Pred.t list) (seed : Pred.t) : int list =
-  if not !prune_enabled then List.mapi (fun i _ -> i) hyps
-  else begin
-    let vars = Array.of_list (List.map pred_vars hyps) in
-    let n = Array.length vars in
-    let var_hyps : (Liquid_common.Ident.t, int list) Hashtbl.t =
-      Hashtbl.create (2 * n)
-    in
-    Array.iteri
-      (fun i vs ->
+  let vars = Array.of_list (List.map pred_vars hyps) in
+  let n = Array.length vars in
+  let var_hyps : (Liquid_common.Ident.t, int list) Hashtbl.t =
+    Hashtbl.create (2 * n)
+  in
+  Array.iteri
+    (fun i vs ->
+      List.iter
+        (fun v ->
+          Hashtbl.replace var_hyps v
+            (i :: (try Hashtbl.find var_hyps v with Not_found -> [])))
+        vs)
+    vars;
+  let keep = Array.make n false in
+  let seen : (Liquid_common.Ident.t, unit) Hashtbl.t = Hashtbl.create 64 in
+  let queue = Queue.create () in
+  let visit v =
+    if not (Hashtbl.mem seen v) then begin
+      Hashtbl.add seen v ();
+      Queue.add v queue
+    end
+  in
+  List.iter (fun (x, _) -> visit x) (Pred.free_vars seed);
+  while not (Queue.is_empty queue) do
+    let v = Queue.pop queue in
+    match Hashtbl.find_opt var_hyps v with
+    | None -> ()
+    | Some is ->
         List.iter
-          (fun v ->
-            Hashtbl.replace var_hyps v
-              (i :: (try Hashtbl.find var_hyps v with Not_found -> [])))
-          vs)
-      vars;
-    let keep = Array.make n false in
-    let seen : (Liquid_common.Ident.t, unit) Hashtbl.t = Hashtbl.create 64 in
-    let queue = Queue.create () in
-    let visit v =
-      if not (Hashtbl.mem seen v) then begin
-        Hashtbl.add seen v ();
-        Queue.add v queue
-      end
-    in
-    List.iter (fun (x, _) -> visit x) (Pred.free_vars seed);
-    while not (Queue.is_empty queue) do
-      let v = Queue.pop queue in
-      match Hashtbl.find_opt var_hyps v with
-      | None -> ()
-      | Some is ->
-          List.iter
-            (fun i ->
-              if not (keep.(i)) then begin
-                keep.(i) <- true;
-                List.iter visit vars.(i)
-              end)
-            is
-    done;
-    let kept_idx = ref [] in
-    for i = n - 1 downto 0 do
-      if vars.(i) = [] || keep.(i) then kept_idx := i :: !kept_idx
-    done;
-    !kept_idx
-  end
+          (fun i ->
+            if not (keep.(i)) then begin
+              keep.(i) <- true;
+              List.iter visit vars.(i)
+            end)
+          is
+  done;
+  let kept_idx = ref [] in
+  for i = n - 1 downto 0 do
+    if vars.(i) = [] || keep.(i) then kept_idx := i :: !kept_idx
+  done;
+  !kept_idx
 
 let prune_hyps (hyps : Pred.t list) (goal : Pred.t) : Pred.t list =
-  if not !prune_enabled then hyps
-  else
-    let arr = Array.of_list hyps in
-    List.map (fun i -> arr.(i)) (prune_hyps_idx hyps goal)
+  let arr = Array.of_list hyps in
+  List.map (fun i -> arr.(i)) (prune_hyps_idx hyps goal)
 
 (* Shared decision core: trivial views, then cache (restoring the model
    side channels and replaying work on hits), then a fresh SAT check
@@ -230,9 +223,7 @@ let decide_interned (query : Pred.t) : result =
       last_work := 0;
       Invalid
   | _ -> (
-      match
-        if !cache_enabled then Pred.Tbl.find_opt cache query else None
-      with
+      match Pred.Tbl.find_opt cache query with
       | Some e ->
           stats.cache_hits <- stats.cache_hits + 1;
           if e.ce_res = Invalid then last_cex := e.ce_cex;
@@ -244,14 +235,13 @@ let decide_interned (query : Pred.t) : result =
           let t0 = Unix.gettimeofday () in
           let r = check_formula query in
           stats.time <- stats.time +. (Unix.gettimeofday () -. t0);
-          if !cache_enabled then
-            Pred.Tbl.replace cache query
-              {
-                ce_res = r;
-                ce_cex = (if r = Invalid then !last_cex else []);
-                ce_raw = (if r = Invalid then !last_cex_raw else []);
-                ce_work = !last_work;
-              };
+          Pred.Tbl.replace cache query
+            {
+              ce_res = r;
+              ce_cex = (if r = Invalid then !last_cex else []);
+              ce_raw = (if r = Invalid then !last_cex_raw else []);
+              ce_work = !last_work;
+            };
           r)
 
 (* Decide [And hyps => goal] with [hyps] taken verbatim (no pruning). *)
@@ -311,9 +301,7 @@ let probe_query (p : prepared) : result option =
       last_work := 0;
       hit Invalid
   | _ -> (
-      match
-        if !cache_enabled then Pred.Tbl.find_opt cache p.query else None
-      with
+      match Pred.Tbl.find_opt cache p.query with
       | Some e ->
           stats.cache_hits <- stats.cache_hits + 1;
           if e.ce_res = Invalid then last_cex := e.ce_cex;

@@ -18,15 +18,8 @@ val stats : stats
 val reset_stats : unit -> unit
 val pp_stats : Format.formatter -> unit -> unit
 
-(** Result cache (on by default). *)
-
-val cache_enabled : bool ref
+(** Empty the result cache. *)
 val clear_cache : unit -> unit
-
-(** Hypothesis relevance pruning (on by default): hypotheses sharing no
-    variables, transitively, with the goal are dropped.  Sound: dropping
-    hypotheses only makes implications harder. *)
-val prune_enabled : bool ref
 
 (** Counterexample values: integers keep their magnitude, boolean-sorted
     entities render as booleans (re-exported from the theory layer). *)
@@ -67,7 +60,10 @@ val work_total : int ref
 val reset_run_state : unit -> unit
 
 (** [check_valid ~kept hyps goal] decides [kept /\ hyps => goal].
-    [kept] hypotheses (typically path guards) are exempt from pruning. *)
+    [hyps] are subject to relevance pruning: hypotheses sharing no
+    variable, transitively, with the goal are dropped (sound: dropping
+    hypotheses only makes implications harder).  [kept] hypotheses
+    (typically path guards) are exempt from pruning. *)
 val check_valid : ?kept:Pred.t list -> Pred.t list -> Pred.t -> result
 
 (** Like {!check_valid}, but also returns the indices of [hyps] retained

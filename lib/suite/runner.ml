@@ -52,8 +52,7 @@ let verify ?quals ?(mine = false) ?(lint = false) ?(incremental = true) ?jobs
     time = Unix.gettimeofday () -. t0;
   }
 
-let verify_all ?(benchmarks = Programs.all) () : row list =
-  List.map verify benchmarks
+let verify_all () : row list = List.map verify Programs.all
 
 (** Paper-style results table.  The [DML] column is the paper-reported
     annotation size of the DML baseline (characters of manual dependent

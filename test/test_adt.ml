@@ -52,8 +52,57 @@ let src_tree_unsafe =
    let check_grow l x r = assert (size_of (Node (l, x, r)) > size_of l + 1)\n\
    let main = check_grow Leaf 5 Leaf"
 
+(* A size-indexed stack. *)
+let src_stack =
+  "type stack = Empty | Push of int * stack\n\
+   measure depth : stack =\n\
+  \  | Empty -> 0\n\
+  \  | Push (_, rest) -> 1 + depth rest\n\
+   let rec depth_of s =\n\
+  \  match s with\n\
+  \  | Empty -> 0\n\
+  \  | Push (x, rest) -> 1 + depth_of rest\n\
+   let push_grows x s = assert (depth_of (Push (x, s)) > depth_of s)\n\
+   let main = push_grows 1 (Push (2, Empty))"
+
+(* A red-black color invariant: one measure calling another across
+   types. *)
+let src_rbtree =
+  "type color = Red | Black\n\
+   type rbt = Nil | T of color * rbt * int * rbt\n\
+   measure isred : color = | Red -> 1 | Black -> 0\n\
+   measure reds : rbt =\n\
+  \  | Nil -> 0\n\
+  \  | T (c, l, _, r) -> isred c + reds l + reds r\n\
+   let rec count_reds t =\n\
+  \  match t with\n\
+  \  | Nil -> 0\n\
+  \  | T (c, l, x, r) ->\n\
+  \      (match c with Red -> 1 | Black -> 0) + count_reds l + count_reds r\n\
+   let red_root_adds l x r =\n\
+  \  assert (count_reds (T (Red, l, x, r)) > count_reds l + count_reds r)\n\
+   let main = red_root_adds Nil 7 (T (Black, Nil, 8, Nil))"
+
+(* The datatype programs every engine arm (jobs, cache, daemon) must
+   agree on, with their expected verdicts. *)
+let arm_programs =
+  [
+    ("tree", src_tree_safe, true);
+    ("stack", src_stack, true);
+    ("rbtree", src_rbtree, true);
+    ("tree-unsafe", src_tree_unsafe, false);
+  ]
+
 let verify ?(options = Pipeline.default) src =
   Pipeline.verify_string ~options ~name:"adt.ml" src
+
+(* The expected verdict, and a non-zero measure-axiom count: a zero
+   count would mean the subsystem silently disengaged and the program
+   passed for the wrong reason. *)
+let check_engaged name expect_safe (r : Pipeline.report) =
+  check_bool (name ^ ": expected verdict") expect_safe r.Pipeline.safe;
+  check_bool (name ^ ": measure axioms emitted") true
+    (r.Pipeline.stats.Pipeline.n_measure_axioms > 0)
 
 let report_fingerprint (r : Pipeline.report) =
   Fmt.str "safe=%b errors=[%a] types=[%a]" r.Pipeline.safe
@@ -120,12 +169,16 @@ let test_unsafe_explain_cites_measure () =
 (* ------------------------------------------------------------------ *)
 
 let test_jobs_identity () =
-  let seq = verify src_tree_safe in
-  let par =
-    verify ~options:{ Pipeline.default with Pipeline.jobs = 4 } src_tree_safe
-  in
-  check_string "jobs 1/4 reports identical" (report_fingerprint seq)
-    (report_fingerprint par)
+  List.iter
+    (fun (name, src, expect_safe) ->
+      let seq = verify src in
+      check_engaged name expect_safe seq;
+      let par =
+        verify ~options:{ Pipeline.default with Pipeline.jobs = 4 } src
+      in
+      check_string (name ^ ": jobs 1/4 reports identical")
+        (report_fingerprint seq) (report_fingerprint par))
+    arm_programs
 
 (* ------------------------------------------------------------------ *)
 (* Declaration diagnostics                                             *)
@@ -277,19 +330,23 @@ let src_measure_v3 =
    let shift y = if y > 0 then y + 3 else 2"
 
 let test_cache_warm_identity () =
-  with_dir (fun dir ->
-      let options =
-        { Pipeline.default with Pipeline.cache_dir = Some dir }
-      in
-      let cold = verify ~options src_tree_safe in
-      let warm = verify ~options src_tree_safe in
-      check_int "second run served from the whole-run cache" 1
-        warm.Pipeline.stats.Pipeline.n_pcache_hits;
-      check_string "warm report identical to cold" (report_fingerprint cold)
-        (report_fingerprint warm);
-      check_string "cached report identical to an uncached run"
-        (report_fingerprint (verify src_tree_safe))
-        (report_fingerprint cold))
+  List.iter
+    (fun (name, src, expect_safe) ->
+      with_dir (fun dir ->
+          let options =
+            { Pipeline.default with Pipeline.cache_dir = Some dir }
+          in
+          let cold = verify ~options src in
+          check_engaged name expect_safe cold;
+          let warm = verify ~options src in
+          check_int (name ^ ": second run served from the whole-run cache") 1
+            warm.Pipeline.stats.Pipeline.n_pcache_hits;
+          check_string (name ^ ": warm report identical to cold")
+            (report_fingerprint cold) (report_fingerprint warm);
+          check_string (name ^ ": cached report identical to an uncached run")
+            (report_fingerprint (verify src))
+            (report_fingerprint cold)))
+    arm_programs
 
 let test_measure_edit_is_cache_sound () =
   with_dir (fun dir ->
@@ -380,30 +437,36 @@ let test_daemon_round_trip () =
         ~finally:(fun () -> Client.close c)
         (fun () ->
           (* The same warm process then verifies a measure-free program:
-             the per-run table reset means the tree program's measures
-             must not leak into its report. *)
+             the per-run table reset means the datatype programs'
+             measures must not leak into its report. *)
           let plain = "let rec sum k = if k < 0 then 0 else sum (k - 1) + k" in
           let replies =
             Client.verify c
-              [
-                Protocol.request ~name:"adt.ml" src_tree_safe;
-                Protocol.request ~name:"adt.ml" src_tree_unsafe;
-                Protocol.request ~name:"plain.ml" plain;
-              ]
+              (List.map
+                 (fun (_, src, _) -> Protocol.request ~name:"adt.ml" src)
+                 arm_programs
+              @ [ Protocol.request ~name:"plain.ml" plain ])
           in
-          match replies with
-          | [ r_safe; r_unsafe; r_plain ] ->
-              check_string "daemon ADT report identical to direct run"
-                (report_fingerprint (verify src_tree_safe))
-                (report_fingerprint (expect_verified r_safe));
-              check_string "daemon unsafe report identical to direct run"
-                (report_fingerprint (verify src_tree_unsafe))
-                (report_fingerprint (expect_verified r_unsafe));
+          match List.rev replies with
+          | r_plain :: rev_adt
+            when List.length rev_adt = List.length arm_programs ->
+              List.iter2
+                (fun (name, src, expect_safe) reply ->
+                  let direct = verify src in
+                  check_engaged name expect_safe direct;
+                  check_string
+                    (name ^ ": daemon report identical to direct run")
+                    (report_fingerprint direct)
+                    (report_fingerprint (expect_verified reply)))
+                arm_programs (List.rev rev_adt);
               check_string "no measure leak into later requests"
                 (report_fingerprint
                    (Pipeline.verify_string ~name:"plain.ml" plain))
                 (report_fingerprint (expect_verified r_plain))
-          | rs -> Alcotest.failf "expected 3 replies, got %d" (List.length rs)))
+          | rs ->
+              Alcotest.failf "expected %d replies, got %d"
+                (List.length arm_programs + 1)
+                (List.length rs)))
 
 (* ------------------------------------------------------------------ *)
 (* Evaluation                                                          *)

@@ -82,6 +82,18 @@ let sharded_src =
    let startb = fillb 0\n\
    let h z = z + 1"
 
+(* The residual corpus every scheduling arm must agree on: file name,
+   source, whether the default qualifiers are on (an empty set leaves
+   [sum_src]'s assertion unprovable), and the expected residual count. *)
+let residual_corpus =
+  [
+    ("sum.ml", sum_src, false, 1);
+    ("overrun.ml", overrun_src, true, 1);
+    ("sharded.ml", sharded_src, true, 2);
+  ]
+
+let quals_of use_defaults = if use_defaults then Qualifier.defaults else []
+
 let gradual_options ?(quals = Qualifier.defaults) () =
   { Pipeline.default with Pipeline.quals; gradual = true }
 
@@ -311,63 +323,93 @@ let test_degraded_residuals () =
 (* Determinism: jobs, cache temperatures, daemon                       *)
 (* ------------------------------------------------------------------ *)
 
-let test_jobs_byte_identity () =
-  let run jobs =
+(* Zero hard errors and the expected residual count, with a plain run
+   of the same program that still fails: otherwise the residual checks
+   would pass vacuously on a program the fixpoint learned to prove. *)
+let check_residual_program (name, src, use_defaults, expected)
+    (r : Pipeline.report) =
+  check_int (name ^ ": no hard errors") 0 (List.length r.Pipeline.errors);
+  check_int (name ^ ": residual casts") expected
+    (List.length r.Pipeline.residuals);
+  let plain =
     Pipeline.verify_string
-      ~options:{ (gradual_options ()) with Pipeline.jobs }
-      ~name:"sharded.ml" sharded_src
+      ~options:{ Pipeline.default with Pipeline.quals = quals_of use_defaults }
+      ~name src
   in
-  let reference = run 1 in
-  check_bool "program shards" true
-    (reference.Pipeline.stats.Pipeline.n_partitions > 1);
-  check_int "two residual casts" 2 (List.length reference.Pipeline.residuals);
-  check_bool "no hard errors" true reference.Pipeline.safe;
-  let expected = render_residuals reference in
+  check_bool (name ^ ": plain run fails") false plain.Pipeline.safe
+
+let test_jobs_byte_identity () =
+  check_bool "sharded program shards" true
+    ((verify ~name:"sharded.ml" sharded_src).Pipeline.stats
+       .Pipeline.n_partitions > 1);
   List.iter
-    (fun jobs ->
-      let got = render_residuals (run jobs) in
-      check_bool
-        (Fmt.str "residuals byte-identical at jobs=%d" jobs)
-        true (got = expected))
-    [ 2; 4 ]
+    (fun ((name, src, use_defaults, _) as program) ->
+      let run jobs =
+        Pipeline.verify_string
+          ~options:
+            { (gradual_options ~quals:(quals_of use_defaults) ()) with
+              Pipeline.jobs }
+          ~name src
+      in
+      let reference = run 1 in
+      check_residual_program program reference;
+      let expected = render_residuals reference in
+      List.iter
+        (fun jobs ->
+          let got = render_residuals (run jobs) in
+          check_bool
+            (Fmt.str "%s: residuals byte-identical at jobs=%d" name jobs)
+            true (got = expected))
+        [ 2; 4 ])
+    residual_corpus
 
 let test_paths_byte_identical () =
-  let direct = verify ~name:"sharded.ml" sharded_src in
-  let expected = render_residuals direct in
-  check_bool "direct run produces residuals" true (expected <> []);
+  let direct =
+    List.map
+      (fun ((name, src, use_defaults, _) as program) ->
+        let r = verify ~quals:(quals_of use_defaults) ~name src in
+        check_residual_program program r;
+        render_residuals r)
+      residual_corpus
+  in
   (* Persistent cache: cold (stored) and warm (disk-served, rehashed)
      reports render identically. *)
   Test_server.with_dir (fun base ->
-      let options =
-        { (gradual_options ()) with Pipeline.cache_dir = Some base }
-      in
-      let cold =
-        Pipeline.verify_string ~options ~name:"sharded.ml" sharded_src
-      in
-      check_bool "cold cached run matches direct" true
-        (render_residuals cold = expected);
-      let warm =
-        Pipeline.verify_string ~options ~name:"sharded.ml" sharded_src
-      in
-      check_int "second run served from the persistent cache" 1
-        warm.Pipeline.stats.Pipeline.n_pcache_hits;
-      check_bool "warm cached run matches direct" true
-        (render_residuals warm = expected));
+      List.iter2
+        (fun (name, src, use_defaults, _) expected ->
+          let options =
+            {
+              (gradual_options ~quals:(quals_of use_defaults) ()) with
+              Pipeline.cache_dir = Some base;
+            }
+          in
+          let cold = Pipeline.verify_string ~options ~name src in
+          check_bool (name ^ ": cold cached run matches direct") true
+            (render_residuals cold = expected);
+          let warm = Pipeline.verify_string ~options ~name src in
+          check_int (name ^ ": second run served from the persistent cache") 1
+            warm.Pipeline.stats.Pipeline.n_pcache_hits;
+          check_bool (name ^ ": warm cached run matches direct") true
+            (render_residuals warm = expected))
+        residual_corpus direct);
   (* Daemon: residuals cross the socket and a rehash. *)
   Test_server.with_server (fun sock ->
       Test_server.with_client sock (fun c ->
           let replies =
             Liquid_server.Client.verify c
-              [
-                Liquid_server.Protocol.request ~gradual:true ~name:"sharded.ml"
-                  sharded_src;
-              ]
+              (List.map
+                 (fun (name, src, use_defaults, _) ->
+                   Liquid_server.Protocol.request ~use_defaults ~gradual:true
+                     ~name src)
+                 residual_corpus)
           in
-          let served = Test_server.expect_verified (List.hd replies) in
-          check_bool "daemon-served report is gradual" true
-            (served.Pipeline.residuals <> []);
-          check_bool "daemon-served residuals match direct" true
-            (render_residuals served = expected)))
+          List.iter2
+            (fun ((name, _, _, _), expected) reply ->
+              let served = Test_server.expect_verified reply in
+              check_bool (name ^ ": daemon-served residuals match direct") true
+                (render_residuals served = expected))
+            (List.combine residual_corpus direct)
+            replies))
 
 (* ------------------------------------------------------------------ *)
 (* Cache-key separation, both directions                               *)

@@ -116,6 +116,15 @@ let expect_verified = function
       Alcotest.failf "expected Verified, got [%s] %s" e.Protocol.ve_code
         e.Protocol.ve_message
 
+(* The accounting identity [protocol.mli] documents: every program of
+   every batch resolves as exactly one of memo hit, disk hit, cold
+   solve, coalesced or failure. *)
+let check_accounting (s : Protocol.server_stats) =
+  check_int "programs = mem hits + disk hits + cold + coalesced + failures"
+    s.Protocol.sv_programs
+    (s.Protocol.sv_mem_hits + s.Protocol.sv_disk_hits + s.Protocol.sv_cold
+   + s.Protocol.sv_coalesced + s.Protocol.sv_failures)
+
 let expect_rejected code = function
   | Protocol.Rejected e ->
       check_string "error code" code e.Protocol.ve_code;
@@ -176,7 +185,8 @@ let test_structured_errors () =
           (* The daemon is still serving. *)
           let s = Client.stats c in
           check_int "all programs accounted" 4 s.Protocol.sv_programs;
-          check_int "three failures counted" 3 s.Protocol.sv_failures))
+          check_int "three failures counted" 3 s.Protocol.sv_failures;
+          check_accounting s))
 
 (* ------------------------------------------------------------------ *)
 (* Fault isolation                                                     *)
@@ -382,6 +392,7 @@ let test_memo_and_disk_hits () =
                 check_int "one cold solve" 1 s.Protocol.sv_cold;
                 check_int "one memory hit" 1 s.Protocol.sv_mem_hits;
                 check_int "no disk hit yet" 0 s.Protocol.sv_disk_hits;
+                check_accounting s;
                 cold))
       in
       (* A fresh daemon has an empty memo but the same disk cache. *)
@@ -397,7 +408,8 @@ let test_memo_and_disk_hits () =
                 served.Pipeline.stats.Pipeline.n_pcache_hits;
               let s = Client.stats c in
               check_int "no cold solve after restart" 0 s.Protocol.sv_cold;
-              check_int "one disk hit" 1 s.Protocol.sv_disk_hits)))
+              check_int "one disk hit" 1 s.Protocol.sv_disk_hits;
+              check_accounting s)))
 
 (* The acceptance bar, end to end: the whole benchmark suite through a
    warm daemon is verdict-identical to direct in-process verification,
@@ -476,7 +488,8 @@ let test_coalescing () =
                 s.Protocol.sv_cold;
               check_int "the other request coalesced onto it" 1
                 s.Protocol.sv_coalesced;
-              check_int "no memo hit involved" 0 s.Protocol.sv_mem_hits)))
+              check_int "no memo hit involved" 0 s.Protocol.sv_mem_hits;
+              check_accounting s)))
 
 (* The global in-flight cap: with room for 2, a batch of 4 distinct slow
    programs yields 2 solves and 2 E_OVERLOAD sheds — deterministically,
@@ -507,7 +520,8 @@ let test_overload_shed () =
                   check_int "two programs shed" 2 s.Protocol.sv_shed;
                   check_int "sheds counted as failures" 2
                     s.Protocol.sv_failures;
-                  check_int "two cold solves" 2 s.Protocol.sv_cold
+                  check_int "two cold solves" 2 s.Protocol.sv_cold;
+                  check_accounting s
               | rs ->
                   Alcotest.failf "expected 4 replies, got %d" (List.length rs))))
 

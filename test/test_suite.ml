@@ -149,20 +149,50 @@ let test_overview () =
 
 (* ------------------------------------------------------------------ *)
 (* Qualifier ablation: benchmarks that need an extra qualifier fail    *)
-(* cleanly without it (they are not vacuously safe).                   *)
+(* cleanly without it (they are not vacuously safe), every failure is  *)
+(* fully explained, and the explanations do not depend on the run: a   *)
+(* second run at jobs=4 renders byte-identical JSON.                   *)
 (* ------------------------------------------------------------------ *)
 
 let test_qualifier_ablation () =
+  let module Pipeline = Liquid_driver.Pipeline in
+  let module Explain = Liquid_explain.Explain in
+  let run (b : Programs.benchmark) jobs =
+    Pipeline.verify_string
+      ~options:
+        {
+          Pipeline.default with
+          Pipeline.quals = Liquid_infer.Qualifier.defaults;
+          mine = false;
+          explain = true;
+          jobs;
+        }
+      ~name:(b.Programs.name ^ ".ml") b.Programs.source
+  in
+  let explanations_json (r : Pipeline.report) =
+    Liquid_analysis.Json.to_string
+      (Liquid_analysis.Json.List
+         (List.map Pipeline.json_of_explanation r.Pipeline.explanations))
+  in
   List.iter
     (fun name ->
       let b = Programs.find name in
-      if b.Programs.extra_qualifiers <> "" then begin
-        let row = Runner.verify ~quals:Liquid_infer.Qualifier.defaults b in
-        check_bool
-          (name ^ " fails without its extra qualifier")
-          false row.Runner.report.Liquid_driver.Pipeline.safe
-      end)
-    [ "tower"; "simplex"; "gauss" ]
+      let report = run b 1 in
+      check_bool
+        (name ^ " fails without its extra qualifier")
+        false report.Pipeline.safe;
+      check_bool (name ^ ": failures are explained") true
+        (report.Pipeline.explanations <> []);
+      List.iter
+        (fun (ex : Explain.explanation) ->
+          check_bool (name ^ ": explanation leaves nothing unexplained") true
+            (ex.Explain.ex_unexplained = None))
+        report.Pipeline.explanations;
+      Alcotest.(check string)
+        (name ^ ": explanations byte-identical at jobs 1/4")
+        (explanations_json report)
+        (explanations_json (run b 4)))
+    [ "tower"; "simplex"; "gauss"; "bcopy" ]
 
 let tests =
   let tc name f = Alcotest.test_case name `Quick f in
