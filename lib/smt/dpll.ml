@@ -22,8 +22,6 @@ let last_model : Theory.model ref = ref []
 let last_model_raw : Theory.model ref = ref []
 
 let models_total = ref 0
-let max_models = ref 0
-let max_atoms = ref 0
 
 type assignment = int array (* 0 = unassigned, 1 = true, -1 = false *)
 
@@ -176,8 +174,6 @@ let check_sat_cnf ~(nvars : int) ~(atoms : Liquid_logic.Pred.t option array)
           | _ -> ()
         done;
         incr models_total;
-        (let m = 2000 - iters + 1 in if m > !max_models then max_models := m);
-        (if natoms > !max_atoms then max_atoms := natoms);
         match Theory.check_sat (List.map (fun (_, a, p) -> (a, p)) !lits) with
         | Theory.Sat ->
             (* The theory model only values arithmetic entities; boolean

@@ -14,12 +14,9 @@ val last_model : Theory.model ref
     {!Theory.last_model_raw}. *)
 val last_model_raw : Theory.model ref
 
-(** Instrumentation counters (models enumerated across all queries, the
-    maximum for a single query, the largest atom count seen). *)
-
+(** Propositional models enumerated across all queries
+    (instrumentation). *)
 val models_total : int ref
-val max_models : int ref
-val max_atoms : int ref
 
 (** Satisfiability of a quantifier-free EUFLIA predicate. *)
 val check_sat : Liquid_logic.Pred.t -> result

@@ -19,9 +19,7 @@ type result = Sat of Rat.t array | Unsat | Unknown
 
 let default_budget = 400
 
-let ncalls = ref 0
 let nnodes_total = ref 0
-let time_in = ref 0.0
 
 let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
 
@@ -91,9 +89,6 @@ let fractional model =
   go 0
 
 let check ?(budget = default_budget) ~nvars (cs : cons list) : result =
-  incr ncalls;
-  let t0 = Unix.gettimeofday () in
-  Fun.protect ~finally:(fun () -> time_in := !time_in +. (Unix.gettimeofday () -. t0)) @@ fun () ->
   let nodes = ref 0 in
   (* Normalize once up front; later branch constraints are already integral. *)
   let exception Trivially_unsat in

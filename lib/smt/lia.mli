@@ -11,11 +11,8 @@ type result = Sat of Rat.t array | Unsat | Unknown
 
 val default_budget : int
 
-(** Global counters for benchmarking. *)
-
-val ncalls : int ref
+(** Branch-and-bound nodes across all checks (instrumentation). *)
 val nnodes_total : int ref
-val time_in : float ref
 
 (** Decide a conjunction of integer constraints over variables
     [0 .. nvars-1].  [budget] bounds branch-and-bound nodes. *)

@@ -23,8 +23,13 @@ let sub_int a b =
   if (a >= 0) <> (b >= 0) && (d >= 0) <> (a >= 0) then raise Overflow;
   d
 
+(* Operands of magnitude below 2^31 cannot overflow a 63-bit product,
+   so only larger ones pay for the division that detects overflow. *)
+let small x = x > -0x8000_0000 && x < 0x8000_0000
+
 let mul_int a b =
-  if a = 0 || b = 0 then 0
+  if small a && small b then a * b
+  else if a = 0 || b = 0 then 0
   else
     let p = a * b in
     if p / a <> b then raise Overflow;
@@ -60,14 +65,24 @@ let sign t = compare t.num 0
 
 let neg t = { num = -t.num; den = t.den }
 
+(* [add], [mul] and [compare] take a fast path when both operands are
+   integers.  It computes what the general formula computes with both
+   denominators 1, and raises [Overflow] in exactly the same cases: the
+   general formula's other products are by 1 and its normalization
+   divides by 1. *)
+
 let add a b =
-  normalize
-    (add_int (mul_int a.num b.den) (mul_int b.num a.den))
-    (mul_int a.den b.den)
+  if a.den = 1 && b.den = 1 then { num = add_int a.num b.num; den = 1 }
+  else
+    normalize
+      (add_int (mul_int a.num b.den) (mul_int b.num a.den))
+      (mul_int a.den b.den)
 
 let sub a b = add a (neg b)
 
-let mul a b = normalize (mul_int a.num b.num) (mul_int a.den b.den)
+let mul a b =
+  if a.den = 1 && b.den = 1 then { num = mul_int a.num b.num; den = 1 }
+  else normalize (mul_int a.num b.num) (mul_int a.den b.den)
 
 let div a b =
   if b.num = 0 then invalid_arg "Rat.div: division by zero";
@@ -76,8 +91,10 @@ let div a b =
 let inv t = div one t
 
 let compare a b =
-  (* a.num/a.den ? b.num/b.den  <=>  a.num*b.den ? b.num*a.den  (dens > 0) *)
-  Stdlib.compare (mul_int a.num b.den) (mul_int b.num a.den)
+  if a.den = 1 && b.den = 1 then Int.compare a.num b.num
+  else
+    (* a.num/a.den ? b.num/b.den  <=>  a.num*b.den ? b.num*a.den  (dens > 0) *)
+    Stdlib.compare (mul_int a.num b.den) (mul_int b.num a.den)
 
 let equal a b = a.num = b.num && a.den = b.den
 let lt a b = compare a b < 0

@@ -1,7 +1,8 @@
 (** General simplex for linear rational arithmetic (Dutertre & de Moura,
     CAV'06): decides conjunctions of [e <= c] / [e >= c] / [e = c] over
     the rationals and produces a model on success.  Terminating via
-    Bland's rule. *)
+    Bland's rule.  Its pivot sequence, models and overflows are those of
+    the map-based tableau in [test/simplex_reference.ml]. *)
 
 type op = Le | Ge | Eq
 

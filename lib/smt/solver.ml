@@ -115,14 +115,9 @@ let reset_run_state () =
   Theory.last_model := [];
   Theory.last_model_raw := [];
   Dpll.models_total := 0;
-  Dpll.max_models := 0;
-  Dpll.max_atoms := 0;
-  Theory.ncalls := 0;
   Theory.nlits_total := 0;
   Simplex.npivots := 0;
-  Lia.ncalls := 0;
-  Lia.nnodes_total := 0;
-  Lia.time_in := 0.0
+  Lia.nnodes_total := 0
 
 let check_formula (q : Pred.t) : result =
   stats.sat_checks <- stats.sat_checks + 1;

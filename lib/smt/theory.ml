@@ -28,8 +28,6 @@ open Liquid_logic
 
 type result = Sat | Unsat | Unknown
 
-let ncalls = ref 0
-
 (* Literals processed across all calls: prices each check by the size
    of the conjunction it decides (congruence closure and constraint
    translation are both linear-ish in it), for the deterministic cost
@@ -40,7 +38,7 @@ type state = {
   cc : Cc.t;
   mutable nents : int;
   ent_of_ident : (Ident.t, int) Hashtbl.t;
-  mutable ent_sort : Sort.t list; (* reversed: id [nents-1-i] has sort [nth i] *)
+  mutable ent_sort : Sort.t array; (* [ent_sort.(id)] for [id < nents] *)
   app_proxy : (Cc.node, int) Hashtbl.t; (* app node -> entity id *)
   linexp_proxy : (string, int) Hashtbl.t; (* canonical linexp -> entity id *)
   mutable defs : Lia.cons list;
@@ -57,7 +55,7 @@ let create () =
     cc = Cc.create ();
     nents = 0;
     ent_of_ident = Hashtbl.create 16;
-    ent_sort = [];
+    ent_sort = Array.make 16 Sort.Int;
     app_proxy = Hashtbl.create 16;
     linexp_proxy = Hashtbl.create 16;
     defs = [];
@@ -69,11 +67,16 @@ let create () =
 
 let fresh_ent st sort =
   let id = st.nents in
+  if id = Array.length st.ent_sort then begin
+    let grown = Array.make (2 * id) Sort.Int in
+    Array.blit st.ent_sort 0 grown 0 id;
+    st.ent_sort <- grown
+  end;
+  st.ent_sort.(id) <- sort;
   st.nents <- id + 1;
-  st.ent_sort <- sort :: st.ent_sort;
   id
 
-let sort_of_ent st id = List.nth st.ent_sort (st.nents - 1 - id)
+let sort_of_ent st id = st.ent_sort.(id)
 
 let ent_of_var st x sort =
   match Hashtbl.find_opt st.ent_of_ident x with
@@ -420,7 +423,6 @@ let extract_model st (m : Rat.t array) : model =
   List.sort compare !out
 
 let check_sat (lits : (Pred.t * bool) list) : result =
-  incr ncalls;
   nlits_total := !nlits_total + List.length lits;
   let st = create () in
   try
@@ -430,21 +432,27 @@ let check_sat (lits : (Pred.t * bool) list) : result =
       else
         let nvars = st.nents in
         let cons = st.defs @ st.arith @ cc_equalities st in
+        let sat m =
+          last_model := extract_model st m;
+          last_model_raw := extract_model_raw st m;
+          Sat
+        in
         match lia_with_diseqs ~nvars cons st.diseqs with
         | Lia.Unsat -> Unsat
         | Lia.Unknown -> Unknown
-        | Lia.Sat m when rounds = 0 ->
-            last_model := extract_model st m;
-            last_model_raw := extract_model_raw st m;
-            Sat
-        | Lia.Sat _ ->
-            (* LIA -> CC: discover implied equalities among shared pairs. *)
+        | Lia.Sat m when rounds = 0 -> sat m
+        | Lia.Sat m ->
+            (* LIA -> CC: discover implied equalities among shared pairs.
+               [m] is an integer model of [cons]; where it separates [u]
+               and [v] it satisfies one of the two probes, so [u = v] is
+               not implied and the probes are skipped. *)
             let implied u v =
               let neq d =
                 { Lia.exp = d; op = Lia.Lt; rhs = Rat.zero }
               in
               let d = Linexp.sub (Linexp.var u) (Linexp.var v) in
-              Lia.check ~nvars (neq d :: cons) = Lia.Unsat
+              Rat.equal m.(u) m.(v)
+              && Lia.check ~nvars (neq d :: cons) = Lia.Unsat
               && Lia.check ~nvars (neq (Linexp.neg d) :: cons) = Lia.Unsat
             in
             let budget = ref budget in
@@ -459,15 +467,7 @@ let check_sat (lits : (Pred.t * bool) list) : result =
                   end
                 end)
               (candidate_pairs st);
-            if !merged then loop (rounds - 1) !budget
-            else begin
-              (match lia_with_diseqs ~nvars cons st.diseqs with
-              | Lia.Sat m ->
-                  last_model := extract_model st m;
-                  last_model_raw := extract_model_raw st m
-              | _ -> ());
-              Sat
-            end
+            if !merged then loop (rounds - 1) !budget else sat m
     in
     loop 3 propagation_budget
   with Rat.Overflow -> Unknown

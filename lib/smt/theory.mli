@@ -7,9 +7,6 @@ open Liquid_logic
 
 type result = Sat | Unsat | Unknown
 
-(** Total invocation count (for benchmarking). *)
-val ncalls : int ref
-
 (** Total literals processed across all calls (instrumentation; prices
     each check by the size of the conjunction it decides). *)
 val nlits_total : int ref

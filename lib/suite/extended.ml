@@ -248,3 +248,17 @@ let all : benchmark list =
   [ queue; pascal; sieve; selsort; strmatch; transpose; fibmemo ]
 
 let find name = List.find (fun b -> b.name = name) all
+
+let mutants =
+  let mk bench bug (what, with_) = { Programs.bench; bug; what; with_ } in
+  [
+    mk queue "wrong modulus" ("(head + count) mod cap", "(head + count) mod (cap + 1)");
+    mk pascal "seed written past the row" ("row.(0) <- 1;", "row.(n + 1) <- 1;");
+    mk sieve "marks one stride ahead"
+      ( "flags.(p) <- false;\n      mark (p + step) step",
+        "flags.(p + step) <- false;\n      mark (p + step) step" );
+    mk strmatch "missing window guard" ("if i + j < n then begin", "if i < n then begin");
+    mk transpose "swapped dimensions"
+      ("let t = make_matrix cols rows in", "let t = make_matrix rows cols in");
+    mk fibmemo "table one too small" ("Array.make (n + 1)", "Array.make n");
+  ]

@@ -17,3 +17,7 @@ val all : benchmark list
 
 (** @raise Not_found for unknown names. *)
 val find : string -> benchmark
+
+(** One mutant for each of six programs (not selsort); each verifies
+    unsafe with constant mining. *)
+val mutants : Programs.mutant list

@@ -654,3 +654,25 @@ let all : benchmark list =
 
 let find name = List.find (fun b -> b.name = name) all
 
+type mutant = { bench : benchmark; bug : string; what : string; with_ : string }
+
+let mutate m =
+  let source =
+    Str.global_replace (Str.regexp_string m.what) m.with_ m.bench.source
+  in
+  if source = m.bench.source then
+    invalid_arg (Printf.sprintf "%s mutant: %S does not occur" m.bench.name m.what);
+  { m.bench with source }
+
+let mutants =
+  let mk bench bug (what, with_) = { bench; bug; what; with_ } in
+  [
+    mk bcopy "loop bound uses dst" ("i < Array.length src", "i <= Array.length src");
+    mk isort "insert accesses a.(j) without guard" ("if 0 < j", "if 0 <= j");
+    mk queens "termination test off by one" ("if r = size then 1", "if r = size + 1 then 1");
+    mk heapsort "second child bound check" ("if c2 < bound", "if c2 <= bound");
+    mk matmult "k loop overruns" ("if k < n then", "if k <= n then");
+    mk gauss "column sweep overruns" ("if j <= n", "if j <= n + 1");
+    mk tower "source height off by one" ("s.(hs - k)", "s.(hs - k + 1)");
+    mk fft "butterfly guard dropped" ("if i + half < n", "if i < n");
+  ]

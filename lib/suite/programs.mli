@@ -27,3 +27,19 @@ val all : benchmark list
 
 (** @raise Not_found for unknown names. *)
 val find : string -> benchmark
+
+(** A planted bug: replacing [what] by [with_] in [bench]'s source (an
+    off-by-one or a dropped guard) must make it unsafe. *)
+type mutant = {
+  bench : benchmark;
+  bug : string; (* what the mutation breaks *)
+  what : string;
+  with_ : string;
+}
+
+(** One mutant for each of eight T1 programs. *)
+val mutants : mutant list
+
+(** The mutant's benchmark, with every occurrence of [what] replaced.
+    @raise Invalid_argument if [what] does not occur in the source. *)
+val mutate : mutant -> benchmark

@@ -10,6 +10,10 @@ type row = {
 
 val qualifiers_of : Programs.benchmark -> Liquid_infer.Qualifier.t list
 
+(** The [DSOLVE_JOBS] environment variable when it is a positive
+    integer, else 1. *)
+val default_jobs : unit -> int
+
 (** Verify one benchmark with its qualifier set ([quals] overrides;
     constant mining off by default — the suite supplies qualifiers
     explicitly, as the paper's evaluation did; [lint] additionally runs

@@ -33,43 +33,30 @@ let test_execution () =
   check_int "transpose moves (0,4) to (4,0)" 9 (exec_int "transpose");
   check_int "fib 15" 610 (exec_int "fibmemo")
 
-let mutants =
-  [
-    ("queue", "wrong modulus", ("(head + count) mod cap", "(head + count) mod (cap + 1)"));
-    ("pascal", "seed written past the row", ("row.(0) <- 1;", "row.(n + 1) <- 1;"));
-    ("sieve", "marks one stride ahead", ("flags.(p) <- false;\n      mark (p + step) step", "flags.(p + step) <- false;\n      mark (p + step) step"));
-    ("strmatch", "missing window guard", ("if i + j < n then begin", "if i < n then begin"));
-    ("transpose", "swapped dimensions", ("let t = make_matrix cols rows in", "let t = make_matrix rows cols in"));
-    ("fibmemo", "table one too small", ("Array.make (n + 1)", "Array.make n"));
-  ]
-
 let test_mutants () =
   List.iter
-    (fun (name, desc, (what, with_)) ->
-      let b = Extended.find name in
-      let src = Str.global_replace (Str.regexp_string what) with_ b.Programs.source in
-      check_bool (name ^ ": mutation applied") true (src <> b.Programs.source);
-      let row = verify_ext { b with Programs.source = src } in
+    (fun (m : Programs.mutant) ->
+      let row = verify_ext (Programs.mutate m) in
       check_bool
-        (Fmt.str "%s mutant rejected (%s)" name desc)
+        (Fmt.str "%s mutant rejected (%s)" m.bench.Programs.name m.bug)
         false row.Runner.report.Liquid_driver.Pipeline.safe)
-    mutants
+    Extended.mutants
 
 (* sieve's stride-0 mutant diverges dynamically; check the verifier
    catches what the interpreter (with fuel) also objects to. *)
 let test_mutant_agrees_with_runtime () =
-  let b = Extended.find "queue" in
-  let src =
-    Str.global_replace
-      (Str.regexp_string "(head + count) mod cap")
-      "(head + count) mod (cap + 1)" b.Programs.source
+  let b =
+    Programs.mutate
+      (List.find
+         (fun (m : Programs.mutant) -> m.bench.Programs.name = "queue")
+         Extended.mutants)
   in
   (* statically rejected; dynamically fine on this particular input --
      static analysis is conservative, never the other way around *)
-  let row = verify_ext { b with Programs.source = src } in
+  let row = verify_ext b in
   check_bool "static: rejected" false
     row.Runner.report.Liquid_driver.Pipeline.safe;
-  let prog = Liquid_lang.Parser.program_of_string ~file:"q" src in
+  let prog = Liquid_lang.Parser.program_of_string ~file:"q" b.Programs.source in
   match Liquid_eval.Eval.run_program prog with
   | _ -> ()
   | exception Liquid_eval.Eval.Bounds_violation _ ->

@@ -492,27 +492,38 @@ let tests =
 (* Differential testing: Simplex vs Fourier-Motzkin on random systems  *)
 (* ------------------------------------------------------------------ *)
 
-let gen_system =
+(* A system of [1 .. max_cons] constraints over variables [0 .. nvars-1],
+   with coefficients drawn from [coeff] and right-hand sides from [rhs].
+   A zero coefficient drops its variable, so some constraints, and some
+   systems, use fewer than [nvars] variables. *)
+let gen_system ~nvars ~max_cons ~coeff ~rhs =
   let open QCheck.Gen in
   let gen_cons =
-    let* c0 = int_range (-3) 3 in
-    let* c1 = int_range (-3) 3 in
-    let* c2 = int_range (-3) 3 in
-    let* rhs = int_range (-6) 6 in
+    let* cs = list_repeat nvars coeff in
+    let* rhs = rhs in
     let* op = oneofl [ Simplex.Le; Simplex.Ge; Simplex.Eq ] in
     let exp =
-      Linexp.add_term 0 (Rat.of_int c0)
-        (Linexp.add_term 1 (Rat.of_int c1)
-           (Linexp.add_term 2 (Rat.of_int c2) Linexp.zero))
+      List.fold_left
+        (fun (v, e) c -> (v + 1, Linexp.add_term v (Rat.of_int c) e))
+        (0, Linexp.zero) cs
+      |> snd
     in
     return (Simplex.cons exp op (Rat.of_int rhs))
   in
-  let* n = int_range 1 7 in
-  list_size (return n) gen_cons
+  let* n = int_range 1 max_cons in
+  list_repeat n gen_cons
+
+(* Three variables: small enough for Fourier-Motzkin, whose work grows
+   doubly exponentially with the number of variables. *)
+let small_system =
+  QCheck.make
+    (gen_system ~nvars:3 ~max_cons:7
+       ~coeff:QCheck.Gen.(int_range (-3) 3)
+       ~rhs:QCheck.Gen.(int_range (-6) 6))
 
 let prop_simplex_agrees_with_fm =
   QCheck.Test.make ~count:500 ~name:"simplex agrees with Fourier-Motzkin"
-    (QCheck.make gen_system)
+    small_system
     (fun cs ->
       let simplex =
         match Simplex.solve ~nvars:3 cs with `Sat _ -> `Sat | `Unsat -> `Unsat
@@ -521,7 +532,7 @@ let prop_simplex_agrees_with_fm =
 
 let prop_simplex_models_check_out =
   QCheck.Test.make ~count:500 ~name:"simplex models satisfy all constraints"
-    (QCheck.make gen_system)
+    small_system
     (fun cs ->
       match Simplex.solve ~nvars:3 cs with
       | `Unsat -> true
@@ -539,7 +550,7 @@ let prop_lia_refines_rational =
   (* Integer satisfiability implies rational satisfiability; integer
      UNSAT must agree with FM whenever FM is also UNSAT rationally. *)
   QCheck.Test.make ~count:500 ~name:"LIA is between rational SAT and UNSAT"
-    (QCheck.make gen_system)
+    small_system
     (fun cs ->
       let lia_cons =
         List.map
@@ -569,12 +580,126 @@ let prop_lia_refines_rational =
                lia_cons
       | Lia.Unknown, _ -> true)
 
+(* ------------------------------------------------------------------ *)
+(* Differential testing: the sparse-array simplex vs the map-based     *)
+(* tableau it replaced (test/simplex_reference.ml), and Rat's integer  *)
+(* fast paths vs the general formula                                   *)
+(* ------------------------------------------------------------------ *)
+
+let outcome f = match f () with r -> `Ok r | exception Rat.Overflow -> `Overflow
+
+(* Both simplexes on [cs]: their answers (models included, or Overflow)
+   and the pivots each spent. *)
+let both_simplexes (nvars, cs) =
+  let p0 = !Simplex.npivots and r0 = !Simplex_reference.npivots in
+  let fast = outcome (fun () -> Simplex.solve ~nvars cs) in
+  let slow = outcome (fun () -> Simplex_reference.solve ~nvars cs) in
+  (fast, slow, !Simplex.npivots - p0, !Simplex_reference.npivots - r0)
+
+let same_as_reference system =
+  let fast, slow, pivots, ref_pivots = both_simplexes system in
+  fast = slow && pivots = ref_pivots
+
+(* A system over [1 .. max_vars] variables, with its variable count. *)
+let gen_sized_system ~max_vars ~max_cons ~coeff ~rhs =
+  QCheck.Gen.(
+    let* nvars = int_range 1 max_vars in
+    let+ cs = gen_system ~nvars ~max_cons ~coeff ~rhs in
+    (nvars, cs))
+
+(* Up to 8 variables and 12 constraints: solves pivot several times
+   through fractional tableaux. *)
+let prop_simplex_matches_reference =
+  QCheck.Test.make ~count:1000
+    ~name:"sparse simplex pivots and answers like the map-based tableau"
+    (QCheck.make
+       QCheck.Gen.(
+         gen_sized_system ~max_vars:8 ~max_cons:12 ~coeff:(int_range (-5) 5)
+           ~rhs:(int_range (-10) 10)))
+    same_as_reference
+
+(* Integers where the overflow checks decide: near 0, near 2^31 (where
+   products start to overflow) and near max_int and min_int. *)
+let gen_edge_int =
+  let open QCheck.Gen in
+  let* base = oneofl [ 0; 1 lsl 31; max_int; min_int ] in
+  let* k = int_range 0 3 in
+  let* negate = bool in
+  let n = if base = min_int then base + k else base - k in
+  return (if negate && n <> min_int then -n else n)
+
+(* Coefficients and right-hand sides are sometimes near 2^31 or near
+   max_int, so that some solves overflow. *)
+let prop_simplex_overflows_like_reference =
+  let coeff = QCheck.Gen.(frequency [ (3, int_range (-5) 5); (1, gen_edge_int) ]) in
+  QCheck.Test.make ~count:1000
+    ~name:"sparse simplex overflows like the map-based tableau"
+    (QCheck.make (gen_sized_system ~max_vars:4 ~max_cons:6 ~coeff ~rhs:coeff))
+    same_as_reference
+
+(* The general formulas, with the division-based overflow check on
+   every product, that the fast paths must agree with. *)
+module General = struct
+  let mul_int a b =
+    if a = 0 || b = 0 then 0
+    else
+      let p = a * b in
+      if p / a <> b then raise Rat.Overflow;
+      p
+
+  let add a b =
+    Rat.make
+      (Rat.add_int (mul_int (Rat.num a) (Rat.den b)) (mul_int (Rat.num b) (Rat.den a)))
+      (mul_int (Rat.den a) (Rat.den b))
+
+  let sub a b = add a (Rat.neg b)
+  let mul a b = Rat.make (mul_int (Rat.num a) (Rat.num b)) (mul_int (Rat.den a) (Rat.den b))
+
+  let compare a b =
+    Stdlib.compare (mul_int (Rat.num a) (Rat.den b)) (mul_int (Rat.num b) (Rat.den a))
+end
+
+let prop_rat_integer_fast_paths =
+  QCheck.Test.make ~count:2000
+    ~name:"Rat integer fast paths agree with the general formula"
+    QCheck.(pair (make gen_edge_int) (make gen_edge_int))
+    (fun (m, n) ->
+      let a = Rat.of_int m and b = Rat.of_int n in
+      let agree fast general = outcome fast = outcome general in
+      agree (fun () -> Rat.add a b) (fun () -> General.add a b)
+      && agree (fun () -> Rat.sub a b) (fun () -> General.sub a b)
+      && agree (fun () -> Rat.mul a b) (fun () -> General.mul a b)
+      && agree (fun () -> Rat.compare a b) (fun () -> General.compare a b))
+
+(* Found by a wider search than the properties run: the map-based
+   tableau found its pivot column, then overflowed deciding the
+   eligibility of a later entry.  A scan that stopped at the first
+   eligible entry would pivot once more before overflowing. *)
+let test_simplex_overflow_in_eligibility_scan () =
+  let exp a b =
+    Linexp.add_term 0 (Rat.of_int a) (Linexp.add_term 1 (Rat.of_int b) Linexp.zero)
+  in
+  let system =
+    (2, [ le (exp (-3) 4) (Rat.make (min_int + 2) 3); le (exp 3 (1 lsl 31)) Rat.one ])
+  in
+  let fast, _, pivots, _ = both_simplexes system in
+  check_bool "overflows" true (fast = `Overflow);
+  Alcotest.(check int) "after one pivot" 1 pivots;
+  check_bool "like the map-based tableau" true (same_as_reference system)
+
 let qcheck_differential =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_simplex_agrees_with_fm;
       prop_simplex_models_check_out;
       prop_lia_refines_rational;
+      prop_simplex_matches_reference;
+      prop_simplex_overflows_like_reference;
+      prop_rat_integer_fast_paths;
+    ]
+  @ [
+      Alcotest.test_case "simplex: overflow while scanning for the pivot column"
+        `Quick test_simplex_overflow_in_eligibility_scan;
     ]
 
 let tests = tests @ qcheck_differential

@@ -85,38 +85,14 @@ let test_engine_equivalence () =
 (* flip the verdict to unsafe.                                         *)
 (* ------------------------------------------------------------------ *)
 
-let replace ~what ~with_ s =
-  match String.index_opt s ' ' with
-  | _ ->
-      let re = Str.regexp_string what in
-      Str.global_replace re with_ s
-
-let mutants =
-  [
-    (* benchmark, description, textual mutation *)
-    ("bcopy", "loop bound uses dst", ("i < Array.length src", "i <= Array.length src"));
-    ("isort", "insert accesses a.(j) without guard", ("if 0 < j", "if 0 <= j"));
-    ("queens", "termination test off by one", ("if r = size then 1", "if r = size + 1 then 1"));
-    ("heapsort", "second child bound check", ("if c2 < bound", "if c2 <= bound"));
-    ("matmult", "k loop overruns", ("if k < n then", "if k <= n then"));
-    ("gauss", "column sweep overruns", ("if j <= n", "if j <= n + 1"));
-    ("tower", "source height off by one", ("s.(hs - k)", "s.(hs - k + 1)"));
-    ("fft", "butterfly guard dropped", ("if i + half < n", "if i < n"));
-  ]
-
 let test_mutants () =
   List.iter
-    (fun (name, desc, (what, with_)) ->
-      let b = Programs.find name in
-      check_bool (name ^ ": mutation applies") true
-        (Str.string_match (Str.regexp (".*" ^ Str.quote what ^ ".*"))
-           (Str.global_replace (Str.regexp "\n") " " b.Programs.source) 0);
-      let mutated = { b with Programs.source = replace ~what ~with_ b.Programs.source } in
-      let row = Runner.verify mutated in
+    (fun (m : Programs.mutant) ->
+      let row = Runner.verify (Programs.mutate m) in
       check_bool
-        (Fmt.str "%s mutant rejected (%s)" name desc)
+        (Fmt.str "%s mutant rejected (%s)" m.bench.Programs.name m.bug)
         false row.Runner.report.Liquid_driver.Pipeline.safe)
-    mutants
+    Programs.mutants
 
 (* ------------------------------------------------------------------ *)
 (* Overview examples: inferred types match the paper's figures          *)
