@@ -11,8 +11,8 @@
     its diagnostics; [--warn-error] makes lint warnings fail the run,
     and [--format json] emits the whole report as JSON.  [--jobs N]
     solves independent constraint partitions in N concurrent worker
-    processes ([--partition-timeout] bounds each one; an exceeded
-    partition degrades to ⊤ with a P001 diagnostic).  [--cache DIR]
+    processes ([--partition-timeout] bounds each one; a partition that
+    fails twice fails the run, exit code 2).  [--cache DIR]
     persists verification results on disk so an unchanged program is
     re-verified for the cost of a digest.  [--explain] explains each
     failed obligation (minimal core, blame path, witness, repair hint;
@@ -57,15 +57,12 @@ let print_stats ~jobs (s : Pipeline.stats) =
      reinstate-time=%.3fs@."
     s.n_alpha_collapsed s.n_quals_pruned s.n_reinstated s.prune_time
     s.reinstate_time;
-  Fmt.pr "gradual: residuals=%d residuals-degraded=%d uncacheable-degraded=%d@."
-    s.n_residuals s.n_residuals_degraded s.n_uncacheable_degraded;
+  Fmt.pr "gradual: residuals=%d@." s.n_residuals;
   List.iter
     (fun (p : Pipeline.part_stat) ->
       if jobs > 1 then
-        Fmt.pr "partition %d: kvars=%d subs=%d time=%.3fs%s@."
-          p.Pipeline.pt_id p.Pipeline.pt_kvars p.Pipeline.pt_subs
-          p.Pipeline.pt_time
-          (if p.Pipeline.pt_degraded then " DEGRADED" else ""))
+        Fmt.pr "partition %d: kvars=%d subs=%d time=%.3fs@." p.Pipeline.pt_id
+          p.Pipeline.pt_kvars p.Pipeline.pt_subs p.Pipeline.pt_time)
     s.partitions;
   Fmt.pr "phases:%a@."
     Fmt.(list ~sep:nop (fun ppf (name, t) -> Fmt.pf ppf " %s=%.3fs" name t))
@@ -388,17 +385,16 @@ let jobs_arg =
         ~doc:"Solve independent constraint partitions in $(docv) concurrent \
               worker processes (default 1: sequential in-process solving; \
               results are identical either way).  Under $(b,--serve), the \
-              number of concurrent solve workers per request batch")
+              daemon-wide cap on concurrent solve workers")
 
 let partition_timeout_arg =
   Arg.(
     value
-    & opt float 60.0
+    & opt float 0.0
     & info [ "partition-timeout" ] ~docv:"SECONDS"
         ~doc:"Per-partition wall-clock budget under $(b,--jobs) > 1; an \
-              exceeded partition is retried once, then its refinements \
-              degrade to true with a P001 diagnostic.  0 disables the \
-              timeout")
+              exceeded partition is retried once, then the run fails \
+              (exit code 2).  0 (the default) disables the timeout")
 
 let format_arg =
   Arg.(
@@ -440,8 +436,7 @@ let gradual_arg =
     value & flag
     & info [ "gradual" ]
         ~doc:"Gradual liquid mode: after the fixpoint, each failing \
-              obligation the environment does not refute (and each \
-              obligation a degraded partition never checked) becomes a \
+              obligation the environment does not refute becomes a \
               residual runtime cast instead of an error, with a verified \
               repair hint.  The verdict becomes SAFE / SAFE_MODULO n / \
               UNSAFE; combine with $(b,--run) to execute the program with \

@@ -13,7 +13,6 @@ type code =
   | Unused_binding (* L003 *)
   | Shadowed_binding (* L004 *)
   | Dead_qualifier (* L005: every instance pruned from every κ *)
-  | Partition_timeout (* P001: solve partition degraded to ⊤ (timeout/crash) *)
   | Runtime_failure (* R001: a runtime safety check failed under --run *)
 
 type severity = Info | Warning
@@ -26,7 +25,6 @@ let code_name = function
   | Unused_binding -> "L003"
   | Shadowed_binding -> "L004"
   | Dead_qualifier -> "L005"
-  | Partition_timeout -> "P001"
   | Runtime_failure -> "R001"
 
 let severity_name = function Info -> "info" | Warning -> "warning"
@@ -39,7 +37,6 @@ let default_severity = function
   | Shadowed_binding ->
       Warning
   | Dead_qualifier -> Info
-  | Partition_timeout -> Warning
   | Runtime_failure -> Warning
 
 let make ?severity code loc message =
@@ -56,8 +53,7 @@ let code_rank = function
   | Unused_binding -> 3
   | Shadowed_binding -> 4
   | Dead_qualifier -> 5
-  | Partition_timeout -> 6
-  | Runtime_failure -> 7
+  | Runtime_failure -> 6
 
 (** Report order: source position, then code, then message. *)
 let compare a b =

@@ -8,14 +8,13 @@ type code =
   | Unused_binding (* L003 *)
   | Shadowed_binding (* L004 *)
   | Dead_qualifier (* L005: every instance pruned from every κ *)
-  | Partition_timeout (* P001: solve partition degraded to ⊤ (timeout/crash) *)
   | Runtime_failure (* R001: a runtime safety check failed under --run *)
 
 type severity = Info | Warning
 
 type t = { code : code; severity : severity; loc : Loc.t; message : string }
 
-(** The stable code string, ["L001"] ... ["L005"], ["P001"], ["R001"]. *)
+(** The stable code string, ["L001"] ... ["L005"], ["R001"]. *)
 val code_name : code -> string
 
 val severity_name : severity -> string

@@ -151,8 +151,6 @@ and to_anf rho (e : expr) : expr = norm rho e Fun.id
    bodies restart with [to_anf], so evaluation order and sharing are
    preserved. *)
 
-let normalize_expr (e : expr) : expr = to_anf Ident.Map.empty e
-
 let normalize_program (prog : program) : program =
   (* Top-level names are kept (they are the public interface) — except
      that a name shadowing an earlier item must be renamed: downstream

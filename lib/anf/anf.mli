@@ -13,7 +13,6 @@ val reset : unit -> unit
 
 val is_atom : Ast.expr -> bool
 
-val normalize_expr : Ast.expr -> Ast.expr
 val normalize_program : Ast.program -> Ast.program
 
 (** Rename a source binder to a globally unique, readable name

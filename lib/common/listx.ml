@@ -43,11 +43,3 @@ let rec last = function
   | [] -> invalid_arg "Listx.last"
   | [ x ] -> x
   | _ :: xs -> last xs
-
-(** Index of the first element satisfying [p]. *)
-let find_index p xs =
-  let rec go i = function
-    | [] -> None
-    | x :: xs -> if p x then Some i else go (i + 1) xs
-  in
-  go 0 xs

@@ -17,6 +17,3 @@ val dedup_ordered : compare:('a -> 'a -> int) -> 'a list -> 'a list
 
 (** Last element.  @raise Invalid_argument on the empty list. *)
 val last : 'a list -> 'a
-
-(** Index of the first element satisfying the predicate. *)
-val find_index : ('a -> bool) -> 'a list -> int option

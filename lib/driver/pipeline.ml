@@ -21,15 +21,14 @@ type error = {
 }
 
 (** Shape and per-unit cost of the solve plan (see
-    {!Constr.partition_plan}).  [pt_time]/[pt_degraded] are only
-    meaningful under sharded execution ([jobs > 1]); sequential runs
-    report the plan's shape with zero times. *)
+    {!Constr.partition_plan}).  [pt_time] is only meaningful under
+    sharded execution ([jobs > 1]); sequential runs report the plan's
+    shape with zero times. *)
 type part_stat = {
   pt_id : int;
   pt_kvars : int; (* κs owned by the partition *)
   pt_subs : int; (* constraints solved there *)
   pt_time : float; (* wall-clock seconds (sharded runs only) *)
-  pt_degraded : bool; (* κs pinned to ⊤ after timeout/crash *)
 }
 
 type stats = {
@@ -58,10 +57,6 @@ type stats = {
   critical_path : int; (* longest dependency chain, in partitions *)
   partitions : part_stat list; (* by partition id *)
   n_residuals : int; (* residual casts ([--gradual] runs only) *)
-  n_residuals_degraded : int; (* ... owed to degraded partitions *)
-  n_uncacheable_degraded : int;
-      (* 1 iff this run's report was not stored in the persistent cache
-         because a partition was degraded (cache enabled, miss path) *)
   n_pcache_lookups : int; (* persistent-cache probes for this run (0/1) *)
   n_pcache_hits : int; (* runs served from the persistent cache (0/1) *)
   n_punit_hits : int; (* solve units served from the partition cache *)
@@ -101,7 +96,8 @@ type options = {
   lint : bool; (* run the semantic-lint pass *)
   incremental : bool; (* incremental fixpoint engine *)
   jobs : int; (* concurrent solve workers; 1 = in-process *)
-  partition_timeout : float option; (* per-partition wall-clock budget *)
+  partition_timeout : float option;
+      (* per-partition wall-clock budget under [jobs > 1]; None = off *)
   cache_dir : string option; (* persistent result cache root; None = off *)
   explain : bool; (* explain failed obligations post-fixpoint *)
   explain_limit : int; (* failures explained per run (rest counted) *)
@@ -118,7 +114,7 @@ let default =
     lint = false;
     incremental = true;
     jobs = 1;
-    partition_timeout = Some 60.0;
+    partition_timeout = None;
     cache_dir = None;
     explain = false;
     explain_limit = 5;
@@ -180,9 +176,6 @@ let parse_program_decls ~name (src : string) : Ast.program * Ast.decls =
                d.Declcheck.message,
              d.Declcheck.loc )));
   (prog, decls)
-
-let parse_program ~name (src : string) : Ast.program =
-  fst (parse_program_decls ~name src)
 
 (** Integer literals worth mining for qualifier instances: those the
     program {e compares against} (comparison operands).  Literals used
@@ -310,7 +303,7 @@ let verify_program ?(options = default) ?(parse_time = 0.0)
       (fun dir -> Liquid_cache.Store.open_store ~dir ())
       cache_dir
   in
-  let res, part_stats, degraded_parts, punit_hits, punit_misses =
+  let res, part_stats, punit_hits, punit_misses =
     if sharded || punit_store <> None then begin
       let t0 = Unix.gettimeofday () in
       let reuse, persist =
@@ -368,12 +361,7 @@ let verify_program ?(options = default) ?(parse_time = 0.0)
               pt_kvars = i.Liquid_engine.Psolve.pi_kvars;
               pt_subs = i.Liquid_engine.Psolve.pi_subs;
               pt_time = i.Liquid_engine.Psolve.pi_time;
-              pt_degraded = i.Liquid_engine.Psolve.pi_degraded;
             })
-          o.Liquid_engine.Psolve.ps_parts,
-        List.filter
-          (fun (i : Liquid_engine.Psolve.part_info) ->
-            i.Liquid_engine.Psolve.pi_degraded)
           o.Liquid_engine.Psolve.ps_parts,
         o.Liquid_engine.Psolve.ps_punit_hits,
         o.Liquid_engine.Psolve.ps_punit_misses )
@@ -403,9 +391,7 @@ let verify_program ?(options = default) ?(parse_time = 0.0)
                  pt_kvars = List.length p.Constr.part_kvars;
                  pt_subs = List.length p.Constr.part_subs;
                  pt_time = 0.0;
-                 pt_degraded = false;
                }),
-        [],
         0,
         0 )
     end
@@ -438,38 +424,24 @@ let verify_program ?(options = default) ?(parse_time = 0.0)
         end)
       res.Fixpoint.failures
   in
-  let degraded_kvars =
-    List.concat_map
-      (fun (i : Liquid_engine.Psolve.part_info) ->
-        plan.Constr.parts.(i.Liquid_engine.Psolve.pi_id).Constr.part_kvars)
-      degraded_parts
-  in
   (* Snapshot the query counter before the gradual/explain passes so
      their queries are counted once (in [n_explain_smt_queries]), not in
      [n_smt_queries] — gradual classification runs each obligation
      through the explain engine, so its SMT work is explain work. *)
   let explain_smt0 = Liquid_smt.Solver.stats.queries in
-  (* Gradual classification: unrefuted failing obligations (plus the
-     never-checked obligations of degraded partitions) become residual
-     casts; only refuted obligations stay hard errors, each keeping the
-     explanation classification already computed for it. *)
+  (* Gradual classification: unrefuted failing obligations become
+     residual casts; only refuted obligations stay hard errors, each
+     keeping the explanation classification already computed for it. *)
   let residuals, hard =
     if not gradual then
       ( ([] : Liquid_gradual.Gradual.residual list),
         List.map (fun (f, n) -> (f, n, None)) failures )
     else
       timed phases "gradual" (fun () ->
-          let degraded_subs =
-            List.concat_map
-              (fun (i : Liquid_engine.Psolve.part_info) ->
-                plan.Constr.parts.(i.Liquid_engine.Psolve.pi_id)
-                  .Constr.part_subs)
-              degraded_parts
-          in
           let rs, hs =
             Liquid_gradual.Gradual.classify ~wfs:out.Congen.wfs
               ~subs:out.Congen.subs ~solution:res.Fixpoint.solution ~quals
-              ~consts ~degraded_kvars ~degraded_subs failures
+              ~consts failures
           in
           (rs, List.map (fun (f, n, ex) -> (f, n, Some ex)) hs))
   in
@@ -503,7 +475,7 @@ let verify_program ?(options = default) ?(parse_time = 0.0)
       { Liquid_explain.Explain.exs = []; skipped = 0 }
     else
       timed phases "explain" (fun () ->
-          Liquid_explain.Explain.explain ~limit:explain_limit ~degraded_kvars
+          Liquid_explain.Explain.explain ~limit:explain_limit
             ~wfs:out.Congen.wfs ~subs:out.Congen.subs
             ~solution:res.Fixpoint.solution ~quals ~consts failures)
   in
@@ -528,23 +500,6 @@ let verify_program ?(options = default) ?(parse_time = 0.0)
           Liquid_analysis.Lint.run ~source ~branches:out.Congen.branches
             ~solution:res.Fixpoint.solution ~quals
             ~dead_quals:res.Fixpoint.dead_quals)
-  in
-  (* Degraded partitions surface unconditionally — a pinned κ weakens the
-     verdict, which the user must see even with linting off. *)
-  let lints =
-    List.map
-      (fun (i : Liquid_engine.Psolve.part_info) ->
-        Liquid_analysis.Diagnostic.make
-          Liquid_analysis.Diagnostic.Partition_timeout Loc.dummy
-          (Fmt.str
-             "solve partition %d (%d κs, %d constraints) %s; its \
-              refinements were degraded to true"
-             i.Liquid_engine.Psolve.pi_id i.Liquid_engine.Psolve.pi_kvars
-             i.Liquid_engine.Psolve.pi_subs
-             (Option.value ~default:"failed"
-                i.Liquid_engine.Psolve.pi_detail)))
-      degraded_parts
-    @ lints
   in
   let phases = List.rev !phases in
   {
@@ -585,13 +540,6 @@ let verify_program ?(options = default) ?(parse_time = 0.0)
         critical_path = plan.Constr.critical_path;
         partitions = part_stats;
         n_residuals = List.length residuals;
-        n_residuals_degraded =
-          List.length
-            (List.filter
-               (fun (r : Liquid_gradual.Gradual.residual) ->
-                 r.Liquid_gradual.Gradual.rc_degraded)
-               residuals);
-        n_uncacheable_degraded = 0;
         n_pcache_lookups = 0;
         n_pcache_hits = 0;
         n_punit_hits = punit_hits;
@@ -606,14 +554,13 @@ let verify_program ?(options = default) ?(parse_time = 0.0)
 (* Canonical rendering of everything in [options] that determines the
    report, beyond the source text: the qualifier set, external specs,
    and the engine switches.  [jobs]/[partition_timeout] are deliberately
-   excluded — verdicts and types are scheduling-invariant (the liquid
-   fixpoint is unique), and reports that were degraded by a partition
-   timeout are never cached — so a cache warmed at one worker count
-   serves every other.  The leading tag versions the marshalled payload
-   type. *)
+   excluded — reports are scheduling-invariant (the liquid fixpoint is
+   unique, and a sharded solve that cannot finish fails instead of
+   reporting) — so a cache warmed at one worker count serves every
+   other.  The leading tag versions the marshalled payload type. *)
 let options_fingerprint (o : options) : string =
   Fmt.str
-    "pipeline-report/v7|mine=%b|lint=%b|incremental=%b|explain=%b|explain_limit=%d|gradual=%b|quals=[%a]|specs=[%a]"
+    "pipeline-report/v8|mine=%b|lint=%b|incremental=%b|explain=%b|explain_limit=%d|gradual=%b|quals=[%a]|specs=[%a]"
     o.mine o.lint o.incremental o.explain o.explain_limit o.gradual
     Fmt.(list ~sep:(any " ;; ") Qualifier.pp)
     o.quals Spec.pp o.specs
@@ -631,12 +578,6 @@ let request_key ~(options : options) ~(name : string) (src : string) : string =
   Digest.to_hex
     (Digest.string
        (String.concat "\x00" [ options_fingerprint options; name; src ]))
-
-(* A report is cacheable unless a partition was degraded to ⊤ by a
-   timeout or crash: degradation is a property of that run's scheduling,
-   not of the program, and must not be replayed from disk. *)
-let cacheable (r : report) : bool =
-  List.for_all (fun p -> not p.pt_degraded) r.stats.partitions
 
 (** Re-intern a report that crossed a process boundary (disk cache,
     scheduler pipe, daemon socket): unmarshalled predicates are
@@ -696,19 +637,9 @@ let verify_string ?(options = default) ?(name = "<string>") (src : string) :
       | None ->
           let r = verify_cold () in
           let store = Liquid_cache.Store.open_store ~dir () in
-          let r =
-            if cacheable r then begin
-              Liquid_cache.Store.store store
-                ~key:(cache_key ~options ~name src store)
-                ~fingerprint:(options_fingerprint options) r;
-              r
-            end
-            else
-              (* Degraded reports are (rightly) never cached; count the
-                 refusal so a warm-run user can see why this program
-                 keeps re-solving ([--stats uncacheable-degraded=]). *)
-              { r with stats = { r.stats with n_uncacheable_degraded = 1 } }
-          in
+          Liquid_cache.Store.store store
+            ~key:(cache_key ~options ~name src store)
+            ~fingerprint:(options_fingerprint options) r;
           { r with stats = { r.stats with n_pcache_lookups = 1 } })
 
 let verify_file ?(options = default) (path : string) : report =
@@ -889,7 +820,6 @@ let json_of_residual (rc : Liquid_gradual.Gradual.residual) :
       ("reason", Json.String rc.rc_origin.Liquid_infer.Constr.reason);
       ("goal", Json.String (Fmt.str "%a" Liquid_logic.Pred.pp rc.rc_goal));
       ("count", Json.Int rc.rc_count);
-      ("degraded", Json.Bool rc.rc_degraded);
       ( "witness",
         Json.Obj
           (List.map (fun (x, v) -> (x, json_of_cex_value v)) rc.rc_witness) );
@@ -932,12 +862,9 @@ let json_of_stats (s : stats) : Liquid_analysis.Json.t =
                    ("kvars", Json.Int p.pt_kvars);
                    ("subs", Json.Int p.pt_subs);
                    ("time", Json.Float p.pt_time);
-                   ("degraded", Json.Bool p.pt_degraded);
                  ])
              s.partitions) );
       ("residuals", Json.Int s.n_residuals);
-      ("residuals_degraded", Json.Int s.n_residuals_degraded);
-      ("uncacheable_degraded", Json.Int s.n_uncacheable_degraded);
       ("pcache_lookups", Json.Int s.n_pcache_lookups);
       ("pcache_hits", Json.Int s.n_pcache_hits);
       ("punit_hits", Json.Int s.n_punit_hits);

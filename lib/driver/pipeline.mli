@@ -16,16 +16,15 @@ type error = {
 }
 
 (** Shape and per-unit cost of the solve plan (see
-    {!Liquid_infer.Constr.partition_plan}).  [pt_time]/[pt_degraded] are
-    only meaningful under per-unit execution ([jobs > 1], or any run
-    with [cache_dir] set); whole-system sequential runs report the
-    plan's shape with zero times. *)
+    {!Liquid_infer.Constr.partition_plan}).  [pt_time] is only
+    meaningful under per-unit execution ([jobs > 1], or any run with
+    [cache_dir] set); whole-system sequential runs report the plan's
+    shape with zero times. *)
 type part_stat = {
   pt_id : int;
   pt_kvars : int; (* κs owned by the partition *)
   pt_subs : int; (* constraints solved there *)
   pt_time : float; (* wall-clock seconds (sharded runs only) *)
-  pt_degraded : bool; (* κs pinned to ⊤ after timeout/crash *)
 }
 
 type stats = {
@@ -54,12 +53,6 @@ type stats = {
   critical_path : int; (* longest dependency chain, in partitions *)
   partitions : part_stat list; (* by partition id *)
   n_residuals : int; (* residual casts ([gradual] runs only) *)
-  n_residuals_degraded : int; (* ... owed to degraded partitions *)
-  n_uncacheable_degraded : int;
-      (* 1 iff this run's report was not stored in the persistent cache
-         because a partition was degraded (cache enabled, miss path
-         only) — the honest answer to "why does this warm run keep
-         re-solving?" *)
   n_pcache_lookups : int;
       (* persistent-cache probes for this run: 1 when [cache_dir] is
          set, else 0 *)
@@ -113,9 +106,6 @@ val count_lines : string -> int
     diagnostic (message tagged with the [D]-code). *)
 val parse_program_decls : name:string -> string -> Ast.program * Ast.decls
 
-(** [parse_program_decls] without the declarations (legacy callers). *)
-val parse_program : name:string -> string -> Ast.program
-
 (** Integer literals the program compares against (qualifier mining). *)
 val mine_constants : Ast.program -> int list
 
@@ -130,8 +120,10 @@ val mine_constants : Ast.program -> int list
     constraint partitions in concurrent worker processes (verdicts,
     errors, and inferred types are identical to [jobs = 1]: the liquid
     fixpoint is unique); [partition_timeout] is the per-partition
-    wall-clock budget under sharded execution — an exceeded partition is
-    retried once, then degraded to ⊤ with a [P001] diagnostic;
+    wall-clock budget under sharded execution, off when [None] — a
+    partition that exceeds it (or whose worker crashes) is retried
+    once, and a second failure fails the run with [Failure] rather than
+    report anything a [jobs = 1] run would not;
     [cache_dir], when set, roots a persistent on-disk result cache
     ({!Liquid_cache.Store}): {!verify_string}/{!verify_file} first probe
     it for a finished report keyed on (name, source text, options
@@ -161,8 +153,7 @@ type options = {
   gradual : bool;
       (* gradual liquid mode ({!Liquid_gradual.Gradual}): after the
          fixpoint, each failing obligation the environment does not
-         refute — and each obligation a degraded partition never
-         checked — becomes a residual runtime cast ([report.residuals])
+         refute becomes a residual runtime cast ([report.residuals])
          instead of an error; only refuted obligations stay in
          [report.errors].  Orthogonal to every solve switch: residual
          reports are byte-identical across job counts, cache
@@ -171,16 +162,16 @@ type options = {
 }
 
 (** Defaults: {!Liquid_infer.Qualifier.defaults}, mining on, no specs,
-    lint off, incremental engine, [jobs = 1], 60 s partition
-    timeout, no persistent cache, explanation off with a limit of 5,
-    gradual mode off. *)
+    lint off, incremental engine, [jobs = 1], no partition timeout, no
+    persistent cache, explanation off with a limit of 5, gradual mode
+    off. *)
 val default : options
 
 (** Canonical rendering of the report-determining option fields
     (qualifier set, specs, engine switches; [jobs] and
-    [partition_timeout] are excluded — verdicts are
-    scheduling-invariant and degraded reports are never cached).  Part
-    of the persistent cache key, and embedded in every entry. *)
+    [partition_timeout] are excluded — reports are
+    scheduling-invariant).  Part of the persistent cache key, and
+    embedded in every entry. *)
 val options_fingerprint : options -> string
 
 (** Canonical digest of one verification request:

@@ -9,10 +9,9 @@
     failure list, and counters.  With [jobs <= 1] units run in-process,
     sequentially in id order — no forks, same merge, same results.
 
-    A partition whose worker times out or crashes (after one retry)
-    degrades conservatively: its κs are pinned to the empty refinement
-    (⊤ — sound, weakest), downstream partitions proceed against that,
-    and the failure is surfaced as a {!part_info} for diagnostics.
+    Sharding changes speed, never the answer: a worker that times out
+    or crashes on both attempts fails the whole solve ([Failure] naming
+    the unit), and the scheduler kills the workers still running.
 
     The [reuse]/[persist] hooks connect a per-partition result cache:
     each unit is content-addressed by a key digesting its own
@@ -21,9 +20,7 @@
     [part_deps] — everything that determines its partial.  At dispatch
     time (dependencies merged, so the key is computable) [reuse key]
     may return a cached partial, skipping the solve entirely; solved
-    units are offered to [persist key partial].  Degraded units and
-    their downstream cone are neither probed nor persisted: degradation
-    is a property of one run's scheduling, not of the program. *)
+    units are offered to [persist key partial]. *)
 
 open Liquid_smt
 open Liquid_logic
@@ -35,17 +32,12 @@ type part_info = {
   pi_kvars : int; (* κs owned *)
   pi_subs : int; (* constraints solved *)
   pi_time : float; (* wall-clock, across attempts *)
-  pi_degraded : bool;
-  pi_timed_out : bool;
-  pi_cached : bool; (* served by [reuse] without solving *)
-  pi_detail : string option; (* failure detail when degraded *)
 }
 
 type outcome = {
   ps_result : Fixpoint.result;
   ps_parts : part_info list; (* by part_id *)
   ps_merge_time : float; (* seconds re-interning + folding results *)
-  ps_degraded : int list; (* part_ids pinned to ⊤ *)
   ps_punit_hits : int; (* units served from the partition cache *)
   ps_punit_misses : int; (* units solved live (hooks present) *)
 }
@@ -83,7 +75,6 @@ let solve ?(incremental = true) ?timeout
   let failures = ref [] in
   let stats = ref (Fixpoint.fresh_stats ()) in
   let infos = Array.make n None in
-  let degraded = ref [] in
   let merge_time = ref 0.0 in
   let caching = reuse <> None || persist <> None in
   (* Per-unit local signatures, computed up front (hooks present only).
@@ -91,9 +82,6 @@ let solve ?(incremental = true) ?timeout
   let unit_sigs =
     if caching then Array.map (Constr.unit_signature wfs) parts else [||]
   in
-  (* A unit downstream of a degraded partition solved against pinned-⊤
-     hypotheses; its partial must not enter (or leave) the cache. *)
-  let tainted = Array.make n false in
   let from_cache = Array.make n false in
   let hits = ref 0 and misses = ref 0 in
   let keys : string option array = Array.make n None in
@@ -136,15 +124,12 @@ let solve ?(incremental = true) ?timeout
     match reuse with
     | None -> None
     | Some f ->
-        if List.exists (fun d -> tainted.(d)) parts.(u).Constr.part_deps then
-          None
-        else
-          let r = f (key_of u) in
-          if r <> None then begin
-            from_cache.(u) <- true;
-            incr hits
-          end;
-          r
+        let r = f (key_of u) in
+        if r <> None then begin
+          from_cache.(u) <- true;
+          incr hits
+        end;
+        r
   in
   let work u =
     Fixpoint.solve_unit ~incremental ~prune_wf ~base:!merged_sol
@@ -158,18 +143,8 @@ let solve ?(incremental = true) ?timeout
   let merge ~replay u outcome elapsed =
     let t0 = Unix.gettimeofday () in
     let p = parts.(u) in
-    let mk ?(degraded = false) ?(timed_out = false) ?detail () =
-      {
-        pi_id = u;
-        pi_kvars = List.length p.Constr.part_kvars;
-        pi_subs = List.length p.Constr.part_subs;
-        pi_time = elapsed;
-        pi_degraded = degraded;
-        pi_timed_out = timed_out;
-        pi_cached = from_cache.(u);
-        pi_detail = detail;
-      }
-    in
+    let n_kvars = List.length p.Constr.part_kvars in
+    let n_subs = List.length p.Constr.part_subs in
     (match outcome with
     | Scheduler.Done partial ->
         (* Re-intern: a partial that crossed a process (or disk)
@@ -195,35 +170,30 @@ let solve ?(incremental = true) ?timeout
           Solver.stats.Solver.unknowns <-
             Solver.stats.Solver.unknowns + d.Fixpoint.d_unknowns
         end;
-        tainted.(u) <-
-          List.exists (fun d -> tainted.(d)) p.Constr.part_deps;
         if caching && not from_cache.(u) then incr misses;
         (match persist with
-        | Some f when (not from_cache.(u)) && not tainted.(u) ->
-            f (key_of u) partial
+        | Some f when not from_cache.(u) -> f (key_of u) partial
         | _ -> ());
-        infos.(u) <- Some (mk ())
-    | Scheduler.Failed { timed_out; attempts = _; detail } ->
-        (* Conservative degradation: pin this partition's κs to the
-           empty refinement (⊤).  Sound — downstream constraints read a
-           weaker hypothesis, so verdicts can only fail more, never
-           falsely pass. *)
-        List.iter
-          (fun k ->
-            merged_sol := KMap.add k [] !merged_sol;
-            merged_cands := KMap.add k [] !merged_cands)
-          p.Constr.part_kvars;
-        degraded := u :: !degraded;
-        tainted.(u) <- true;
-        if caching then incr misses;
-        infos.(u) <- Some (mk ~degraded:true ~timed_out ~detail ()));
+        infos.(u) <-
+          Some
+            {
+              pi_id = u;
+              pi_kvars = n_kvars;
+              pi_subs = n_subs;
+              pi_time = elapsed;
+            }
+    | Scheduler.Failed { detail; _ } ->
+        (* The report must equal the [jobs = 1] one, and no stand-in for
+           a unit's answer guarantees that, so the solve fails. *)
+        failwith
+          (Fmt.str "solve partition %d (%d κs, %d constraints): %s" u n_kvars
+             n_subs detail));
     merge_time := !merge_time +. (Unix.gettimeofday () -. t0)
   in
   if jobs <= 1 then
     (* In-process sequential execution in id order (always legal: every
-       dependency has a smaller id).  No forks, so no timeouts and no
-       degradation — exactly the failure model of a whole-system
-       solve. *)
+       dependency has a smaller id).  No forks, so no timeouts — exactly
+       the failure model of a whole-system solve. *)
     for u = 0 to n - 1 do
       let t0 = Unix.gettimeofday () in
       match reuse_for u with
@@ -252,20 +222,8 @@ let solve ?(incremental = true) ?timeout
       !failures
     |> List.map snd
   in
-  (* Dead qualifiers, excluding κs of degraded partitions (their
-     instances were pinned away, not pruned by the solver). *)
-  let live_initial =
-    if !degraded = [] then initial
-    else
-      List.fold_left
-        (fun acc u ->
-          List.fold_left
-            (fun acc k -> KMap.remove k acc)
-            acc parts.(u).Constr.part_kvars)
-        initial !degraded
-  in
   let dead_quals =
-    Fixpoint.dead_qualifiers ~initial:live_initial ~final:!merged_cands
+    Fixpoint.dead_qualifiers ~initial ~final:!merged_cands
   in
   (!stats).Fixpoint.alpha_collapsed <- !collapsed;
   merge_time := !merge_time +. (Unix.gettimeofday () -. t0);
@@ -283,7 +241,6 @@ let solve ?(incremental = true) ?timeout
            | Some i -> i
            | None -> assert false (* every unit merges *));
     ps_merge_time = !merge_time;
-    ps_degraded = List.rev !degraded;
     ps_punit_hits = !hits;
     ps_punit_misses = !misses;
   }

@@ -2,10 +2,7 @@
     {!Constr.partition_plan} and merge the per-partition results into
     one {!Fixpoint.result}.  With [jobs > 1] units run in forked workers
     over the {!Scheduler}; with [jobs <= 1] they run in-process,
-    sequentially in id order (no forks, same merge, same results).
-    Partitions whose workers time out or crash (after one retry) degrade
-    conservatively — their κs are pinned to ⊤ — and are reported in
-    [ps_degraded]. *)
+    sequentially in id order (no forks, same merge, same results). *)
 
 open Liquid_infer
 
@@ -14,17 +11,12 @@ type part_info = {
   pi_kvars : int; (* κs owned *)
   pi_subs : int; (* constraints solved *)
   pi_time : float; (* wall-clock, across attempts *)
-  pi_degraded : bool;
-  pi_timed_out : bool;
-  pi_cached : bool; (* served by [reuse] without solving *)
-  pi_detail : string option; (* failure detail when degraded *)
 }
 
 type outcome = {
   ps_result : Fixpoint.result;
   ps_parts : part_info list; (* by part_id *)
   ps_merge_time : float; (* seconds re-interning + folding results *)
-  ps_degraded : int list; (* part_ids pinned to ⊤ *)
   ps_punit_hits : int; (* units served from the partition cache *)
   ps_punit_misses : int; (* units solved live (hooks present) *)
 }
@@ -48,9 +40,11 @@ type outcome = {
     dispatch time (dependencies merged); a hit skips the unit's solve
     and is folded in like a worker result (counted in
     [ps_punit_hits]).  Units solved live are offered to [persist key
-    partial] (and counted in [ps_punit_misses]).  Degraded units and
-    every unit downstream of one are neither probed nor persisted:
-    their inputs embed one run's scheduling accidents. *)
+    partial] (and counted in [ps_punit_misses]).
+
+    @raise Failure when a forked worker crashes or exceeds [timeout] on
+    both of its attempts; the message names the unit, its size and the
+    fault.  The workers still running are killed first. *)
 val solve :
   ?incremental:bool ->
   ?timeout:float ->

@@ -193,7 +193,10 @@ let cancel (j : 'r job) : unit =
     [pre u] is a parent-side shortcut consulted at dispatch time — after
     [u]'s dependencies have merged, before any fork: [Some r] merges
     [Done r] immediately and no worker is ever spawned for [u].  This is
-    how a result cache skips solved units without paying a fork. *)
+    how a result cache skips solved units without paying a fork.
+
+    If [merge] raises, the workers still running are cancelled (killed
+    and reaped) before the exception propagates. *)
 let run ?timeout ?(pre : (int -> 'r option) = fun _ -> None) ~(jobs : int)
     ~(n_units : int) ~(deps : int -> int list) ~(work : int -> 'r)
     ~(merge : int -> 'r outcome -> float -> unit) () : unit =
@@ -245,6 +248,11 @@ let run ?timeout ?(pre : (int -> 'r option) = fun _ -> None) ~(jobs : int)
       (ready ());
     !merged_here
   in
+  (* On a normal exit [active] is empty; when [merge] raises, the workers
+     still running must not outlive the run. *)
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun (_, j) -> cancel j) !active)
+  @@ fun () ->
   while !n_merged < n_units do
     while dispatch () do
       ()

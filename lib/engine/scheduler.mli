@@ -72,7 +72,11 @@ val cancel : 'r job -> unit
     [pre u] (default: always [None]) is consulted in the parent at
     dispatch time, after [u]'s dependencies merged: [Some r] merges
     [Done r] without forking a worker — the shortcut a result cache
-    uses to skip already-solved units. *)
+    uses to skip already-solved units.
+
+    [merge] may raise, e.g. to fail the run on a [Failed] unit: the
+    workers still running are then {!cancel}led (killed and reaped)
+    and the exception propagates. *)
 val run :
   ?timeout:float ->
   ?pre:(int -> 'r option) ->

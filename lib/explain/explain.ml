@@ -37,9 +37,6 @@
     Explanation runs {e post-fixpoint} on per-unit state only: it needs
     the final solution and the constraint system, never the engine's
     worklist — which is why it composes with the partitioned scheduler.
-    A failure whose backward κ-closure touches a degraded (⊤-pinned)
-    partition is reported as unexplained rather than blamed on
-    fabricated refinements.
 
     All searches are deterministic: candidate instances are tried in
     construction order (the order the fixpoint itself uses), writers in
@@ -114,11 +111,10 @@ type ctx = {
   wfs_of : (Rtype.kvar, Constr.wf list) Hashtbl.t;
   pool : Qualifier.t list; (* user patterns, then defaults as near-misses *)
   consts : int list;
-  degraded : ISet.t; (* κs pinned to ⊤ by a degraded partition *)
   cand_cache : (Rtype.kvar, Pred.t list) Hashtbl.t;
 }
 
-let make_ctx ~wfs ~subs ~solution ~quals ~consts ~degraded_kvars : ctx =
+let make_ctx ~wfs ~subs ~solution ~quals ~consts : ctx =
   let writers = Hashtbl.create 64 in
   let sub_by_id = Hashtbl.create 64 in
   List.iter
@@ -150,7 +146,6 @@ let make_ctx ~wfs ~subs ~solution ~quals ~consts ~degraded_kvars : ctx =
     wfs_of;
     pool = quals @ Qualifier.defaults @ Qualifier.list_defaults;
     consts;
-    degraded = ISet.of_list degraded_kvars;
     cand_cache = Hashtbl.create 16;
   }
 
@@ -457,37 +452,6 @@ let repair_of ctx (c : Constr.sub) (goal : Pred.t)
   in
   try_cands cands
 
-(* -- Degraded partitions ----------------------------------------------- *)
-
-(* κs whose final solution a failure's verdict may depend on: the
-   backward closure of the failing constraint's reads under "κs read by
-   writers of".  If any of them was pinned to ⊤ by a degraded
-   partition, the solution in hand is not the fixpoint's, and blaming
-   it would fabricate provenance. *)
-let touches_degraded ctx (c : Constr.sub) : bool =
-  if ISet.is_empty ctx.degraded then false
-  else begin
-    let visited = ref ISet.empty in
-    let frontier = ref (Constr.reads c) in
-    let hit = ref false in
-    while (not !hit) && !frontier <> [] do
-      let next = ref [] in
-      List.iter
-        (fun k ->
-          if not (ISet.mem k !visited) then begin
-            visited := ISet.add k !visited;
-            if ISet.mem k ctx.degraded then hit := true
-            else
-              List.iter
-                (fun w -> next := Constr.reads w @ !next)
-                (writers_of ctx k)
-          end)
-        !frontier;
-      frontier := !next
-    done;
-    !hit
-  end
-
 (* -- Entry ------------------------------------------------------------- *)
 
 let explain_failure ctx ((f : Fixpoint.failure), count) : explanation =
@@ -510,29 +474,24 @@ let explain_failure ctx ((f : Fixpoint.failure), count) : explanation =
          only. *)
       { base with ex_unexplained = Some "originating constraint unavailable" }
   | Some c ->
-      if touches_degraded ctx c then
-        { base with ex_unexplained = Some "partition timed out" }
-      else begin
-        let refuted, core = core_of ctx c f.Fixpoint.f_goal in
-        (* Seed with every κ the verdict can depend on: those whose
-           instances made the core, plus everything the constraint
-           reads (environment and left-hand side) — a κ whose solution
-           is too weak to contribute any fact is precisely the one
-           worth blaming. *)
-        let seeds =
-          List.filter_map (fun h -> h.ch_kvar) core @ Constr.reads c
-        in
-        let blame = blame_of ctx seeds in
-        let repair = repair_of ctx c f.Fixpoint.f_goal (closure_of ctx seeds) in
-        { base with ex_refuted = refuted; ex_core = core; ex_blame = blame;
-          ex_repair = repair }
-      end
+      let refuted, core = core_of ctx c f.Fixpoint.f_goal in
+      (* Seed with every κ the verdict can depend on: those whose
+         instances made the core, plus everything the constraint reads
+         (environment and left-hand side) — a κ whose solution is too
+         weak to contribute any fact is precisely the one worth
+         blaming. *)
+      let seeds =
+        List.filter_map (fun h -> h.ch_kvar) core @ Constr.reads c
+      in
+      let blame = blame_of ctx seeds in
+      let repair = repair_of ctx c f.Fixpoint.f_goal (closure_of ctx seeds) in
+      { base with ex_refuted = refuted; ex_core = core; ex_blame = blame;
+        ex_repair = repair }
 
-let explain ?(limit = 5) ?(degraded_kvars = []) ~(wfs : Constr.wf list)
-    ~(subs : Constr.sub list) ~(solution : Constr.solution)
-    ~(quals : Qualifier.t list) ~(consts : int list)
-    (failures : (Fixpoint.failure * int) list) : result =
-  let ctx = make_ctx ~wfs ~subs ~solution ~quals ~consts ~degraded_kvars in
+let explain ?(limit = 5) ~(wfs : Constr.wf list) ~(subs : Constr.sub list)
+    ~(solution : Constr.solution) ~(quals : Qualifier.t list)
+    ~(consts : int list) (failures : (Fixpoint.failure * int) list) : result =
+  let ctx = make_ctx ~wfs ~subs ~solution ~quals ~consts in
   let explained = Listx.take limit failures in
   {
     exs = List.map (explain_failure ctx) explained;

@@ -6,9 +6,7 @@
     the constraint system — so it composes with every solve schedule;
     all searches are deterministic (candidates in construction order,
     writers in [sub_id] order), making explanations byte-identical
-    across job counts and process boundaries.  Failures whose backward
-    κ-closure touches a degraded (⊤-pinned) partition are reported as
-    unexplained rather than blamed on fabricated refinements. *)
+    across job counts and process boundaries. *)
 
 open Liquid_common
 open Liquid_logic
@@ -52,8 +50,9 @@ type explanation = {
   ex_blame : blame_step list;
   ex_repair : repair option;
   ex_unexplained : string option;
-      (* set (e.g. "partition timed out") when no core/blame/repair was
-         computed; the witness, if any, is still reported *)
+      (* set (e.g. "originating constraint unavailable") when no
+         core/blame/repair was computed; the witness, if any, is still
+         reported *)
 }
 
 type result = {
@@ -65,12 +64,10 @@ type result = {
     of a run.  [solution] is the final fixpoint assignment; [quals] and
     [consts] are the run's qualifier patterns and mined constants (the
     repair search instantiates them, plus the default patterns as
-    near-misses); [degraded_kvars] are κs pinned to ⊤ by degraded
-    partitions.  Each failure carries the count of identical failures
+    near-misses).  Each failure carries the count of identical failures
     folded into it. *)
 val explain :
   ?limit:int ->
-  ?degraded_kvars:Rtype.kvar list ->
   wfs:Constr.wf list ->
   subs:Constr.sub list ->
   solution:Constr.solution ->

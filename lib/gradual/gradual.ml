@@ -14,7 +14,6 @@ type residual = {
   rc_origin : Constr.origin;
   rc_goal : Pred.t;
   rc_count : int;
-  rc_degraded : bool;
   rc_witness : (string * Solver.cex_value) list;
   rc_explanation : Explain.explanation;
 }
@@ -48,71 +47,21 @@ let pp_verdict ppf = function
 
 (* -- Classification ---------------------------------------------------- *)
 
-module ISet = Set.Make (Int)
-
-(* Same key the pipeline dedups failures with: identical span + reason +
-   goal fold into one report entry. *)
-let failure_key (f : Fixpoint.failure) =
-  Fmt.str "%a|%s|%d" Loc.pp f.Fixpoint.f_origin.Constr.loc
-    f.Fixpoint.f_origin.Constr.reason
-    (Pred.tag f.Fixpoint.f_goal)
-
-(* The message explain_failure attaches when a failure's backward
-   κ-closure touches a degraded partition. *)
-let degraded_unexplained = "partition timed out"
-
 let classify ~(wfs : Constr.wf list) ~(subs : Constr.sub list)
     ~(solution : Constr.solution) ~(quals : Qualifier.t list)
-    ~(consts : int list) ~(degraded_kvars : Rtype.kvar list)
-    ~(degraded_subs : Constr.sub list)
-    (failures : (Fixpoint.failure * int) list) :
+    ~(consts : int list) (failures : (Fixpoint.failure * int) list) :
     residual list * (Fixpoint.failure * int * Explain.explanation) list =
-  let seen = Hashtbl.create 16 in
-  List.iter
-    (fun (f, _) -> Hashtbl.replace seen (failure_key f) ())
-    failures;
-  (* Degraded partitions never checked their own concrete obligations
-     (the worker died mid-solve); synthesize a failure for each so they
-     surface as residuals instead of silently vanishing.  No witness —
-     nothing was refuted, the check simply never ran. *)
-  let synthesized =
-    List.filter_map
-      (fun (c : Constr.sub) ->
-        match c.Constr.rhs with
-        | Constr.Rkvar _ -> None
-        | Constr.Rconc goal ->
-            if Pred.is_true goal then None
-            else
-              let f =
-                {
-                  Fixpoint.f_sub_id = c.Constr.sub_id;
-                  f_origin = c.Constr.origin;
-                  f_goal = goal;
-                  f_cex = [];
-                }
-              in
-              let key = failure_key f in
-              if Hashtbl.mem seen key then None
-              else begin
-                Hashtbl.replace seen key ();
-                Some (f, 1)
-              end)
-      degraded_subs
-  in
   let all =
     List.sort
       (fun ((a : Fixpoint.failure), _) (b, _) ->
         compare a.Fixpoint.f_sub_id b.Fixpoint.f_sub_id)
-      (failures @ synthesized)
+      failures
   in
   (* One explain pass over everything: every obligation — hard error or
      residual — carries a core, blame path, and verified repair hint. *)
   let exr =
-    Explain.explain ~limit:(List.length all) ~degraded_kvars ~wfs ~subs
-      ~solution ~quals ~consts all
-  in
-  let degraded_ids =
-    ISet.of_list (List.map (fun (c : Constr.sub) -> c.Constr.sub_id) degraded_subs)
+    Explain.explain ~limit:(List.length all) ~wfs ~subs ~solution ~quals
+      ~consts all
   in
   let residuals, hard =
     List.fold_left2
@@ -123,17 +72,12 @@ let classify ~(wfs : Constr.wf list) ~(subs : Constr.sub list)
              much annotation is added — a hard error, not a cast. *)
           (rs, (f, count, ex) :: hs)
         else
-          let degraded =
-            ISet.mem f.Fixpoint.f_sub_id degraded_ids
-            || ex.Explain.ex_unexplained = Some degraded_unexplained
-          in
           let r =
             {
               rc_id = residual_id f.Fixpoint.f_origin f.Fixpoint.f_goal;
               rc_origin = f.Fixpoint.f_origin;
               rc_goal = f.Fixpoint.f_goal;
               rc_count = count;
-              rc_degraded = degraded;
               rc_witness = f.Fixpoint.f_cex;
               rc_explanation = ex;
             }
@@ -163,8 +107,6 @@ let pp_residual ppf (r : residual) =
     r.rc_origin.Constr.reason;
   if r.rc_count > 1 then Fmt.pf ppf " (×%d)" r.rc_count;
   Fmt.pf ppf "@,  residual cast: %a" Pred.pp r.rc_goal;
-  if r.rc_degraded then
-    Fmt.pf ppf "@,  degraded: obligation owed to a timed-out partition";
   (match r.rc_witness with
   | [] -> ()
   | w -> Fmt.pf ppf "@,  witness: %a" Explain.pp_witness w);

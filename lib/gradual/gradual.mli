@@ -8,12 +8,6 @@
     [SAFE] (no residuals), [SAFE_MODULO n] (statically safe modulo [n]
     runtime casts), [UNSAFE] (refuted obligations remain).
 
-    Degraded (⊤-pinned) partitions get a principled story too: their own
-    concrete obligations — which the dead worker never checked — and
-    every downstream failure whose κ-closure touches a pinned κ become
-    residuals marked [rc_degraded], never fabricated blame and never
-    silent precision loss.
-
     Like the explain engine this runs {e post-fixpoint} on (solution,
     constraint system), so it composes with pruning, partitioning,
     incremental reuse, and daemon coalescing for free; classification
@@ -38,7 +32,6 @@ type residual = {
   rc_origin : Constr.origin; (* source span + reason *)
   rc_goal : Pred.t; (* the residual predicate, over ν and the scope *)
   rc_count : int; (* identical obligations folded into this cast *)
-  rc_degraded : bool; (* owed to a ⊤-pinned (timed-out) partition *)
   rc_witness : (string * Solver.cex_value) list;
       (* falsifying values of the final static check, when available *)
   rc_explanation : Explain.explanation;
@@ -56,23 +49,17 @@ val verdict_name : verdict -> string
 val pp_verdict : Format.formatter -> verdict -> unit
 
 (** Classify a run's failing obligations post-fixpoint.  [failures] are
-    the deduplicated concrete-check failures (with fold counts);
-    [degraded_subs] are the constraints of degraded partitions, whose
-    [Rconc] obligations were never checked — a failure is synthesized
-    for each (no witness) so they surface as residuals rather than
-    silently vanishing.  Every obligation is fed through the explain
-    engine (under [degraded_kvars], so pinned closures are never
-    blamed); obligations the environment refutes outright stay hard
-    errors (returned with their explanations), everything else becomes
-    a residual.  Both lists come back in original constraint order. *)
+    the deduplicated concrete-check failures (with fold counts).  Every
+    obligation is fed through the explain engine; obligations the
+    environment refutes outright stay hard errors (returned with their
+    explanations), everything else becomes a residual.  Both lists come
+    back in original constraint order. *)
 val classify :
   wfs:Constr.wf list ->
   subs:Constr.sub list ->
   solution:Constr.solution ->
   quals:Qualifier.t list ->
   consts:int list ->
-  degraded_kvars:Rtype.kvar list ->
-  degraded_subs:Constr.sub list ->
   (Fixpoint.failure * int) list ->
   residual list * (Fixpoint.failure * int * Explain.explanation) list
 

@@ -817,8 +817,6 @@ let parse_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> parse_lexbuf ~file:path (Lexing.from_channel ic))
 
-let program_of_lexbuf ~file lexbuf = fst (parse_lexbuf ~file lexbuf)
-
 let program_of_string ?(file = "<string>") s =
   fst (parse_string ~file s)
 

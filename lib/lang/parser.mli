@@ -21,8 +21,6 @@ val parse_file : string -> Ast.program * Ast.decls
 
 (** The item-only views ([fst] of the above) — convenient for
     declaration-free programs. *)
-val program_of_lexbuf : file:string -> Lexing.lexbuf -> Ast.program
-
 val program_of_string : ?file:string -> string -> Ast.program
 val program_of_file : string -> Ast.program
 

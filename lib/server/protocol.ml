@@ -104,8 +104,6 @@ let reply_of_string (s : string) : reply =
   | exception Failure _ -> failwith "protocol: malformed reply frame"
 
 let send_request oc (q : request) = send_frame oc (string_of_request q)
-let recv_request ic : request = request_of_string (recv_frame ic)
-let send_reply oc (r : reply) = send_frame oc (string_of_reply r)
 let recv_reply ic : reply = reply_of_string (recv_frame ic)
 
 (* ------------------------------------------------------------------ *)

@@ -108,8 +108,6 @@ type reply =
     peer and [Failure] on an oversized or malformed frame. *)
 
 val send_request : out_channel -> request -> unit
-val recv_request : in_channel -> request
-val send_reply : out_channel -> reply -> unit
 val recv_reply : in_channel -> reply
 
 (** Marshal to/from a frame payload (no length prefix).  [_of_string]

@@ -18,11 +18,6 @@ let add_int a b =
   if (a >= 0) = (b >= 0) && (s >= 0) <> (a >= 0) then raise Overflow;
   s
 
-let sub_int a b =
-  let d = a - b in
-  if (a >= 0) <> (b >= 0) && (d >= 0) <> (a >= 0) then raise Overflow;
-  d
-
 (* Operands of magnitude below 2^31 cannot overflow a 63-bit product,
    so only larger ones pay for the division that detects overflow. *)
 let small x = x > -0x8000_0000 && x < 0x8000_0000

@@ -9,7 +9,6 @@ exception Overflow
 (** Overflow-checked native integer helpers (exposed for {!Lia}). *)
 
 val add_int : int -> int -> int
-val sub_int : int -> int -> int
 val mul_int : int -> int -> int
 val gcd_int : int -> int -> int
 

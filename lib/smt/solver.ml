@@ -311,9 +311,6 @@ let check_query (p : prepared) : result =
   stats.queries <- stats.queries + 1;
   decide_interned p.query
 
-(** Boolean view: [Unknown] conservatively counts as "not valid". *)
-let is_valid hyps goal = check_valid hyps goal = Valid
-
 (** Satisfiability of a conjunction (used by tests). *)
 let is_sat (p : Pred.t) : bool = Dpll.check_sat p <> Dpll.Unsat
 

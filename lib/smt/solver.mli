@@ -89,9 +89,6 @@ val probe_query : prepared -> result option
 (** Decide a prepared query (cache first, then a SAT check). *)
 val check_query : prepared -> result
 
-(** Boolean view: [Unknown] counts as "not valid". *)
-val is_valid : Pred.t list -> Pred.t -> bool
-
 (** Satisfiability of a formula ([Unknown] counts as satisfiable). *)
 val is_sat : Pred.t -> bool
 

@@ -353,6 +353,50 @@ let test_punit_cone_reuse jobs () =
         (report_fingerprint reference)
         (report_fingerprint warm))
 
+(* Reports do not depend on scheduling, so neither does the whole-run
+   key: a report solved over four workers is a hit for a sequential run
+   and equals a cold, cache-less sequential report. *)
+let test_jobs_share_entries () =
+  let src = Test_gradual.sharded_src in
+  with_dir (fun dir ->
+      let options jobs partition_timeout =
+        {
+          Pipeline.default with
+          Pipeline.jobs;
+          partition_timeout;
+          cache_dir = Some dir;
+        }
+      in
+      let sequential = options 1 None in
+      List.iter
+        (fun (jobs, timeout) ->
+          check_string
+            (Fmt.str "fingerprint ignores jobs=%d and the timeout" jobs)
+            (Pipeline.options_fingerprint sequential)
+            (Pipeline.options_fingerprint (options jobs timeout)))
+        [ (1, Some 30.); (2, None); (4, Some 0.2); (4, Some 30.) ];
+      let sharded =
+        Pipeline.verify_string
+          ~options:(options 4 (Some 30.))
+          ~name:"sharded.ml" src
+      in
+      check_bool "program shards" true
+        (sharded.Pipeline.stats.Pipeline.n_partitions > 1);
+      check_bool "program fails" false sharded.Pipeline.safe;
+      let warm =
+        Pipeline.verify_string ~options:sequential ~name:"sharded.ml" src
+      in
+      check_int "jobs=1 run hits the jobs=4 entry" 1
+        warm.Pipeline.stats.Pipeline.n_pcache_hits;
+      let cold =
+        Pipeline.verify_string
+          ~options:{ sequential with Pipeline.cache_dir = None }
+          ~name:"sharded.ml" src
+      in
+      check_string "served report equals a cold sequential run"
+        (Test_partition.report_json cold)
+        (Test_partition.report_json warm))
+
 (* Stale tmp files (left by a crashed writer) are swept when a store
    handle is created; a live writer's tmp file is left alone. *)
 let test_tmp_sweep () =
@@ -445,6 +489,7 @@ let tests =
       (test_punit_cone_reuse 1);
     tc "punit: edit re-solves only its cone (jobs=4)"
       (test_punit_cone_reuse 4);
+    tc "pipeline: a jobs=4 report is a jobs=1 hit" test_jobs_share_entries;
     tc "store sweeps stale tmp files" test_tmp_sweep;
     tc "pipeline: no cache dir means no probes" test_no_cache_dir_no_probes;
     tc "reset_run_state clears answer state" test_reset_run_state;

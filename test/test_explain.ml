@@ -233,50 +233,6 @@ let test_explain_limit () =
      with Not_found -> false)
 
 (* ------------------------------------------------------------------ *)
-(* Degraded partitions                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* A failure whose backward closure touches a ⊤-pinned κ must be
-   reported as unexplained, never blamed on fabricated refinements. *)
-let test_degraded_unexplained () =
-  let prog =
-    Liquid_anf.Anf.normalize_program
-      (Liquid_lang.Parser.program_of_string overrun_src)
-  in
-  let info = Liquid_typing.Infer.infer_program prog in
-  let out = Congen.generate info prog in
-  let res =
-    Fixpoint.solve ~quals:Qualifier.defaults out.Congen.wfs out.Congen.subs
-  in
-  let failures = List.map (fun f -> (f, 1)) res.Fixpoint.failures in
-  check_bool "the program fails" true (failures <> []);
-  let degraded =
-    List.concat_map
-      (fun ((f : Fixpoint.failure), _) ->
-        match
-          List.find_opt
-            (fun (c : Constr.sub) -> c.Constr.sub_id = f.Fixpoint.f_sub_id)
-            out.Congen.subs
-        with
-        | Some c -> Constr.reads c
-        | None -> [])
-      failures
-  in
-  check_bool "the failing obligation reads some κ" true (degraded <> []);
-  let r =
-    Explain.explain ~degraded_kvars:degraded ~wfs:out.Congen.wfs
-      ~subs:out.Congen.subs ~solution:res.Fixpoint.solution
-      ~quals:Qualifier.defaults ~consts:[] failures
-  in
-  List.iter
-    (fun (ex : Explain.explanation) ->
-      check_bool "degraded failure is unexplained" true
-        (ex.Explain.ex_unexplained = Some "partition timed out");
-      check_bool "no blame fabricated over ⊤ κs" true
-        (ex.Explain.ex_blame = []))
-    r.Explain.exs
-
-(* ------------------------------------------------------------------ *)
 (* Determinism across job counts                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -392,7 +348,6 @@ let tests =
     tc "repair hint verifies when applied" test_repair_hint_sound;
     tc "identical failures dedup with counts" test_dedup_counts;
     tc "--explain-limit caps and counts the rest" test_explain_limit;
-    tc "degraded closure reported as unexplained" test_degraded_unexplained;
     slow "explanations byte-identical at jobs 1/2/4" test_jobs_determinism;
     tc "JSON schema and parser round-trip" test_json_schema_and_round_trip;
     slow "direct/cache/daemon explanations byte-identical"

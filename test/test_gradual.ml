@@ -2,8 +2,8 @@
    (SAFE / SAFE_MODULO / UNSAFE), residual identity and determinism
    across job counts, cache temperatures, and the daemon, runtime casts
    through the reference interpreter, repair hints that discharge their
-   casts, degraded-partition obligations surfacing as residuals, and
-   gradual/non-gradual cache-key separation in both directions. *)
+   casts, and gradual/non-gradual cache-key separation in both
+   directions. *)
 
 open Liquid_logic
 open Liquid_infer
@@ -151,8 +151,6 @@ let test_residual_shape () =
         = Gradual.residual_id rc.Gradual.rc_origin rc.Gradual.rc_goal);
       check_bool "residual keeps the falsifying witness" true
         (List.mem_assoc "i" rc.Gradual.rc_witness);
-      check_bool "residual is not blamed on degradation" false
-        rc.Gradual.rc_degraded;
       check_bool "residual carries its explanation" true
         (rc.Gradual.rc_explanation.Liquid_explain.Explain.ex_goal
         == rc.Gradual.rc_goal)
@@ -279,45 +277,6 @@ let test_repair_discharges_cast () =
     fixed.Pipeline.safe;
   check_int "hinted qualifier discharges the cast" 0
     (List.length fixed.Pipeline.residuals)
-
-(* ------------------------------------------------------------------ *)
-(* Degraded partitions become residuals                                *)
-(* ------------------------------------------------------------------ *)
-
-(* Feed [classify] a degraded partition directly: its never-checked
-   concrete obligations must surface as synthesized residuals (marked
-   degraded, no fabricated blame), not vanish and not become errors. *)
-let test_degraded_residuals () =
-  let prog =
-    Liquid_anf.Anf.normalize_program
-      (Liquid_lang.Parser.program_of_string held_src)
-  in
-  let info = Liquid_typing.Infer.infer_program prog in
-  let out = Congen.generate info prog in
-  (* Degrade the whole run: solve with κs pinned to ⊤ (the empty
-     solution), as a timed-out partition leaves them. *)
-  let solution = Constr.KMap.empty in
-  let degraded_kvars =
-    Liquid_common.Listx.dedup_ordered ~compare:Int.compare
-      (List.filter_map (fun (c : Constr.sub) -> Constr.writes c) out.Congen.subs)
-  in
-  let residuals, hard =
-    Gradual.classify ~wfs:out.Congen.wfs ~subs:out.Congen.subs ~solution
-      ~quals:Qualifier.defaults ~consts:[] ~degraded_kvars
-      ~degraded_subs:out.Congen.subs []
-  in
-  check_bool "no errors fabricated from a degraded partition" true (hard = []);
-  check_bool "never-checked obligations surface as residuals" true
-    (residuals <> []);
-  List.iter
-    (fun (rc : Gradual.residual) ->
-      check_bool
-        (Fmt.str "residual %s marked degraded" rc.Gradual.rc_id)
-        true rc.Gradual.rc_degraded;
-      check_bool "no witness was fabricated" true (rc.Gradual.rc_witness = []);
-      check_bool "no blame fabricated over ⊤ κs" true
-        (rc.Gradual.rc_explanation.Liquid_explain.Explain.ex_blame = []))
-    residuals
 
 (* ------------------------------------------------------------------ *)
 (* Determinism: jobs, cache temperatures, daemon                       *)
@@ -486,15 +445,12 @@ let test_json_verdict_and_residuals () =
           match field k rc with
           | _ -> ()
           | exception _ -> Alcotest.failf "residual JSON missing %s" k)
-        [ "id"; "loc"; "reason"; "goal"; "count"; "degraded"; "witness";
-          "explanation" ]
+        [ "id"; "loc"; "reason"; "goal"; "count"; "witness"; "explanation" ]
   | _ -> Alcotest.fail "expected exactly one residual in JSON");
   match field "stats" j with
   | Json.Obj kvs ->
       check_bool "stats count residuals" true
-        (List.assoc_opt "residuals" kvs = Some (Json.Int 1));
-      check_bool "stats carry uncacheable_degraded" true
-        (List.mem_assoc "uncacheable_degraded" kvs)
+        (List.assoc_opt "residuals" kvs = Some (Json.Int 1))
   | _ -> Alcotest.fail "expected a stats object"
 
 let tests =
@@ -509,7 +465,6 @@ let tests =
     tc "armed assertion failure is absorbed" test_armed_assert_absorbed;
     tc "unarmed assertion failure still raises" test_unarmed_assert_still_raises;
     tc "repair hint discharges its cast" test_repair_discharges_cast;
-    tc "degraded obligations become residuals" test_degraded_residuals;
     slow "residuals byte-identical at jobs 1/2/4" test_jobs_byte_identity;
     slow "direct/cache/daemon residuals byte-identical"
       test_paths_byte_identical;

@@ -166,67 +166,100 @@ let test_scheduler_timeout () =
           check_int "hung unit retried once" 2 attempts
       | _ -> Alcotest.fail "hung unit should time out")
 
+(* Every forked worker has been reaped: this process has no child. *)
+let check_no_children () =
+  match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+  | pid, _ -> Alcotest.failf "a worker outlived the run (pid %d)" pid
+
+(* An exception out of [merge] (the pipeline's policy for a unit that
+   failed twice) cancels the workers still running: unit 1 here would
+   otherwise hang forever. *)
+let test_scheduler_cancels_on_raise () =
+  with_fault
+    (fun u -> if u = 1 then Some Scheduler.Hang else None)
+    (fun () ->
+      match
+        Scheduler.run ~jobs:2 ~n_units:2
+          ~deps:(fun _ -> [])
+          ~work:(fun u -> u)
+          ~merge:(fun u _ _ -> if u = 0 then failwith "stop")
+          ()
+      with
+      | () -> Alcotest.fail "merge's exception must propagate"
+      | exception Failure _ -> ());
+  check_no_children ()
+
 (* ------------------------------------------------------------------ *)
-(* Pipeline fault isolation: degradation and the P001 diagnostic       *)
+(* Pipeline fault policy: a partition that fails twice fails the run   *)
 (* ------------------------------------------------------------------ *)
+
+module Pipeline = Liquid_driver.Pipeline
 
 let sharded_options =
-  {
-    Liquid_driver.Pipeline.default with
-    Liquid_driver.Pipeline.jobs = 2;
-    partition_timeout = Some 0.2;
-  }
+  { Pipeline.default with Pipeline.jobs = 2; partition_timeout = Some 0.2 }
 
-let has_p001 (r : Liquid_driver.Pipeline.report) =
-  List.exists
-    (fun (d : Liquid_analysis.Diagnostic.t) ->
-      Liquid_analysis.Diagnostic.code_name d.Liquid_analysis.Diagnostic.code
-      = "P001")
-    r.Liquid_driver.Pipeline.lints
-
-let test_pipeline_degradation fault =
+let test_pipeline_fault fault () =
   (* The program must actually shard for the fault to be exercised. *)
-  let base = Liquid_driver.Pipeline.verify_string multi_src in
+  let base = Pipeline.verify_string multi_src in
   check_bool "program shards" true
-    (base.Liquid_driver.Pipeline.stats.Liquid_driver.Pipeline.n_partitions > 1);
-  check_bool "program safe without faults" true
-    base.Liquid_driver.Pipeline.safe;
+    (base.Pipeline.stats.Pipeline.n_partitions > 1);
   with_fault
     (fun u -> if u = 0 then Some fault else None)
     (fun () ->
-      let r =
-        Liquid_driver.Pipeline.verify_string ~options:sharded_options multi_src
-      in
-      check_bool "degraded run surfaces P001" true (has_p001 r);
-      check_bool "P001 gates --warn-error" true
-        (Liquid_analysis.Lint.warnings r.Liquid_driver.Pipeline.lints <> []);
-      check_bool "a partition is marked degraded" true
-        (List.exists
-           (fun (p : Liquid_driver.Pipeline.part_stat) ->
-             p.Liquid_driver.Pipeline.pt_degraded)
-           r.Liquid_driver.Pipeline.stats.Liquid_driver.Pipeline.partitions))
+      match Pipeline.verify_string ~options:sharded_options multi_src with
+      | _ -> Alcotest.fail "a twice-failed partition must fail the run"
+      | exception Failure msg ->
+          check_bool
+            (Fmt.str "failure names partition 0: %s" msg)
+            true
+            (String.starts_with ~prefix:"solve partition 0 " msg));
+  check_no_children ()
 
-let test_hang_degrades () = test_pipeline_degradation Scheduler.Hang
-let test_crash_degrades () = test_pipeline_degradation Scheduler.Crash
+(* The report minus its [stats] (timings and per-run counters), as
+   [dsolve --format json] prints it. *)
+let report_json (r : Pipeline.report) =
+  match Pipeline.json_of_report r with
+  | Liquid_analysis.Json.Obj fields ->
+      Liquid_analysis.Json.to_string
+        (Liquid_analysis.Json.Obj
+           (List.filter (fun (k, _) -> k <> "stats") fields))
+  | j -> Liquid_analysis.Json.to_string j
 
-(* Without faults, a sharded run of the same program matches the
-   sequential verdict and diagnostics exactly. *)
+(* Without faults, a sharded run reports exactly what a sequential run
+   does: verdict, errors, residuals, explanations, types and the full
+   lint list.  Dead qualifiers (L005) are the sharpest probe: at
+   [jobs > 1] they come from the merged per-unit candidates, at
+   [jobs = 1] from the whole-system fixpoint. *)
 let test_sharded_clean () =
-  let seq = Liquid_driver.Pipeline.verify_string multi_src in
-  let par =
-    Liquid_driver.Pipeline.verify_string
-      ~options:{ Liquid_driver.Pipeline.default with Liquid_driver.Pipeline.jobs = 4 }
-      multi_src
-  in
-  check_bool "same verdict" true
-    (seq.Liquid_driver.Pipeline.safe = par.Liquid_driver.Pipeline.safe);
-  check_bool "no spurious diagnostics" true
-    (par.Liquid_driver.Pipeline.lints = []);
-  check_bool "no degraded partitions" true
-    (List.for_all
-       (fun (p : Liquid_driver.Pipeline.part_stat) ->
-         not p.Liquid_driver.Pipeline.pt_degraded)
-       par.Liquid_driver.Pipeline.stats.Liquid_driver.Pipeline.partitions)
+  List.iter
+    (fun (name, src) ->
+      List.iter
+        (fun gradual ->
+          let run jobs =
+            Pipeline.verify_string
+              ~options:
+                {
+                  Pipeline.default with
+                  Pipeline.jobs;
+                  lint = true;
+                  explain = true;
+                  gradual;
+                }
+              ~name src
+          in
+          let seq = run 1 in
+          check_bool (name ^ " shards") true
+            (seq.Pipeline.stats.Pipeline.n_partitions > 1);
+          List.iter
+            (fun jobs ->
+              Alcotest.(check string)
+                (Fmt.str "%s (gradual=%b) at jobs=%d" name gradual jobs)
+                (report_json seq)
+                (report_json (run jobs)))
+            [ 2; 4 ])
+        [ false; true ])
+    [ ("multi.ml", multi_src); ("sharded.ml", Test_gradual.sharded_src) ]
 
 (* ------------------------------------------------------------------ *)
 (* Determinism: the whole suite agrees across worker counts            *)
@@ -281,8 +314,10 @@ let tests =
     tc "scheduler respects dependencies" test_scheduler_order;
     tc "scheduler isolates crashes" test_scheduler_crash_isolation;
     tc "scheduler kills hung workers" test_scheduler_timeout;
-    tc "hung partition degrades with P001" test_hang_degrades;
-    tc "crashed partition degrades with P001" test_crash_degrades;
+    tc "scheduler cancels workers when merge raises"
+      test_scheduler_cancels_on_raise;
+    tc "hung partition fails the run" (test_pipeline_fault Scheduler.Hang);
+    tc "crashed partition fails the run" (test_pipeline_fault Scheduler.Crash);
     tc "clean sharded run matches sequential" test_sharded_clean;
     slow "suite verdicts agree at jobs 1/2/4" test_jobs_determinism;
   ]
