@@ -41,22 +41,17 @@ let read_file path =
 let print_stats ~jobs (s : Pipeline.stats) =
   Fmt.pr
     "stats: lines=%d kvars=%d wf=%d sub=%d quals=%d measures=%d \
-     measure-axioms=%d candidates=%d checks=%d \
+     measure-axioms=%d candidates=%d collapsed=%d checks=%d \
      smt-queries=%d cache-hits=%d lint-queries=%d explain-queries=%d \
      diagnostics=%d partitions=%d critical-path=%d pcache-lookups=%d \
      pcache-hits=%d punit-hits=%d punit-misses=%d time=%.3fs@."
     s.Pipeline.source_lines s.n_kvars s.n_wf_constraints s.n_sub_constraints
     s.n_qualifiers s.n_measures s.n_measure_axioms s.n_initial_candidates
-    s.n_implication_checks
+    s.n_alpha_collapsed s.n_implication_checks
     s.n_smt_queries s.n_smt_cache_hits s.n_lint_smt_queries
     s.n_explain_smt_queries s.n_diagnostics s.n_partitions s.critical_path
     s.n_pcache_lookups s.n_pcache_hits s.n_punit_hits s.n_punit_misses
     s.elapsed;
-  Fmt.pr
-    "prune: collapsed=%d pruned=%d reinstated=%d prune-time=%.3fs \
-     reinstate-time=%.3fs@."
-    s.n_alpha_collapsed s.n_quals_pruned s.n_reinstated s.prune_time
-    s.reinstate_time;
   Fmt.pr "gradual: residuals=%d@." s.n_residuals;
   List.iter
     (fun (p : Pipeline.part_stat) ->

@@ -21,14 +21,12 @@ type error = {
 }
 
 (** Shape and per-unit cost of the solve plan (see
-    {!Constr.partition_plan}).  [pt_time] is only meaningful under
-    sharded execution ([jobs > 1]); sequential runs report the plan's
-    shape with zero times. *)
+    {!Constr.partition_plan}). *)
 type part_stat = {
   pt_id : int;
   pt_kvars : int; (* κs owned by the partition *)
   pt_subs : int; (* constraints solved there *)
-  pt_time : float; (* wall-clock seconds (sharded runs only) *)
+  pt_time : float; (* wall-clock seconds *)
 }
 
 type stats = {
@@ -43,10 +41,13 @@ type stats = {
   n_initial_candidates : int; (* total instances over all κs *)
   n_alpha_collapsed : int;
       (* instances collapsed by orientation-level dedup at instantiation *)
-  n_quals_pruned : int; (* instances parked by the pre-fixpoint prune *)
-  n_reinstated : int; (* instances restored by the reinstatement pass *)
-  prune_time : float; (* seconds in the prune analysis *)
-  reinstate_time : float; (* seconds in the reinstatement pass *)
+  n_quals_pruned : int;
+  n_reinstated : int;
+  prune_time : float;
+  reinstate_time : float;
+      (* always 0.  Kept only because the repository benchmark
+         (bench/perf/layers.ml) reads them; they leave with its next
+         change. *)
   n_implication_checks : int;
   n_smt_queries : int;
   n_smt_cache_hits : int;
@@ -234,6 +235,10 @@ let verify_program ?(options = default) ?(parse_time = 0.0)
   (* A warm process (daemon, repeated library calls) must never leak a
      counterexample or per-run counter from a previous run. *)
   Liquid_smt.Solver.reset_run_state ();
+  (* Type-variable ids restart per run too: unresolved ones reach the
+     partition cache's unit signatures, so a long-lived process must
+     number them as a fresh one does. *)
+  Mltype.reset_vars ();
   (* Load the declaration unit's measures for this run.  [Measures.load]
      resets the table to the built-ins first, so a warm process never
      sees a previous run's measures — the qualifier pattern parser gates
@@ -289,7 +294,6 @@ let verify_program ?(options = default) ?(parse_time = 0.0)
         Constr.partition_plan out.Congen.wfs out.Congen.subs)
   in
   let n_parts = Array.length plan.Constr.parts in
-  let sharded = jobs > 1 && n_parts > 1 in
   (* Partition-level persistent cache: with [cache_dir] set, each solve
      unit round-trips its {!Fixpoint.partial} through the store under a
      content key (constraints + instantiated qualifiers + upstream κ
@@ -303,98 +307,69 @@ let verify_program ?(options = default) ?(parse_time = 0.0)
       (fun dir -> Liquid_cache.Store.open_store ~dir ())
       cache_dir
   in
-  let res, part_stats, punit_hits, punit_misses =
-    if sharded || punit_store <> None then begin
-      let t0 = Unix.gettimeofday () in
-      let reuse, persist =
-        match punit_store with
-        | None -> (None, None)
-        | Some store ->
-            let fingerprint =
-              (* The declaration digest joins the engine switches: measure
-                 semantics reach a unit's constraints through axioms and
-                 embedding-time non-negativity facts, and the latter are
-                 derived from the measure table rather than rendered into
-                 the unit signature — so an edited measure body must
-                 invalidate every unit of the program even when the
-                 signatures it feeds are unchanged.  Declaration-free
-                 programs keep their pre-measure fingerprints. *)
-              (* [gradual] joins too: the solved partial is the same
-                 either way, but gradual runs and plain runs must never
-                 share cache entries — a stale partial served across the
-                 mode boundary would make the two reports drift. *)
-              Fmt.str "%s|incremental=%b|gradual=%b%s"
-                Fixpoint.partial_version incremental gradual
-                (match Measures.fingerprint decls with
-                | "" -> ""
-                | d -> "|decls=" ^ d)
-            in
-            let key k = Liquid_cache.Store.key store [ "punit"; k ] in
-            ( Some
-                (fun k ->
-                  Liquid_cache.Store.find ~ns:"punit" store ~key:(key k)
-                    ~fingerprint),
-              Some
-                (fun k (p : Fixpoint.partial) ->
-                  Liquid_cache.Store.store ~ns:"punit" store ~key:(key k)
-                    ~fingerprint p) )
-      in
-      let o =
-        Liquid_engine.Psolve.solve ~incremental ?timeout:partition_timeout
-          ?reuse ?persist ~jobs ~quals ~consts out.Congen.wfs out.Congen.subs
-          plan
-      in
-      let wall = Unix.gettimeofday () -. t0 in
-      (* Workers overlap, so per-unit solve/check CPU times don't sum to
-         a wall-clock phase; report scheduler wall minus parent-side
-         merge cost as "solve" and the merge cost itself as "merge". *)
-      phases :=
-        ("merge", o.Liquid_engine.Psolve.ps_merge_time)
-        :: ("concrete_check", 0.0)
-        :: ("solve", max 0.0 (wall -. o.Liquid_engine.Psolve.ps_merge_time))
-        :: !phases;
-      ( o.Liquid_engine.Psolve.ps_result,
-        List.map
-          (fun (i : Liquid_engine.Psolve.part_info) ->
-            {
-              pt_id = i.Liquid_engine.Psolve.pi_id;
-              pt_kvars = i.Liquid_engine.Psolve.pi_kvars;
-              pt_subs = i.Liquid_engine.Psolve.pi_subs;
-              pt_time = i.Liquid_engine.Psolve.pi_time;
-            })
-          o.Liquid_engine.Psolve.ps_parts,
-        o.Liquid_engine.Psolve.ps_punit_hits,
-        o.Liquid_engine.Psolve.ps_punit_misses )
-    end
-    else begin
-      let res =
-        Fixpoint.solve ~quals ~consts ~incremental out.Congen.wfs
-          out.Congen.subs
-      in
-      (* The "solve" phase covers the whole solver-side work — prune
-         analysis, weakening loop, reinstatement — so [elapsed] stays the
-         sum of the phases; the prune and reinstatement shares are also
-         reported separately in the stats. *)
-      phases :=
-        ("merge", 0.0)
-        :: ("concrete_check", res.Fixpoint.solver_stats.Fixpoint.check_time)
-        :: ( "solve",
-             res.Fixpoint.solver_stats.Fixpoint.solve_time
-             +. res.Fixpoint.solver_stats.Fixpoint.prune_time
-             +. res.Fixpoint.solver_stats.Fixpoint.reinstate_time )
-        :: !phases;
-      ( res,
-        Array.to_list plan.Constr.parts
-        |> List.map (fun (p : Constr.partition) ->
-               {
-                 pt_id = p.Constr.part_id;
-                 pt_kvars = List.length p.Constr.part_kvars;
-                 pt_subs = List.length p.Constr.part_subs;
-                 pt_time = 0.0;
-               }),
-        0,
-        0 )
-    end
+  let reuse, persist =
+    match punit_store with
+    | None -> (None, None)
+    | Some store ->
+        let fingerprint =
+          (* The declaration digest joins the engine switches: measure
+             semantics reach a unit's constraints through axioms and
+             embedding-time non-negativity facts, and the latter are
+             derived from the measure table rather than rendered into
+             the unit signature — so an edited measure body must
+             invalidate every unit of the program even when the
+             signatures it feeds are unchanged.  Declaration-free
+             programs keep their pre-measure fingerprints. *)
+          (* [gradual] joins too: the solved partial is the same either
+             way, but gradual runs and plain runs must never share cache
+             entries — a stale partial served across the mode boundary
+             would make the two reports drift. *)
+          Fmt.str "%s|incremental=%b|gradual=%b%s" Fixpoint.partial_version
+            incremental gradual
+            (match Measures.fingerprint decls with
+            | "" -> ""
+            | d -> "|decls=" ^ d)
+        in
+        let key k = Liquid_cache.Store.key store [ "punit"; k ] in
+        ( Some
+            (fun k ->
+              Liquid_cache.Store.find ~ns:"punit" store ~key:(key k)
+                ~fingerprint),
+          Some
+            (fun k (p : Fixpoint.partial) ->
+              Liquid_cache.Store.store ~ns:"punit" store ~key:(key k)
+                ~fingerprint p) )
+  in
+  (* Unit by unit, the run's in-process units sharing one elimination
+     state ({!Liquid_engine.Psolve.solve}); a one-unit plan never
+     forks. *)
+  let t0 = Unix.gettimeofday () in
+  let o =
+    Liquid_engine.Psolve.solve ~incremental ?timeout:partition_timeout ?reuse
+      ?persist
+      ~jobs:(if n_parts > 1 then jobs else 1)
+      ~quals ~consts out.Congen.wfs out.Congen.subs plan
+  in
+  let wall = Unix.gettimeofday () -. t0 in
+  (* Each unit runs its concrete check right after its weakening loop, so
+     "solve" covers both (scheduler wall minus the parent-side merge
+     cost), "concrete_check" reads 0 and "merge" is the merge cost. *)
+  phases :=
+    ("merge", o.Liquid_engine.Psolve.ps_merge_time)
+    :: ("concrete_check", 0.0)
+    :: ("solve", max 0.0 (wall -. o.Liquid_engine.Psolve.ps_merge_time))
+    :: !phases;
+  let res = o.Liquid_engine.Psolve.ps_result in
+  let part_stats =
+    List.map
+      (fun (i : Liquid_engine.Psolve.part_info) ->
+        {
+          pt_id = i.Liquid_engine.Psolve.pi_id;
+          pt_kvars = i.Liquid_engine.Psolve.pi_kvars;
+          pt_subs = i.Liquid_engine.Psolve.pi_subs;
+          pt_time = i.Liquid_engine.Psolve.pi_time;
+        })
+      o.Liquid_engine.Psolve.ps_parts
   in
   (* Deduplicate identical failures (same origin span, same reason, same
      goal) before reporting and explanation, keeping a count: one bad κ
@@ -525,10 +500,10 @@ let verify_program ?(options = default) ?(parse_time = 0.0)
           res.Fixpoint.solver_stats.Fixpoint.initial_candidates;
         n_alpha_collapsed =
           res.Fixpoint.solver_stats.Fixpoint.alpha_collapsed;
-        n_quals_pruned = res.Fixpoint.solver_stats.Fixpoint.pruned;
-        n_reinstated = res.Fixpoint.solver_stats.Fixpoint.reinstated;
-        prune_time = res.Fixpoint.solver_stats.Fixpoint.prune_time;
-        reinstate_time = res.Fixpoint.solver_stats.Fixpoint.reinstate_time;
+        n_quals_pruned = 0;
+        n_reinstated = 0;
+        prune_time = 0.0;
+        reinstate_time = 0.0;
         n_implication_checks =
           res.Fixpoint.solver_stats.Fixpoint.implication_checks;
         n_smt_queries = explain_smt0 - smt0;
@@ -542,8 +517,8 @@ let verify_program ?(options = default) ?(parse_time = 0.0)
         n_residuals = List.length residuals;
         n_pcache_lookups = 0;
         n_pcache_hits = 0;
-        n_punit_hits = punit_hits;
-        n_punit_misses = punit_misses;
+        n_punit_hits = o.Liquid_engine.Psolve.ps_punit_hits;
+        n_punit_misses = o.Liquid_engine.Psolve.ps_punit_misses;
         elapsed = List.fold_left (fun acc (_, t) -> acc +. t) 0.0 phases;
         phases;
       };
@@ -840,10 +815,6 @@ let json_of_stats (s : stats) : Liquid_analysis.Json.t =
       ("measure_axioms", Json.Int s.n_measure_axioms);
       ("initial_candidates", Json.Int s.n_initial_candidates);
       ("alpha_collapsed", Json.Int s.n_alpha_collapsed);
-      ("quals_pruned", Json.Int s.n_quals_pruned);
-      ("reinstated", Json.Int s.n_reinstated);
-      ("prune_time", Json.Float s.prune_time);
-      ("reinstate_time", Json.Float s.reinstate_time);
       ("implication_checks", Json.Int s.n_implication_checks);
       ("smt_queries", Json.Int s.n_smt_queries);
       ("smt_cache_hits", Json.Int s.n_smt_cache_hits);

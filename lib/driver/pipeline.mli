@@ -16,15 +16,13 @@ type error = {
 }
 
 (** Shape and per-unit cost of the solve plan (see
-    {!Liquid_infer.Constr.partition_plan}).  [pt_time] is only
-    meaningful under per-unit execution ([jobs > 1], or any run with
-    [cache_dir] set); whole-system sequential runs report the plan's
-    shape with zero times. *)
+    {!Liquid_infer.Constr.partition_plan}).  Every run solves unit by
+    unit, so [pt_time] is measured at every job count. *)
 type part_stat = {
   pt_id : int;
   pt_kvars : int; (* κs owned by the partition *)
   pt_subs : int; (* constraints solved there *)
-  pt_time : float; (* wall-clock seconds (sharded runs only) *)
+  pt_time : float; (* wall-clock seconds *)
 }
 
 type stats = {
@@ -39,10 +37,13 @@ type stats = {
   n_initial_candidates : int; (* total instances over all κs *)
   n_alpha_collapsed : int;
       (* instances collapsed by orientation-level dedup at instantiation *)
-  n_quals_pruned : int; (* instances parked by the pre-fixpoint prune *)
-  n_reinstated : int; (* instances restored by the reinstatement pass *)
-  prune_time : float; (* seconds in the prune analysis *)
-  reinstate_time : float; (* seconds in the reinstatement pass *)
+  n_quals_pruned : int;
+  n_reinstated : int;
+  prune_time : float;
+  reinstate_time : float;
+      (* always 0.  Kept only because the repository benchmark
+         (bench/perf/layers.ml) reads them; they leave with its next
+         change. *)
   n_implication_checks : int;
   n_smt_queries : int;
   n_smt_cache_hits : int;
@@ -69,12 +70,10 @@ type stats = {
       (* per-phase wall-clock seconds, in pipeline order:
          parse, anf, hm, congen, partition, solve, concrete_check,
          merge, gradual (when enabled), explain (when enabled), lint.
-         [elapsed] is exactly their sum.  Sequential runs put fixpoint
-         time under
-         "solve"/"concrete_check" with a zero "merge"; sharded runs put
-         scheduler wall time under "solve" (workers interleave their own
-         concrete checks, reported as zero) and parent-side folding
-         under "merge". *)
+         [elapsed] is exactly their sum.  "solve" is the solve's wall
+         time less the parent-side folding, which goes under "merge";
+         each unit runs its concrete check right after its weakening
+         loop, so "concrete_check" reads 0. *)
 }
 
 type report = {

@@ -9,6 +9,12 @@
     failure list, and counters.  With [jobs <= 1] units run in-process,
     sequentially in id order — no forks, same merge, same results.
 
+    Every unit of one call shares one {!Fixpoint.elim}: the counterexample
+    pool and bandit that in-process units fill in id order.  A forked
+    worker starts from the parent's copy at fork time, and whatever it
+    harvests dies with it.  The state moves only the work, never the
+    answer.
+
     Sharding changes speed, never the answer: a worker that times out
     or crashes on both attempts fails the whole solve ([Failure] naming
     the unit), and the scheduler kills the workers still running.
@@ -51,11 +57,7 @@ let solve ?(incremental = true) ?timeout
   let n = Array.length parts in
   let collapsed = ref 0 in
   let initial = Fixpoint.init_assignment ~consts ~collapsed quals wfs in
-  (* WF facts for pruning, computed once parent-side: workers fork after
-     this point and see the map via inherited memory.  Units prune only
-     κs present in their own [init], so no per-partition restriction is
-     needed. *)
-  let prune_wf = Prune.wf_facts wfs in
+  let elim = Fixpoint.fresh_elim () in
   (* Initial assignment restricted to each partition's own κs. *)
   let init_of = Array.map
       (fun (p : Constr.partition) ->
@@ -132,7 +134,7 @@ let solve ?(incremental = true) ?timeout
         r
   in
   let work u =
-    Fixpoint.solve_unit ~incremental ~prune_wf ~base:!merged_sol
+    Fixpoint.solve_unit ~incremental ~elim ~base:!merged_sol
       ~init:init_of.(u) parts.(u).Constr.part_subs
   in
   (* [replay]: fold the partial's SMT-counter delta into the parent's
@@ -192,8 +194,8 @@ let solve ?(incremental = true) ?timeout
   in
   if jobs <= 1 then
     (* In-process sequential execution in id order (always legal: every
-       dependency has a smaller id).  No forks, so no timeouts — exactly
-       the failure model of a whole-system solve. *)
+       dependency has a smaller id), every unit extending the one [elim].
+       No forks, so no timeouts. *)
     for u = 0 to n - 1 do
       let t0 = Unix.gettimeofday () in
       match reuse_for u with

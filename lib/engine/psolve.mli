@@ -27,9 +27,10 @@ type outcome = {
     1]: in-process, sequential).  Failures are returned in
     original-constraint order regardless of scheduling; verdicts and
     inferred refinements are scheduling-independent (the fixpoint is
-    unique).  Each unit runs the pre-fixpoint qualifier-space prune and
-    post-fixpoint reinstatement (see {!Prune}).  [subs] must be the same
-    list [plan] was built from.
+    unique).  Every unit shares one {!Fixpoint.elim} made for this call:
+    in-process units extend it in id order, and a forked worker starts
+    from the parent's copy.  [subs] must be the same list [plan] was
+    built from.
 
     [reuse]/[persist] connect a per-partition result cache.  Each unit
     is addressed by a content key digesting {!Constr.unit_signature}

@@ -9,7 +9,7 @@
     runtime casts), [UNSAFE] (refuted obligations remain).
 
     Like the explain engine this runs {e post-fixpoint} on (solution,
-    constraint system), so it composes with pruning, partitioning,
+    constraint system), so it composes with elimination, partitioning,
     incremental reuse, and daemon coalescing for free; classification
     reuses the explain engine wholesale, so every residual carries a
     hypothesis core, blame path, and solver-verified repair hint.

@@ -36,15 +36,21 @@
       Both engines compute the same solution, in the same candidate
       order.
 
+    The incremental engine also runs {e model-based elimination}: a
+    pool of counterexample models harvested from failing checks kills
+    any pending instance whose prepared query a pooled model satisfies,
+    with no solver contact, and a per-constraint bandit picks how each
+    writer visit is decided.  Both live in an {!elim} value that the
+    caller threads through every unit of a run; without one, a unit is
+    solved pool-free, the reference the tests hold the engine to.
+
     The engine itself is organized around {e solve units}
-    ({!Constr.partition}): all mutable state — worklist, assignment
-    fragment, compiled constraints, κ versions, counters — lives in a
-    per-unit record created by {!solve_unit}, never in module globals.
-    {!solve} runs the whole system as a single unit (the reference,
-    byte-identical to the pre-partitioned engine); the parallel
-    scheduler ({!Liquid_engine.Psolve}) runs one unit per κ-SCC in
-    topological order, merging the resulting {!partial}s with the pure
-    helpers below. *)
+    ({!Constr.partition}): the worklist, assignment fragment, compiled
+    constraints, κ versions and counters live in a per-unit record
+    created by {!solve_unit}, never in module globals.  {!solve} runs
+    the whole system as a single unit; {!Liquid_engine.Psolve} runs one
+    unit per κ-SCC in topological order, merging the resulting
+    {!partial}s with the pure helpers below. *)
 
 open Liquid_common
 open Liquid_logic
@@ -69,14 +75,6 @@ type stats = {
   mutable initial_candidates : int;
   mutable alpha_collapsed : int;
       (* instances collapsed by orientation-level dedup at instantiation *)
-  mutable pruned : int; (* parked by the pre-fixpoint prune *)
-  mutable reinstated : int;
-      (* parked/weakened instances restored by the post-fixpoint
-         reinstatement pass *)
-  mutable solve_time : float; (* seconds in the weakening loop *)
-  mutable check_time : float; (* seconds checking concrete obligations *)
-  mutable prune_time : float; (* seconds in the pre-fixpoint prune pass *)
-  mutable reinstate_time : float; (* seconds in the reinstatement pass *)
 }
 
 type result = {
@@ -145,8 +143,8 @@ let hypotheses lookup (c : Constr.sub) : Pred.t list * Pred.t list =
 
 (* -- Counterexample evaluation -------------------------------------------------- *)
 
-(* A strict evaluator over a solver counterexample, for the
-   model-guided elimination rounds of reinstatement.  Values come from
+(* A strict evaluator over a solver counterexample, for model-based
+   elimination in the weakening loop.  Values come from
    [Solver.last_cex_raw], keyed by original entity labels (the display
    model of [Solver.last_cex] strips alpha-renaming suffixes, so
    distinct solver variables can collide on one label there).  Labels
@@ -224,33 +222,36 @@ let rec eval_pred (m : model_table) (p : Pred.t) : bool =
    the final concrete pass, and dead-qualifier reporting; they differ only
    in how a popped κ-rhs constraint is weakened. *)
 
-(* Counterexample-guided elimination state (reinstatement only): a pool
-   of models harvested from failing checks, plus a per-constraint
-   two-armed bandit choosing between the two ways of deciding a writer
-   visit.  A visit with [n] pending instances can be decided
-   conjunction-first (one query; on [Invalid], fall through to per-goal
-   checks) or per-goal only.  A [Valid] conjunction confirms all [n]
-   instances for one query — but because the negated goal is a
-   disjunction the unit-propagation fast path cannot touch, it pays for
-   propositional model search over the whole environment, which on
-   arithmetic-heavy programs dwarfs [n] fast-path per-goal checks;
-   elsewhere (shallow environments, cheap theory calls) one conjunction
-   beats [n] queries' worth of per-query overhead.  Neither arm wins
-   globally, so each constraint tracks an EMA of {e work per instance}
-   under each arm and plays the cheaper one, revisiting the losing arm
-   periodically in case the regime shifts.  Work is metered in
+(* Model-based elimination state: a pool of models harvested from
+   failing checks, plus a per-constraint two-armed bandit choosing
+   between the two ways of deciding a writer visit.  A visit with [n]
+   pending instances can be decided conjunction-first (one query; on
+   [Invalid], fall through to per-goal checks) or per-goal only.  A
+   [Valid] conjunction confirms all [n] instances for one query — but
+   because the negated goal is a disjunction the unit-propagation fast
+   path cannot touch, it pays for propositional model search over the
+   whole environment, which on arithmetic-heavy programs dwarfs [n]
+   fast-path per-goal checks; elsewhere (shallow environments, cheap
+   theory calls) one conjunction beats [n] queries' worth of per-query
+   overhead.  Neither arm wins globally, so each constraint tracks an
+   EMA of {e work per instance} under each arm and plays the cheaper
+   one.  Work is metered in
    {!Solver.work_total} units (theory calls + LIA nodes), which the
    solver replays on cache hits — so the decisions, and with them the
    solver query counts, are deterministic and independent of machine
-   load and cache temperature. *)
+   load and cache temperature.
+
+   One state serves every unit of a run: constraint ids are unique
+   within a run, and a model harvested in one unit refutes instances of
+   later units as soundly as its own, because a kill only ever rests on
+   a model satisfying the killed instance's own prepared query. *)
 type visit_arms = {
-  mutable av_visits : int; (* decided writer visits of this constraint *)
   mutable av_conj : float; (* EMA: work per instance, conjunction-first *)
   mutable av_indiv : float; (* EMA: work per instance, per-goal only *)
       (* negative: the arm has not been sampled by this constraint yet *)
 }
 
-type cex_elim = {
+type elim = {
   pool : model_table list ref;
   mutable harvests : int; (* models harvested so far *)
   arms : (int, visit_arms) Hashtbl.t; (* constraint id -> bandit state *)
@@ -266,25 +267,30 @@ type cex_elim = {
   mutable g_indiv_n : int;
 }
 
+let fresh_elim () : elim =
+  {
+    pool = ref [];
+    harvests = 0;
+    arms = Hashtbl.create 64;
+    g_conj = 0.0;
+    g_conj_n = 0;
+    g_indiv = 0.0;
+    g_indiv_n = 0;
+  }
+
 type shared = {
   stats : stats;
   assignment : (Pred.t * SSet.t) list KMap.t ref;
   lookup : Rtype.kvar -> Pred.t list;
   push_dependents : Rtype.kvar -> unit;
-  settled : Rtype.kvar -> Pred.t -> bool;
-      (* instances known to be in the final solution; exempt from every
-         check.  Constantly [false] during the main loop; during
-         reinstatement it holds the pruned run's survivors. *)
-  cex_pool : cex_elim option;
-      (* counterexample-guided elimination (reinstatement only): a pool
-         of models harvested from failing checks.  A pending instance
-         whose prepared query evaluates to [true] under a pooled model
-         is semantically satisfiable — the instance dies with no solver
-         contact at all.  [None] during the main loop. *)
+  elim : elim option;
+      (* model-based elimination; [None] solves pool-free.  A pending
+         instance whose prepared query evaluates to [true] under a
+         pooled model is semantically satisfiable — the instance dies
+         with no solver contact at all. *)
 }
 
-let run_worklist ?(settled = fun _ _ -> false) ?cex_pool
-    (subs : Constr.sub list)
+let run_worklist ?elim (subs : Constr.sub list)
     (stats : stats) (assignment : (Pred.t * SSet.t) list KMap.t ref)
     ~(base : Constr.solution)
     ~(weaken : shared -> Constr.sub -> Rtype.kvar -> Pred.subst -> unit) :
@@ -326,9 +332,7 @@ let run_worklist ?(settled = fun _ _ -> false) ?cex_pool
     | Some cs -> List.iter push cs
     | None -> ()
   in
-  let shared =
-    { stats; assignment; lookup; push_dependents; settled; cex_pool }
-  in
+  let shared = { stats; assignment; lookup; push_dependents; elim } in
   List.iter (fun c -> if writes c <> None then push c) subs;
   while not (Queue.is_empty queue) do
     let c = Queue.pop queue in
@@ -346,27 +350,22 @@ let weaken_naive (sh : shared) (c : Constr.sub) (k : Rtype.kvar)
   let current =
     match KMap.find_opt k !(sh.assignment) with Some ps -> ps | None -> []
   in
-  let checkable =
-    List.filter (fun (q, _) -> not (sh.settled k q)) current
-  in
-  if checkable <> [] then begin
+  if current <> [] then begin
     let hyps, kept = hypotheses sh.lookup c in
     let goal_of (q, _) = Pred.subst theta q in
     (* Fast path: if the whole conjunction is implied, keep all. *)
     sh.stats.implication_checks <- sh.stats.implication_checks + 1;
     let all_ok =
-      Solver.check_valid ~kept hyps (Pred.conj (List.map goal_of checkable))
+      Solver.check_valid ~kept hyps (Pred.conj (List.map goal_of current))
       = Solver.Valid
     in
     let retained =
       if all_ok then current
       else
         List.filter
-          (fun ((q, _) as inst) ->
-            sh.settled k q
-            ||
-            (sh.stats.implication_checks <- sh.stats.implication_checks + 1;
-             Solver.check_valid ~kept hyps (goal_of inst) = Solver.Valid))
+          (fun inst ->
+            sh.stats.implication_checks <- sh.stats.implication_checks + 1;
+            Solver.check_valid ~kept hyps (goal_of inst) = Solver.Valid)
           current
     in
     if List.length retained <> List.length current then begin
@@ -446,12 +445,7 @@ let weaken_incremental (compiled_of : Constr.sub -> compiled)
       | None -> false
       | Some (deps, _) -> List.for_all (fun (k', v) -> ver k' = v) deps
     in
-    let stale =
-      List.filter
-        (fun ((q, _) as inst) ->
-          (not (sh.settled k q)) && not (up_to_date inst))
-        current
-    in
+    let stale = List.filter (fun inst -> not (up_to_date inst)) current in
     if stale <> [] then begin
       let hyps, origins = expand_hyps sh.lookup comp.hyp_slots in
       let kept = expand_kept sh.lookup comp.kept_slots in
@@ -572,11 +566,11 @@ let weaken_incremental (compiled_of : Constr.sub -> compiled)
              makes its {e prepared} per-goal query ([¬goal] plus its own
              relevance-pruned hypotheses) evaluate to [true]: that is a
              semantic satisfiability certificate for exactly the query
-             the unpruned engine would have SAT-checked.  Each failing
+             the pool-free engine would have SAT-checked.  Each failing
              check contributes its fresh model to the pool, so one paid
              query buries every pool-refutable goal of this — and every
              later — writer visit. *)
-          let elim = sh.cex_pool in
+          let elim = sh.elim in
           let preps : (int, Solver.prepared) Hashtbl.t = Hashtbl.create 16 in
           let prep_of ((q, _) as inst) =
             match Hashtbl.find_opt preps (Pred.tag q) with
@@ -697,18 +691,14 @@ let weaken_incremental (compiled_of : Constr.sub -> compiled)
                       match Hashtbl.find_opt e.arms c.Constr.sub_id with
                       | Some st -> st
                       | None ->
-                          let st =
-                            { av_visits = 0; av_conj = -1.0; av_indiv = -1.0 }
-                          in
+                          let st = { av_conj = -1.0; av_indiv = -1.0 } in
                           Hashtbl.add e.arms c.Constr.sub_id st;
                           st
                     in
                     (* Estimate each arm from this constraint's own
                        samples, falling back to the global prior; play
                        the cheaper arm, sampling any arm the whole run
-                       has never tried.  Every 16th visit replays the
-                       losing arm so a regime shift is eventually
-                       noticed. *)
+                       has never tried. *)
                     let est own sum cnt =
                       if own >= 0.0 then own
                       else if cnt > 0 then sum /. float_of_int cnt
@@ -719,7 +709,6 @@ let weaken_incremental (compiled_of : Constr.sub -> compiled)
                     let use_conj =
                       if ec < 0.0 then true
                       else if ei < 0.0 then false
-                      else if st.av_visits land 15 = 15 then ec >= ei
                       else ec < ei
                     in
                     let per =
@@ -740,8 +729,7 @@ let weaken_incremental (compiled_of : Constr.sub -> compiled)
                           else (st.av_indiv +. per) /. 2.0);
                        e.g_indiv <- e.g_indiv +. per;
                        e.g_indiv_n <- e.g_indiv_n + 1
-                     end);
-                    st.av_visits <- st.av_visits + 1)
+                     end))
           in
           rounds pending;
           if
@@ -752,8 +740,7 @@ let weaken_incremental (compiled_of : Constr.sub -> compiled)
           else
             List.filter
               (fun ((q, _) as inst) ->
-                ISet.mem (Pred.tag q) !valid
-                || sh.settled k q || up_to_date inst)
+                ISet.mem (Pred.tag q) !valid || up_to_date inst)
               current
         end
       in
@@ -796,7 +783,7 @@ type partial = {
    across rebuilds; this tag additionally keys the {e meaning} of the
    payload, so a semantic change (what a partial promises, not just its
    shape) can invalidate old entries explicitly. *)
-let partial_version = "fixpoint-partial/v2"
+let partial_version = "fixpoint-partial/v3"
 
 let fresh_stats () =
   {
@@ -804,103 +791,20 @@ let fresh_stats () =
     implication_checks = 0;
     initial_candidates = 0;
     alpha_collapsed = 0;
-    pruned = 0;
-    reinstated = 0;
-    solve_time = 0.0;
-    check_time = 0.0;
-    prune_time = 0.0;
-    reinstate_time = 0.0;
   }
 
 (* Number of instances over all κs of an assignment. *)
 let size (a : candidates) : int =
   KMap.fold (fun _ ps n -> n + List.length ps) a 0
 
-(* -- Reinstatement -------------------------------------------------------------- *)
-
-(* Restore the post-weakening assignment to exactly the solution an
-   unpruned run would compute, by an {e optimistic restart}: reset the
-   assignment to the full unpruned [init] and run a removal loop over
-   only the instances the pruned run does {e not} already vouch for.
-
-   Why this is exact.  The weaken fixpoint computes the greatest
-   solution below its initial assignment, so the pruned result G is
-   pointwise below the full run's final solution S, and every q ∈ G
-   stays valid under any assignment ⊇ G (hypotheses are monotone in the
-   assignment) — G's instances can never fail during the removal loop,
-   so their checks are skipped outright.  The loop starts from the full
-   [init] ⊇ S and only removes instances whose check fails under the
-   current (⊇ final) assignment; any solution below [init] survives such
-   removals intact, so S is below every intermediate state, and the loop
-   stops at a solution — hence at S itself.  This restart handles what a
-   one-at-a-time from-below reinstatement cannot: instances that support
-   themselves (or each other) through recursive constraints, the normal
-   shape of a loop invariant.  Removal filters each κ's list in place,
-   so the result keeps [init] order and printed conjunctions are
-   unchanged.
-
-   The loop itself is {!run_worklist} with the pruned run's survivors
-   marked [settled]: the same dependency-directed scheduling and (with
-   [incremental]) per-instance memoization as the main loop, but every
-   check the pruned run already vouches for is skipped.  The work is
-   thereby bounded by the parked/weakened instances, not by the full
-   candidate population. *)
-let reinstate ?(incremental = true) (stats : stats) (subs : Constr.sub list)
-    ~(base : Constr.solution) ~(init : candidates)
-    (assignment : candidates ref) : unit =
-  (* Instances the pruned weaken loop kept: proven members of the final
-     solution, exempt from re-checking. *)
-  let stable : ISet.t KMap.t =
-    KMap.map
-      (fun ps -> ISet.of_list (List.map (fun (p, _) -> Pred.tag p) ps))
-      !assignment
-  in
-  let n_stable = size !assignment in
-  (* Optimistic restart from the full unpruned assignment. *)
-  assignment := init;
-  let settled k q =
-    match KMap.find_opt k stable with
-    | Some s -> ISet.mem (Pred.tag q) s
-    | None -> false
-  in
-  (if incremental then begin
-     let table : (int, compiled) Hashtbl.t = Hashtbl.create 64 in
-     let compiled_of c =
-       match Hashtbl.find_opt table c.Constr.sub_id with
-       | Some comp -> comp
-       | None ->
-           let comp = compile_sub c in
-           Hashtbl.add table c.Constr.sub_id comp;
-           comp
-     in
-     let version : (int, int) Hashtbl.t = Hashtbl.create 64 in
-     let elim =
-       {
-         pool = ref [];
-         harvests = 0;
-         arms = Hashtbl.create 64;
-         g_conj = 0.0;
-         g_conj_n = 0;
-         g_indiv = 0.0;
-         g_indiv_n = 0;
-       }
-     in
-     run_worklist ~settled ~cex_pool:elim subs stats assignment ~base
-       ~weaken:(weaken_incremental compiled_of version)
-   end
-   else run_worklist ~settled subs stats assignment ~base ~weaken:weaken_naive);
-  stats.reinstated <- stats.reinstated + (size !assignment - n_stable)
-
 (** Solve one unit to fixpoint and check its concrete obligations.
     [init] is the initial (strongest) assignment of the unit's own κs;
     [base] holds the final solutions of every upstream κ the unit's
-    constraints read.  [prune_wf] (per-κ well-formedness facts, see
-    {!Prune.wf_facts}) enables the pre-fixpoint prune analysis and the
-    post-fixpoint reinstatement pass; without it the unit is solved
-    unpruned, the reference the pruned engine must match.  All engine
-    state is local to this call. *)
-let solve_unit ?(incremental = true)
-    ?(prune_wf : Pred.t list KMap.t option) ~(base : Constr.solution)
+    constraints read.  [elim] is the run's model-based elimination
+    state, shared with every other unit of the run; without it the
+    unit is solved pool-free, the reference the tests hold the engine
+    to.  All other engine state is local to this call. *)
+let solve_unit ?(incremental = true) ?elim ~(base : Constr.solution)
     ~(init : candidates) (subs : Constr.sub list) : partial =
   let stats = fresh_stats () in
   let smt0 =
@@ -910,17 +814,7 @@ let solve_unit ?(incremental = true)
       Solver.stats.Solver.unknowns )
   in
   stats.initial_candidates <- size init;
-  let assignment =
-    match prune_wf with
-    | None -> ref init
-    | Some wf_facts ->
-        let tp = Unix.gettimeofday () in
-        let kept = Prune.analyze ~wf_facts subs init in
-        stats.pruned <- stats.initial_candidates - size kept;
-        stats.prune_time <- Unix.gettimeofday () -. tp;
-        ref kept
-  in
-  let t0 = Unix.gettimeofday () in
+  let assignment = ref init in
   (if incremental then begin
      let table : (int, compiled) Hashtbl.t = Hashtbl.create 64 in
      let compiled_of c =
@@ -932,23 +826,16 @@ let solve_unit ?(incremental = true)
            comp
      in
      let version : (int, int) Hashtbl.t = Hashtbl.create 64 in
-     run_worklist subs stats assignment ~base
+     run_worklist ?elim subs stats assignment ~base
        ~weaken:(weaken_incremental compiled_of version)
    end
    else run_worklist subs stats assignment ~base ~weaken:weaken_naive);
-  stats.solve_time <- Unix.gettimeofday () -. t0;
-  if Option.is_some prune_wf then begin
-    let tr = Unix.gettimeofday () in
-    reinstate ~incremental stats subs ~base ~init assignment;
-    stats.reinstate_time <- Unix.gettimeofday () -. tr
-  end;
   let lookup k =
     match KMap.find_opt k !assignment with
     | Some ps -> List.map fst ps
     | None -> Constr.sol_find base k
   in
   (* Final pass: concrete obligations, in original constraint order. *)
-  let t1 = Unix.gettimeofday () in
   let failures =
     List.filter_map
       (fun c ->
@@ -983,7 +870,6 @@ let solve_unit ?(incremental = true)
             end)
       subs
   in
-  stats.check_time <- Unix.gettimeofday () -. t1;
   let q0, h0, s0, u0 = smt0 in
   {
     pr_solution = !assignment;
@@ -1008,12 +894,6 @@ let merge_stats (a : stats) (b : stats) : stats =
     implication_checks = a.implication_checks + b.implication_checks;
     initial_candidates = a.initial_candidates + b.initial_candidates;
     alpha_collapsed = a.alpha_collapsed + b.alpha_collapsed;
-    pruned = a.pruned + b.pruned;
-    reinstated = a.reinstated + b.reinstated;
-    solve_time = a.solve_time +. b.solve_time;
-    check_time = a.check_time +. b.check_time;
-    prune_time = a.prune_time +. b.prune_time;
-    reinstate_time = a.reinstate_time +. b.reinstate_time;
   }
 
 (** Pure union of unit solutions (unit κ sets are disjoint by
@@ -1056,7 +936,7 @@ let solve ?(quals = Qualifier.defaults) ?(consts = []) ?(incremental = true)
   let collapsed = ref 0 in
   let initial = init_assignment ~consts ~collapsed quals wfs in
   let partial =
-    solve_unit ~incremental ~prune_wf:(Prune.wf_facts wfs) ~base:KMap.empty
+    solve_unit ~incremental ~elim:(fresh_elim ()) ~base:KMap.empty
       ~init:initial subs
   in
   partial.pr_stats.alpha_collapsed <- !collapsed;

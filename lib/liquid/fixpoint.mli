@@ -1,6 +1,7 @@
 (** Liquid constraint solving by predicate abstraction: the paper's
-    [Solve]/[Weaken] fixpoint with a dependency-directed worklist,
-    followed by the final check of concrete obligations. *)
+    [Solve]/[Weaken] fixpoint with a dependency-directed worklist and
+    model-based elimination, followed by the final check of concrete
+    obligations. *)
 
 open Liquid_logic
 
@@ -24,14 +25,6 @@ type stats = {
   mutable initial_candidates : int;
   mutable alpha_collapsed : int;
       (* instances collapsed by orientation-level dedup at instantiation *)
-  mutable pruned : int; (* parked by the pre-fixpoint prune *)
-  mutable reinstated : int;
-      (* parked/weakened instances restored by the post-fixpoint
-         reinstatement pass *)
-  mutable solve_time : float; (* seconds in the weakening loop *)
-  mutable check_time : float; (* seconds checking concrete obligations *)
-  mutable prune_time : float; (* seconds in the pre-fixpoint prune pass *)
-  mutable reinstate_time : float; (* seconds in the reinstatement pass *)
 }
 
 type result = {
@@ -47,11 +40,12 @@ type result = {
 
     The engine solves {e units} — subsets of the constraint system whose
     κs are closed under mutual dependency (see {!Constr.partition_plan}).
-    All engine state (worklist, assignment, compiled-constraint cache,
-    counters) is local to one {!solve_unit} call; a multi-unit run merges
-    the resulting {!partial}s with the pure functions below.  A
-    whole-system run is the special case of a single unit with an empty
-    base, which is exactly what {!solve} does. *)
+    The worklist, assignment, compiled-constraint cache and counters
+    are local to one {!solve_unit} call; only the run's {!elim} state
+    crosses units.  A multi-unit run merges the resulting {!partial}s
+    with the pure functions below.  A whole-system run is the special
+    case of a single unit with an empty base, which is exactly what
+    {!solve} does. *)
 
 (** Candidate assignment: per κ, the surviving qualifier instances, each
     tagged with the qualifier-pattern names that produced it. *)
@@ -97,17 +91,27 @@ type partial = {
     on any semantic change to what a partial represents. *)
 val partial_version : string
 
+(** Model-based elimination state of one run: a pool of counterexample
+    models harvested from failing checks (at most 8, most recent
+    first), and a per-constraint bandit, with a run-wide prior, that
+    decides each writer visit either conjunction-first or goal by goal.
+    A pooled model kills a pending instance only when it satisfies that
+    instance's prepared query under the current assignment, so the
+    state changes the work a solve does, never its answer. *)
+type elim
+
+val fresh_elim : unit -> elim
+
 (** Solve one unit to fixpoint and check its concrete obligations.
     [base] holds the final solutions of every upstream κ read but not
     owned by this unit; [init] is the initial assignment of the unit's
-    own κs.  [prune_wf] (per-κ well-formedness facts, {!Prune.wf_facts})
-    enables the pre-fixpoint prune analysis and the post-fixpoint
-    reinstatement pass; the final solution is unchanged, only the work
-    to reach it shrinks.  Without [prune_wf] the unit is solved
-    unpruned: the reference that tests hold the pruned engine to. *)
+    own κs.  [elim] is the run's elimination state: the incremental
+    engine reads and extends it, so every unit of a run can share one.
+    Without [elim] the unit is solved pool-free: the reference that
+    tests hold the engine to.  The naive engine ignores [elim]. *)
 val solve_unit :
   ?incremental:bool ->
-  ?prune_wf:Pred.t list KMap.t ->
+  ?elim:elim ->
   base:Constr.solution ->
   init:candidates ->
   Constr.sub list ->
@@ -136,9 +140,8 @@ val rehash_partial : partial -> partial
     invalidation, re-checking only instances whose recorded κ-dependency
     set weakened; [false] runs the naive reference engine, which
     re-embeds and re-checks everything on each pop.  Both compute the
-    same solution and failures, in the same order.  The solve always
-    runs the pre-fixpoint qualifier-space prune and the post-fixpoint
-    reinstatement (see {!Prune}). *)
+    same solution and failures, in the same order.  This is
+    {!init_assignment} plus one {!solve_unit} with a {!fresh_elim}. *)
 val solve :
   ?quals:Qualifier.t list ->
   ?consts:int list ->

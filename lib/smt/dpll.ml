@@ -125,9 +125,7 @@ let rec find_model (asg : assignment) nvars clauses =
 (** Satisfiability of a CNF whose theory atoms are named by [atoms]:
     [atoms.(v) = Some a] maps propositional variable [v] to theory atom
     [a] ([None]: a Tseitin definition variable).  {!check_sat} wraps this
-    for a one-shot predicate; the incremental assertion context
-    ({!Solver}) calls it directly over its persistent clause set, where
-    atom and Tseitin variables interleave. *)
+    for a one-shot predicate. *)
 let check_sat_cnf ~(nvars : int) ~(atoms : Liquid_logic.Pred.t option array)
     (clauses0 : Prop.clause list) : result =
   let nvars =

@@ -20,15 +20,3 @@ val models_total : int ref
 
 (** Satisfiability of a quantifier-free EUFLIA predicate. *)
 val check_sat : Liquid_logic.Pred.t -> result
-
-(** Satisfiability of a CNF with an explicit variable → theory-atom map
-    ([None]: Tseitin definition variable).  This is {!check_sat} with
-    the encoding step factored out, for callers that keep a persistent
-    clause set (the incremental assertion context in {!Solver}).
-    [nvars] is a lower bound on the variable count (literals present in
-    the clauses raise it). *)
-val check_sat_cnf :
-  nvars:int ->
-  atoms:Liquid_logic.Pred.t option array ->
-  Prop.clause list ->
-  result

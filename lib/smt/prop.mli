@@ -29,29 +29,3 @@ val canon : Pred.t -> Pred.t * bool
 val normalize : Pred.t -> Pred.t
 
 val of_pred : Pred.t -> cnf
-
-(** {1 Incremental encoding}
-
-    The mutable encoder state behind {!of_pred}, exposed so an
-    incremental assertion context ({!Solver}) can keep one builder alive
-    across asserts: the atom table and clause list grow monotonically,
-    which makes push/pop a matter of truncating back to saved marks. *)
-
-type builder = {
-  mutable next : int; (* next fresh propositional variable *)
-  atom_tbl : int Pred.Tbl.t; (* canonical atom -> variable *)
-  mutable atom_list : Pred.t list; (* interned atoms, reversed *)
-  mutable cls : clause list; (* definitional + asserted clauses *)
-}
-
-val new_builder : unit -> builder
-
-(** Tseitin-encode [p] into the builder, returning a literal equivalent
-    to it (definitional clauses are appended to the builder).  Unlike
-    {!of_pred}, atoms are interned on first sight, so atom and Tseitin
-    variables interleave — project models through the builder's
-    [atom_tbl], not a [0..natoms-1] prefix. *)
-val encode : builder -> Pred.t -> lit
-
-(** Intern every (canonical) atom of [p] without encoding it. *)
-val intern_atoms : builder -> Pred.t -> unit

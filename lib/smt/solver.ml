@@ -313,107 +313,3 @@ let check_query (p : prepared) : result =
 
 (** Satisfiability of a conjunction (used by tests). *)
 let is_sat (p : Pred.t) : bool = Dpll.check_sat p <> Dpll.Unsat
-
-(* ------------------------------------------------------------------ *)
-(* Incremental assertion context                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* A context keeps one Tseitin builder alive across asserts: the atom
-   table (term bank), clause list and variable counter grow
-   monotonically, so [push] records marks and [pop] truncates back to
-   them.  Checks run the same DPLL+theory search as one-shot queries,
-   over the accumulated clauses — a fact is encoded once, however many
-   subsequent checks it participates in.  This is what makes per-κ
-   pruning affordable: the κ's well-formedness facts are asserted once,
-   then each candidate instance costs one small encode + one check. *)
-
-type mark = {
-  m_next : int;
-  m_natoms : int; (* length of [atom_list] at push time *)
-  m_atom_list : Pred.t list;
-  m_cls : Prop.clause list;
-  m_roots : Prop.lit list;
-  m_asserted : Pred.t list;
-}
-
-type context = {
-  ctx_bld : Prop.builder;
-  mutable ctx_roots : Prop.lit list; (* literals asserted true *)
-  mutable ctx_asserted : Pred.t list; (* reversed assertion order *)
-  mutable ctx_frames : mark list;
-}
-
-let create_context () : context =
-  {
-    ctx_bld = Prop.new_builder ();
-    ctx_roots = [];
-    ctx_asserted = [];
-    ctx_frames = [];
-  }
-
-let ctx_push (c : context) : unit =
-  c.ctx_frames <-
-    {
-      m_next = c.ctx_bld.Prop.next;
-      m_natoms = List.length c.ctx_bld.Prop.atom_list;
-      m_atom_list = c.ctx_bld.Prop.atom_list;
-      m_cls = c.ctx_bld.Prop.cls;
-      m_roots = c.ctx_roots;
-      m_asserted = c.ctx_asserted;
-    }
-    :: c.ctx_frames
-
-let ctx_pop (c : context) : unit =
-  match c.ctx_frames with
-  | [] -> invalid_arg "Solver.ctx_pop: no frame to pop"
-  | m :: rest ->
-      (* Un-intern the atoms added since the mark, so a later re-assert
-         re-allocates them below the restored variable counter. *)
-      let added = List.length c.ctx_bld.Prop.atom_list - m.m_natoms in
-      List.iteri
-        (fun i a -> if i < added then Pred.Tbl.remove c.ctx_bld.Prop.atom_tbl a)
-        c.ctx_bld.Prop.atom_list;
-      c.ctx_bld.Prop.next <- m.m_next;
-      c.ctx_bld.Prop.atom_list <- m.m_atom_list;
-      c.ctx_bld.Prop.cls <- m.m_cls;
-      c.ctx_roots <- m.m_roots;
-      c.ctx_asserted <- m.m_asserted;
-      c.ctx_frames <- rest
-
-let ctx_assert (c : context) (p : Pred.t) : unit =
-  let l = Prop.encode c.ctx_bld p in
-  c.ctx_roots <- l :: c.ctx_roots;
-  c.ctx_asserted <- p :: c.ctx_asserted
-
-let ctx_assertions (c : context) : Pred.t list = List.rev c.ctx_asserted
-
-(* Satisfiability of the current assertion set. *)
-let ctx_run (c : context) : Dpll.result =
-  stats.sat_checks <- stats.sat_checks + 1;
-  let t0 = Unix.gettimeofday () in
-  let proj = Array.make (max 1 c.ctx_bld.Prop.next) None in
-  List.iter
-    (fun a -> proj.(Pred.Tbl.find c.ctx_bld.Prop.atom_tbl a) <- Some a)
-    c.ctx_bld.Prop.atom_list;
-  let clauses =
-    List.rev_append
-      (List.rev_map (fun l -> [ l ]) c.ctx_roots)
-      c.ctx_bld.Prop.cls
-  in
-  let r = Dpll.check_sat_cnf ~nvars:1 ~atoms:proj clauses in
-  if r = Dpll.Unknown then stats.unknowns <- stats.unknowns + 1;
-  stats.time <- stats.time +. (Unix.gettimeofday () -. t0);
-  r
-
-let ctx_entails (c : context) (goal : Pred.t) : result =
-  stats.queries <- stats.queries + 1;
-  ctx_push c;
-  ctx_assert c (Pred.not_ goal);
-  let r = ctx_run c in
-  ctx_pop c;
-  match r with
-  | Dpll.Unsat -> Valid
-  | Dpll.Sat -> Invalid
-  | Dpll.Unknown -> Unknown
-
-let with_context (f : context -> 'a) : 'a = f (create_context ())

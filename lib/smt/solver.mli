@@ -91,39 +91,3 @@ val check_query : prepared -> result
 
 (** Satisfiability of a formula ([Unknown] counts as satisfiable). *)
 val is_sat : Pred.t -> bool
-
-(** {1 Incremental assertion context}
-
-    A persistent solver context: facts are Tseitin-encoded once into a
-    shared builder (atom table, clause list) and participate in every
-    subsequent check; [push]/[pop] bracket speculative assertions by
-    truncating the builder back to saved marks.  The qualifier-pruning
-    pass asserts a κ's well-formedness facts once and then
-    subsumption-checks each candidate against them incrementally. *)
-
-type context
-
-val create_context : unit -> context
-
-(** Run [f] with a fresh context (convenience; the context carries no
-    resources needing cleanup). *)
-val with_context : (context -> 'a) -> 'a
-
-(** Save a backtracking mark. *)
-val ctx_push : context -> unit
-
-(** Discard everything asserted since the matching {!ctx_push}.
-    @raise Invalid_argument if no frame is open. *)
-val ctx_pop : context -> unit
-
-(** Assert a fact: encoded into the persistent builder, it constrains
-    every subsequent check until popped. *)
-val ctx_assert : context -> Pred.t -> unit
-
-(** The currently-asserted facts, oldest first (for tests). *)
-val ctx_assertions : context -> Pred.t list
-
-(** Whether the asserted facts entail [goal]: checks
-    [facts /\ not goal] inside a private frame, leaving the context as
-    it was.  Counts as a query in {!stats}. *)
-val ctx_entails : context -> Pred.t -> result

@@ -23,6 +23,10 @@ and tv =
 
 let var_counter = ref 0
 
+(* Safe between runs: {!Builtins} schemes hold only [Rigid] variables,
+   so no [Unbound] id outlives the run that made it. *)
+let reset_vars () = var_counter := 0
+
 let fresh_var level =
   incr var_counter;
   Tvar (ref (Unbound (!var_counter, level)))

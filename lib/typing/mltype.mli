@@ -19,6 +19,10 @@ and tv =
 
 val fresh_var : int -> t
 
+(** Restart unification-variable ids, so a run numbers its type
+    variables the same whatever the process ran before. *)
+val reset_vars : unit -> unit
+
 (** Path-compressing representative. *)
 val repr : t -> t
 

@@ -1,7 +1,7 @@
 (* Tests for user-declared algebraic datatypes and measures: declaration
    validation (structured diagnostics with spans), measure-indexed
    refinement inference, measure hypotheses in explanation cores,
-   determinism across engines (pruned and unpruned, jobs 1/4, cache,
+   determinism across engines (pooled and pool-free, jobs 1/4, cache,
    daemon), and the cache-soundness of the declaration digest. *)
 
 open Liquid_lang
@@ -379,24 +379,24 @@ let test_unrelated_edit_reuses_partitions () =
         (report_fingerprint v3))
 
 (* ------------------------------------------------------------------ *)
-(* Pruned solve = unpruned reference                                   *)
+(* Pooled solve = pool-free reference                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* The datatype programs the prune is held to its reference on: safe,
-   unsafe, and unsafe through an edited measure definition. *)
-let prune_programs =
+(* The datatype programs the pooled solves are held to the reference
+   on: safe, unsafe, and unsafe through an edited measure definition. *)
+let elim_programs =
   [
     ("tree", src_tree_safe);
     ("tree-unsafe", src_tree_unsafe);
     ("measure-unsafe", src_measure_v2);
   ]
 
-let test_prune_identity () =
+let test_elim_identity () =
   List.iter
     (fun (name, src) ->
       ignore
-        (Prune_reference.check_reference (Prune_reference.system name src)))
-    prune_programs
+        (Elim_reference.check_reference (Elim_reference.system name src)))
+    elim_programs
 
 (* ------------------------------------------------------------------ *)
 (* Daemon round-trip                                                   *)
@@ -500,7 +500,8 @@ let tests =
       test_measureless_programs_unchanged;
     Alcotest.test_case "explain cites measure axiom" `Quick
       test_unsafe_explain_cites_measure;
-    Alcotest.test_case "prune on/off identity" `Quick test_prune_identity;
+    Alcotest.test_case "pooled solve equals the pool-free reference" `Quick
+      test_elim_identity;
     Alcotest.test_case "jobs 1/4 identity" `Quick test_jobs_identity;
     Alcotest.test_case "declcheck: unknown constructor" `Quick
       test_declcheck_unknown_ctor;

@@ -397,6 +397,73 @@ let test_jobs_share_entries () =
         (Test_partition.report_json cold)
         (Test_partition.report_json warm))
 
+(* Partition keys do not depend on what the process verified before.
+   Unresolved type variables reach the unit signatures, so their ids
+   must restart per run: a process that verified another program, then
+   the base, then an edit must reuse exactly the units a fresh process
+   reuses for the same edit.  The appended function brings κs of its
+   own and leaves every unit of the base unchanged. *)
+let appended_fn = "\nlet edit_clamp z = if z > 0 then z else 0\n"
+
+(* Run [f] in a forked child and return its result: the child starts
+   from this process's state, and whatever it changes dies with it. *)
+let in_child (f : unit -> int) : int =
+  flush stdout;
+  flush stderr;
+  let rd, wr = Unix.pipe () in
+  match Unix.fork () with
+  | 0 ->
+      Unix.close rd;
+      let n = try f () with _ -> -1 in
+      let oc = Unix.out_channel_of_descr wr in
+      output_string oc (string_of_int n);
+      close_out oc;
+      Unix._exit 0
+  | pid ->
+      Unix.close wr;
+      let ic = Unix.in_channel_of_descr rd in
+      let n = int_of_string (input_line ic) in
+      close_in ic;
+      ignore (Unix.waitpid [] pid);
+      n
+
+let test_punit_warm_process () =
+  let module Programs = Liquid_suite.Programs in
+  ignore (Liquid_suite.Runner.verify ~jobs:1 Programs.isort);
+  List.iter
+    (fun (b : Programs.benchmark) ->
+      let edit = b.Programs.source ^ appended_fn in
+      let verify dir src =
+        let options =
+          {
+            Pipeline.default with
+            Pipeline.quals = Liquid_suite.Runner.qualifiers_of b;
+            mine = false;
+            cache_dir = Some dir;
+          }
+        in
+        Pipeline.verify_string ~options ~name:b.Programs.name src
+      in
+      let hits (r : Pipeline.report) = r.Pipeline.stats.Pipeline.n_punit_hits in
+      let fresh =
+        with_dir (fun dir ->
+            ignore (in_child (fun () -> hits (verify dir b.Programs.source)));
+            in_child (fun () -> hits (verify dir edit)))
+      in
+      let warm =
+        with_dir (fun dir ->
+            ignore (verify dir b.Programs.source);
+            hits (verify dir edit))
+      in
+      check_bool
+        (Fmt.str "%s: a fresh process reuses units" b.Programs.name)
+        true (fresh > 0);
+      check_int
+        (Fmt.str "%s: a warm process reuses what a fresh one does"
+           b.Programs.name)
+        fresh warm)
+    [ Programs.bcopy; Programs.gauss ]
+
 (* Stale tmp files (left by a crashed writer) are swept when a store
    handle is created; a live writer's tmp file is left alone. *)
 let test_tmp_sweep () =
@@ -490,6 +557,8 @@ let tests =
     tc "punit: edit re-solves only its cone (jobs=4)"
       (test_punit_cone_reuse 4);
     tc "pipeline: a jobs=4 report is a jobs=1 hit" test_jobs_share_entries;
+    tc "punit: a warm process reuses what a fresh one does"
+      test_punit_warm_process;
     tc "store sweeps stale tmp files" test_tmp_sweep;
     tc "pipeline: no cache dir means no probes" test_no_cache_dir_no_probes;
     tc "reset_run_state clears answer state" test_reset_run_state;

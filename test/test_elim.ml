@@ -1,16 +1,16 @@
-(* Tests for the pre-fixpoint qualifier-space prune: equality of the
-   pruned solve with the unpruned reference (see [Prune_reference]) on
-   every T1 and E1 program, soundness of every parking decision,
-   twin-free instantiation (why sibling subsumption is the only rule the
-   prune needs), the SMT counter invariant, the instantiation-time
-   orientation collapse, and pruned reports sharded, through the
-   persistent cache and through the daemon. *)
+(* Tests for model-based elimination and for the candidate set it starts
+   from, in two groups.  [elim]: equality of the pooled solves with the
+   pool-free reference (see [Elim_reference]) on every T1 and E1 program,
+   and pooled reports sharded, through the persistent cache and through
+   the daemon.  [prune]: what instantiation prunes from the candidate set
+   (twin-free instantiation, the orientation collapse) and the SMT
+   counter invariant of a verification run. *)
 
 open Liquid_smt
 open Liquid_logic
 open Liquid_infer
 open Liquid_suite
-open Prune_reference
+open Elim_reference
 module Pipeline = Liquid_driver.Pipeline
 module KMap = Constr.KMap
 
@@ -18,15 +18,14 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 (* A safe program with a self-recursive loop invariant: the invariant
-   instances support themselves through the recursive constraint, the
-   hard case for exact reinstatement. *)
+   instances support themselves through the recursive constraint. *)
 let loop_src =
   "let a = Array.make 8 0\n\
    let rec go i = if i < Array.length a then begin a.(i) <- i; go (i + 1) \
    end else ()\n\
    let _ = go 0"
 
-(* An unsafe program, so failures cross the prune path. *)
+(* An unsafe program, so failures cross the pooled path. *)
 let overrun_src = "let a = Array.make 8 0\nlet _ = a.(8)"
 
 let verify ?(explain = false) ?quals ?cache_dir src =
@@ -56,7 +55,7 @@ let fingerprint (r : Pipeline.report) =
 
 (* T1 and E1, with the qualifiers and mining their suites verify them
    with.  Each is a thunk: build a system only right before solving it
-   (see [Prune_reference.system]). *)
+   (see [Elim_reference.system]). *)
 let suite_systems =
   let bench ~mine (b : Programs.benchmark) () =
     system ~mine ~quals:(Runner.qualifiers_of b) b.Programs.name
@@ -70,62 +69,36 @@ let all_systems =
   suite_systems
   @ List.map
       (fun (name, src) () -> system name src)
-      (Test_adt.prune_programs @ [ ("overrun", overrun_src) ])
+      (Test_adt.elim_programs @ [ ("overrun", overrun_src) ])
 
 let each_system builds f = List.iter (fun build -> f (build ())) builds
 
 (* ------------------------------------------------------------------ *)
-(* The prune engages and the report does not move                      *)
+(* The pool engages and the report does not move                       *)
 (* ------------------------------------------------------------------ *)
 
-(* On a safe and an unsafe program the pruned solve parks instances yet
-   reaches the unpruned reference's solution and failures; the pipeline
-   reports the prune's work and still explains the failure. *)
-let test_prune_active () =
+(* On a safe and an unsafe program the pooled solve makes fewer
+   implication checks than the pool-free reference yet reaches its
+   solution and failures; the pipeline still explains the failure. *)
+let test_pool_active () =
   let loop = system "loop.ml" loop_src in
-  let st = check_reference loop in
-  check_bool "prune parked instances" true (st.Fixpoint.pruned > 0);
-  check_int "initial candidates counted pre-prune"
+  let c = check_reference loop in
+  check_bool
+    (Fmt.str "pooled solve checks less (%d < %d)"
+       c.whole.Fixpoint.implication_checks
+       c.reference.Fixpoint.implication_checks)
+    true
+    (c.whole.Fixpoint.implication_checks
+    < c.reference.Fixpoint.implication_checks);
+  check_int "initial candidates counted"
     (KMap.fold (fun _ insts n -> n + List.length insts) (initial loop) 0)
-    st.Fixpoint.initial_candidates;
+    c.whole.Fixpoint.initial_candidates;
   ignore (check_reference (system "overrun.ml" overrun_src));
   let r = verify loop_src in
   check_bool "program is safe" true r.Pipeline.safe;
-  check_bool "pipeline reports parked instances" true
-    (r.Pipeline.stats.Pipeline.n_quals_pruned > 0);
   let e = verify ~explain:true overrun_src in
   check_bool "unsafe program stays unsafe" false e.Pipeline.safe;
   check_bool "explanations produced" true (e.Pipeline.explanations <> [])
-
-(* ------------------------------------------------------------------ *)
-(* Soundness of every parking decision                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* A parked instance must be implied, under its κ's WF facts, by the
-   conjunction of the survivors (greedy deletion preserves the
-   conjunctive meaning, so the final kept set suffices). *)
-let test_phase_soundness () =
-  let s = system "loop.ml" loop_src in
-  let init = Fixpoint.init_assignment ~consts:s.consts s.quals s.wfs in
-  let wf_facts = Prune.wf_facts s.wfs in
-  let kept = Prune.analyze ~wf_facts s.subs init in
-  let parked = ref 0 in
-  KMap.iter
-    (fun k insts ->
-      let facts = Option.value ~default:[] (KMap.find_opt k wf_facts) in
-      let survivors =
-        List.map fst (Option.value ~default:[] (KMap.find_opt k kept))
-      in
-      List.iter
-        (fun (p, _) ->
-          if not (List.exists (Pred.equal p) survivors) then begin
-            incr parked;
-            check_bool "parked instance implied by survivors" true
-              (Solver.check_valid (facts @ survivors) p = Solver.Valid)
-          end)
-        insts)
-    init;
-  check_bool "subsumption engaged" true (!parked > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Twin-free instantiation                                             *)
@@ -133,7 +106,7 @@ let test_phase_soundness () =
 
 (* No κ starts with two instances of equal normal form, even under a
    qualifier set that mirrors a default: instantiation collapses
-   orientation twins, so the prune never needs a dedup rule. *)
+   orientation twins, so the weakening loop never checks both. *)
 let test_twin_free () =
   let mirror = Qualifier.parse_string "qualif LeFlip(v) : _ >= v" in
   each_system all_systems (fun s ->
@@ -152,17 +125,28 @@ let test_twin_free () =
         [ s.quals; s.quals @ mirror ])
 
 (* ------------------------------------------------------------------ *)
-(* The suites: pruned = reference, sequential and sharded              *)
+(* The suites: pooled = reference, sequential and sharded              *)
 (* ------------------------------------------------------------------ *)
 
-(* Every T1 and E1 program's pruned solve equals the unpruned reference
-   and the prune engages somewhere; T1 reports are byte-identical
-   whether solved whole or sharded over four workers. *)
+(* Every T1 and E1 program's pooled solves equal the pool-free
+   reference, and together make fewer implication checks; T1 reports
+   are byte-identical whether solved in process or sharded over four
+   workers. *)
 let test_suite_identity () =
-  let parked = ref 0 in
+  let whole = ref 0 and per_unit = ref 0 and reference = ref 0 in
   each_system suite_systems (fun s ->
-      parked := !parked + (check_reference s).Fixpoint.pruned);
-  check_bool "suite parks instances" true (!parked > 0);
+      let c = check_reference s in
+      whole := !whole + c.whole.Fixpoint.implication_checks;
+      per_unit := !per_unit + c.per_unit.Fixpoint.implication_checks;
+      reference := !reference + c.reference.Fixpoint.implication_checks);
+  check_bool
+    (Fmt.str "one-unit pooled solves check less (%d < %d)" !whole !reference)
+    true (!whole < !reference);
+  check_bool
+    (Fmt.str "per-unit pooled solves check less (%d < %d)" !per_unit
+       !reference)
+    true
+    (!per_unit < !reference);
   List.iter
     (fun (b : Programs.benchmark) ->
       let seq = Runner.verify ~jobs:1 b in
@@ -226,6 +210,8 @@ let test_cache_replay () =
   Test_server.with_dir (fun base ->
       let expected = fingerprint (verify loop_src) in
       let cold = verify ~cache_dir:base loop_src in
+      check_bool "cold run checks implications" true
+        (cold.Pipeline.stats.Pipeline.n_implication_checks > 0);
       check_int "cold run misses" 0 cold.Pipeline.stats.Pipeline.n_pcache_hits;
       check_bool "cold cached report matches direct" true
         (fingerprint cold = expected);
@@ -234,15 +220,17 @@ let test_cache_replay () =
         warm.Pipeline.stats.Pipeline.n_pcache_hits;
       check_bool "replayed report matches direct" true
         (fingerprint warm = expected);
-      check_bool "replayed stats keep the prune counters" true
-        (warm.Pipeline.stats.Pipeline.n_quals_pruned > 0))
+      check_int "replayed stats keep the cold run's checks"
+        cold.Pipeline.stats.Pipeline.n_implication_checks
+        warm.Pipeline.stats.Pipeline.n_implication_checks)
 
 (* ------------------------------------------------------------------ *)
 (* Daemon round-trip                                                   *)
 (* ------------------------------------------------------------------ *)
 
 let test_daemon_round_trip () =
-  let expected = fingerprint (verify loop_src) in
+  let direct = verify loop_src in
+  let expected = fingerprint direct in
   Test_server.with_server (fun sock ->
       Test_server.with_client sock (fun c ->
           let replies =
@@ -252,19 +240,24 @@ let test_daemon_round_trip () =
           let served = Test_server.expect_verified (List.hd replies) in
           check_bool "daemon-served report matches direct" true
             (fingerprint served = expected);
-          check_bool "prune counters survive the socket" true
-            (served.Pipeline.stats.Pipeline.n_quals_pruned > 0)))
+          check_int "counters survive the socket"
+            direct.Pipeline.stats.Pipeline.n_implication_checks
+            served.Pipeline.stats.Pipeline.n_implication_checks))
+
+let tc name f = Alcotest.test_case name `Quick f
+let slow name f = Alcotest.test_case name `Slow f
 
 let tests =
-  let tc name f = Alcotest.test_case name `Quick f in
-  let slow name f = Alcotest.test_case name `Slow f in
   [
-    tc "prune engages, report unchanged" test_prune_active;
-    tc "every parking decision is sound" test_phase_soundness;
+    tc "pool engages, report unchanged" test_pool_active;
+    slow "suite equals the pool-free reference, jobs 1/4" test_suite_identity;
+    tc "persistent cache replays report" test_cache_replay;
+    tc "daemon round-trips a report" test_daemon_round_trip;
+  ]
+
+let prune_tests =
+  [
     tc "no orientation twins at instantiation" test_twin_free;
     tc "orientation mirrors collapse at instantiation" test_alpha_collapse;
-    slow "suite byte-identical prune on/off, jobs 1/4" test_suite_identity;
     slow "sat checks + cache hits <= queries" test_counter_invariant;
-    tc "persistent cache replays pruned report" test_cache_replay;
-    tc "daemon round-trips a pruned report" test_daemon_round_trip;
   ]

@@ -23,6 +23,7 @@ let () =
       ("cache", Test_cache.tests);
       ("server", Test_server.tests);
       ("explain", Test_explain.tests);
-      ("prune", Test_prune.tests);
+      ("elim", Test_elim.tests);
+      ("prune", Test_elim.prune_tests);
       ("gradual", Test_gradual.tests);
     ]

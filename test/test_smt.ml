@@ -282,91 +282,6 @@ let test_prepared_queries () =
   check_bool "warm probe restores cex" true (!Solver.last_cex <> [])
 
 (* ------------------------------------------------------------------ *)
-(* Incremental assertion contexts                                      *)
-(* ------------------------------------------------------------------ *)
-
-let test_ctx_push_pop () =
-  Solver.with_context (fun c ->
-      Solver.ctx_assert c (Pred.le x y);
-      check_bool "base consistent" true
-        (Solver.ctx_entails c Pred.ff = Solver.Invalid);
-      Solver.ctx_push c;
-      Solver.ctx_assert c (Pred.le y z);
-      check_bool "x<=y, y<=z |= x<=z" true
-        (Solver.ctx_entails c (Pred.le x z) = Solver.Valid);
-      Solver.ctx_push c;
-      Solver.ctx_assert c (Pred.le z x);
-      check_bool "cycle forces x=z" true
-        (Solver.ctx_entails c (Pred.eq x z) = Solver.Valid);
-      Solver.ctx_pop c;
-      check_bool "after pop, x=z no longer entailed" true
-        (Solver.ctx_entails c (Pred.eq x z) = Solver.Invalid);
-      Solver.ctx_pop c;
-      check_bool "after both pops, x<=z no longer entailed" true
-        (Solver.ctx_entails c (Pred.le x z) = Solver.Invalid);
-      check_bool "outer assertion survives" true
-        (Solver.ctx_entails c (Pred.le x (Term.add y (i 1))) = Solver.Valid))
-
-let test_ctx_pop_empty_raises () =
-  Solver.with_context (fun c ->
-      check_bool "pop without push raises" true
-        (try
-           Solver.ctx_pop c;
-           false
-         with Invalid_argument _ -> true);
-      (* pops are balanced, not sticky: a push after the failure works *)
-      Solver.ctx_push c;
-      Solver.ctx_assert c (Pred.lt x y);
-      Solver.ctx_pop c;
-      check_bool "context still usable" true
-        (Solver.ctx_entails c Pred.ff = Solver.Invalid))
-
-let test_ctx_assert_after_pop () =
-  Solver.with_context (fun c ->
-      Solver.ctx_push c;
-      Solver.ctx_assert c (Pred.le x (i 0));
-      Solver.ctx_pop c;
-      (* the popped x<=0 must be gone: x>=1 alone is consistent *)
-      Solver.ctx_assert c (Pred.ge x (i 1));
-      check_bool "popped assertion really retracted" true
-        (Solver.ctx_entails c Pred.ff = Solver.Invalid);
-      check_bool "assertions list reflects the live frame" true
-        (Solver.ctx_assertions c = [ Pred.ge x (i 1) ]);
-      (* and contradiction is still detected when actually asserted *)
-      Solver.ctx_push c;
-      Solver.ctx_assert c (Pred.le x (i 0));
-      check_bool "contradiction detected" true
-        (Solver.ctx_entails c Pred.ff = Solver.Valid);
-      Solver.ctx_pop c;
-      check_bool "consistent again after pop" true
-        (Solver.ctx_entails c Pred.ff = Solver.Invalid))
-
-(* A reused context must decide entailment exactly like a fresh
-   [check_valid] over the same hypotheses. *)
-let test_ctx_agrees_with_check_valid () =
-  let cases =
-    [
-      ([ Pred.le x y; Pred.le y z ], Pred.le x z);
-      ([ Pred.le x y; Pred.le y z ], Pred.lt x z);
-      ([ Pred.lt x y ], Pred.le x (Term.sub y (i 1)));
-      ([ Pred.le (i 0) x; Pred.lt x y ], Pred.le (i 0) (Term.add x (i 1)));
-      ([ Pred.eq (tlen a_obj) (i 5) ], Pred.lt (i 4) (tlen a_obj));
-      ([], Pred.eq x x);
-      ([], Pred.lt x x);
-    ]
-  in
-  Solver.with_context (fun c ->
-      List.iter
-        (fun (hyps, goal) ->
-          let direct = Solver.check_valid hyps goal in
-          Solver.ctx_push c;
-          List.iter (Solver.ctx_assert c) hyps;
-          let via_ctx = Solver.ctx_entails c goal in
-          Solver.ctx_pop c;
-          check_bool "context agrees with check_valid" true (direct = via_ctx))
-        cases)
-
-(* ------------------------------------------------------------------ *)
 (* Property tests: cross-check the solver against brute-force          *)
 (* evaluation of random formulas over a small integer domain.          *)
 (* ------------------------------------------------------------------ *)
@@ -481,10 +396,6 @@ let tests =
     tc "solver: cache and stats" test_cache_and_stats;
     tc "solver: cached Invalid restores counterexample" test_cached_invalid_cex;
     tc "solver: prepared queries" test_prepared_queries;
-    tc "context: nested push/pop" test_ctx_push_pop;
-    tc "context: pop on empty raises" test_ctx_pop_empty_raises;
-    tc "context: assert after pop" test_ctx_assert_after_pop;
-    tc "context: agrees with check_valid" test_ctx_agrees_with_check_valid;
   ]
   @ qcheck_tests
 
