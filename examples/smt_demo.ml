@@ -23,7 +23,7 @@ let show hyps goal =
   let verdict =
     match Solver.check_valid hyps goal with
     | Solver.Valid -> "valid"
-    | Solver.Invalid -> "invalid"
+    | Solver.Invalid _ -> "invalid"
     | Solver.Unknown -> "unknown"
   in
   Fmt.pr "  %a@.    |- %a   [%s]@.@."

@@ -91,9 +91,9 @@ let max_candidates_per_kvar = 64
 
 (* 256 exhausts before reaching the right instance on programs with a
    second concern in scope (more constants and scope variables inflate
-   the candidate pool); the probes are incremental-context checks, so
-   the larger budget costs tens of milliseconds, not a second fixpoint
-   run. *)
+   the candidate pool); each probe is one query over an antecedent
+   compiled once per explanation run, so the larger budget costs tens
+   of milliseconds, not a second fixpoint run. *)
 let max_repair_tests = 512
 
 (* Blame walks are capped in depth and breadth: past a few levels the
@@ -112,6 +112,7 @@ type ctx = {
   pool : Qualifier.t list; (* user patterns, then defaults as near-misses *)
   consts : int list;
   cand_cache : (Rtype.kvar, Pred.t list) Hashtbl.t;
+  antecedents : (int, Fixpoint.antecedent) Hashtbl.t; (* by sub_id *)
 }
 
 let make_ctx ~wfs ~subs ~solution ~quals ~consts : ctx =
@@ -147,24 +148,37 @@ let make_ctx ~wfs ~subs ~solution ~quals ~consts : ctx =
     pool = quals @ Qualifier.defaults @ Qualifier.list_defaults;
     consts;
     cand_cache = Hashtbl.create 16;
+    antecedents = Hashtbl.create 64;
   }
 
 let writers_of ctx k = try Hashtbl.find ctx.writers k with Not_found -> []
 
+(* The repair search expands a constraint's antecedent under one
+   augmented lookup per probe, so it is compiled once per explanation
+   run, memoized as the weakening loop compiles it. *)
+let antecedent_of ctx (c : Constr.sub) : Fixpoint.antecedent =
+  match Hashtbl.find_opt ctx.antecedents c.Constr.sub_id with
+  | Some a -> a
+  | None ->
+      let a = Fixpoint.compile_antecedent ~inst:Constr.memoized_inst c in
+      Hashtbl.add ctx.antecedents c.Constr.sub_id a;
+      a
+
 (* -- Traced antecedent ------------------------------------------------ *)
 
-(* The failing constraint's antecedent with per-fact provenance.  The
-   prunable facts mirror {!Fixpoint.hypotheses} exactly (same facts,
-   same order); the kept facts (lhs preds, then guards) likewise. *)
+(* The failing constraint's antecedent with per-fact provenance: the
+   facts and kept facts (lhs preds, then guards) of
+   {!Fixpoint.hypotheses}, expanded from the same slots. *)
 let traced_antecedent ctx (c : Constr.sub) :
     (Pred.t * Constr.fact_origin) list * (Pred.t * Constr.fact_origin) list =
   let facts, guards = Constr.embed_env_trace ctx.lookup c.Constr.sub_env in
   let lhs =
     List.map
       (fun (p, k) -> (p, { Constr.fo_binder = None; fo_kvar = k }))
-      (Constr.preds_of_refinement_traced ctx.lookup
-         (Fixpoint.vv_value c.Constr.vv_sort)
-         c.Constr.lhs)
+      (Constr.expand ctx.lookup
+         (Constr.compile_refinement
+            (Fixpoint.vv_value c.Constr.vv_sort)
+            c.Constr.lhs))
   in
   let guards =
     List.map
@@ -208,23 +222,22 @@ let core_hyp_of (p, (o : Constr.fact_origin)) =
 let core_of ctx (c : Constr.sub) (goal : Pred.t) :
     bool * core_hyp list =
   let facts, kept = traced_antecedent ctx c in
-  let drop_tt = List.filter (fun (p, _) -> not (Pred.is_true p)) in
-  let facts = drop_tt facts and kept = drop_tt kept in
+  let kept = List.filter (fun (p, _) -> not (Pred.is_true p)) kept in
   let fact_preds = List.map fst facts and kept_preds = List.map fst kept in
   let not_goal = Pred.not_ goal in
-  let refute_verdict, refute_idx =
-    Solver.check_valid_idx ~kept:kept_preds fact_preds not_goal
+  let fact_arr = Array.of_list facts in
+  let retained (p : Solver.prepared) =
+    List.map (fun i -> fact_arr.(i)) p.Solver.pruned_idx @ kept
   in
-  if refute_verdict = Solver.Valid then begin
-    let fact_arr = Array.of_list facts in
-    let seed = List.map (fun i -> fact_arr.(i)) refute_idx @ kept in
-    (true, List.map core_hyp_of (minimize seed not_goal))
-  end
+  let refute = Solver.prepare ~kept:kept_preds fact_preds not_goal in
+  if Solver.check_query refute = Solver.Valid then
+    (true, List.map core_hyp_of (minimize (retained refute) not_goal))
   else begin
-    let _, idx = Solver.check_valid_idx ~kept:kept_preds fact_preds goal in
-    let fact_arr = Array.of_list facts in
-    let retained = List.map (fun i -> fact_arr.(i)) idx @ kept in
-    (false, List.map core_hyp_of retained)
+    let unproven = Solver.prepare ~kept:kept_preds fact_preds goal in
+    (* Only the pruning is read, but the query is still decided:
+       [explain_smt_queries] counts it. *)
+    ignore (Solver.check_query unproven);
+    (false, List.map core_hyp_of (retained unproven))
   end
 
 (* -- Blame path -------------------------------------------------------- *)
@@ -383,7 +396,9 @@ let inductive_subset ctx budget (ks0 : ISet.t) (q : Pred.t) : ISet.t option =
         | Constr.Rkvar (_, theta) ->
             if !budget <= 0 then raise Out_of_budget;
             decr budget;
-            let hyps, kept = Fixpoint.hypotheses lookup' w in
+            let hyps, kept =
+              Fixpoint.expand_antecedent lookup' (antecedent_of ctx w)
+            in
             Solver.check_valid ~kept hyps (Pred.subst theta q) = Solver.Valid
         | Constr.Rconc _ -> true)
       (writers_of ctx k)
@@ -402,7 +417,9 @@ let discharges ctx budget (c : Constr.sub) (goal : Pred.t) (ks : ISet.t)
   !budget > 0
   && begin
        decr budget;
-       let hyps, kept = Fixpoint.hypotheses (augmented ctx ks q) c in
+       let hyps, kept =
+         Fixpoint.expand_antecedent (augmented ctx ks q) (antecedent_of ctx c)
+       in
        Solver.check_valid ~kept hyps goal = Solver.Valid
      end
 

@@ -160,45 +160,68 @@ type solution = Pred.t list KMap.t
 let sol_find (sol : solution) k =
   match KMap.find_opt k sol with Some ps -> ps | None -> []
 
-(** Predicates denoted by a refinement, with [ν] replaced by [value]. *)
-let preds_of_refinement (lookup : Rtype.kvar -> Pred.t list)
-    (value : Pred.value) (r : Rtype.refinement) : Pred.t list =
-  let inst p = Pred.subst1 Ident.vv value p in
-  inst r.Rtype.preds
-  :: List.concat_map
-       (fun (k, theta) ->
-         List.map (fun q -> inst (Pred.subst theta q)) (lookup k))
-       r.Rtype.kvars
+(** A compiled antecedent slot: either a κ-independent fact, or a κ
+    occurrence that instantiates the κ's {e current} solution preds on
+    demand.  Compiling a binding's type into slots is the one structural
+    traversal of the embedding; expanding the slots under a solution
+    ({!expand}) yields its facts. *)
+type slot =
+  | Sstatic of Pred.t
+  | Ssite of Rtype.kvar * (Pred.t -> Pred.t) (* instantiation *)
+
+(** How a κ occurrence [ν := value] ∘ θ is applied to a solution pred. *)
+type inst = Pred.value -> Pred.subst -> Pred.t -> Pred.t
+
+let direct_inst : inst =
+ fun value theta q -> Pred.subst1 Ident.vv value (Pred.subst theta q)
+
+(* Re-expansion after weakening only pays for solution preds never seen
+   at this occurrence before (weakening removes preds, so in the steady
+   state every instantiation is a table hit). *)
+let memoized_inst : inst =
+ fun value theta ->
+  let memo : Pred.t Pred.Tbl.t = Pred.Tbl.create 16 in
+  fun q ->
+    match Pred.Tbl.find_opt memo q with
+    | Some p -> p
+    | None ->
+        let p = direct_inst value theta q in
+        Pred.Tbl.add memo q p;
+        p
+
+(** Slots denoted by a refinement, with [ν] replaced by [value]. *)
+let compile_refinement ?(inst = direct_inst) (value : Pred.value)
+    (r : Rtype.refinement) : slot list =
+  Sstatic (Pred.subst1 Ident.vv value r.Rtype.preds)
+  :: List.map (fun (k, theta) -> Ssite (k, inst value theta)) r.Rtype.kvars
 
 (** The axioms [m(value) >= 0] for every provably non-negative measure
     over [tycon], registration order — contributed for every binding of
     that datatype (arrays: [len], lists: [llen], user ADTs: their
-    declared measures).  All three embedding paths below share this so
-    their fact order stays identical. *)
-let nonneg_measures (tycon : string) (value : Pred.value) : Pred.t list =
+    declared measures). *)
+let nonneg_measures (tycon : string) (value : Pred.value) : slot list =
   match value with
   | Pred.Pr _ -> []
   | Pred.Tm tm ->
       List.filter_map
-        (fun m -> Measure.nonneg_fact m tm)
+        (fun m -> Option.map (fun p -> Sstatic p) (Measure.nonneg_fact m tm))
         (Measure.measures_on tycon)
 
-(** Facts contributed by one environment binding.  [value] names the
+(** Slots contributed by one environment binding.  [value] names the
     bound value in the logic (a variable, or a projection chain for tuple
     components). *)
-let rec embed_binding lookup (value : Pred.value) (rt : Rtype.t) : Pred.t list
-    =
+let rec compile_binding ?inst (value : Pred.value) (rt : Rtype.t) : slot list =
   match rt with
   | Rtype.Base (Rtype.Bunit, _) -> []
-  | Rtype.Base (_, r) -> preds_of_refinement lookup value r
+  | Rtype.Base (_, r) -> compile_refinement ?inst value r
   | Rtype.Array (_, r) ->
       (* array lengths are non-negative by construction *)
-      nonneg_measures "array" value @ preds_of_refinement lookup value r
+      nonneg_measures "array" value @ compile_refinement ?inst value r
   | Rtype.List (_, r) ->
-      nonneg_measures "list" value @ preds_of_refinement lookup value r
+      nonneg_measures "list" value @ compile_refinement ?inst value r
   | Rtype.Data (d, r) ->
-      nonneg_measures d value @ preds_of_refinement lookup value r
-  | Rtype.Tyvar (_, r) -> preds_of_refinement lookup value r
+      nonneg_measures d value @ compile_refinement ?inst value r
+  | Rtype.Tyvar (_, r) -> compile_refinement ?inst value r
   | Rtype.Tuple ts -> (
       match value with
       | Pred.Tm base ->
@@ -209,24 +232,32 @@ let rec embed_binding lookup (value : Pred.value) (rt : Rtype.t) : Pred.t list
                  if Sort.equal s Sort.Bool then []
                  else
                    let proj = Term.app (Rtype.proj_symbol i s) [ base ] in
-                   embed_binding lookup (Pred.Tm proj) ti)
+                   compile_binding ?inst (Pred.Tm proj) ti)
                ts)
       | Pred.Pr _ -> [])
   | Rtype.Fun _ -> []
 
-(** All antecedent facts of an environment under the given solution,
-    separated into binding-derived facts and guards (guards are exempt
-    from relevance pruning in the solver). *)
-let embed_env (lookup : Rtype.kvar -> Pred.t list) (env : env) :
-    Pred.t list * Pred.t list =
-  let bind_facts =
-    List.concat_map
-      (fun (x, rt) -> embed_binding lookup (var_value rt x) rt)
-      env.binds
-  in
-  (List.filter (fun p -> not (Pred.equal p Pred.tt)) bind_facts, env.guards)
+(** The binding slots of an environment, each with its binder. *)
+let compile_env ?inst (env : env) : (Ident.t * slot) list =
+  List.concat_map
+    (fun (x, rt) ->
+      List.map (fun s -> (x, s)) (compile_binding ?inst (var_value rt x) rt))
+    env.binds
 
-(* -- Traced embedding (explanation engine) ------------------------------------------ *)
+let expand_slot lookup = function
+  | Sstatic p -> [ (p, None) ]
+  | Ssite (k, inst) -> List.map (fun q -> (inst q, Some k)) (lookup k)
+
+(** The facts of [slots] under [lookup], in order, each with the κ whose
+    solution instance it is ([None] for a static fact). *)
+let expand (lookup : Rtype.kvar -> Pred.t list) (slots : slot list) :
+    (Pred.t * Rtype.kvar option) list =
+  List.concat_map (expand_slot lookup) slots
+
+(** Predicates denoted by a refinement, with [ν] replaced by [value]. *)
+let preds_of_refinement (lookup : Rtype.kvar -> Pred.t list)
+    (value : Pred.value) (r : Rtype.refinement) : Pred.t list =
+  List.map fst (expand lookup (compile_refinement value r))
 
 (** Where an antecedent fact came from: the environment binder that
     contributed it (or [None] for a guard/lhs fact) and the κ whose
@@ -235,136 +266,28 @@ let embed_env (lookup : Rtype.kvar -> Pred.t list) (env : env) :
     minimized hypothesis core back to program bindings and blamed κs. *)
 type fact_origin = { fo_binder : Ident.t option; fo_kvar : Rtype.kvar option }
 
-(** {!preds_of_refinement} with the κ each fact instantiates. *)
-let preds_of_refinement_traced (lookup : Rtype.kvar -> Pred.t list)
-    (value : Pred.value) (r : Rtype.refinement) :
-    (Pred.t * Rtype.kvar option) list =
-  let inst p = Pred.subst1 Ident.vv value p in
-  (inst r.Rtype.preds, None)
-  :: List.concat_map
-       (fun (k, theta) ->
-         List.map (fun q -> (inst (Pred.subst theta q), Some k)) (lookup k))
-       r.Rtype.kvars
-
-(** {!embed_binding} with per-fact κ provenance. *)
-let rec embed_binding_traced lookup (value : Pred.value) (rt : Rtype.t) :
-    (Pred.t * Rtype.kvar option) list =
-  match rt with
-  | Rtype.Base (Rtype.Bunit, _) -> []
-  | Rtype.Base (_, r) -> preds_of_refinement_traced lookup value r
-  | Rtype.Array (_, r) ->
-      List.map (fun p -> (p, None)) (nonneg_measures "array" value)
-      @ preds_of_refinement_traced lookup value r
-  | Rtype.List (_, r) ->
-      List.map (fun p -> (p, None)) (nonneg_measures "list" value)
-      @ preds_of_refinement_traced lookup value r
-  | Rtype.Data (d, r) ->
-      List.map (fun p -> (p, None)) (nonneg_measures d value)
-      @ preds_of_refinement_traced lookup value r
-  | Rtype.Tyvar (_, r) -> preds_of_refinement_traced lookup value r
-  | Rtype.Tuple ts -> (
-      match value with
-      | Pred.Tm base ->
-          List.concat
-            (List.mapi
-               (fun i ti ->
-                 let s = Rtype.sort_of ti in
-                 if Sort.equal s Sort.Bool then []
-                 else
-                   let proj = Term.app (Rtype.proj_symbol i s) [ base ] in
-                   embed_binding_traced lookup (Pred.Tm proj) ti)
-               ts)
-      | Pred.Pr _ -> [])
-  | Rtype.Fun _ -> []
-
-(** {!embed_env} with per-fact provenance: same facts, in the same order,
-    under the same [tt] filter, so index [i] of the traced facts is fact
-    [i] of [embed_env] — the correspondence the explanation engine's use
-    of {!Liquid_smt.Solver.check_valid_idx} indices depends on. *)
+(** All antecedent facts of an environment under the given solution, with
+    their provenance and [tt] dropped, separated from the guards (guards
+    are exempt from relevance pruning in the solver). *)
 let embed_env_trace (lookup : Rtype.kvar -> Pred.t list) (env : env) :
     (Pred.t * fact_origin) list * Pred.t list =
-  let bind_facts =
+  let facts =
     List.concat_map
-      (fun (x, rt) ->
-        List.map
-          (fun (p, k) -> (p, { fo_binder = Some x; fo_kvar = k }))
-          (embed_binding_traced lookup (var_value rt x) rt))
-      env.binds
+      (fun (x, s) ->
+        List.filter_map
+          (fun (p, k) ->
+            if Pred.is_true p then None
+            else Some (p, { fo_binder = Some x; fo_kvar = k }))
+          (expand_slot lookup s))
+      (compile_env env)
   in
-  ( List.filter (fun (p, _) -> not (Pred.equal p Pred.tt)) bind_facts,
-    env.guards )
+  (facts, env.guards)
 
-(* -- Compiled embedding (incremental fixpoint) -------------------------------------- *)
-
-(** A compiled antecedent slot: either a κ-independent fact, computed once,
-    or a κ occurrence that instantiates the κ's {e current} solution preds
-    on demand.  Expanding a slot list under a solution yields exactly the
-    predicate list [embed_env]/[preds_of_refinement] would produce, but
-    the per-occurrence substitution [ν := value] ∘ θ is applied through a
-    memo table, so re-expansion after weakening only pays for solution
-    preds never seen at this occurrence before (weakening removes preds,
-    so in the steady state every instantiation is a table hit). *)
-type slot =
-  | Sstatic of Pred.t
-  | Ssite of Rtype.kvar * (Pred.t -> Pred.t) (* memoized instantiation *)
-
-let memoized_inst (value : Pred.value) (theta : Pred.subst) : Pred.t -> Pred.t
-    =
-  let memo : Pred.t Pred.Tbl.t = Pred.Tbl.create 16 in
-  fun q ->
-    match Pred.Tbl.find_opt memo q with
-    | Some p -> p
-    | None ->
-        let p = Pred.subst1 Ident.vv value (Pred.subst theta q) in
-        Pred.Tbl.add memo q p;
-        p
-
-(** Slots denoted by a refinement, mirroring {!preds_of_refinement}. *)
-let compile_refinement (value : Pred.value) (r : Rtype.refinement) : slot list
-    =
-  Sstatic (Pred.subst1 Ident.vv value r.Rtype.preds)
-  :: List.map
-       (fun (k, theta) -> Ssite (k, memoized_inst value theta))
-       r.Rtype.kvars
-
-(** Slots contributed by one binding, mirroring {!embed_binding}. *)
-let rec compile_binding (value : Pred.value) (rt : Rtype.t) : slot list =
-  match rt with
-  | Rtype.Base (Rtype.Bunit, _) -> []
-  | Rtype.Base (_, r) -> compile_refinement value r
-  | Rtype.Array (_, r) ->
-      List.map (fun p -> Sstatic p) (nonneg_measures "array" value)
-      @ compile_refinement value r
-  | Rtype.List (_, r) ->
-      List.map (fun p -> Sstatic p) (nonneg_measures "list" value)
-      @ compile_refinement value r
-  | Rtype.Data (d, r) ->
-      List.map (fun p -> Sstatic p) (nonneg_measures d value)
-      @ compile_refinement value r
-  | Rtype.Tyvar (_, r) -> compile_refinement value r
-  | Rtype.Tuple ts -> (
-      match value with
-      | Pred.Tm base ->
-          List.concat
-            (List.mapi
-               (fun i ti ->
-                 let s = Rtype.sort_of ti in
-                 if Sort.equal s Sort.Bool then []
-                 else
-                   let proj = Term.app (Rtype.proj_symbol i s) [ base ] in
-                   compile_binding (Pred.Tm proj) ti)
-               ts)
-      | Pred.Pr _ -> [])
-  | Rtype.Fun _ -> []
-
-(** Compiled form of {!embed_env}'s binding facts ([Sstatic tt] slots are
-    dropped here; site expansions are filtered by the caller). *)
-let compile_env (env : env) : slot list =
-  List.filter
-    (function Sstatic p -> not (Pred.equal p Pred.tt) | Ssite _ -> true)
-    (List.concat_map
-       (fun (x, rt) -> compile_binding (var_value rt x) rt)
-       env.binds)
+(** {!embed_env_trace} without provenance. *)
+let embed_env (lookup : Rtype.kvar -> Pred.t list) (env : env) :
+    Pred.t list * Pred.t list =
+  let facts, guards = embed_env_trace lookup env in
+  (List.map fst facts, guards)
 
 (* -- Dependency structure ----------------------------------------------------------- *)
 

@@ -109,60 +109,63 @@ type solution = Pred.t list KMap.t
 
 val sol_find : solution -> int -> Pred.t list
 
+(** {2 Compiled slots}
+
+    One structural traversal of a binding's type compiles it into
+    {e slots}: a κ-independent fact, or a κ occurrence whose
+    instantiation ([ν := value] ∘ θ) is applied to the κ's solution
+    preds on expansion.  Every antecedent — the weakening loop's, the
+    concrete pass's, the explanation engine's — is an expansion of
+    slots, so all agree fact for fact and in order. *)
+
+type slot =
+  | Sstatic of Pred.t
+  | Ssite of Rtype.kvar * (Pred.t -> Pred.t) (* instantiation *)
+
+(** How a κ occurrence [ν := value] ∘ θ is applied to a solution pred.
+    The [compile_*] functions substitute on every application unless
+    given another [inst]. *)
+type inst = Pred.value -> Pred.subst -> Pred.t -> Pred.t
+
+(** Memoize per solution pred: for slots that are expanded again and
+    again as the solution weakens. *)
+val memoized_inst : inst
+
+(** Slots of a refinement with [ν := value]. *)
+val compile_refinement :
+  ?inst:inst -> Pred.value -> Rtype.refinement -> slot list
+
+(** The binding slots of an environment, each with its binder. *)
+val compile_env : ?inst:inst -> env -> (Ident.t * slot) list
+
+(** The facts of [slots] under a κ lookup, in order, each with the κ
+    whose solution instance it is ([None]: a static fact — a refinement's
+    static part or a measure axiom).  Nothing is filtered. *)
+val expand :
+  (Rtype.kvar -> Pred.t list) -> slot list -> (Pred.t * Rtype.kvar option) list
+
+(** {2 Expansions} *)
+
 (** Predicates denoted by a refinement with [ν := value], under a κ
-    lookup. *)
+    lookup: the expansion of {!compile_refinement}. *)
 val preds_of_refinement :
   (Rtype.kvar -> Pred.t list) -> Pred.value -> Rtype.refinement -> Pred.t list
-
-(** Antecedent facts of an environment: (binding facts, guards).  Guards
-    are returned separately so the solver can exempt them from relevance
-    pruning. *)
-val embed_env :
-  (Rtype.kvar -> Pred.t list) -> env -> Pred.t list * Pred.t list
-
-(** {1 Traced embedding} (explanation engine) *)
 
 (** Provenance of one antecedent fact: the environment binder that
     contributed it ([None] for guards) and the κ whose solution instance
     it is ([None] for static refinement parts and measure axioms). *)
 type fact_origin = { fo_binder : Ident.t option; fo_kvar : Rtype.kvar option }
 
-(** {!preds_of_refinement} with the κ each fact instantiates ([None]:
-    the refinement's static part). *)
-val preds_of_refinement_traced :
-  (Rtype.kvar -> Pred.t list) ->
-  Pred.value ->
-  Rtype.refinement ->
-  (Pred.t * Rtype.kvar option) list
-
-(** {!embed_env} with per-fact provenance: the same facts, in the same
-    order, under the same [tt] filter, so fact [i] here is hypothesis
-    [i] of {!embed_env} — the correspondence that lets
-    {!Liquid_smt.Solver.check_valid_idx} indices be mapped back to
-    binders and κs. *)
+(** Antecedent facts of an environment with their provenance: the
+    expansion of {!compile_env} with [tt] dropped, and the guards,
+    returned separately so the solver can exempt them from relevance
+    pruning. *)
 val embed_env_trace :
   (Rtype.kvar -> Pred.t list) -> env -> (Pred.t * fact_origin) list * Pred.t list
 
-(** {1 Compiled embedding} (incremental fixpoint)
-
-    A compiled antecedent slot is either a κ-independent fact or a κ
-    occurrence whose instantiation ([ν := value] ∘ θ) is memoized per
-    solution pred.  Expanding a slot list under the current solution
-    yields exactly what {!embed_env} / {!preds_of_refinement} produce
-    (the caller drops [tt] from site expansions of environment facts),
-    but re-expansion after weakening costs table lookups only. *)
-
-type slot =
-  | Sstatic of Pred.t
-  | Ssite of Rtype.kvar * (Pred.t -> Pred.t) (* memoized instantiation *)
-
-(** Compiled binding facts of an environment (static [tt] already
-    dropped); mirrors the fact half of {!embed_env}. *)
-val compile_env : env -> slot list
-
-(** Compiled slots of a refinement with [ν := value]; mirrors
-    {!preds_of_refinement} (no [tt] filtering). *)
-val compile_refinement : Pred.value -> Rtype.refinement -> slot list
+(** {!embed_env_trace} without provenance: (binding facts, guards). *)
+val embed_env :
+  (Rtype.kvar -> Pred.t list) -> env -> Pred.t list * Pred.t list
 
 (** {1 Content signatures} (partition-level result cache)
 

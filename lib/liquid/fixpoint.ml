@@ -19,12 +19,14 @@
 
     Two engines implement the weakening loop:
 
-    - the {e naive} reference re-embeds every constraint's environment on
-      each worklist pop and re-checks every candidate instance (kept for
-      the A2 ablation and as an executable specification);
+    - the {e naive} engine re-embeds every constraint's environment on
+      each worklist pop and re-checks every candidate instance (kept
+      because [Pipeline.options.incremental] selects it; the reference
+      the tests hold the incremental engine to is the pool-free
+      {!solve_unit});
     - the {e incremental} engine (default) compiles each constraint's
       antecedent once into static facts plus per-κ instantiation sites
-      ({!Constr.compile_env}), and records, per (constraint, instance),
+      ({!compile_antecedent}), and records, per (constraint, instance),
       which κs the validating query's retained hypotheses came from.  On
       requeue, an instance is re-checked only if some κ it depends on has
       weakened since its last validation.  This skip is {e exact}, not
@@ -131,23 +133,44 @@ let vv_value (sort : Sort.t) : Pred.value =
   | Sort.Bool -> Pred.Pr (Pred.bvar Ident.vv)
   | s -> Pred.Tm (Term.var Ident.vv s)
 
-(** Antecedent of a constraint under the current assignment: prunable
-    binding facts plus guards (kept verbatim by the solver so that
-    contradictory path conditions are never pruned away). *)
+(** A constraint's antecedent as compiled slots: the environment's
+    binding facts, which relevance pruning may drop, and the lhs preds
+    then the guards, which the solver keeps verbatim (so contradictory
+    path conditions are never pruned away). *)
+type antecedent = {
+  hyp_slots : Constr.slot list; (* environment facts; prunable *)
+  kept_slots : Constr.slot list; (* lhs preds @ guards; unpruned *)
+}
+
+let compile_antecedent ?inst (c : Constr.sub) : antecedent =
+  {
+    hyp_slots = List.map snd (Constr.compile_env ?inst c.Constr.sub_env);
+    kept_slots =
+      Constr.compile_refinement ?inst (vv_value c.Constr.vv_sort) c.Constr.lhs
+      @ List.map (fun g -> Constr.Sstatic g) c.Constr.sub_env.Constr.guards;
+  }
+
+(** Expand environment slots under the current solution: the
+    hypotheses, [tt] dropped as {!Constr.embed_env} drops it, each with
+    the κ it came from ([None] for static facts). *)
+let expand_hyps lookup (slots : Constr.slot list) :
+    (Pred.t * Rtype.kvar option) list =
+  List.filter (fun (p, _) -> not (Pred.is_true p)) (Constr.expand lookup slots)
+
+let expand_antecedent lookup (a : antecedent) : Pred.t list * Pred.t list =
+  ( List.map fst (expand_hyps lookup a.hyp_slots),
+    List.map fst (Constr.expand lookup a.kept_slots) )
+
 let hypotheses lookup (c : Constr.sub) : Pred.t list * Pred.t list =
-  let facts, guards = Constr.embed_env lookup c.Constr.sub_env in
-  let lhs_preds =
-    Constr.preds_of_refinement lookup (vv_value c.Constr.vv_sort) c.Constr.lhs
-  in
-  (facts, lhs_preds @ guards)
+  expand_antecedent lookup (compile_antecedent c)
 
 (* -- Counterexample evaluation -------------------------------------------------- *)
 
 (* A strict evaluator over a solver counterexample, for model-based
-   elimination in the weakening loop.  Values come from
-   [Solver.last_cex_raw], keyed by original entity labels (the display
-   model of [Solver.last_cex] strips alpha-renaming suffixes, so
-   distinct solver variables can collide on one label there).  Labels
+   elimination in the weakening loop.  Values come from the raw model
+   of an [Invalid] answer, keyed by original entity labels (its display
+   model strips alpha-renaming suffixes, so distinct solver variables
+   can collide on one label there).  Labels
    that do collide with conflicting values are poisoned, and any
    sub-term without a grounded model value raises [Unvalued] — unlike
    {!Pred.eval}, this evaluator never guesses, so a [false] verdict is
@@ -386,49 +409,17 @@ let weaken_naive (sh : shared) (c : Constr.sub) (k : Rtype.kvar)
     present (and the lhs κs are unchanged), the pruned query is
     byte-identical to the one that validated, whatever else changed. *)
 type compiled = {
-  hyp_slots : Constr.slot list; (* environment facts; prunable *)
-  kept_slots : Constr.slot list; (* lhs preds @ guards; unpruned *)
+  ante : antecedent; (* memoized instantiation *)
   lhs_ks : ISet.t;
   checks : (int, (int * int) list * ISet.t) Hashtbl.t;
 }
 
 let compile_sub (c : Constr.sub) : compiled =
   {
-    hyp_slots = Constr.compile_env c.Constr.sub_env;
-    kept_slots =
-      Constr.compile_refinement (vv_value c.Constr.vv_sort) c.Constr.lhs
-      @ List.map (fun g -> Constr.Sstatic g) c.Constr.sub_env.Constr.guards;
+    ante = compile_antecedent ~inst:Constr.memoized_inst c;
     lhs_ks = ISet.of_list (List.map fst c.Constr.lhs.Rtype.kvars);
     checks = Hashtbl.create 16;
   }
-
-(** Expand environment slots under the current solution.  Returns the
-    hypothesis list (matching {!Constr.embed_env}'s facts exactly,
-    including the [tt] filter on instantiated κ preds) and, aligned with
-    it, the κ each hypothesis came from ([None] for static facts). *)
-let expand_hyps lookup (slots : Constr.slot list) :
-    Pred.t list * Rtype.kvar option array =
-  let rev = ref [] in
-  List.iter
-    (function
-      | Constr.Sstatic p -> rev := (p, None) :: !rev
-      | Constr.Ssite (k, inst) ->
-          List.iter
-            (fun q ->
-              let p = inst q in
-              if not (Pred.is_true p) then rev := (p, Some k) :: !rev)
-            (lookup k))
-    slots;
-  let items = List.rev !rev in
-  (List.map fst items, Array.of_list (List.map snd items))
-
-(** Expand kept slots (no [tt] filtering, matching the eager path). *)
-let expand_kept lookup (slots : Constr.slot list) : Pred.t list =
-  List.concat_map
-    (function
-      | Constr.Sstatic p -> [ p ]
-      | Constr.Ssite (k, inst) -> List.map inst (lookup k))
-    slots
 
 let weaken_incremental (compiled_of : Constr.sub -> compiled)
     (version : (int, int) Hashtbl.t) (sh : shared) (c : Constr.sub)
@@ -447,8 +438,10 @@ let weaken_incremental (compiled_of : Constr.sub -> compiled)
     in
     let stale = List.filter (fun inst -> not (up_to_date inst)) current in
     if stale <> [] then begin
-      let hyps, origins = expand_hyps sh.lookup comp.hyp_slots in
-      let kept = expand_kept sh.lookup comp.kept_slots in
+      let items = expand_hyps sh.lookup comp.ante.hyp_slots in
+      let hyps = List.map fst items in
+      let origins = Array.of_list (List.map snd items) in
+      let kept = List.map fst (Constr.expand sh.lookup comp.ante.kept_slots) in
       (* Interned tags of the current hypotheses, and every κ each tag is
          instantiated from (hash-consing can make two sites produce the
          same predicate, in which case it survives until both drop it).
@@ -606,11 +599,11 @@ let weaken_incremental (compiled_of : Constr.sub -> compiled)
             | None -> insts
             | Some e -> List.filter (fun inst -> not (pool_kills e inst)) insts
           in
-          let harvest_model e =
-            match !Solver.last_cex_raw with
+          let harvest_model e (cex : Solver.cex) =
+            match cex.Solver.raw with
             | [] -> ()
-            | cex ->
-                e.pool := model_table cex :: Listx.take 7 !(e.pool);
+            | raw ->
+                e.pool := model_table raw :: Listx.take 7 !(e.pool);
                 e.harvests <- e.harvests + 1
           in
           (* Individual decisions, pool-accelerated: a pool-refuted
@@ -631,28 +624,26 @@ let weaken_incremental (compiled_of : Constr.sub -> compiled)
                   sh.stats.implication_checks <-
                     sh.stats.implication_checks + 1;
                   let prep = prep_of inst in
-                  Solver.last_cex_raw := [];
                   match Solver.check_query prep with
                   | Solver.Valid ->
                       record inst (deps_of prep.Solver.pruned_idx);
                       valid := ISet.add (Pred.tag q) !valid
-                  | Solver.Invalid | Solver.Unknown ->
+                  | Solver.Invalid cex ->
                       incr deaths;
-                      harvest_model e
+                      harvest_model e cex
+                  | Solver.Unknown -> incr deaths
                 end)
               insts;
             !deaths
           in
           let conjoined insts =
             sh.stats.implication_checks <- sh.stats.implication_checks + 1;
-            Solver.last_cex_raw := [];
-            let conj_res, conj_idx =
-              Solver.check_valid_idx ~kept hyps
-                (Pred.conj (List.map goal_of insts))
+            let prep =
+              Solver.prepare ~kept hyps (Pred.conj (List.map goal_of insts))
             in
-            match (conj_res, elim) with
-            | Solver.Valid, _ -> confirm_all insts conj_idx
-            | Solver.Invalid, Some e -> (
+            match (Solver.check_query prep, elim) with
+            | Solver.Valid, _ -> confirm_all insts prep.Solver.pruned_idx
+            | Solver.Invalid cex, Some e -> (
                 match insts with
                 | [ _ ] -> () (* sole culprit: refuted, not retained *)
                 | _ ->
@@ -660,7 +651,7 @@ let weaken_incremental (compiled_of : Constr.sub -> compiled)
                        conjunction per visit: seed the pool with its
                        model and fall through to individual
                        decisions. *)
-                    harvest_model e;
+                    harvest_model e cex;
                     ignore (individually_pooled e (pool_filter insts)))
             | _, _ -> individually insts
           in
@@ -846,27 +837,20 @@ let solve_unit ?(incremental = true) ?elim ~(base : Constr.solution)
             else begin
               stats.implication_checks <- stats.implication_checks + 1;
               let hyps, kept = hypotheses lookup c in
-              Solver.last_cex := [];
+              let fail f_cex =
+                Some
+                  ( c.Constr.sub_id,
+                    {
+                      f_sub_id = c.Constr.sub_id;
+                      f_origin = c.Constr.origin;
+                      f_goal = goal;
+                      f_cex;
+                    } )
+              in
               match Solver.check_valid ~kept hyps goal with
               | Solver.Valid -> None
-              | Solver.Invalid ->
-                  Some
-                    ( c.Constr.sub_id,
-                      {
-                        f_sub_id = c.Constr.sub_id;
-                        f_origin = c.Constr.origin;
-                        f_goal = goal;
-                        f_cex = !Solver.last_cex;
-                      } )
-              | Solver.Unknown ->
-                  Some
-                    ( c.Constr.sub_id,
-                      {
-                        f_sub_id = c.Constr.sub_id;
-                        f_origin = c.Constr.origin;
-                        f_goal = goal;
-                        f_cex = [];
-                      } )
+              | Solver.Invalid cex -> fail cex.Solver.display
+              | Solver.Unknown -> fail []
             end)
       subs
   in

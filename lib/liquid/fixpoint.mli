@@ -160,8 +160,22 @@ val apply_solution : Pred.t list KMap.t -> Rtype.t -> Rtype.t
 (** Logical value standing for [ν] at a given sort. *)
 val vv_value : Sort.t -> Pred.value
 
-(** Antecedent of a constraint under [lookup]: (prunable binding facts,
-    verbatim-kept lhs preds @ guards) — precisely the [(hyps, kept)]
-    pair the concrete pass hands to {!Liquid_smt.Solver.check_valid}. *)
+(** A constraint's antecedent compiled into slots ({!Constr.slot}):
+    the environment's binding facts, subject to relevance pruning, and
+    the lhs preds then the guards, kept verbatim. *)
+type antecedent
+
+(** Compile a constraint's antecedent.  Pass [~inst:Constr.memoized_inst]
+    for an antecedent that is expanded under many lookups. *)
+val compile_antecedent : ?inst:Constr.inst -> Constr.sub -> antecedent
+
+(** The [(hyps, kept)] pair of an antecedent under [lookup]: the
+    environment facts with [tt] dropped, and the lhs preds @ guards. *)
+val expand_antecedent :
+  (Rtype.kvar -> Pred.t list) -> antecedent -> Pred.t list * Pred.t list
+
+(** Antecedent of a constraint under [lookup], compiled and expanded
+    once — precisely the [(hyps, kept)] pair the concrete pass hands to
+    {!Liquid_smt.Solver.check_valid}. *)
 val hypotheses :
   (Rtype.kvar -> Pred.t list) -> Constr.sub -> Pred.t list * Pred.t list

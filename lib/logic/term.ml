@@ -98,7 +98,10 @@ let hash t = t.hkey
 let interned_count () = !counter
 
 (* Interning makes structural equality physical and gives a constant-time
-   total order (allocation order, deterministic for a fixed run). *)
+   total order.  The order is allocation order in this process, which
+   depends on everything the process interned before, so no output may
+   depend on it: order by structure where it can show (see
+   [Prop.canon]). *)
 let equal (a : t) (b : t) = a == b
 let compare (a : t) (b : t) = Stdlib.Int.compare a.tag b.tag
 

@@ -38,7 +38,9 @@ val hash : t -> int
 (** Number of distinct term nodes interned so far. *)
 val interned_count : unit -> int
 
-(** Constant-time: physical equality / interning-id order. *)
+(** Constant-time: physical equality / interning-id order.  The id
+    order is allocation order in this process, so no output may depend
+    on it. *)
 val compare : t -> t -> int
 
 val equal : t -> t -> bool

@@ -12,14 +12,9 @@
     irrelevant atoms unassigned keeps theory conjunctions small and
     blocking clauses general). *)
 
-type result = Sat | Unsat | Unknown
-
-(** Counterexample assignment of the last [Sat] answer. *)
-let last_model : Theory.model ref = ref []
-
-(** Same assignment under original (uncleaned) labels; see
-    {!Theory.last_model_raw}. *)
-let last_model_raw : Theory.model ref = ref []
+(** [Sat (display, raw)]: the counterexample assignment under display
+    and original labels, as {!Theory.result} carries it. *)
+type result = Sat of Theory.model * Theory.model | Unsat | Unknown
 
 let models_total = ref 0
 
@@ -122,6 +117,9 @@ let rec find_model (asg : assignment) nvars clauses =
         end
       end
 
+let theory_unsat lits =
+  match Theory.check_sat lits with Theory.Unsat -> true | _ -> false
+
 (** Satisfiability of a CNF whose theory atoms are named by [atoms]:
     [atoms.(v) = Some a] maps propositional variable [v] to theory atom
     [a] ([None]: a Tseitin definition variable).  {!check_sat} wraps this
@@ -151,8 +149,7 @@ let check_sat_cnf ~(nvars : int) ~(atoms : Liquid_logic.Pred.t option array)
           | Some a when asg.(v) <> 0 -> lits := (a, asg.(v) = 1) :: !lits
           | _ -> ()
         done;
-        if !lits <> [] && Theory.check_sat !lits = Theory.Unsat then Some Unsat
-        else None
+        if !lits <> [] && theory_unsat !lits then Some Unsat else None
   in
   match fast with
   | Some r -> r
@@ -173,7 +170,7 @@ let check_sat_cnf ~(nvars : int) ~(atoms : Liquid_logic.Pred.t option array)
         done;
         incr models_total;
         match Theory.check_sat (List.map (fun (_, a, p) -> (a, p)) !lits) with
-        | Theory.Sat ->
+        | Theory.Sat (from_theory, from_theory_raw) ->
             (* The theory model only values arithmetic entities; boolean
                program variables live as propositional [Bvar] atoms whose
                truth values the DPLL assignment itself carries.  Merge
@@ -202,21 +199,14 @@ let check_sat_cnf ~(nvars : int) ~(atoms : Liquid_logic.Pred.t option array)
                   | _ -> None)
                 !lits
             in
-            let from_theory = !Theory.last_model in
-            last_model :=
+            let merge from_theory bools =
               List.sort compare
                 (from_theory
                 @ List.filter
                     (fun (l, _) -> not (List.mem_assoc l from_theory))
-                    bools);
-            let from_theory_raw = !Theory.last_model_raw in
-            last_model_raw :=
-              List.sort compare
-                (from_theory_raw
-                @ List.filter
-                    (fun (l, _) -> not (List.mem_assoc l from_theory_raw))
-                    bools_raw);
-            Sat
+                    bools)
+            in
+            Sat (merge from_theory bools, merge from_theory_raw bools_raw)
         | Theory.Unknown -> Unknown
         | Theory.Unsat ->
             (* Shrink the conflict to a (locally) minimal unsat core before
@@ -237,8 +227,7 @@ let check_sat_cnf ~(nvars : int) ~(atoms : Liquid_logic.Pred.t option array)
                       let test =
                         List.map (fun (_, a, p) -> (a, p)) (kept @ rest)
                       in
-                      if Theory.check_sat test = Theory.Unsat then
-                        shrink kept rest
+                      if theory_unsat test then shrink kept rest
                       else shrink (l :: kept) rest
                 in
                 shrink [] !lits

@@ -2,17 +2,12 @@
     checks at propositional models, unsat-core-minimized blocking
     clauses, and a propagation-only fast path. *)
 
-type result = Sat | Unsat | Unknown
-
-(** Counterexample assignment (label -> value) of the last [Sat]
-    answer.  Boolean program variables ([Bvar] atoms) are valued from
-    the propositional assignment; arithmetic entities from the theory
-    model. *)
-val last_model : Theory.model ref
-
-(** Same assignment under original (uncleaned) labels; see
-    {!Theory.last_model_raw}. *)
-val last_model_raw : Theory.model ref
+(** [Sat (display, raw)]: a counterexample assignment (label -> value)
+    under display labels and under original labels (see
+    {!Theory.result}).  Boolean program variables ([Bvar] atoms) are
+    valued from the propositional assignment; arithmetic entities from
+    the theory model. *)
+type result = Sat of Theory.model * Theory.model | Unsat | Unknown
 
 (** Propositional models enumerated across all queries
     (instrumentation). *)

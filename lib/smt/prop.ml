@@ -7,8 +7,9 @@
     literals.
 
     Atoms are canonicalized before being interned ([Gt]/[Ge] swap into
-    [Lt]/[Le]; [Ne] becomes negated [Eq]; equalities are oriented by term
-    order) so that syntactic variants share a propositional variable. *)
+    [Lt]/[Le]; [Ne] becomes negated [Eq]; equalities are oriented by a
+    structural term order) so that syntactic variants share a
+    propositional variable. *)
 
 open Liquid_logic
 
@@ -39,6 +40,19 @@ let neg_lit l = -l
     query of a run, and hash-consing makes the table key O(1). *)
 let canon_tbl : (Pred.t * bool) Pred.Tbl.t = Pred.Tbl.create 4096
 
+(* The side of an equality that goes first: printed form descending,
+   ties broken by sort.  It must not read interning tags: they follow
+   allocation order in this process, so a process that had interned the
+   same terms in another order would orient literals differently and
+   find other models.  Distinct terms that print alike and share a sort
+   keep the order they are written in, which is equally independent of
+   the process.  Descending measured fewer work units than ascending on
+   every benchmark workload. *)
+let orient (a : Term.t) (b : Term.t) : int =
+  match String.compare (Term.to_string b) (Term.to_string a) with
+  | 0 -> Sort.compare (Term.sort a) (Term.sort b)
+  | c -> c
+
 let canon (p : Pred.t) : Pred.t * bool =
   match Pred.view p with
   | Pred.Atom (a, r, b) -> (
@@ -50,10 +64,10 @@ let canon (p : Pred.t) : Pred.t * bool =
             | Pred.Gt -> (Pred.make (Pred.Atom (b, Pred.Lt, a)), true)
             | Pred.Ge -> (Pred.make (Pred.Atom (b, Pred.Le, a)), true)
             | Pred.Ne ->
-                let a, b = if Term.compare a b <= 0 then (a, b) else (b, a) in
+                let a, b = if orient a b <= 0 then (a, b) else (b, a) in
                 (Pred.make (Pred.Atom (a, Pred.Eq, b)), false)
             | Pred.Eq ->
-                let a, b = if Term.compare a b <= 0 then (a, b) else (b, a) in
+                let a, b = if orient a b <= 0 then (a, b) else (b, a) in
                 (Pred.make (Pred.Atom (a, Pred.Eq, b)), true)
             | Pred.Lt | Pred.Le -> (p, true)
           in

@@ -8,13 +8,24 @@
 
     With hash-consed predicates the cache is a hashtable keyed on the
     interned query: hashing is O(1) (memoized), bucket comparison is
-    physical equality.  Each [Invalid] entry stores its falsifying model
-    so cache hits repopulate {!last_cex} — previously a hit returned
-    [Invalid] with a stale counterexample. *)
+    physical equality.  An [Invalid] answer carries its falsifying model,
+    and the cache stores the answer whole, so a hit returns the model the
+    original check found. *)
 
 open Liquid_logic
 
-type result = Valid | Invalid | Unknown
+(** Counterexample values: re-exported from {!Theory} so consumers don't
+    reach below the public SMT interface. *)
+type cex_value = Theory.value = Vint of int | Vbool of bool
+
+let pp_cex_value = Theory.pp_value
+
+type cex = {
+  display : (string * cex_value) list;
+  raw : (string * cex_value) list;
+}
+
+type result = Valid | Invalid of cex | Unknown
 
 type stats = {
   mutable queries : int; (* total validity queries *)
@@ -41,24 +52,10 @@ let pp_stats ppf () =
 (* Cache                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(** Counterexample values: re-exported from {!Theory} so consumers don't
-    reach below the public SMT interface. *)
-type cex_value = Theory.value = Vint of int | Vbool of bool
-
-let pp_cex_value = Theory.pp_value
-
-(* Entries keep the falsifying model of Invalid answers (empty for
-   Valid/Unknown) so hits can restore [last_cex] — both the display form
-   and the raw-label form — plus the deterministic work units the
-   original SAT check cost, replayed on hits.  Replaying model and work
-   makes every answer-bearing side channel cache-temperature-invariant:
-   a warm re-run observes exactly what the cold run observed. *)
-type centry = {
-  ce_res : result;
-  ce_cex : (string * cex_value) list;
-  ce_raw : (string * cex_value) list;
-  ce_work : int;
-}
+(* Entries keep the answer, model included, plus the deterministic work
+   units the original SAT check cost, replayed on hits: a warm re-run
+   observes exactly the answers and work the cold run observed. *)
+type centry = { ce_res : result; ce_work : int }
 
 let cache : centry Pred.Tbl.t = Pred.Tbl.create 4096
 
@@ -68,75 +65,41 @@ let clear_cache () = Pred.Tbl.reset cache
 (* Checking                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(** Counterexample for the most recent [Invalid] answer (values the
-    query's source-level entities take in a falsifying model). *)
-let last_cex : (string * cex_value) list ref = ref []
-
-(** Counterexample of the most recent [Invalid] answer, under original
-    (uncleaned) entity labels — the form a strict evaluator can resolve
-    terms against without alpha-renaming collisions.  Restored on result
-    cache hits from the cached entry, so it is identical whether the
-    answer was freshly SAT-checked or replayed: callers must treat an
-    empty value as "no model available". *)
-let last_cex_raw : (string * cex_value) list ref = ref []
-
-(** Deterministic work units of the most recently decided query: theory
-    literals processed plus simplex pivots spent by its SAT check —
-    measured on fresh checks, {e replayed} from the cache on hits, zero
-    for trivially decided queries.  A proxy for query cost that, unlike
-    wall-clock time, is a pure function of the query, so policy decisions
-    made on it are reproducible across runs and cache temperatures. *)
-let last_work : int ref = ref 0
-
-(** Monotone sum of {!last_work} over all decided queries (replayed work
-    included), for callers that meter spans of work via deltas. *)
+(** Monotone sum of the deterministic work units of every decided query:
+    theory literals processed plus simplex pivots spent by its SAT check
+    — measured on fresh checks, {e replayed} from the cache on hits, zero
+    for trivially decided queries.  Unlike wall-clock time it is a pure
+    function of the queries, so policy decisions made on its deltas are
+    reproducible across runs and cache temperatures. *)
 let work_total : int ref = ref 0
 
-(** Clear every module-level ref that carries {e answers} (or per-query
-    diagnostics) from one verification run into the next, across the
-    whole SMT stack: the counterexample refs of this module, {!Dpll} and
-    {!Theory}, and the per-run instrumentation counters of {!Dpll},
-    {!Theory} and {!Lia}.  A resident verification daemon calls this per
-    request so it can never report a stale counterexample from a
-    previous program; the pipeline calls it at the start of every run.
+(** Reset the per-run instrumentation counters of {!Dpll}, {!Theory},
+    {!Simplex} and {!Lia}.  The pipeline calls this at the start of
+    every run.
 
     Deliberately untouched: the result cache (its entries are keyed on
     interned queries and valid forever — clearing it is what
-    {!clear_cache} is for) and the cumulative {!stats} counters, which
-    every consumer (pipeline, benches) reads as before/after deltas and
-    which must stay monotone while partition workers replay their
-    movements into a parent process. *)
+    {!clear_cache} is for) and the cumulative {!stats} counters and
+    {!work_total}, which every consumer reads as before/after deltas. *)
 let reset_run_state () =
-  last_cex := [];
-  last_cex_raw := [];
-  last_work := 0;
-  Dpll.last_model := [];
-  Dpll.last_model_raw := [];
-  Theory.last_model := [];
-  Theory.last_model_raw := [];
   Dpll.models_total := 0;
   Theory.nlits_total := 0;
   Simplex.npivots := 0;
   Lia.nnodes_total := 0
 
-let check_formula (q : Pred.t) : result =
+(* A fresh SAT check of [q] and the work units it cost. *)
+let check_formula (q : Pred.t) : result * int =
   stats.sat_checks <- stats.sat_checks + 1;
-  last_cex_raw := [];
   let w0 = !Theory.nlits_total + !Simplex.npivots in
   let r =
     match Dpll.check_sat q with
     | Dpll.Unsat -> Valid
-    | Dpll.Sat ->
-        last_cex := !Dpll.last_model;
-        last_cex_raw := !Dpll.last_model_raw;
-        Invalid
+    | Dpll.Sat (display, raw) -> Invalid { display; raw }
     | Dpll.Unknown ->
         stats.unknowns <- stats.unknowns + 1;
         Unknown
   in
-  last_work := max 1 (!Theory.nlits_total + !Simplex.npivots - w0);
-  work_total := !work_total + !last_work;
-  r
+  (r, max 1 (!Theory.nlits_total + !Simplex.npivots - w0))
 
 (* ------------------------------------------------------------------ *)
 (* Hypothesis relevance pruning                                        *)
@@ -201,76 +164,14 @@ let prune_hyps_idx (hyps : Pred.t list) (seed : Pred.t) : int list =
   done;
   !kept_idx
 
-let prune_hyps (hyps : Pred.t list) (goal : Pred.t) : Pred.t list =
-  let arr = Array.of_list hyps in
-  List.map (fun i -> arr.(i)) (prune_hyps_idx hyps goal)
-
-(* Shared decision core: trivial views, then cache (restoring the model
-   side channels and replaying work on hits), then a fresh SAT check
-   whose model and work are recorded in the entry. *)
-let decide_interned (query : Pred.t) : result =
-  match Pred.view query with
-  | Pred.False ->
-      last_work := 0;
-      Valid
-  | Pred.True ->
-      last_cex_raw := [];
-      last_work := 0;
-      Invalid
-  | _ -> (
-      match Pred.Tbl.find_opt cache query with
-      | Some e ->
-          stats.cache_hits <- stats.cache_hits + 1;
-          if e.ce_res = Invalid then last_cex := e.ce_cex;
-          last_cex_raw := e.ce_raw;
-          last_work := e.ce_work;
-          work_total := !work_total + e.ce_work;
-          e.ce_res
-      | None ->
-          let t0 = Unix.gettimeofday () in
-          let r = check_formula query in
-          stats.time <- stats.time +. (Unix.gettimeofday () -. t0);
-          Pred.Tbl.replace cache query
-            {
-              ce_res = r;
-              ce_cex = (if r = Invalid then !last_cex else []);
-              ce_raw = (if r = Invalid then !last_cex_raw else []);
-              ce_work = !last_work;
-            };
-          r)
-
-(* Decide [And hyps => goal] with [hyps] taken verbatim (no pruning). *)
-let check_pruned (hyps : Pred.t list) (goal : Pred.t) : result =
-  decide_interned (Pred.conj (Pred.not_ goal :: hyps))
-
-(** [check_valid ~kept hyps goal] decides whether the implication
-    [kept /\ hyps => goal] holds in QF-EUFLIA.  [hyps] are subject to
-    relevance pruning; [kept] hypotheses (typically path guards, whose
-    mutual contradiction must stay detectable) are kept verbatim and seed
-    the relevance closure. *)
-let check_valid ?(kept : Pred.t list = []) (hyps : Pred.t list) (goal : Pred.t)
-    : result =
-  stats.queries <- stats.queries + 1;
-  let hyps = prune_hyps hyps (Pred.conj (goal :: kept)) @ kept in
-  check_pruned hyps goal
-
-(** Like {!check_valid}, but also returns the indices of [hyps] retained
-    by relevance pruning, so incremental callers can record which
-    hypotheses the verdict could depend on. *)
-let check_valid_idx ?(kept : Pred.t list = []) (hyps : Pred.t list)
-    (goal : Pred.t) : result * int list =
-  stats.queries <- stats.queries + 1;
-  let idx = prune_hyps_idx hyps (Pred.conj (goal :: kept)) in
-  let arr = Array.of_list hyps in
-  let hyps = List.map (fun i -> arr.(i)) idx @ kept in
-  (check_pruned hyps goal, idx)
-
-(** A pruned implication query prepared once and decided later: the
-    interned cache key plus the hypothesis indices retained by pruning.
-    Lets the incremental fixpoint probe the cache for an instance and,
-    on a miss, SAT-check the very same query without rebuilding it. *)
+(** A pruned implication query: the interned cache key plus the
+    hypothesis indices retained by pruning. *)
 type prepared = { query : Pred.t; pruned_idx : int list }
 
+(** [prepare ~kept hyps goal] builds the query for [kept /\ hyps => goal]:
+    [hyps] are subject to relevance pruning; [kept] hypotheses (typically
+    path guards, whose mutual contradiction must stay detectable) are
+    kept verbatim and seed the relevance closure. *)
 let prepare ?(kept : Pred.t list = []) (hyps : Pred.t list) (goal : Pred.t)
     : prepared =
   let idx = prune_hyps_idx hyps (Pred.conj (goal :: kept)) in
@@ -278,38 +179,32 @@ let prepare ?(kept : Pred.t list = []) (hyps : Pred.t list) (goal : Pred.t)
   let pruned = List.map (fun i -> arr.(i)) idx @ kept in
   { query = Pred.conj (Pred.not_ goal :: pruned); pruned_idx = idx }
 
-(** Resolve a prepared query against the result cache without ever
-    invoking the SAT solver: [None] means deciding it would need a fresh
-    SAT check.  Counts as a query (and cache hit) only when it
-    answers. *)
-let probe_query (p : prepared) : result option =
-  let hit r =
-    stats.queries <- stats.queries + 1;
-    Some r
-  in
+(** Decide a prepared query: trivial views, then the cache (replaying
+    the stored answer and work on a hit), then a fresh SAT check whose
+    answer and work are stored. *)
+let check_query (p : prepared) : result =
+  stats.queries <- stats.queries + 1;
   match Pred.view p.query with
-  | Pred.False ->
-      last_work := 0;
-      hit Valid
-  | Pred.True ->
-      last_cex_raw := [];
-      last_work := 0;
-      hit Invalid
+  | Pred.False -> Valid
+  | Pred.True -> Invalid { display = []; raw = [] }
   | _ -> (
       match Pred.Tbl.find_opt cache p.query with
       | Some e ->
           stats.cache_hits <- stats.cache_hits + 1;
-          if e.ce_res = Invalid then last_cex := e.ce_cex;
-          last_cex_raw := e.ce_raw;
-          last_work := e.ce_work;
           work_total := !work_total + e.ce_work;
-          hit e.ce_res
-      | None -> None)
+          e.ce_res
+      | None ->
+          let t0 = Unix.gettimeofday () in
+          let r, work = check_formula p.query in
+          stats.time <- stats.time +. (Unix.gettimeofday () -. t0);
+          work_total := !work_total + work;
+          Pred.Tbl.replace cache p.query { ce_res = r; ce_work = work };
+          r)
 
-(** Decide a prepared query (cache, then SAT). *)
-let check_query (p : prepared) : result =
-  stats.queries <- stats.queries + 1;
-  decide_interned p.query
+(** [check_query (prepare ~kept hyps goal)]. *)
+let check_valid ?kept (hyps : Pred.t list) (goal : Pred.t) : result =
+  check_query (prepare ?kept hyps goal)
 
 (** Satisfiability of a conjunction (used by tests). *)
-let is_sat (p : Pred.t) : bool = Dpll.check_sat p <> Dpll.Unsat
+let is_sat (p : Pred.t) : bool =
+  match Dpll.check_sat p with Dpll.Unsat -> false | _ -> true

@@ -26,7 +26,18 @@
 open Liquid_common
 open Liquid_logic
 
-type result = Sat | Unsat | Unknown
+(** A counterexample value: integers keep their magnitude, boolean-sorted
+    entities render as booleans. *)
+type value = Vint of int | Vbool of bool
+
+(** A counterexample assignment: display label -> value, for the
+    non-internal entities of the query. *)
+type model = (string * value) list
+
+(** [Sat (display, raw)]: the satisfying model under display labels
+    ({!clean_label}) and under the entities' original labels, which a
+    strict evaluator needs (display labels can collide). *)
+type result = Sat of model * model | Unsat | Unknown
 
 (* Literals processed across all calls: prices each check by the size
    of the conjunction it decides (congruence closure and constraint
@@ -339,16 +350,6 @@ let candidate_pairs st =
       match Int.compare a c with 0 -> Int.compare b d | n -> n)
     !pairs
 
-(** A counterexample value: integers keep their magnitude, boolean-sorted
-    entities render as booleans. *)
-type value = Vint of int | Vbool of bool
-
-(** A counterexample assignment: display label -> value, for the
-    non-internal entities of the query. *)
-type model = (string * value) list
-
-let last_model : model ref = ref []
-
 (** Display form of an entity/atom label: internal names ('%'-prefixed)
     are dropped, alpha-renaming suffixes ([#N]) are stripped, the value
     variable [VV] prints as [v], and non-measure applications (mul/div
@@ -383,14 +384,6 @@ let clean_label (label : string) : string option =
 let pp_value ppf = function
   | Vint n -> Fmt.int ppf n
   | Vbool b -> Fmt.bool ppf b
-
-(** Like {!last_model}, but keyed by the entities' {e original} labels
-    (alpha-renaming suffixes intact, internal names and measure
-    applications included verbatim).  Display models are lossy — two
-    solver variables can collide on one display label — so callers that
-    {e evaluate} predicates under a model (counterexample-guided
-    elimination) read this one. *)
-let last_model_raw : model ref = ref []
 
 let extract_model_raw st (m : Rat.t array) : model =
   let out = ref [] in
@@ -432,11 +425,7 @@ let check_sat (lits : (Pred.t * bool) list) : result =
       else
         let nvars = st.nents in
         let cons = st.defs @ st.arith @ cc_equalities st in
-        let sat m =
-          last_model := extract_model st m;
-          last_model_raw := extract_model_raw st m;
-          Sat
-        in
+        let sat m = Sat (extract_model st m, extract_model_raw st m) in
         match lia_with_diseqs ~nvars cons st.diseqs with
         | Lia.Unsat -> Unsat
         | Lia.Unknown -> Unknown

@@ -5,8 +5,6 @@
 
 open Liquid_logic
 
-type result = Sat | Unsat | Unknown
-
 (** Total literals processed across all calls (instrumentation; prices
     each check by the size of the conjunction it decides). *)
 val nlits_total : int ref
@@ -20,15 +18,13 @@ type model = (string * value) list
 
 val pp_value : Format.formatter -> value -> unit
 
-(** Model of the last [Sat] answer (display labels). *)
-val last_model : model ref
-
-(** Model of the last [Sat] answer keyed by the entities' {e original}
-    labels (alpha-renaming suffixes intact, internal names included).
-    Display labels are lossy — distinct solver variables can collide on
-    one — so callers that {e evaluate} predicates under a model read
-    this one. *)
-val last_model_raw : model ref
+(** [Sat (display, raw)]: a satisfying model under display labels
+    ({!clean_label}) and under the entities' {e original} labels
+    (alpha-renaming suffixes intact, internal names included).  Display
+    labels are lossy — distinct solver variables can collide on one —
+    so callers that {e evaluate} predicates under a model read the raw
+    one. *)
+type result = Sat of model * model | Unsat | Unknown
 
 (** Display form of an entity label: [None] for internal ('%'-prefixed)
     names and non-measure application proxies; strips alpha-renaming

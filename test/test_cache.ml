@@ -519,23 +519,29 @@ let test_no_cache_dir_no_probes () =
 (* ------------------------------------------------------------------ *)
 
 let test_reset_run_state () =
-  Liquid_smt.Solver.last_cex := [ ("stale", Liquid_smt.Solver.Vint 99) ];
-  Liquid_smt.Dpll.last_model := [ ("stale", Liquid_smt.Theory.Vint 1) ];
   Liquid_smt.Dpll.models_total := 123;
+  Liquid_smt.Theory.nlits_total := 45;
+  Liquid_smt.Simplex.npivots := 67;
+  Liquid_smt.Lia.nnodes_total := 89;
   Liquid_smt.Solver.reset_run_state ();
-  check_bool "counterexample cleared" true (!Liquid_smt.Solver.last_cex = []);
-  check_bool "DPLL model cleared" true (!Liquid_smt.Dpll.last_model = []);
-  check_int "DPLL counters cleared" 0 !Liquid_smt.Dpll.models_total
+  check_int "DPLL models cleared" 0 !Liquid_smt.Dpll.models_total;
+  check_int "theory literals cleared" 0 !Liquid_smt.Theory.nlits_total;
+  check_int "simplex pivots cleared" 0 !Liquid_smt.Simplex.npivots;
+  check_int "LIA nodes cleared" 0 !Liquid_smt.Lia.nnodes_total
 
-(* An unsafe run leaves a counterexample behind; a subsequent pipeline
-   run must start clean (the daemon scenario, in-process). *)
+(* A safe run in between must not change what an unsafe program
+   reports: the same errors, counterexamples included (the daemon
+   scenario, in-process). *)
 let test_pipeline_resets_cex () =
   let bad = Pipeline.verify_string ~name:"bad.ml" src_unsafe in
   check_bool "unsafe run produced errors" true (bad.Pipeline.errors <> []);
+  check_bool "unsafe run produced a counterexample" true
+    (List.exists (fun e -> e.Pipeline.err_cex <> []) bad.Pipeline.errors);
   let good = Pipeline.verify_string ~name:"sum.ml" src_safe in
   check_bool "clean run reports no errors" true (good.Pipeline.errors = []);
-  check_bool "no stale counterexample survives the next run" true
-    (!Liquid_smt.Solver.last_cex = [])
+  let again = Pipeline.verify_string ~name:"bad.ml" src_unsafe in
+  check_bool "re-verified, the same errors and counterexamples" true
+    (again.Pipeline.errors = bad.Pipeline.errors)
 
 let tests =
   let tc name f = Alcotest.test_case name `Quick f in

@@ -228,9 +228,10 @@ let report_json (r : Pipeline.report) =
 
 (* Without faults, a sharded run reports exactly what a sequential run
    does: verdict, errors, residuals, explanations, types and the full
-   lint list.  Dead qualifiers (L005) are the sharpest probe: at
-   [jobs > 1] they come from the merged per-unit candidates, at
-   [jobs = 1] from the whole-system fixpoint. *)
+   lint list.  Dead qualifiers (L005) are the sharpest probe: at every
+   job count they come from the merged per-unit candidates, so a forked
+   unit that kept other candidates than the sequential solve shows
+   there. *)
 let test_sharded_clean () =
   List.iter
     (fun (name, src) ->

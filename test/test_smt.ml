@@ -13,9 +13,11 @@ let b_obj = Term.var "b" Sort.Obj
 let i n = Term.int n
 
 let valid hyps goal = Solver.check_valid hyps goal = Solver.Valid
-let invalid hyps goal = Solver.check_valid hyps goal = Solver.Invalid
+let invalid hyps goal =
+  match Solver.check_valid hyps goal with Solver.Invalid _ -> true | _ -> false
 
 let check_bool name expected actual = Alcotest.(check bool) name expected actual
+let check_int name expected actual = Alcotest.(check int) name expected actual
 
 (* ------------------------------------------------------------------ *)
 (* Rationals                                                           *)
@@ -246,40 +248,43 @@ let test_cache_and_stats () =
   check_bool "cache hit recorded" true (Solver.stats.cache_hits >= 1);
   check_bool "queries recorded" true (Solver.stats.queries >= 2)
 
-(* Regression: a cache hit on an [Invalid] entry must repopulate
-   [last_cex] with the falsifying model stored at miss time — it used to
-   leave whatever counterexample the previous (unrelated) query set. *)
+(* A cache hit on an [Invalid] entry returns the falsifying model the
+   fresh check found, not an empty or unrelated one. *)
 let test_cached_invalid_cex () =
   Solver.clear_cache ();
   Solver.reset_stats ();
   let hyps = [ Pred.le (i 0) x ] and goal = Pred.le x (i 5) in
-  check_bool "query is invalid" true (invalid hyps goal);
-  check_bool "fresh check yields a counterexample" true (!Solver.last_cex <> []);
+  let fresh = Solver.check_valid hyps goal in
+  let fresh_cex =
+    match fresh with Solver.Invalid cex -> cex | _ -> Alcotest.fail "not Invalid"
+  in
+  check_bool "fresh check yields a counterexample" true
+    (fresh_cex.Solver.display <> [] && fresh_cex.Solver.raw <> []);
   let hits0 = Solver.stats.cache_hits in
-  Solver.last_cex := [];
-  check_bool "still invalid from the cache" true (invalid hyps goal);
-  check_bool "second check was a cache hit" true (Solver.stats.cache_hits > hits0);
-  check_bool "cache hit repopulates the counterexample" true
-    (!Solver.last_cex <> [])
+  let cached = Solver.check_valid hyps goal in
+  check_int "second check was a cache hit" (hits0 + 1) Solver.stats.cache_hits;
+  check_bool "cache hit returns the same counterexample" true (cached = fresh)
 
-(* The prepared-query interface must agree with [check_valid] and answer
-   from the cache on a second probe. *)
+(* A second [check_query] of a prepared query is answered from the cache
+   with the same answer; a cached [Invalid] keeps its model. *)
 let test_prepared_queries () =
   Solver.clear_cache ();
   Solver.reset_stats ();
   let hyps = [ Pred.le x y; Pred.le y z ] and goal = Pred.le x z in
   let p = Solver.prepare hyps goal in
-  check_bool "cold probe misses" true (Solver.probe_query p = None);
   check_bool "check decides" true (Solver.check_query p = Solver.Valid);
-  check_bool "warm probe answers" true (Solver.probe_query p = Some Solver.Valid);
+  let hits0 = Solver.stats.cache_hits in
+  check_bool "second check agrees" true (Solver.check_query p = Solver.Valid);
+  check_int "second check is a cache hit" (hits0 + 1) Solver.stats.cache_hits;
   check_bool "agrees with check_valid" true (valid hyps goal);
-  (* invalid prepared queries restore the counterexample on a warm probe *)
   let bad = Solver.prepare hyps (Pred.lt z x) in
-  check_bool "bad goal invalid" true (Solver.check_query bad = Solver.Invalid);
-  Solver.last_cex := [];
-  check_bool "warm probe invalid" true
-    (Solver.probe_query bad = Some Solver.Invalid);
-  check_bool "warm probe restores cex" true (!Solver.last_cex <> [])
+  let fresh = Solver.check_query bad in
+  check_bool "bad goal invalid with a model" true
+    (match fresh with Solver.Invalid cex -> cex.Solver.display <> [] | _ -> false);
+  let hits0 = Solver.stats.cache_hits in
+  check_bool "cached Invalid keeps its model" true (Solver.check_query bad = fresh);
+  check_int "bad goal's second check is a cache hit" (hits0 + 1)
+    Solver.stats.cache_hits
 
 (* ------------------------------------------------------------------ *)
 (* Property tests: cross-check the solver against brute-force          *)
@@ -365,7 +370,7 @@ let prop_valid_implications_hold =
       | Solver.Valid ->
           (* No assignment in the small domain may satisfy h /\ ~g. *)
           not (brute_sat vars (Pred.and_ h (Pred.not_ g)) ~bound:4)
-      | Solver.Invalid | Solver.Unknown -> true)
+      | Solver.Invalid _ | Solver.Unknown -> true)
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
