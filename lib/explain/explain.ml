@@ -229,11 +229,12 @@ let core_of ctx (c : Constr.sub) (goal : Pred.t) :
   let retained (p : Solver.prepared) =
     List.map (fun i -> fact_arr.(i)) p.Solver.pruned_idx @ kept
   in
-  let refute = Solver.prepare ~kept:kept_preds fact_preds not_goal in
+  let idx = Solver.index ~kept:kept_preds fact_preds in
+  let refute = Solver.prepare idx not_goal in
   if Solver.check_query refute = Solver.Valid then
     (true, List.map core_hyp_of (minimize (retained refute) not_goal))
   else begin
-    let unproven = Solver.prepare ~kept:kept_preds fact_preds goal in
+    let unproven = Solver.prepare idx goal in
     (* Only the pruning is read, but the query is still decided:
        [explain_smt_queries] counts it. *)
     ignore (Solver.check_query unproven);

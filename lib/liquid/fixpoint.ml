@@ -239,6 +239,10 @@ let rec eval_pred (m : model_table) (p : Pred.t) : bool =
   | Pred.Imp (a, b) -> (not (eval_pred m a)) || eval_pred m b
   | Pred.Iff (a, b) -> eval_pred m a = eval_pred m b
 
+(* A conjunct's verdict under a pooled model ([Fails]: false or
+   [Unvalued]), memoized per writer visit. *)
+type verdict = Unevaluated | Holds | Fails
+
 (* -- Worklist ------------------------------------------------------------------------- *)
 
 (* The two engines share initialization, the dependency-directed worklist,
@@ -531,6 +535,8 @@ let weaken_incremental (compiled_of : Constr.sub -> compiled)
       let retained =
         if pending = [] then current
         else begin
+          (* One relevance index serves every query of the visit. *)
+          let relevance = Solver.index ~kept hyps in
           let valid = ref ISet.empty in
           let confirm_all insts idx =
             let deps = deps_of idx in
@@ -547,7 +553,7 @@ let weaken_incremental (compiled_of : Constr.sub -> compiled)
             List.iter
               (fun ((q, _) as inst) ->
                 sh.stats.implication_checks <- sh.stats.implication_checks + 1;
-                let prep = Solver.prepare ~kept hyps (goal_of inst) in
+                let prep = Solver.prepare relevance (goal_of inst) in
                 if Solver.check_query prep = Solver.Valid then begin
                   record inst (deps_of prep.Solver.pruned_idx);
                   valid := ISet.add (Pred.tag q) !valid
@@ -562,21 +568,71 @@ let weaken_incremental (compiled_of : Constr.sub -> compiled)
              the pool-free engine would have SAT-checked.  Each failing
              check contributes its fresh model to the pool, so one paid
              query buries every pool-refutable goal of this — and every
-             later — writer visit. *)
+             later — writer visit.
+
+             The query is the conjunction of [¬goal], the kept facts
+             and the relevant hypotheses, and a conjunction evaluates
+             to [true] exactly when each conjunct does (flattening,
+             dedup and collapse to [ff]/[tt] preserve that; an
+             [Unvalued] conjunct is not [true]).  So a kill is decided
+             from per-conjunct verdicts, memoized for the visit, and the
+             query is built only for the instances the solver decides. *)
           let elim = sh.elim in
-          let preps : (int, Solver.prepared) Hashtbl.t = Hashtbl.create 16 in
-          let prep_of ((q, _) as inst) =
-            match Hashtbl.find_opt preps (Pred.tag q) with
-            | Some p -> p
-            | None ->
-                let p = Solver.prepare ~kept hyps (goal_of inst) in
-                Hashtbl.add preps (Pred.tag q) p;
-                p
+          let facts : (int, Pred.t * Pred.t * int list) Hashtbl.t =
+            Hashtbl.create 16
           in
-          let killed_by _e m inst =
-            match eval_pred m (prep_of inst).Solver.query with
-            | b -> b
-            | exception Unvalued -> false
+          (* An instance's goal, its negation and its relevant
+             hypotheses. *)
+          let facts_of ((q, _) as inst) =
+            match Hashtbl.find_opt facts (Pred.tag q) with
+            | Some f -> f
+            | None ->
+                let goal = goal_of inst in
+                let f =
+                  (goal, Pred.not_ goal, Solver.relevant relevance goal)
+                in
+                Hashtbl.add facts (Pred.tag q) f;
+                f
+          in
+          let prep_of inst =
+            let goal, _, _ = facts_of inst in
+            Solver.prepare relevance goal
+          in
+          let holds m p =
+            match eval_pred m p with b -> b | exception Unvalued -> false
+          in
+          (* Per pooled model, by physical identity: a lazily filled
+             verdict per hypothesis and one for all the kept facts. *)
+          let verdicts : (model_table * (verdict array * bool Lazy.t)) list ref
+              =
+            ref []
+          in
+          let verdicts_of m =
+            match List.assq_opt m !verdicts with
+            | Some v -> v
+            | None ->
+                let v =
+                  ( Array.make (Array.length hyp_arr) Unevaluated,
+                    lazy (List.for_all (holds m) kept) )
+                in
+                verdicts := (m, v) :: !verdicts;
+                v
+          in
+          let hyp_holds m hv i =
+            match hv.(i) with
+            | Holds -> true
+            | Fails -> false
+            | Unevaluated ->
+                let b = holds m hyp_arr.(i) in
+                hv.(i) <- (if b then Holds else Fails);
+                b
+          in
+          let killed_by m inst =
+            let _, not_goal, rel = facts_of inst in
+            holds m not_goal
+            &&
+            let hv, kept_hold = verdicts_of m in
+            Lazy.force kept_hold && List.for_all (hyp_holds m hv) rel
           in
           (* Full pool scan, with move-to-front on a kill: a model that
              refutes one instance tends to refute its siblings too, so
@@ -585,7 +641,7 @@ let weaken_incremental (compiled_of : Constr.sub -> compiled)
             let rec go seen = function
               | [] -> false
               | m :: rest ->
-                  if killed_by e m inst then begin
+                  if killed_by m inst then begin
                     (if seen <> [] then
                        e.pool := m :: List.rev_append seen rest);
                     true
@@ -618,7 +674,7 @@ let weaken_incremental (compiled_of : Constr.sub -> compiled)
             List.iter
               (fun ((q, _) as inst) ->
                 let fresh = Listx.take (e.harvests - entry) !(e.pool) in
-                if List.exists (fun m -> killed_by e m inst) fresh then
+                if List.exists (fun m -> killed_by m inst) fresh then
                   incr deaths
                 else begin
                   sh.stats.implication_checks <-
@@ -639,7 +695,7 @@ let weaken_incremental (compiled_of : Constr.sub -> compiled)
           let conjoined insts =
             sh.stats.implication_checks <- sh.stats.implication_checks + 1;
             let prep =
-              Solver.prepare ~kept hyps (Pred.conj (List.map goal_of insts))
+              Solver.prepare relevance (Pred.conj (List.map goal_of insts))
             in
             match (Solver.check_query prep, elim) with
             | Solver.Valid, _ -> confirm_all insts prep.Solver.pruned_idx
@@ -657,7 +713,7 @@ let weaken_incremental (compiled_of : Constr.sub -> compiled)
           in
           (* Per-instance work of a visit body, in deterministic solver
              units.  Each issued query also pays a fixed cost the work
-             counter cannot see — prepare's relevance closure, query
+             counter cannot see — prepare's relevance scan, query
              construction, interning — all roughly linear in the
              environment, so it is priced at one hypothesis-count per
              query. *)

@@ -120,6 +120,33 @@ let rec find_model (asg : assignment) nvars clauses =
 let theory_unsat lits =
   match Theory.check_sat lits with Theory.Unsat -> true | _ -> false
 
+(** Shrink an unsat list [l0 … l(n-1)] to a (locally) minimal core, as
+    the greedy deletion filter would: it walks the list with the kept
+    literals [kept] (newest first), dropping [li] when [kept @ l(i+1..)]
+    is still [unsat].  Under a monotone oracle the next literal it keeps
+    from position [i] is [l(t)] for the largest [t >= i] such that
+    [kept @ l(t..)] is unsat, so a binary search over [t] finds it in
+    about log2(n - i) calls instead of one call per literal.  The search
+    stops once [kept] alone is unsat.  Every probe has the filter's
+    shape ([kept], newest first, then a suffix in list order), and the
+    core comes back in the filter's order, newest kept first. *)
+let shrink_core ~(unsat : 'a list -> bool) (lits : 'a list) : 'a list =
+  let rec tails l = l :: (match l with [] -> [] | _ :: rest -> tails rest) in
+  let suffix = Array.of_list (tails lits) in
+  let n = Array.length suffix - 1 in
+  (* Invariant: [kept @ suffix.(i)] is unsat. *)
+  let rec go kept i =
+    let lo = ref i and hi = ref (n + 1) in
+    while !hi - !lo > 1 do
+      let mid = (!lo + !hi) / 2 in
+      if unsat (kept @ suffix.(mid)) then lo := mid else hi := mid
+    done;
+    match suffix.(!lo) with
+    | [] -> kept (* [kept] alone is unsat *)
+    | l :: _ -> go (l :: kept) (!lo + 1)
+  in
+  go [] 0
+
 (** Satisfiability of a CNF whose theory atoms are named by [atoms]:
     [atoms.(v) = Some a] maps propositional variable [v] to theory atom
     [a] ([None]: a Tseitin definition variable).  {!check_sat} wraps this
@@ -212,25 +239,19 @@ let check_sat_cnf ~(nvars : int) ~(atoms : Liquid_logic.Pred.t option array)
             (* Shrink the conflict to a (locally) minimal unsat core before
                blocking: a short blocking clause excludes exponentially
                more future models than the full assignment would.  The
-               greedy deletion filter costs one theory call per literal,
-               which pays for itself by slashing the model enumeration. *)
+               bisection costs about log2 n theory calls per core
+               literal, which pays for itself by slashing the model
+               enumeration. *)
             let core =
               (* Adaptive: plain blocking is cheapest when a query needs
                  only a few models; once enumeration shows signs of
                  blowing up, pay for minimal cores. *)
               if 2000 - iters < 8 || List.length !lits > 100 then !lits
               else
-                let rec shrink kept pending =
-                  match pending with
-                  | [] -> kept
-                  | l :: rest ->
-                      let test =
-                        List.map (fun (_, a, p) -> (a, p)) (kept @ rest)
-                      in
-                      if theory_unsat test then shrink kept rest
-                      else shrink (l :: kept) rest
-                in
-                shrink [] !lits
+                shrink_core
+                  ~unsat:(fun ls ->
+                    theory_unsat (List.map (fun (_, a, p) -> (a, p)) ls))
+                  !lits
             in
             let blocking =
               List.map (fun (v, _, pos) -> if pos then -(v + 1) else v + 1) core

@@ -15,3 +15,12 @@ val models_total : int ref
 
 (** Satisfiability of a quantifier-free EUFLIA predicate. *)
 val check_sat : Liquid_logic.Pred.t -> result
+
+(** [shrink_core ~unsat lits] shrinks [lits], which [unsat] holds
+    unsat, to a core: the one the greedy deletion filter keeps (drop
+    each literal in turn while the kept ones, newest first, plus the
+    rest stay unsat), found by binary search over suffixes in about
+    log2 n [unsat] calls per core literal.  The core comes back newest
+    kept first.  It is the filter's core whenever [unsat] is monotone
+    (a superset of an unsat list is unsat). *)
+val shrink_core : unsat:('a list -> bool) -> 'a list -> 'a list

@@ -13,6 +13,7 @@
     original check found. *)
 
 open Liquid_logic
+module Ident = Liquid_common.Ident
 
 (** Counterexample values: re-exported from {!Theory} so consumers don't
     reach below the public SMT interface. *)
@@ -105,8 +106,6 @@ let check_formula (q : Pred.t) : result * int =
 (* Hypothesis relevance pruning                                        *)
 (* ------------------------------------------------------------------ *)
 
-let pred_vars p = List.map fst (Pred.free_vars p)
-
 (** Hypothesis relevance pruning: restrict hypotheses to those
     transitively sharing a variable with the goal.  Dropping hypotheses
     can only make an implication {e harder} to prove, so pruning is sound
@@ -116,68 +115,119 @@ let pred_vars p = List.map fst (Pred.free_vars p)
     every in-scope binding, most of which are irrelevant to any one
     obligation.
 
-    Returns the indices (into [hyps]) retained against a seed predicate.
-    Ground hypotheses are always retained.  Free-variable sets come
-    memoized off the hash-consed nodes, so tagging is cheap; the closure
-    itself is a breadth-first search over an inverted variable →
-    hypothesis index, linear in total variable occurrences. *)
-let prune_hyps_idx (hyps : Pred.t list) (seed : Pred.t) : int list =
-  let vars = Array.of_list (List.map pred_vars hyps) in
-  let n = Array.length vars in
-  let var_hyps : (Liquid_common.Ident.t, int list) Hashtbl.t =
-    Hashtbl.create (2 * n)
+    The transitive closure of "shares a variable" partitions the
+    non-ground hypotheses into components, which depend on the
+    hypotheses alone: an index finds them once per hypothesis set, by
+    union–find over variables, and each goal then retains the ground
+    hypotheses plus every component a seed variable touches.  Free
+    variables come memoized off the hash-consed nodes. *)
+type index = {
+  hyps : Pred.t array;
+  kept : Pred.t list;
+  comp : int array; (* hypothesis -> component, -1 when ground *)
+  ncomps : int; (* components are numbered below [ncomps] *)
+  var_comp : int Ident.Tbl.t; (* variable -> component *)
+  kept_touched : bool array option;
+      (* components the kept facts' variables touch; [None] when a kept
+         fact is [ff], which empties every seed *)
+}
+
+(* [Pred.conj ps] is [ff] exactly when one of the flattened conjuncts
+   is. *)
+let flat_false p =
+  match Pred.view p with
+  | Pred.False -> true
+  | Pred.And qs -> List.exists Pred.is_false qs
+  | _ -> false
+
+(* Mark the components of [vars] in [touched]. *)
+let touch var_comp (touched : bool array) vars =
+  List.iter
+    (fun (x, _) ->
+      match Ident.Tbl.find_opt var_comp x with
+      | Some c -> touched.(c) <- true
+      | None -> ())
+    vars
+
+let index ?(kept : Pred.t list = []) (hyps : Pred.t list) : index =
+  let hyps = Array.of_list hyps in
+  (* Number the variables, then union the variables of each hypothesis;
+     a component is named by its root variable's number. *)
+  let var_comp = Ident.Tbl.create (2 * Array.length hyps + 1) in
+  let ids =
+    Array.map
+      (fun h ->
+        List.map
+          (fun (x, _) ->
+            match Ident.Tbl.find_opt var_comp x with
+            | Some v -> v
+            | None ->
+                let v = Ident.Tbl.length var_comp in
+                Ident.Tbl.add var_comp x v;
+                v)
+          (Pred.free_vars h))
+      hyps
   in
-  Array.iteri
-    (fun i vs ->
-      List.iter
-        (fun v ->
-          Hashtbl.replace var_hyps v
-            (i :: (try Hashtbl.find var_hyps v with Not_found -> [])))
-        vs)
-    vars;
-  let keep = Array.make n false in
-  let seen : (Liquid_common.Ident.t, unit) Hashtbl.t = Hashtbl.create 64 in
-  let queue = Queue.create () in
-  let visit v =
-    if not (Hashtbl.mem seen v) then begin
-      Hashtbl.add seen v ();
-      Queue.add v queue
+  let parent = Array.init (Ident.Tbl.length var_comp) Fun.id in
+  let rec find v =
+    let p = parent.(v) in
+    if p = v then v
+    else begin
+      let r = find p in
+      parent.(v) <- r;
+      r
     end
   in
-  List.iter (fun (x, _) -> visit x) (Pred.free_vars seed);
-  while not (Queue.is_empty queue) do
-    let v = Queue.pop queue in
-    match Hashtbl.find_opt var_hyps v with
-    | None -> ()
-    | Some is ->
-        List.iter
-          (fun i ->
-            if not (keep.(i)) then begin
-              keep.(i) <- true;
-              List.iter visit vars.(i)
-            end)
-          is
+  Array.iter
+    (function
+      | [] -> ()
+      | v :: vs -> List.iter (fun w -> parent.(find w) <- find v) vs)
+    ids;
+  let comp = Array.map (function [] -> -1 | v :: _ -> find v) ids in
+  Ident.Tbl.filter_map_inplace (fun _ v -> Some (find v)) var_comp;
+  let ncomps = Array.length parent in
+  let kept_touched =
+    if List.exists flat_false kept then None
+    else begin
+      let t = Array.make ncomps false in
+      List.iter (fun k -> touch var_comp t (Pred.free_vars k)) kept;
+      Some t
+    end
+  in
+  { hyps; kept; comp; ncomps; var_comp; kept_touched }
+
+(** The hypotheses (indices, increasing) relevant to [goal]: the ground
+    ones, and those in a component touched by a free variable of
+    [Pred.conj (goal :: kept)] — none when that conjunction is [ff]. *)
+let relevant (idx : index) (goal : Pred.t) : int list =
+  let touched =
+    match idx.kept_touched with
+    | Some t when not (flat_false goal) ->
+        let t = Array.copy t in
+        touch idx.var_comp t (Pred.free_vars goal);
+        t
+    | _ -> Array.make idx.ncomps false
+  in
+  let acc = ref [] in
+  for i = Array.length idx.comp - 1 downto 0 do
+    let c = idx.comp.(i) in
+    if c < 0 || touched.(c) then acc := i :: !acc
   done;
-  let kept_idx = ref [] in
-  for i = n - 1 downto 0 do
-    if vars.(i) = [] || keep.(i) then kept_idx := i :: !kept_idx
-  done;
-  !kept_idx
+  !acc
 
 (** A pruned implication query: the interned cache key plus the
     hypothesis indices retained by pruning. *)
 type prepared = { query : Pred.t; pruned_idx : int list }
 
-(** [prepare ~kept hyps goal] builds the query for [kept /\ hyps => goal]:
-    [hyps] are subject to relevance pruning; [kept] hypotheses (typically
-    path guards, whose mutual contradiction must stay detectable) are
-    kept verbatim and seed the relevance closure. *)
-let prepare ?(kept : Pred.t list = []) (hyps : Pred.t list) (goal : Pred.t)
-    : prepared =
-  let idx = prune_hyps_idx hyps (Pred.conj (goal :: kept)) in
-  let arr = Array.of_list hyps in
-  let pruned = List.map (fun i -> arr.(i)) idx @ kept in
-  { query = Pred.conj (Pred.not_ goal :: pruned); pruned_idx = idx }
+(** [prepare idx goal] builds the query for [kept /\ hyps => goal] over
+    the indexed [hyps] and [kept]: [hyps] are subject to relevance
+    pruning; [kept] hypotheses (typically path guards, whose mutual
+    contradiction must stay detectable) are kept verbatim and seed the
+    relevance closure. *)
+let prepare (idx : index) (goal : Pred.t) : prepared =
+  let ri = relevant idx goal in
+  let pruned = List.map (fun i -> idx.hyps.(i)) ri @ idx.kept in
+  { query = Pred.conj (Pred.not_ goal :: pruned); pruned_idx = ri }
 
 (** Decide a prepared query: trivial views, then the cache (replaying
     the stored answer and work on a hit), then a fresh SAT check whose
@@ -201,9 +251,9 @@ let check_query (p : prepared) : result =
           Pred.Tbl.replace cache p.query { ce_res = r; ce_work = work };
           r)
 
-(** [check_query (prepare ~kept hyps goal)]. *)
+(** [check_query (prepare (index ?kept hyps) goal)]. *)
 let check_valid ?kept (hyps : Pred.t list) (goal : Pred.t) : result =
-  check_query (prepare ?kept hyps goal)
+  check_query (prepare (index ?kept hyps) goal)
 
 (** Satisfiability of a conjunction (used by tests). *)
 let is_sat (p : Pred.t) : bool =

@@ -53,26 +53,43 @@ val work_total : int ref
     consumers read as before/after deltas. *)
 val reset_run_state : unit -> unit
 
+(** The relevance index of a hypothesis set and its [kept] facts, built
+    once and shared by every goal posed against them: the components
+    of the non-ground hypotheses under "shares a variable",
+    transitively. *)
+type index
+
+(** [index ~kept hyps] indexes [hyps], the hypotheses subject to
+    relevance pruning, and [kept] (typically path guards), which are
+    exempt from it. *)
+val index : ?kept:Pred.t list -> Pred.t list -> index
+
+(** [relevant idx goal]: the indices, increasing, of the hypotheses
+    relevance pruning retains for [goal] — the ground ones, plus every
+    one sharing a variable, transitively, with [Pred.conj (goal ::
+    kept)] (none when that conjunction is [ff]). *)
+val relevant : index -> Pred.t -> int list
+
 (** A pruned implication query: the interned cache key plus
-    [pruned_idx], the indices of the hypotheses relevance pruning
-    retained (ground hypotheses are always retained).  A verdict can
-    only depend on retained hypotheses, which lets incremental callers
-    skip re-checks when none of them changed. *)
+    [pruned_idx], [relevant idx goal].  A verdict can only depend on
+    retained hypotheses, which lets incremental callers skip re-checks
+    when none of them changed. *)
 type prepared = private { query : Pred.t; pruned_idx : int list }
 
-(** [prepare ~kept hyps goal] builds the query for [kept /\ hyps => goal].
-    [hyps] are subject to relevance pruning: hypotheses sharing no
-    variable, transitively, with the goal are dropped (sound: dropping
-    hypotheses only makes implications harder).  [kept] hypotheses
-    (typically path guards) are exempt from pruning. *)
-val prepare : ?kept:Pred.t list -> Pred.t list -> Pred.t -> prepared
+(** [prepare idx goal] builds the query for [kept /\ hyps => goal], that
+    is [Pred.conj (Pred.not_ goal :: retained @ kept)].  Pruning seeds
+    from the goal and the [kept] facts: hypotheses sharing no variable,
+    transitively, with either are dropped (sound: dropping hypotheses
+    only makes implications harder), and [kept] facts are never
+    dropped. *)
+val prepare : index -> Pred.t -> prepared
 
 (** Decide a prepared query: the result cache first (a hit returns the
     stored answer, model included), then a SAT check. *)
 val check_query : prepared -> result
 
-(** [check_valid ?kept hyps goal] is [check_query (prepare ?kept hyps
-    goal)]. *)
+(** [check_valid ?kept hyps goal] is [check_query (prepare (index ?kept
+    hyps) goal)]. *)
 val check_valid : ?kept:Pred.t list -> Pred.t list -> Pred.t -> result
 
 (** Satisfiability of a formula ([Unknown] counts as satisfiable). *)

@@ -19,9 +19,14 @@
       same-symbol applications) are asserted back into CC, up to a fixed
       budget.
 
-    Any "unknown" outcome (overflow, branch-and-bound budget, exchange
-    budget) is reported as {!Unknown}; the validity checker treats it as
-    "possibly satisfiable", which is sound. *)
+    Any "unknown" outcome is reported as {!Unknown}: overflow, the
+    branch-and-bound budget, and an exhausted exchange — rounds or
+    budget run out while the model leaves some unprobed candidate pair
+    unseparated (equal in the model, so possibly forced equal, with a
+    congruence the model may violate).  An exhausted exchange whose
+    model separates every unprobed pair still answers [Sat].  The
+    validity checker treats [Unknown] as "possibly satisfiable", which
+    is sound. *)
 
 open Liquid_common
 open Liquid_logic
@@ -426,10 +431,19 @@ let check_sat (lits : (Pred.t * bool) list) : result =
         let nvars = st.nents in
         let cons = st.defs @ st.arith @ cc_equalities st in
         let sat m = Sat (extract_model st m, extract_model_raw st m) in
+        (* An unprobed pair the model leaves unseparated may be forced
+           equal: the model may then violate congruence, and only a
+           probe could tell. *)
+        let sat_unless_unseparated m unprobed =
+          if List.exists (fun (u, v) -> Rat.equal m.(u) m.(v)) unprobed then
+            Unknown
+          else sat m
+        in
         match lia_with_diseqs ~nvars cons st.diseqs with
         | Lia.Unsat -> Unsat
         | Lia.Unknown -> Unknown
-        | Lia.Sat m when rounds = 0 -> sat m
+        | Lia.Sat m when rounds = 0 ->
+            sat_unless_unseparated m (candidate_pairs st)
         | Lia.Sat m ->
             (* LIA -> CC: discover implied equalities among shared pairs.
                [m] is an integer model of [cons]; where it separates [u]
@@ -446,6 +460,7 @@ let check_sat (lits : (Pred.t * bool) list) : result =
             in
             let budget = ref budget in
             let merged = ref false in
+            let skipped = ref [] in
             List.iter
               (fun (u, v) ->
                 if !budget > 0 then begin
@@ -454,9 +469,11 @@ let check_sat (lits : (Pred.t * bool) list) : result =
                     Cc.assert_eq st.cc (Cc.var st.cc u) (Cc.var st.cc v);
                     merged := true
                   end
-                end)
+                end
+                else skipped := (u, v) :: !skipped)
               (candidate_pairs st);
-            if !merged then loop (rounds - 1) !budget else sat m
+            if !merged then loop (rounds - 1) !budget
+            else sat_unless_unseparated m !skipped
     in
     loop 3 propagation_budget
   with Rat.Overflow -> Unknown

@@ -271,13 +271,13 @@ let test_prepared_queries () =
   Solver.clear_cache ();
   Solver.reset_stats ();
   let hyps = [ Pred.le x y; Pred.le y z ] and goal = Pred.le x z in
-  let p = Solver.prepare hyps goal in
+  let p = Solver.prepare (Solver.index hyps) goal in
   check_bool "check decides" true (Solver.check_query p = Solver.Valid);
   let hits0 = Solver.stats.cache_hits in
   check_bool "second check agrees" true (Solver.check_query p = Solver.Valid);
   check_int "second check is a cache hit" (hits0 + 1) Solver.stats.cache_hits;
   check_bool "agrees with check_valid" true (valid hyps goal);
-  let bad = Solver.prepare hyps (Pred.lt z x) in
+  let bad = Solver.prepare (Solver.index hyps) (Pred.lt z x) in
   let fresh = Solver.check_query bad in
   check_bool "bad goal invalid with a model" true
     (match fresh with Solver.Invalid cex -> cex.Solver.display <> [] | _ -> false);
@@ -285,6 +285,43 @@ let test_prepared_queries () =
   check_bool "cached Invalid keeps its model" true (Solver.check_query bad = fresh);
   check_int "bad goal's second check is a cache hit" (hits0 + 1)
     Solver.stats.cache_hits
+
+(* The equality exchange runs a bounded number of rounds.  Each round
+   here adds one congruence: [x <= y /\ y <= x] forces [x = y], then
+   [f1(x) + 1 = f1(y) + 1], and so on up the nest.  When the rounds
+   run out with a pair still unseparated, the exchange does not know
+   the answer, and the model it holds need not respect congruence: the
+   answer is [Unknown], not a counterexample. *)
+let nested depth t =
+  let rec go k t =
+    if k > depth then t
+    else
+      let f =
+        Symbol.declare (Printf.sprintf "nest%d" k)
+          { Sort.args = [ Sort.Int ]; result = Sort.Int }
+      in
+      let app = Term.app f [ t ] in
+      go (k + 1) (if k = depth then app else Term.add app (i 1))
+  in
+  go 1 t
+
+let test_exchange_exhaustion () =
+  let answer depth =
+    Solver.check_valid [ Pred.le x y; Pred.le y x ]
+      (Pred.eq (nested depth x) (nested depth y))
+  in
+  List.iter
+    (fun d ->
+      check_bool (Printf.sprintf "depth %d: valid" d) true
+        (answer d = Solver.Valid))
+    [ 1; 2; 3 ];
+  List.iter
+    (fun d ->
+      check_bool
+        (Printf.sprintf "depth %d: unknown, no invented counterexample" d)
+        true
+        (answer d = Solver.Unknown))
+    [ 4; 5; 6 ]
 
 (* ------------------------------------------------------------------ *)
 (* Property tests: cross-check the solver against brute-force          *)
@@ -401,6 +438,7 @@ let tests =
     tc "solver: cache and stats" test_cache_and_stats;
     tc "solver: cached Invalid restores counterexample" test_cached_invalid_cex;
     tc "solver: prepared queries" test_prepared_queries;
+    tc "theory: an exhausted exchange answers Unknown" test_exchange_exhaustion;
   ]
   @ qcheck_tests
 
@@ -619,3 +657,219 @@ let qcheck_differential =
     ]
 
 let tests = tests @ qcheck_differential
+
+(* ------------------------------------------------------------------ *)
+(* Relevance: the union–find index against the per-query breadth-first *)
+(* closure it replaced (test/relevance_reference.ml).                  *)
+(* ------------------------------------------------------------------ *)
+
+let rel_pool =
+  List.map (fun n -> Term.var n Sort.Int) [ "r0"; "r1"; "r2"; "r3"; "r4"; "r5" ]
+
+(* Variables that no hypothesis mentions: only goals and kept facts. *)
+let goal_pool = [ Term.var "g0" Sort.Int; Term.var "g1" Sort.Int ]
+
+(* Verbatim atoms, so constant operands do not fold away. *)
+let gen_rel_atom vars =
+  let open QCheck.Gen in
+  let term =
+    frequency [ (4, oneofl vars); (1, map Term.int (int_range (-2) 2)) ]
+  in
+  map3
+    (fun a rel b -> Pred.make (Pred.Atom (a, rel, b)))
+    term
+    (oneofl Pred.[ Eq; Ne; Lt; Le ])
+    term
+
+let gen_rel_hyp =
+  let open QCheck.Gen in
+  let atom = gen_rel_atom rel_pool in
+  frequency
+    [
+      (8, atom);
+      (* ground *)
+      ( 1,
+        map
+          (fun k -> Pred.make (Pred.Atom (Term.int k, Pred.Lt, Term.int 2)))
+          (int_range 0 4) );
+      (1, return Pred.ff);
+      (1, map2 (fun a b -> Pred.conj [ a; b ]) atom atom);
+      (1, map Pred.bvar (oneofl [ "b0"; "b1" ]));
+    ]
+
+let gen_rel_kept =
+  let open QCheck.Gen in
+  list_size (int_range 0 2)
+    (frequency
+       [
+         (* may link hypotheses that share no variable *)
+         (6, gen_rel_atom (rel_pool @ goal_pool));
+         (1, return Pred.ff);
+         (1, return Pred.tt);
+       ])
+
+let gen_rel_goal =
+  let open QCheck.Gen in
+  let atom = gen_rel_atom rel_pool in
+  frequency
+    [
+      (4, atom);
+      (2, gen_rel_atom goal_pool);
+      (1, return Pred.ff);
+      (1, return Pred.tt);
+      (1, map2 (fun a b -> Pred.conj [ a; b ]) atom atom);
+      (1, map (fun a -> Pred.make (Pred.And [ a; Pred.ff ])) atom);
+    ]
+
+let print_preds ps = "[" ^ String.concat "; " (List.map Pred.to_string ps) ^ "]"
+
+let prop_relevance_matches_reference =
+  QCheck.Test.make ~count:1000
+    ~name:"relevance: the index retains what the closure did"
+    (QCheck.make
+       ~print:(fun (hyps, kept, goals) ->
+         Printf.sprintf "hyps %s\nkept %s\ngoals %s" (print_preds hyps)
+           (print_preds kept) (print_preds goals))
+       QCheck.Gen.(
+         triple
+           (list_size (int_range 0 10) gen_rel_hyp)
+           gen_rel_kept
+           (list_size (int_range 1 4) gen_rel_goal)))
+    (fun (hyps, kept, goals) ->
+      let idx = Solver.index ~kept hyps in
+      List.for_all
+        (fun goal ->
+          let query, retained = Relevance_reference.prepare ~kept hyps goal in
+          let p = Solver.prepare idx goal in
+          Solver.relevant idx goal = retained
+          && p.Solver.pruned_idx = retained
+          && p.Solver.query == query)
+        goals)
+
+(* ------------------------------------------------------------------ *)
+(* Conflict cores: bisection against the deletion filter it replaced   *)
+(* (test/core_reference.ml).                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* A monotone oracle: a list is unsat when it holds every member of
+   some conflict set. *)
+let family_unsat family items =
+  List.exists
+    (fun conflict -> List.for_all (fun c -> List.mem c items) conflict)
+    family
+
+let ceil_log2 n =
+  let rec go k p = if p >= n then k else go (k + 1) (2 * p) in
+  go 0 1
+
+(* Items [0 .. n-1] in random order, and up to four non-empty conflict
+   sets over them, so the whole list is unsat. *)
+let gen_core_case =
+  let open QCheck.Gen in
+  let* n = int_range 1 48 in
+  let* items = shuffle_l (List.init n Fun.id) in
+  let* nsets = int_range 1 4 in
+  let* family =
+    list_repeat nsets
+      (let* k = int_range 1 (min 5 n) in
+       list_repeat k (int_range 0 (n - 1)))
+  in
+  return (items, family)
+
+let prop_core_matches_filter =
+  QCheck.Test.make ~count:2000
+    ~name:"dpll: bisection finds the deletion filter's core"
+    (QCheck.make
+       ~print:(fun (items, family) ->
+         Printf.sprintf "items [%s], conflicts [%s]"
+           (String.concat "; " (List.map string_of_int items))
+           (String.concat "; "
+              (List.map
+                 (fun c -> String.concat "," (List.map string_of_int c))
+                 family)))
+       gen_core_case)
+    (fun (items, family) ->
+      let calls = ref 0 in
+      let unsat l =
+        incr calls;
+        family_unsat family l
+      in
+      let core = Dpll.shrink_core ~unsat items in
+      let bound =
+        (List.length core + 1) * ceil_log2 (List.length items + 1)
+      in
+      core = Core_reference.shrink_core ~unsat:(family_unsat family) items
+      && !calls <= bound)
+
+let theory_unsat lits =
+  match Theory.check_sat lits with Theory.Unsat -> true | _ -> false
+
+(* Random signed atoms over [x], [y], [z]; half the lists also hold the
+   complement of their first literal somewhere. *)
+let gen_theory_lits =
+  let open QCheck.Gen in
+  let atom =
+    map3
+      (fun a rel b -> Pred.atom a rel b)
+      (gen_term [ x; y; z ])
+      (oneofl Pred.[ Eq; Ne; Lt; Le; Gt; Ge ])
+      (gen_term [ x; y; z ])
+  in
+  let* lits = list_size (int_range 2 14) (pair atom bool) in
+  let* clash = bool in
+  let* at = int_range 0 (List.length lits) in
+  match lits with
+  | (a, pol) :: _ when clash ->
+      return (Liquid_common.Listx.take at lits @ [ (a, not pol) ] @ Liquid_common.Listx.drop at lits)
+  | _ -> return lits
+
+let prop_core_matches_filter_on_theory =
+  QCheck.Test.make ~count:500
+    ~name:"dpll: bisection finds the filter's core under the theory"
+    (QCheck.make
+       ~print:(fun lits ->
+         String.concat " /\\ "
+           (List.map
+              (fun (a, pol) ->
+                (if pol then "" else "~") ^ Pred.to_string a)
+              lits))
+       gen_theory_lits)
+    (fun lits ->
+      QCheck.assume (theory_unsat lits);
+      Dpll.shrink_core ~unsat:theory_unsat lits
+      = Core_reference.shrink_core ~unsat:theory_unsat lits)
+
+(* DPLL lists the model's literals newest variable first, so the
+   negated goal's atoms, interned first, come last: a core usually ends
+   at the list's tail.  The filter pays one call per literal. *)
+let test_core_bisection_calls () =
+  let conflict = [ 3; 17; 39 ] in
+  let calls = ref 0 in
+  let unsat l =
+    incr calls;
+    family_unsat [ conflict ] l
+  in
+  let items = List.init 40 Fun.id in
+  let core = Dpll.shrink_core ~unsat items in
+  let bisection = !calls in
+  calls := 0;
+  let filtered = Core_reference.shrink_core ~unsat items in
+  Alcotest.(check (list int)) "the filter's core" filtered core;
+  Alcotest.(check (list int)) "newest kept first" [ 39; 17; 3 ] core;
+  check_int "the filter makes one call per literal" 40 !calls;
+  check_bool
+    (Printf.sprintf "bisection makes at most 20 calls (made %d)" bisection)
+    true (bisection <= 20)
+
+let tests =
+  tests
+  @ List.map QCheck_alcotest.to_alcotest
+      [
+        prop_relevance_matches_reference;
+        prop_core_matches_filter;
+        prop_core_matches_filter_on_theory;
+      ]
+  @ [
+      Alcotest.test_case "dpll: a 3-literal core of 40 in at most 20 calls"
+        `Quick test_core_bisection_calls;
+    ]
