@@ -185,6 +185,18 @@ let not_ p =
 let is_true p = p == tt
 let is_false p = p == ff
 
+(* First occurrences, in order, by physical equality. *)
+let dedup ps =
+  let seen = Tbl.create 16 in
+  List.filter
+    (fun p ->
+      if Tbl.mem seen p then false
+      else begin
+        Tbl.add seen p ();
+        true
+      end)
+    ps
+
 let conj ps =
   let ps =
     List.concat_map
@@ -193,7 +205,7 @@ let conj ps =
   in
   if List.exists is_false ps then ff
   else
-    match Listx.dedup_ordered ~compare ps with
+    match dedup ps with
     | [] -> tt
     | [ p ] -> p
     | ps -> make (And ps)
@@ -206,7 +218,7 @@ let disj ps =
   in
   if List.exists is_true ps then tt
   else
-    match Listx.dedup_ordered ~compare ps with
+    match dedup ps with
     | [] -> ff
     | [ p ] -> p
     | ps -> make (Or ps)

@@ -7,12 +7,13 @@
 
     Terms are {e hash-consed}: every node is interned in a global table, so
     structural equality coincides with physical equality, [compare] is a
-    constant-time id comparison, and each node memoizes its hash and its
-    free-variable set.  The solver re-visits the same predicates thousands
-    of times as the fixpoint shrinks candidate sets, so cheap equality and
-    memoized free variables dominate the cost of embedding and relevance
-    pruning.  The interning table is append-only: nodes are never evicted,
-    which keeps physical equality valid for the whole process lifetime.
+    constant-time id comparison, and each node memoizes its hash, its
+    free-variable set and its rendering.  The solver re-visits the same
+    predicates thousands of times as the fixpoint shrinks candidate sets,
+    so cheap equality and memoized free variables dominate the cost of
+    embedding and relevance pruning.  The interning table is append-only:
+    nodes are never evicted, which keeps physical equality valid for the
+    whole process lifetime.
 
     Multiplication is kept as a syntactic node: the SMT front end
     linearizes products with a constant operand and purifies genuinely
@@ -25,6 +26,7 @@ type t = {
   tag : int; (* unique interning id; allocation order *)
   hkey : int; (* structural hash, memoized *)
   mutable fvs : (Ident.t * Sort.t) list option; (* free vars, memoized *)
+  mutable text : string option; (* [to_string], memoized *)
 }
 
 and node =
@@ -86,7 +88,9 @@ let make (node : node) : t =
   | Some t -> t
   | None ->
       incr counter;
-      let t = { node; tag = !counter; hkey = Node.hash node; fvs = None } in
+      let t =
+        { node; tag = !counter; hkey = Node.hash node; fvs = None; text = None }
+      in
       H.add table node t;
       t
 
@@ -251,4 +255,12 @@ let rec pp ppf t =
   | Sub (a, b) -> Fmt.pf ppf "(%a - %a)" pp a pp b
   | Mul (a, b) -> Fmt.pf ppf "(%a * %a)" pp a pp b
 
-let to_string t = Fmt.str "%a" pp t
+(* Memoized: the theory solver labels every application proxy with it,
+   and the fixpoint looks applications up by it in pooled models. *)
+let to_string t =
+  match t.text with
+  | Some s -> s
+  | None ->
+      let s = Fmt.str "%a" pp t in
+      t.text <- Some s;
+      s

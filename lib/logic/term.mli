@@ -6,7 +6,7 @@
 
     Terms are {e hash-consed}: structurally equal terms are physically
     equal, [compare] is a constant-time id comparison, and every node
-    memoizes its hash and free-variable set.  Construct terms with the
+    memoizes its hash, free-variable set and {!to_string}.  Construct terms with the
     smart constructors (which also fold constants), or with {!make} for a
     verbatim node; pattern-match through {!view} (or the [node] field). *)
 
@@ -17,6 +17,7 @@ type t = private {
   tag : int; (* unique interning id *)
   hkey : int; (* memoized structural hash *)
   mutable fvs : (Ident.t * Sort.t) list option; (* memoized free vars *)
+  mutable text : string option; (* memoized [to_string] *)
 }
 
 and node =

@@ -32,7 +32,6 @@ type t = {
   sig_tbl : (string * node list, node) Hashtbl.t; (* congruence signatures *)
   mutable diseqs : (node * node) list;
   mutable conflict : bool;
-  mutable merges : (node * node) list; (* log for class enumeration *)
 }
 
 let create () =
@@ -47,7 +46,6 @@ let create () =
     sig_tbl = Hashtbl.create 32;
     diseqs = [];
     conflict = false;
-    merges = [];
   }
 
 let rec find t n =
@@ -106,7 +104,6 @@ let rec merge t a b =
     t.parent.(ra) <- rb;
     if t.rank.(ra) = t.rank.(rb) then t.rank.(rb) <- t.rank.(rb) + 1;
     t.konst.(rb) <- k;
-    t.merges <- (ra, rb) :: t.merges;
     let moved = t.parents.(ra) in
     t.parents.(ra) <- [];
     t.parents.(rb) <- List.rev_append moved t.parents.(rb);

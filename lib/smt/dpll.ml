@@ -23,22 +23,19 @@ type assignment = int array (* 0 = unassigned, 1 = true, -1 = false *)
 let var_of_lit l = abs l - 1
 let sign_of_lit l = if l > 0 then 1 else -1
 
-(** Evaluate a clause: [`Sat], [`Conflict], or [`Unit l], or [`Open]. *)
-let eval_clause (asg : assignment) (c : Prop.clause) =
-  let unassigned = ref [] in
-  let sat = ref false in
-  List.iter
-    (fun l ->
+(* [eval_clause] on the literals left, [n] of those before unassigned
+   and [last] the latest of them. *)
+let rec eval_lits (asg : assignment) n last = function
+  | [] -> if n = 0 then `Conflict else if n = 1 then `Unit last else `Open
+  | l :: rest -> (
       match asg.(var_of_lit l) with
-      | 0 -> unassigned := l :: !unassigned
-      | v -> if v = sign_of_lit l then sat := true)
-    c;
-  if !sat then `Sat
-  else
-    match !unassigned with
-    | [] -> `Conflict
-    | [ l ] -> `Unit l
-    | _ -> `Open
+      | 0 -> eval_lits asg (n + 1) l rest
+      | v -> if v = sign_of_lit l then `Sat else eval_lits asg n last rest)
+
+(** Evaluate a clause: [`Sat], [`Conflict], or [`Unit l], or [`Open].
+    Counts the unassigned literals, keeping the last, and stops at the
+    first true one. *)
+let eval_clause (asg : assignment) (c : Prop.clause) = eval_lits asg 0 0 c
 
 (** Unit propagation to fixpoint; returns the trail of assigned literals,
     or [None] on conflict (after undoing its own assignments). *)

@@ -23,24 +23,26 @@ let nnodes_total = ref 0
 
 let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
 
-let rec lcm_den acc le =
-  match le with
-  | [] -> acc
-  | d :: rest ->
-      let g = gcd acc d in
-      lcm_den (Rat.mul_int (acc / g) d) rest
+let lcm a b = Rat.mul_int (a / gcd a b) b
 
 (** Scale a constraint so that all variable coefficients are integers,
     divide through by their GCD, and tighten.  Returns [None] if the
-    constraint is detected unsatisfiable outright (GCD test). *)
+    constraint is detected unsatisfiable outright (GCD test).  The
+    constant fold is skipped when the constant is 0, and a scaling when
+    its factor is 1: either would give equal values and cannot overflow.
+    On liquid queries both factors are almost always 1. *)
 let normalize { exp; op; rhs } : cons option option =
   (* Fold the constant term into the right-hand side. *)
-  let rhs = Rat.sub rhs (Linexp.constant exp) in
-  let exp = Linexp.sub exp (Linexp.const (Linexp.constant exp)) in
-  let dens = Linexp.fold (fun _ c acc -> Rat.den c :: acc) exp [ Rat.den rhs ] in
-  let m = lcm_den 1 dens in
-  let exp = Linexp.scale (Rat.of_int m) exp in
-  let rhs = Rat.mul (Rat.of_int m) rhs in
+  let rhs, exp =
+    let c = Linexp.constant exp in
+    if Rat.is_zero c then (rhs, exp)
+    else (Rat.sub rhs c, Linexp.sub exp (Linexp.const c))
+  in
+  let m = Linexp.fold (fun _ c acc -> lcm acc (Rat.den c)) exp (Rat.den rhs) in
+  let exp, rhs =
+    if m = 1 then (exp, rhs)
+    else (Linexp.scale (Rat.of_int m) exp, Rat.mul (Rat.of_int m) rhs)
+  in
   (* Now all coefficients are integers; rhs may still be fractional only if
      m missed its denominator, which lcm prevents. *)
   let g = Linexp.fold (fun _ c acc -> gcd acc (Rat.num c)) exp 0 in
@@ -54,8 +56,10 @@ let normalize { exp; op; rhs } : cons option option =
     in
     if sat then Some None else None
   else
-    let exp = Linexp.scale (Rat.make 1 g) exp in
-    let rhs = Rat.div rhs (Rat.of_int g) in
+    let exp, rhs =
+      if g = 1 then (exp, rhs)
+      else (Linexp.scale (Rat.make 1 g) exp, Rat.div rhs (Rat.of_int g))
+    in
     match op with
     | Eq ->
         if Rat.is_integer rhs then Some (Some { exp; op = Eq; rhs })

@@ -14,6 +14,12 @@ val default_budget : int
 (** Branch-and-bound nodes across all checks (instrumentation). *)
 val nnodes_total : int ref
 
+(** One constraint with integer coefficients divided by their GCD and
+    a tightened right-hand side, all [Le] or [Eq]: [Some (Some c)];
+    [Some None] if it has no variables and holds; [None] if it cannot
+    hold (including the GCD test).  May raise {!Rat.Overflow}. *)
+val normalize : cons -> cons option option
+
 (** Decide a conjunction of integer constraints over variables
     [0 .. nvars-1].  [budget] bounds branch-and-bound nodes. *)
 val check : ?budget:int -> nvars:int -> cons list -> result

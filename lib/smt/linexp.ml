@@ -2,7 +2,7 @@
 
     A linear expression is a finite map from variable indices to non-zero
     rational coefficients, plus a constant.  Solver variables are small
-    integers allocated by the theory front end ({!Purify}). *)
+    integers: the entities that {!Theory}'s purification allocates. *)
 
 module IMap = Map.Make (Int)
 
@@ -58,6 +58,8 @@ let remove v t =
 
 let fold f t acc = IMap.fold f t.coeffs acc
 
+let cardinal t = IMap.cardinal t.coeffs
+
 let iter f t = IMap.iter f t.coeffs
 
 let vars t = IMap.fold (fun v _ acc -> v :: acc) t.coeffs []
@@ -74,6 +76,15 @@ let eval (value : int -> Rat.t) t =
 let compare a b =
   let c = Rat.compare a.const b.const in
   if c <> 0 then c else IMap.compare Rat.compare a.coeffs b.coeffs
+
+let equal a b = Rat.equal a.const b.const && IMap.equal Rat.equal a.coeffs b.coeffs
+
+let hash t =
+  let mix h k = ((h * 31) + k) land max_int in
+  IMap.fold
+    (fun v c h -> mix (mix (mix h v) (Rat.num c)) (Rat.den c))
+    t.coeffs
+    (mix (Rat.num t.const) (Rat.den t.const))
 
 let pp pp_var ppf t =
   let first = ref true in

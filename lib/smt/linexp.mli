@@ -22,6 +22,10 @@ val add_const : Rat.t -> t -> t
 val remove : int -> t -> Rat.t * t
 
 val fold : (int -> Rat.t -> 'a -> 'a) -> t -> 'a -> 'a
+
+(** Number of variables with a non-zero coefficient. *)
+val cardinal : t -> int
+
 val iter : (int -> Rat.t -> unit) -> t -> unit
 val vars : t -> int list
 val choose_var : t -> (int * Rat.t) option
@@ -29,5 +33,11 @@ val choose_var : t -> (int * Rat.t) option
 (** Evaluate under a total assignment. *)
 val eval : (int -> Rat.t) -> t -> Rat.t
 
+(** [compare] orders by value and can raise {!Rat.Overflow} on
+    fractional coefficients; [equal] and [hash] compare representations
+    and never raise. *)
 val compare : t -> t -> int
+
+val equal : t -> t -> bool
+val hash : t -> int
 val pp : (Format.formatter -> int -> unit) -> Format.formatter -> t -> unit

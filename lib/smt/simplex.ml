@@ -17,7 +17,12 @@
     must pivot on the same variables and perform the same rational
     operations on each entry, so that it also overflows on the same
     inputs.  [test/simplex_reference.ml] is the map-based tableau this
-    one is held to. *)
+    one is held to.
+
+    A column index keeps, for each variable, the basic rows that mention
+    it, so a pivot substitutes into those rows, in increasing order,
+    without searching the others.  It changes no pivot, model or
+    overflow. *)
 
 type op = Le | Ge | Eq
 
@@ -35,23 +40,32 @@ type row = { vars : int array; coeffs : Rat.t array }
 
 let empty_row = { vars = [||]; coeffs = [||] }
 
+(* [le] has no constant term here. *)
 let row_of_linexp (le : Linexp.t) : row =
-  let entries = List.rev (Linexp.fold (fun v c acc -> (v, c) :: acc) le []) in
-  {
-    vars = Array.of_list (List.map fst entries);
-    coeffs = Array.of_list (List.map snd entries);
-  }
-
-(* Position of [v] in [r], or [-1]. *)
-let find (r : row) v =
-  let rec go lo hi =
-    if lo >= hi then -1
-    else
-      let mid = (lo + hi) lsr 1 in
-      let u = r.vars.(mid) in
-      if u = v then mid else if u < v then go (mid + 1) hi else go lo mid
+  let n = Linexp.cardinal le in
+  let vars = Array.make n 0 and coeffs = Array.make n Rat.zero in
+  let (_ : int) =
+    Linexp.fold
+      (fun v c k ->
+        vars.(k) <- v;
+        coeffs.(k) <- c;
+        k + 1)
+      le 0
   in
-  go 0 (Array.length r.vars)
+  { vars; coeffs }
+
+(* Position of [v] in the increasing [vars.(lo .. hi-1)], or [-1]. *)
+let rec find vars v lo hi =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) lsr 1 in
+    let u = vars.(mid) in
+    if u = v then mid else if u < v then find vars v (mid + 1) hi else find vars v lo mid
+
+(* The column index stores, for each variable, the set of basic
+   variables whose rows mention it, as a bitset of [words] words of
+   [bits] bits each, so that its members come out in increasing order. *)
+let bits = 62
 
 type t = {
   mutable nvars : int;
@@ -61,6 +75,17 @@ type t = {
   basic : bool array;
   (* [rows.(i)] is meaningful iff [basic.(i)]. *)
   rows : row array;
+  (* The column index: [cols.(v * words + w)] holds bits [w * bits ..]
+     of the set of basic rows containing [v].  Built at the first pivot
+     ([words = 0] until then), since most solves make none. *)
+  mutable cols : int array;
+  mutable words : int;
+  (* Substitution output, copied out once per row. *)
+  buf_vars : int array;
+  buf_coeffs : Rat.t array;
+  (* The rows the last pivot substituted into, increasing. *)
+  touched : int array;
+  mutable ntouched : int;
 }
 
 (* Room for [cap] variables: the problem's plus one slack per
@@ -74,6 +99,12 @@ let create nvars cap =
     beta = Array.make cap Rat.zero;
     basic = Array.make cap false;
     rows = Array.make cap empty_row;
+    cols = [||];
+    words = 0;
+    buf_vars = Array.make cap 0;
+    buf_coeffs = Array.make cap Rat.zero;
+    touched = Array.make cap 0;
+    ntouched = 0;
   }
 
 let fresh_var t =
@@ -94,6 +125,35 @@ let set_upper t v c =
   | _ ->
       (match t.lower.(v) with Some l when Rat.lt c l -> raise Unsat | _ -> ());
       t.upper.(v) <- Some c
+
+(* -- The column index ------------------------------------------------ *)
+
+let col_add t v k =
+  let i = (v * t.words) + (k / bits) in
+  t.cols.(i) <- t.cols.(i) lor (1 lsl (k mod bits))
+
+let col_remove t v k =
+  let i = (v * t.words) + (k / bits) in
+  t.cols.(i) <- t.cols.(i) land lnot (1 lsl (k mod bits))
+
+let build_cols t =
+  let cap = Array.length t.basic in
+  t.words <- (cap + bits - 1) / bits;
+  t.cols <- Array.make (cap * t.words) 0;
+  for k = 0 to t.nvars - 1 do
+    if t.basic.(k) then Array.iter (fun v -> col_add t v k) t.rows.(k).vars
+  done
+
+(* Index of the single set bit of [b], a positive power of two. *)
+let bit_index b =
+  let n = ref 0 and b = ref b in
+  if !b land 0xFFFFFFFF = 0 then (n := 32; b := !b lsr 32);
+  if !b land 0xFFFF = 0 then (n := !n + 16; b := !b lsr 16);
+  if !b land 0xFF = 0 then (n := !n + 8; b := !b lsr 8);
+  if !b land 0xF = 0 then (n := !n + 4; b := !b lsr 4);
+  if !b land 0x3 = 0 then (n := !n + 2; b := !b lsr 2);
+  if !b land 0x1 = 0 then n := !n + 1;
+  !n
 
 (* β of a basic variable: its row evaluated at the current nonbasic
    values, summed in variable order.  Terms whose variable is zero are
@@ -121,63 +181,65 @@ let recompute_basic t =
    work, counted for the deterministic cost metering in {!Solver}. *)
 let npivots = ref 0
 
-(* The substitution of a pivot's new row [rj] into a row [r] whose entry
-   at [q] is on the entering variable: [r] without that entry, plus its
-   coefficient [a] times [rj].  Every product [a * c] is formed, and
-   coefficients present in both rows are added (the row's first), as the
-   map-based [Linexp.add r' (Linexp.scale a rj)] does. *)
-let substitute (r : row) q (rj : row) : row =
+(* The substitution of a pivot's new row [rj] into basic [k]'s row [r],
+   whose entry at [q] is on the entering variable: [r] without that
+   entry, plus its coefficient [a] times [rj].  Every product [a * c] is
+   formed, and coefficients present in both rows are added (the row's
+   first), as the map-based [Linexp.add r' (Linexp.scale a rj)] does.
+   Variables the row gains or loses are entered in the column index;
+   the entering variable's own column is the caller's. *)
+let substitute t k (r : row) q (rj : row) =
   let a = r.coeffs.(q) in
-  let scaled = Array.map (fun c -> Rat.mul a c) rj.coeffs in
   let n = Array.length r.vars and m = Array.length rj.vars in
-  let vars = Array.make (n - 1 + m) 0 and coeffs = Array.make (n - 1 + m) Rat.zero in
-  let k = ref 0 in
-  let push v c =
-    vars.(!k) <- v;
-    coeffs.(!k) <- c;
-    incr k
-  in
-  let rec merge i j =
-    let i = if i = q then i + 1 else i in
-    if i >= n then
-      for j = j to m - 1 do
-        push rj.vars.(j) scaled.(j)
-      done
-    else if j >= m then
-      for i = i to n - 1 do
-        if i <> q then push r.vars.(i) r.coeffs.(i)
-      done
-    else
-      let u = r.vars.(i) and w = rj.vars.(j) in
-      if u < w then (
-        push u r.coeffs.(i);
-        merge (i + 1) j)
-      else if w < u then (
-        push w scaled.(j);
-        merge i (j + 1))
-      else begin
-        let c = Rat.add r.coeffs.(i) scaled.(j) in
-        if not (Rat.is_zero c) then push u c;
-        merge (i + 1) (j + 1)
+  let out = ref 0 and i = ref 0 and j = ref 0 in
+  while !i < n || !j < m do
+    if !i = q then incr i
+    else if !j >= m || (!i < n && r.vars.(!i) < rj.vars.(!j)) then begin
+      t.buf_vars.(!out) <- r.vars.(!i);
+      t.buf_coeffs.(!out) <- r.coeffs.(!i);
+      incr out;
+      incr i
+    end
+    else begin
+      let w = rj.vars.(!j) in
+      let c = Rat.mul a rj.coeffs.(!j) in
+      if !i < n && r.vars.(!i) = w then begin
+        let c = Rat.add r.coeffs.(!i) c in
+        if Rat.is_zero c then col_remove t w k
+        else begin
+          t.buf_vars.(!out) <- w;
+          t.buf_coeffs.(!out) <- c;
+          incr out
+        end;
+        incr i
       end
-  in
-  merge 0 0;
-  { vars = Array.sub vars 0 !k; coeffs = Array.sub coeffs 0 !k }
+      else begin
+        t.buf_vars.(!out) <- w;
+        t.buf_coeffs.(!out) <- c;
+        incr out;
+        col_add t w k
+      end;
+      incr j
+    end
+  done;
+  t.rows.(k) <-
+    { vars = Array.sub t.buf_vars 0 !out; coeffs = Array.sub t.buf_coeffs 0 !out }
 
 (** [pivot t xi xj] makes [xj] basic in place of [xi].  [xi] must be basic
-    and [xj] nonbasic with a non-zero coefficient in [xi]'s row.  Returns
-    the other basic variables whose rows changed, in increasing order:
-    exactly those whose rows contained [xj]. *)
+    and [xj] nonbasic with a non-zero coefficient in [xi]'s row.  Leaves
+    in [t.touched] the other basic variables whose rows changed, in
+    increasing order: exactly those whose rows contained [xj]. *)
 let pivot t xi xj =
   incr npivots;
+  if t.words = 0 then build_cols t;
   let ri = t.rows.(xi) in
-  let p = find ri xj in
+  let n = Array.length ri.vars in
+  let p = find ri.vars xj 0 n in
   let aij = ri.coeffs.(p) in
   assert (not (Rat.is_zero aij));
   (* xi = aij*xj + rest   ==>   xj = (xi - rest) / aij *)
   let inv = Rat.inv aij in
   let ninv = Rat.neg inv in
-  let n = Array.length ri.vars in
   let vars = Array.make n 0 and coeffs = Array.make n Rat.zero in
   (* [xi] is basic, so it is in no row; it goes where it sorts. *)
   let k = ref 0 and placed = ref false in
@@ -192,31 +254,46 @@ let pivot t xi xj =
       end;
       vars.(!k) <- v;
       coeffs.(!k) <- Rat.mul ninv ri.coeffs.(q);
-      incr k
+      incr k;
+      col_remove t v xi;
+      col_add t v xj
     end
   done;
   if not !placed then begin
     vars.(!k) <- xi;
     coeffs.(!k) <- inv
   end;
+  col_add t xi xj;
+  col_remove t xj xi;
   let row_j = { vars; coeffs } in
   t.basic.(xi) <- false;
   t.rows.(xi) <- empty_row;
   t.basic.(xj) <- true;
   t.rows.(xj) <- row_j;
-  (* Substitute xj's new definition into every other row containing xj. *)
-  let touched = ref [] in
-  for k = t.nvars - 1 downto 0 do
-    if t.basic.(k) && k <> xj then begin
+  (* Substitute xj's new definition into every other row containing xj,
+     in increasing order; afterwards no row contains it. *)
+  t.ntouched <- 0;
+  let base = xj * t.words in
+  for w = 0 to t.words - 1 do
+    let set = ref t.cols.(base + w) in
+    while !set <> 0 do
+      let low = !set land - !set in
+      set := !set lxor low;
+      let k = (w * bits) + bit_index low in
       let rk = t.rows.(k) in
-      let q = find rk xj in
-      if q >= 0 then begin
-        t.rows.(k) <- substitute rk q row_j;
-        touched := k :: !touched
-      end
-    end
-  done;
-  !touched
+      substitute t k rk (find rk.vars xj 0 (Array.length rk.vars)) row_j;
+      t.touched.(t.ntouched) <- k;
+      t.ntouched <- t.ntouched + 1
+    done;
+    t.cols.(base + w) <- 0
+  done
+
+(* Bland's eligibility tests of [repair]. *)
+let can_increase t xj =
+  match t.upper.(xj) with Some u -> Rat.lt t.beta.(xj) u | None -> true
+
+let can_decrease t xj =
+  match t.lower.(xj) with Some l -> Rat.lt l t.beta.(xj) | None -> true
 
 (** Make the (violated) basic variable [xi] take value [v] by pivoting it
     against a suitable nonbasic variable.  Returns [false] if no pivot is
@@ -227,20 +304,14 @@ let repair t xi v =
      eligibility is decided, as the map-based tableau did: its bound
      comparisons can overflow. *)
   let increase = Rat.lt t.beta.(xi) v in
-  let can_increase xj =
-    match t.upper.(xj) with Some u -> Rat.lt t.beta.(xj) u | None -> true
-  in
-  let can_decrease xj =
-    match t.lower.(xj) with Some l -> Rat.lt l t.beta.(xj) | None -> true
-  in
   let best = ref (-1) in
   for q = 0 to Array.length row.vars - 1 do
     let xj = row.vars.(q) and a = row.coeffs.(q) in
     let eligible =
       if increase then
-        (Rat.sign a > 0 && can_increase xj) || (Rat.sign a < 0 && can_decrease xj)
+        (Rat.sign a > 0 && can_increase t xj) || (Rat.sign a < 0 && can_decrease t xj)
       else
-        (Rat.sign a > 0 && can_decrease xj) || (Rat.sign a < 0 && can_increase xj)
+        (Rat.sign a > 0 && can_decrease t xj) || (Rat.sign a < 0 && can_increase t xj)
     in
     if eligible && !best < 0 then best := q
   done;
@@ -250,10 +321,14 @@ let repair t xi v =
     let theta = Rat.div (Rat.sub v t.beta.(xi)) aij in
     t.beta.(xi) <- v;
     t.beta.(xj) <- Rat.add t.beta.(xj) theta;
+    pivot t xi xj;
     (* Only the rows that contained xj changed; every other basic row
        would recompute its value from the same entries and the same
        nonbasic values. *)
-    List.iter (fun k -> t.beta.(k) <- eval t t.rows.(k)) (pivot t xi xj);
+    for i = 0 to t.ntouched - 1 do
+      let k = t.touched.(i) in
+      t.beta.(k) <- eval t t.rows.(k)
+    done;
     true
   end
 
@@ -297,8 +372,11 @@ let solve ~nvars (cs : cons list) : [ `Sat of Rat.t array | `Unsat ] =
     (* Install each constraint as a bound, introducing slacks as needed. *)
     List.iter
       (fun { exp; op; rhs } ->
-        let rhs = Rat.sub rhs (Linexp.constant exp) in
-        let exp = Linexp.sub exp (Linexp.const (Linexp.constant exp)) in
+        let rhs, exp =
+          let c = Linexp.constant exp in
+          if Rat.is_zero c then (rhs, exp)
+          else (Rat.sub rhs c, Linexp.sub exp (Linexp.const c))
+        in
         let v =
           match Linexp.choose_var exp with
           | None ->
@@ -312,8 +390,7 @@ let solve ~nvars (cs : cons list) : [ `Sat of Rat.t array | `Unsat ] =
               if not ok then raise Unsat;
               -1
           | Some (v0, c0) ->
-              if Rat.equal c0 Rat.one && Linexp.compare exp (Linexp.var v0) = 0
-              then v0
+              if Rat.equal c0 Rat.one && Linexp.cardinal exp = 1 then v0
               else begin
                 let s = fresh_var t in
                 t.basic.(s) <- true;

@@ -50,19 +50,18 @@ type result = Sat of model * model | Unsat | Unknown
    metering in {!Solver}. *)
 let nlits_total = ref 0
 
+module Linexp_tbl = Hashtbl.Make (Linexp)
+
 type state = {
   cc : Cc.t;
   mutable nents : int;
-  ent_of_ident : (Ident.t, int) Hashtbl.t;
+  ent_of_ident : int Ident.Tbl.t;
   mutable ent_sort : Sort.t array; (* [ent_sort.(id)] for [id < nents] *)
   app_proxy : (Cc.node, int) Hashtbl.t; (* app node -> entity id *)
-  linexp_proxy : (string, int) Hashtbl.t; (* canonical linexp -> entity id *)
+  linexp_proxy : int Linexp_tbl.t; (* compound linexp -> entity id *)
   mutable defs : Lia.cons list;
   mutable arith : Lia.cons list;
   mutable diseqs : Linexp.t list; (* d <> 0 constraints, branched at the end *)
-  (* entity ids that appear as arguments of applications (candidates for
-     LIA -> CC equality propagation) *)
-  mutable shared : int list;
   labels : (int, string) Hashtbl.t; (* entity id -> display label *)
 }
 
@@ -70,14 +69,13 @@ let create () =
   {
     cc = Cc.create ();
     nents = 0;
-    ent_of_ident = Hashtbl.create 16;
+    ent_of_ident = Ident.Tbl.create 16;
     ent_sort = Array.make 16 Sort.Int;
     app_proxy = Hashtbl.create 16;
-    linexp_proxy = Hashtbl.create 16;
+    linexp_proxy = Linexp_tbl.create 16;
     defs = [];
     arith = [];
     diseqs = [];
-    shared = [];
     labels = Hashtbl.create 16;
   }
 
@@ -95,18 +93,15 @@ let fresh_ent st sort =
 let sort_of_ent st id = st.ent_sort.(id)
 
 let ent_of_var st x sort =
-  match Hashtbl.find_opt st.ent_of_ident x with
+  match Ident.Tbl.find_opt st.ent_of_ident x with
   | Some id -> id
   | None ->
       let id = fresh_ent st sort in
-      Hashtbl.add st.ent_of_ident x id;
+      Ident.Tbl.add st.ent_of_ident x id;
       Hashtbl.replace st.labels id (Ident.to_string x);
       id
 
 (* -- Purification ---------------------------------------------------- *)
-
-let linexp_key (le : Linexp.t) =
-  Fmt.str "%a" (Linexp.pp (fun ppf v -> Fmt.int ppf v)) le
 
 (** CC node for a linear expression: plain entities and constants map
     directly; anything compound gets a defined proxy entity. *)
@@ -116,15 +111,14 @@ let rec node_of_linexp st (le : Linexp.t) : Cc.node =
   | Some (v, c)
     when Rat.equal c Rat.one
          && Rat.is_zero (Linexp.constant le)
-         && Linexp.compare le (Linexp.var v) = 0 ->
+         && Linexp.cardinal le = 1 ->
       Cc.var st.cc v
   | Some _ -> (
-      let key = linexp_key le in
-      match Hashtbl.find_opt st.linexp_proxy key with
+      match Linexp_tbl.find_opt st.linexp_proxy le with
       | Some p -> Cc.var st.cc p
       | None ->
           let p = fresh_ent st Sort.Int in
-          Hashtbl.add st.linexp_proxy key p;
+          Linexp_tbl.add st.linexp_proxy le p;
           (* definition: p - le = 0 *)
           st.defs <-
             { Lia.exp = Linexp.sub (Linexp.var p) le; op = Lia.Eq; rhs = Rat.zero }
@@ -138,7 +132,7 @@ and linexp_of_term st (t : Term.t) : Linexp.t =
   match Term.view t with
   | Term.Int n -> Linexp.const (Rat.of_int n)
   | Term.Var (x, s) -> Linexp.var (ent_of_var st x s)
-  | Term.App (f, args) -> Linexp.var (proxy_of_app st f args)
+  | Term.App (f, args) -> Linexp.var (proxy_of_app st t f args)
   | Term.Neg t -> Linexp.neg (linexp_of_term st t)
   | Term.Add (a, b) -> Linexp.add (linexp_of_term st a) (linexp_of_term st b)
   | Term.Sub (a, b) -> Linexp.sub (linexp_of_term st a) (linexp_of_term st b)
@@ -146,43 +140,34 @@ and linexp_of_term st (t : Term.t) : Linexp.t =
       let la = linexp_of_term st a and lb = linexp_of_term st b in
       if Linexp.is_const la then Linexp.scale (Linexp.constant la) lb
       else if Linexp.is_const lb then Linexp.scale (Linexp.constant lb) la
-      else Linexp.var (proxy_of_app st Symbol.mul [ a; b ])
+      else Linexp.var (proxy_of_app st t Symbol.mul [ a; b ])
 
 (** CC node for an arbitrary term. *)
 and node_of_term st (t : Term.t) : Cc.node =
   match Term.view t with
   | Term.Var (x, s) -> Cc.var st.cc (ent_of_var st x s)
   | Term.Int n -> Cc.const st.cc n
-  | Term.App (f, args) ->
-      let node = app_node st f args in
-      node
+  | Term.App (f, args) -> app_node st f args
   | Term.Neg _ | Term.Add _ | Term.Sub _ | Term.Mul _ ->
       node_of_linexp st (linexp_of_term st t)
 
-and app_node st f args =
-  let arg_nodes = List.map (node_of_term st) args in
-  (* Record argument entities as shared (candidates for propagation). *)
-  List.iter
-    (fun n ->
-      match Cc.expr_of st.cc n with
-      | Cc.Evar id when Sort.equal (sort_of_ent st id) Sort.Int ->
-          st.shared <- id :: st.shared
-      | _ -> ())
-    arg_nodes;
-  Cc.app st.cc f arg_nodes
+and app_node st f args = Cc.app st.cc f (List.map (node_of_term st) args)
 
-(** Entity proxy standing for an application in arithmetic positions.
-    The proxy's CC node is merged with the application node so that
+(** Entity proxy standing for the application [f(args)] in arithmetic
+    positions; [t] is that application, or the product it purifies.  The
+    proxy's CC node is merged with the application node so that
     congruence-derived equalities reach the arithmetic solver. *)
-and proxy_of_app st f args =
+and proxy_of_app st t f args =
   let node = app_node st f args in
   match Hashtbl.find_opt st.app_proxy node with
   | Some p -> p
   | None ->
       let p = fresh_ent st (Symbol.result_sort f) in
       Hashtbl.add st.app_proxy node p;
-      Hashtbl.replace st.labels p (Term.to_string (Term.make (Term.App (f, args))));
-      st.shared <- p :: st.shared;
+      let app =
+        match Term.view t with Term.App _ -> t | _ -> Term.make (Term.App (f, args))
+      in
+      Hashtbl.replace st.labels p (Term.to_string app);
       Cc.assert_eq st.cc (Cc.var st.cc p) node;
       p
 

@@ -476,7 +476,7 @@ let small_system =
        ~rhs:QCheck.Gen.(int_range (-6) 6))
 
 let prop_simplex_agrees_with_fm =
-  QCheck.Test.make ~count:500 ~name:"simplex agrees with Fourier-Motzkin"
+  QCheck.Test.make ~count:500 ~long_factor:10 ~name:"simplex agrees with Fourier-Motzkin"
     small_system
     (fun cs ->
       let simplex =
@@ -485,7 +485,8 @@ let prop_simplex_agrees_with_fm =
       simplex = Fm.solve cs)
 
 let prop_simplex_models_check_out =
-  QCheck.Test.make ~count:500 ~name:"simplex models satisfy all constraints"
+  QCheck.Test.make ~count:500 ~long_factor:10
+    ~name:"simplex models satisfy all constraints"
     small_system
     (fun cs ->
       match Simplex.solve ~nvars:3 cs with
@@ -564,7 +565,7 @@ let gen_sized_system ~max_vars ~max_cons ~coeff ~rhs =
 (* Up to 8 variables and 12 constraints: solves pivot several times
    through fractional tableaux. *)
 let prop_simplex_matches_reference =
-  QCheck.Test.make ~count:1000
+  QCheck.Test.make ~count:1000 ~long_factor:10
     ~name:"sparse simplex pivots and answers like the map-based tableau"
     (QCheck.make
        QCheck.Gen.(
@@ -591,6 +592,89 @@ let prop_simplex_overflows_like_reference =
     (QCheck.make (gen_sized_system ~max_vars:4 ~max_cons:6 ~coeff ~rhs:coeff))
     same_as_reference
 
+(* 8 to 24 variables and up to 48 constraints of about four terms each,
+   nearer the 91 variables a T1 tableau averages at a pivot: pivots
+   substitute into many rows, so the column index gains and loses
+   entries.  About three systems in four pivot, one in five pivots 20
+   times or more, and a few overflow. *)
+let prop_simplex_matches_reference_large =
+  QCheck.Test.make ~count:100 ~long_factor:10
+    ~name:"simplex on 24 variables pivots and answers like the map-based tableau"
+    (QCheck.make
+       QCheck.Gen.(
+         let* nvars = int_range 8 24 in
+         let+ cs =
+           gen_system ~nvars ~max_cons:48
+             ~coeff:(frequency [ (nvars - 4, return 0); (4, int_range (-3) 3) ])
+             ~rhs:(int_range (-4) 12)
+         in
+         (nvars, cs)))
+    same_as_reference
+
+(* -- Lia.normalize against the version that always scaled (test/lia_reference.ml) *)
+
+(* [n / d], or [n] where building the fraction overflows. *)
+let rat n d = try Rat.make n d with Rat.Overflow -> Rat.of_int n
+
+(* Denominators where the lcm and the products overflow. *)
+let gen_edge_den =
+  QCheck.Gen.oneofl [ 1 lsl 31; (1 lsl 31) + 1; (1 lsl 31) - 1; max_int; max_int - 1 ]
+
+let gen_norm_rat =
+  let open QCheck.Gen in
+  frequency
+    [
+      (4, map Rat.of_int (int_range (-6) 6));
+      (3, map2 rat (int_range (-6) 6) (int_range 2 6));
+      (1, map Rat.of_int gen_edge_int);
+      (1, map2 rat gen_edge_int (int_range 2 6));
+      (1, map2 rat (int_range (-6) 6) gen_edge_den);
+    ]
+
+(* Up to four variables (none: a constant-only constraint), a constant
+   term that is often zero, and fractional or huge coefficients. *)
+let gen_norm_cons =
+  let open QCheck.Gen in
+  let* nvars = int_range 0 4 in
+  let* coeffs = list_repeat nvars gen_norm_rat in
+  let* konst = frequency [ (2, return Rat.zero); (1, gen_norm_rat) ] in
+  let* rhs = gen_norm_rat in
+  let+ op = oneofl [ Lia.Le; Lia.Lt; Lia.Eq ] in
+  let exp =
+    snd
+      (List.fold_left
+         (fun (v, e) c -> (v + 1, Linexp.add_term v c e))
+         (0, Linexp.const konst) coeffs)
+  in
+  { Lia.exp; op; rhs }
+
+let print_lia_cons (c : Lia.cons) =
+  Fmt.str "%a %s %a"
+    (Linexp.pp (fun ppf v -> Fmt.pf ppf "x%d" v))
+    c.Lia.exp
+    (match c.Lia.op with Lia.Le -> "<=" | Lia.Lt -> "<" | Lia.Eq -> "=")
+    Rat.pp c.Lia.rhs
+
+let normalize_outcome normalize c =
+  let rat r = (Rat.num r, Rat.den r) in
+  match normalize c with
+  | None -> `Unsat
+  | Some None -> `Holds
+  | Some (Some (c : Lia.cons)) ->
+      `Cons
+        ( Linexp.fold (fun v r acc -> (v, rat r) :: acc) c.Lia.exp [],
+          rat (Linexp.constant c.Lia.exp),
+          c.Lia.op,
+          rat c.Lia.rhs )
+  | exception Rat.Overflow -> `Overflow
+
+let prop_normalize_matches_reference =
+  QCheck.Test.make ~count:2000 ~long_factor:10
+    ~name:"Lia.normalize answers and overflows like the version that always scaled"
+    (QCheck.make ~print:print_lia_cons gen_norm_cons)
+    (fun c ->
+      normalize_outcome Lia.normalize c = normalize_outcome Lia_reference.normalize c)
+
 (* The general formulas, with the division-based overflow check on
    every product, that the fast paths must agree with. *)
 module General = struct
@@ -614,7 +698,7 @@ module General = struct
 end
 
 let prop_rat_integer_fast_paths =
-  QCheck.Test.make ~count:2000
+  QCheck.Test.make ~count:2000 ~long_factor:10
     ~name:"Rat integer fast paths agree with the general formula"
     QCheck.(pair (make gen_edge_int) (make gen_edge_int))
     (fun (m, n) ->
@@ -724,7 +808,7 @@ let gen_rel_goal =
 let print_preds ps = "[" ^ String.concat "; " (List.map Pred.to_string ps) ^ "]"
 
 let prop_relevance_matches_reference =
-  QCheck.Test.make ~count:1000
+  QCheck.Test.make ~count:1000 ~long_factor:10
     ~name:"relevance: the index retains what the closure did"
     (QCheck.make
        ~print:(fun (hyps, kept, goals) ->
@@ -777,7 +861,7 @@ let gen_core_case =
   return (items, family)
 
 let prop_core_matches_filter =
-  QCheck.Test.make ~count:2000
+  QCheck.Test.make ~count:2000 ~long_factor:10
     ~name:"dpll: bisection finds the deletion filter's core"
     (QCheck.make
        ~print:(fun (items, family) ->
@@ -873,3 +957,5 @@ let tests =
       Alcotest.test_case "dpll: a 3-literal core of 40 in at most 20 calls"
         `Quick test_core_bisection_calls;
     ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_simplex_matches_reference_large; prop_normalize_matches_reference ]
