@@ -1,7 +1,7 @@
 (** dsolve — liquid type inference for NanoML programs.
 
     Usage: [dsolve [-q QUALFILE] [-Q 'qualif ...'] [--lint] [--stats]
-    [--jobs N] FILE.ml]
+    FILE.ml]
 
     Verifies the given NanoML program (array-bounds safety and
     assertions), printing the inferred refinement types of its top-level
@@ -9,10 +9,7 @@
     runs the semantic-lint pass (unreachable branches, trivial
     conditions, unused/shadowed bindings, dead qualifiers) and prints
     its diagnostics; [--warn-error] makes lint warnings fail the run,
-    and [--format json] emits the whole report as JSON.  [--jobs N]
-    solves independent constraint partitions in N concurrent worker
-    processes ([--partition-timeout] bounds each one; a partition that
-    fails twice fails the run, exit code 2).  [--cache DIR]
+    and [--format json] emits the whole report as JSON.  [--cache DIR]
     persists verification results on disk so an unchanged program is
     re-verified for the cost of a digest.  [--explain] explains each
     failed obligation (minimal core, blame path, witness, repair hint;
@@ -24,9 +21,10 @@
     [--warn-error]; under [--gradual --run], also no cast failed).
 
     Server mode: [dsolve --serve SOCK] starts a resident verification
-    daemon on a Unix-domain socket; [dsolve --connect SOCK FILE...]
-    verifies files through it ([--server-stats] and [--server-shutdown]
-    query and stop a running daemon). *)
+    daemon on a Unix-domain socket ([--jobs N] sizes its pool of solve
+    workers); [dsolve --connect SOCK FILE...] verifies files through it
+    ([--server-stats] and [--server-shutdown] query and stop a running
+    daemon). *)
 
 open Cmdliner
 module Pipeline = Liquid_driver.Pipeline
@@ -38,7 +36,7 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let print_stats ~jobs (s : Pipeline.stats) =
+let print_stats (s : Pipeline.stats) =
   Fmt.pr
     "stats: lines=%d kvars=%d wf=%d sub=%d quals=%d measures=%d \
      measure-axioms=%d candidates=%d collapsed=%d checks=%d \
@@ -53,12 +51,6 @@ let print_stats ~jobs (s : Pipeline.stats) =
     s.n_pcache_lookups s.n_pcache_hits s.n_punit_hits s.n_punit_misses
     s.elapsed;
   Fmt.pr "gradual: residuals=%d@." s.n_residuals;
-  List.iter
-    (fun (p : Pipeline.part_stat) ->
-      if jobs > 1 then
-        Fmt.pr "partition %d: kvars=%d subs=%d time=%.3fs@." p.Pipeline.pt_id
-          p.Pipeline.pt_kvars p.Pipeline.pt_subs p.Pipeline.pt_time)
-    s.partitions;
   Fmt.pr "phases:%a@."
     Fmt.(list ~sep:nop (fun ppf (name, t) -> Fmt.pf ppf " %s=%.3fs" name t))
     s.phases
@@ -74,8 +66,7 @@ let code_of_report ~warn_error (report : Pipeline.report) =
 (* One-shot mode                                                       *)
 
 let run_oneshot file ~quals ~specfile ~show_stats ~execute ~lint ~warn_error
-    ~format ~jobs ~partition_timeout ~cache_dir ~explain ~explain_limit ~gradual
-    =
+    ~format ~cache_dir ~explain ~explain_limit ~gradual =
   let specs =
     match specfile with
     | None -> []
@@ -87,8 +78,6 @@ let run_oneshot file ~quals ~specfile ~show_stats ~execute ~lint ~warn_error
       Pipeline.quals;
       specs;
       lint;
-      jobs;
-      partition_timeout;
       cache_dir;
       explain;
       explain_limit;
@@ -100,7 +89,7 @@ let run_oneshot file ~quals ~specfile ~show_stats ~execute ~lint ~warn_error
   | `Json -> Fmt.pr "%a@." Json.pp (Pipeline.json_of_report ~file report)
   | `Text ->
       Fmt.pr "%a@." Pipeline.pp_report report;
-      if show_stats then print_stats ~jobs report.Pipeline.stats);
+      if show_stats then print_stats report.Pipeline.stats);
   let run_code = ref 0 in
   if execute && format = `Text then begin
     Fmt.pr "@.--- running %s ---@." file;
@@ -175,7 +164,7 @@ let run_client sock files ~qual_text ~no_defaults ~list_quals ~spec_text
                 | `Text ->
                     if List.length files > 1 then Fmt.pr "=== %s ===@." file;
                     Fmt.pr "%a@." Pipeline.pp_report report;
-                    if show_stats then print_stats ~jobs:1 report.Pipeline.stats)
+                    if show_stats then print_stats report.Pipeline.stats)
             | Liquid_server.Protocol.Rejected e -> (
                 code := 2;
                 match format with
@@ -211,16 +200,13 @@ let run_client sock files ~qual_text ~no_defaults ~list_quals ~spec_text
 (* ------------------------------------------------------------------ *)
 
 let run files qualfile inline_quals no_defaults list_quals specfile show_stats
-    execute lint warn_error format jobs partition_timeout cache_dir
-    explain explain_limit gradual serve connect request_timeout max_inflight
-    client_queue idle_timeout server_stats server_shutdown =
+    execute lint warn_error format jobs cache_dir explain explain_limit gradual
+    serve connect request_timeout max_inflight client_queue idle_timeout
+    server_stats server_shutdown =
   let qual_text =
     String.concat "\n"
       ((match qualfile with None -> [] | Some path -> [ read_file path ])
       @ inline_quals)
-  in
-  let partition_timeout =
-    if partition_timeout <= 0.0 then None else Some partition_timeout
   in
   let request_timeout =
     if request_timeout <= 0.0 then None else Some request_timeout
@@ -279,8 +265,8 @@ let run files qualfile inline_quals no_defaults list_quals specfile show_stats
               base @ Liquid_infer.Qualifier.parse_string qual_text
             in
             run_oneshot file ~quals ~specfile ~show_stats ~execute
-              ~lint:(lint || warn_error) ~warn_error ~format ~jobs
-              ~partition_timeout ~cache_dir ~explain ~explain_limit ~gradual
+              ~lint:(lint || warn_error) ~warn_error ~format ~cache_dir
+              ~explain ~explain_limit ~gradual
         | [] ->
             Fmt.epr "error: a FILE argument is required@.";
             2
@@ -377,19 +363,8 @@ let jobs_arg =
   Arg.(
     value & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:"Solve independent constraint partitions in $(docv) concurrent \
-              worker processes (default 1: sequential in-process solving; \
-              results are identical either way).  Under $(b,--serve), the \
-              daemon-wide cap on concurrent solve workers")
-
-let partition_timeout_arg =
-  Arg.(
-    value
-    & opt float 0.0
-    & info [ "partition-timeout" ] ~docv:"SECONDS"
-        ~doc:"Per-partition wall-clock budget under $(b,--jobs) > 1; an \
-              exceeded partition is retried once, then the run fails \
-              (exit code 2).  0 (the default) disables the timeout")
+        ~doc:"Under $(b,--serve): the daemon-wide cap on concurrent solve \
+              worker processes (default 1)")
 
 let format_arg =
   Arg.(
@@ -509,11 +484,9 @@ let cmd =
     Term.(
       const run $ files_arg $ qualfile_arg $ inline_quals_arg $ no_defaults_arg
       $ list_quals_arg $ spec_arg $ stats_arg $ run_arg $ lint_arg
-      $ warn_error_arg $ format_arg $ jobs_arg
-      $ partition_timeout_arg $ cache_arg $ explain_arg $ explain_limit_arg
-      $ gradual_arg $ serve_arg $ connect_arg $ request_timeout_arg
-      $ max_inflight_arg
-      $ client_queue_arg $ idle_timeout_arg $ server_stats_arg
-      $ server_shutdown_arg)
+      $ warn_error_arg $ format_arg $ jobs_arg $ cache_arg $ explain_arg
+      $ explain_limit_arg $ gradual_arg $ serve_arg $ connect_arg
+      $ request_timeout_arg $ max_inflight_arg $ client_queue_arg
+      $ idle_timeout_arg $ server_stats_arg $ server_shutdown_arg)
 
 let () = exit (Cmd.eval' cmd)

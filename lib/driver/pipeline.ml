@@ -88,17 +88,16 @@ type report = {
 exception Source_error of string * Loc.t
 
 (** Everything that tunes a verification run; callers override fields of
-    {!default} ([{ Pipeline.default with jobs = 4 }]) instead of
+    {!default} ([{ Pipeline.default with lint = true }]) instead of
     threading a growing row of optional arguments. *)
 type options = {
   quals : Qualifier.t list; (* qualifier patterns *)
   mine : bool; (* mine comparison literals from the source *)
   specs : Spec.t; (* external function signatures *)
   lint : bool; (* run the semantic-lint pass *)
-  incremental : bool; (* incremental fixpoint engine *)
-  jobs : int; (* concurrent solve workers; 1 = in-process *)
-  partition_timeout : float option;
-      (* per-partition wall-clock budget under [jobs > 1]; None = off *)
+  incremental : bool; (* ignored *)
+  jobs : int; (* ignored *)
+  partition_timeout : float option; (* ignored *)
   cache_dir : string option; (* persistent result cache root; None = off *)
   explain : bool; (* explain failed obligations post-fixpoint *)
   explain_limit : int; (* failures explained per run (rest counted) *)
@@ -222,13 +221,11 @@ let verify_program ?(options = default) ?(parse_time = 0.0)
     mine;
     specs;
     lint;
-    incremental;
-    jobs;
-    partition_timeout;
     cache_dir;
     explain;
     explain_limit;
     gradual;
+    _;
   } =
     options
   in
@@ -299,8 +296,8 @@ let verify_program ?(options = default) ?(parse_time = 0.0)
      content key (constraints + instantiated qualifiers + upstream κ
      solutions — computed by {!Liquid_engine.Psolve}), so a re-verify
      after an edit reuses every unit outside the edit's downstream cone.
-     The fingerprint carries the payload version and the engine switches
-     that shape a partial's stats; everything else that could change the
+     The fingerprint carries the payload version, the [gradual] flag and
+     the declaration digest; everything else that could change the
      result is already in the key. *)
   let punit_store =
     Option.map
@@ -312,7 +309,7 @@ let verify_program ?(options = default) ?(parse_time = 0.0)
     | None -> (None, None)
     | Some store ->
         let fingerprint =
-          (* The declaration digest joins the engine switches: measure
+          (* The declaration digest joins the fingerprint: measure
              semantics reach a unit's constraints through axioms and
              embedding-time non-negativity facts, and the latter are
              derived from the measure table rather than rendered into
@@ -324,8 +321,7 @@ let verify_program ?(options = default) ?(parse_time = 0.0)
              way, but gradual runs and plain runs must never share cache
              entries — a stale partial served across the mode boundary
              would make the two reports drift. *)
-          Fmt.str "%s|incremental=%b|gradual=%b%s" Fixpoint.partial_version
-            incremental gradual
+          Fmt.str "%s|gradual=%b%s" Fixpoint.partial_version gradual
             (match Measures.fingerprint decls with
             | "" -> ""
             | d -> "|decls=" ^ d)
@@ -340,20 +336,17 @@ let verify_program ?(options = default) ?(parse_time = 0.0)
               Liquid_cache.Store.store ~ns:"punit" store ~key:(key k)
                 ~fingerprint p) )
   in
-  (* Unit by unit, the run's in-process units sharing one elimination
-     state ({!Liquid_engine.Psolve.solve}); a one-unit plan never
-     forks. *)
+  (* Unit by unit, in process, the units sharing one elimination state
+     ({!Liquid_engine.Psolve.solve}). *)
   let t0 = Unix.gettimeofday () in
   let o =
-    Liquid_engine.Psolve.solve ~incremental ?timeout:partition_timeout ?reuse
-      ?persist
-      ~jobs:(if n_parts > 1 then jobs else 1)
-      ~quals ~consts out.Congen.wfs out.Congen.subs plan
+    Liquid_engine.Psolve.solve ?reuse ?persist ~quals ~consts out.Congen.wfs
+      out.Congen.subs plan
   in
   let wall = Unix.gettimeofday () -. t0 in
   (* Each unit runs its concrete check right after its weakening loop, so
-     "solve" covers both (scheduler wall minus the parent-side merge
-     cost), "concrete_check" reads 0 and "merge" is the merge cost. *)
+     "solve" covers both (solve wall minus the merge cost),
+     "concrete_check" reads 0 and "merge" is the merge cost. *)
   phases :=
     ("merge", o.Liquid_engine.Psolve.ps_merge_time)
     :: ("concrete_check", 0.0)
@@ -528,15 +521,13 @@ let verify_program ?(options = default) ?(parse_time = 0.0)
 
 (* Canonical rendering of everything in [options] that determines the
    report, beyond the source text: the qualifier set, external specs,
-   and the engine switches.  [jobs]/[partition_timeout] are deliberately
-   excluded — reports are scheduling-invariant (the liquid fixpoint is
-   unique, and a sharded solve that cannot finish fails instead of
-   reporting) — so a cache warmed at one worker count serves every
-   other.  The leading tag versions the marshalled payload type. *)
+   and the pass switches.  The ignored fields are left out, so they
+   never split a cache entry.  The leading tag versions the marshalled
+   payload type. *)
 let options_fingerprint (o : options) : string =
   Fmt.str
-    "pipeline-report/v8|mine=%b|lint=%b|incremental=%b|explain=%b|explain_limit=%d|gradual=%b|quals=[%a]|specs=[%a]"
-    o.mine o.lint o.incremental o.explain o.explain_limit o.gradual
+    "pipeline-report/v8|mine=%b|lint=%b|explain=%b|explain_limit=%d|gradual=%b|quals=[%a]|specs=[%a]"
+    o.mine o.lint o.explain o.explain_limit o.gradual
     Fmt.(list ~sep:(any " ;; ") Qualifier.pp)
     o.quals Spec.pp o.specs
 

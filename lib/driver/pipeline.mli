@@ -1,6 +1,6 @@
 (** The DSOLVE pipeline: parse → A-normalize → ML inference → liquid
-    constraint generation → fixpoint solving → report.  The public entry
-    point of the library. *)
+    constraint generation → fixpoint solving, unit by unit in process →
+    report.  The public entry point of the library. *)
 
 open Liquid_common
 open Liquid_lang
@@ -17,7 +17,7 @@ type error = {
 
 (** Shape and per-unit cost of the solve plan (see
     {!Liquid_infer.Constr.partition_plan}).  Every run solves unit by
-    unit, so [pt_time] is measured at every job count. *)
+    unit, so [pt_time] is measured on every run. *)
 type part_stat = {
   pt_id : int;
   pt_kvars : int; (* κs owned by the partition *)
@@ -109,20 +109,16 @@ val parse_program_decls : name:string -> string -> Ast.program * Ast.decls
 val mine_constants : Ast.program -> int list
 
 (** Everything that tunes a verification run; override fields of
-    {!default} ([{ Pipeline.default with jobs = 4 }]).
+    {!default} ([{ Pipeline.default with lint = true }]).
 
     [quals] is the qualifier set; [mine] enables constant mining over
     the {e pre-ANF} source AST; [specs] supplies external signatures;
     [lint] runs the semantic-lint pass ({!Liquid_analysis.Lint}) and
-    fills [report.lints]; [incremental] selects the fixpoint engine
-    (see {!Liquid_infer.Fixpoint.solve}); [jobs] > 1 solves independent
-    constraint partitions in concurrent worker processes (verdicts,
-    errors, and inferred types are identical to [jobs = 1]: the liquid
-    fixpoint is unique); [partition_timeout] is the per-partition
-    wall-clock budget under sharded execution, off when [None] — a
-    partition that exceeds it (or whose worker crashes) is retried
-    once, and a second failure fails the run with [Failure] rather than
-    report anything a [jobs = 1] run would not;
+    fills [report.lints]; the three fields marked [ignored]
+    ([incremental], [jobs] and the unit timeout) are read by nothing:
+    every run solves its units in process, in id order, with the one
+    weakening engine ({!Liquid_engine.Psolve.solve}), and no cache key
+    or fingerprint renders them;
     [cache_dir], when set, roots a persistent on-disk result cache
     ({!Liquid_cache.Store}): {!verify_string}/{!verify_file} first probe
     it for a finished report keyed on (name, source text, options
@@ -141,9 +137,9 @@ type options = {
   mine : bool;
   specs : Spec.t;
   lint : bool;
-  incremental : bool;
-  jobs : int;
-  partition_timeout : float option;
+  incremental : bool; (* ignored *)
+  jobs : int; (* ignored *)
+  partition_timeout : float option; (* ignored *)
   cache_dir : string option;
   explain : bool;
       (* explain failed obligations after the fixpoint: minimal cores,
@@ -154,23 +150,21 @@ type options = {
          fixpoint, each failing obligation the environment does not
          refute becomes a residual runtime cast ([report.residuals])
          instead of an error; only refuted obligations stay in
-         [report.errors].  Orthogonal to every solve switch: residual
-         reports are byte-identical across job counts, cache
-         temperatures, and the daemon, and gradual/non-gradual runs
+         [report.errors].  Residual reports are byte-identical across
+         cache temperatures and the daemon, and gradual/non-gradual runs
          never share cache entries (both fingerprints carry the flag). *)
 }
 
 (** Defaults: {!Liquid_infer.Qualifier.defaults}, mining on, no specs,
-    lint off, incremental engine, [jobs = 1], no partition timeout, no
-    persistent cache, explanation off with a limit of 5, gradual mode
-    off. *)
+    lint off, no persistent cache, explanation off with a limit of 5,
+    gradual mode off; the ignored fields read [incremental = true],
+    [jobs = 1] and [partition_timeout = None]. *)
 val default : options
 
 (** Canonical rendering of the report-determining option fields
-    (qualifier set, specs, engine switches; [jobs] and
-    [partition_timeout] are excluded — reports are
-    scheduling-invariant).  Part of the persistent cache key, and
-    embedded in every entry. *)
+    (qualifier set, specs, pass switches; the ignored fields are
+    excluded).  Part of the persistent cache key, and embedded in every
+    entry. *)
 val options_fingerprint : options -> string
 
 (** Canonical digest of one verification request:

@@ -1,38 +1,23 @@
-(** Generic parallel scheduler over forked worker processes.
+(** Forked worker jobs with per-attempt wall-clock timeouts, one
+    retry, and graceful failure surfacing.
 
-    Two layers:
+    {!submit} forks one unit of work immediately and returns a handle;
+    the caller multiplexes over {!job_fd}/{!job_deadline} (e.g. in its
+    own [select] loop) and calls {!step} to make progress.  This is what
+    the verification daemon's reactor uses: solves run in a pool of
+    workers while the event loop keeps accepting and replying.
 
-    {ol
-    {- An {e async job} API — {!submit} forks one unit of work
-       immediately and returns a handle; the caller multiplexes over
-       {!job_fd}/{!job_deadline} (e.g. in its own [select] loop) and
-       calls {!step} to make progress.  Retry-on-crash and
-       kill-on-timeout live {e inside} [step], so every caller gets the
-       same fault-isolation policy.  This is what the verification
-       daemon's reactor uses: solves run in the pool while the event
-       loop keeps accepting and replying.}
-    {- {!run}, the run-to-completion driver over a topologically
-       ordered DAG of units, built on the same jobs.  Units are numbered
-       [0 .. n_units-1] with every dependency id smaller than the
-       dependent's id; a unit is {e ready} once all of its dependencies
-       have been merged.  Workers are forked at dispatch time, after the
-       parent has merged every dependency, so a worker sees all upstream
-       results through inherited memory and only its own result crosses
-       the process boundary.}}
-
-    Fault isolation (both layers): each attempt has an optional
-    wall-clock [timeout]; a worker that exceeds it is killed ([SIGKILL])
-    and the job retried once, likewise for a worker that crashes
-    (non-zero exit, signal, or a truncated/unreadable payload).  A job
-    whose second attempt also fails surfaces as {!Failed} — the
-    scheduler never wedges and never aborts. *)
+    Fault isolation lives {e inside} [step]: each attempt has an
+    optional wall-clock [timeout]; a worker that exceeds it is killed
+    ([SIGKILL]) and the job retried once, likewise for a worker that
+    crashes (non-zero exit, signal, or a truncated/unreadable payload).
+    A job whose second attempt also fails surfaces as {!Failed} — a job
+    never wedges its caller. *)
 
 (** Test-only fault injection, applied in the worker immediately after
     the fork: [Hang] loops forever (exercising the timeout path),
     [Crash] exits abruptly without writing a payload. *)
 type fault = Hang | Crash
-
-let fault_hook : (int -> fault option) ref = ref (fun _ -> None)
 
 type 'r outcome =
   | Done of 'r
@@ -172,115 +157,3 @@ let step (j : 'r job) : 'r outcome option =
                  (Option.value ~default:0.0 j.j_timeout))
         | _ -> None
       end
-
-let cancel (j : 'r job) : unit =
-  match j.j_done with
-  | Some _ -> ()
-  | None ->
-      kill_attempt j.j_att;
-      j.j_done <-
-        Some (Failed { timed_out = false; attempts = j.j_att.n; detail = "cancelled" })
-
-(* ------------------------------------------------------------------ *)
-(* The DAG driver                                                      *)
-
-(** Run the DAG.  [deps u] lists the units [u] reads (all [< u]);
-    [work u] computes unit [u]'s result (in a worker process); [merge u
-    outcome elapsed] folds it into parent state and is called exactly
-    once per unit, only after all of [u]'s dependencies have merged.
-    [elapsed] is the unit's wall-clock time across its attempts.
-
-    [pre u] is a parent-side shortcut consulted at dispatch time — after
-    [u]'s dependencies have merged, before any fork: [Some r] merges
-    [Done r] immediately and no worker is ever spawned for [u].  This is
-    how a result cache skips solved units without paying a fork.
-
-    If [merge] raises, the workers still running are cancelled (killed
-    and reaped) before the exception propagates. *)
-let run ?timeout ?(pre : (int -> 'r option) = fun _ -> None) ~(jobs : int)
-    ~(n_units : int) ~(deps : int -> int list) ~(work : int -> 'r)
-    ~(merge : int -> 'r outcome -> float -> unit) () : unit =
-  let jobs = max 1 jobs in
-  let merged = Array.make n_units false in
-  let dispatched = Array.make n_units false in
-  let first_start = Array.make n_units 0.0 in
-  let active : (int * 'r job) list ref = ref [] in
-  let n_merged = ref 0 in
-  let finish u outcome =
-    merge u outcome (Unix.gettimeofday () -. first_start.(u));
-    merged.(u) <- true;
-    incr n_merged
-  in
-  let ready () =
-    let rec scan u acc =
-      if u >= n_units then List.rev acc
-      else if
-        (not dispatched.(u)) && List.for_all (fun d -> merged.(d)) (deps u)
-      then scan (u + 1) (u :: acc)
-      else scan (u + 1) acc
-    in
-    scan 0 []
-  in
-  (* Returns [true] when a [pre] shortcut merged at least one unit —
-     merging can make further units ready, so the caller loops until
-     dispatch reaches a fixed point. *)
-  let dispatch () =
-    let merged_here = ref false in
-    List.iter
-      (fun u ->
-        match pre u with
-        | Some r ->
-            dispatched.(u) <- true;
-            first_start.(u) <- Unix.gettimeofday ();
-            finish u (Done r);
-            merged_here := true
-        | None ->
-            if List.length !active < jobs then begin
-              dispatched.(u) <- true;
-              first_start.(u) <- Unix.gettimeofday ();
-              active :=
-                ( u,
-                  submit ?timeout
-                    ~fault:(fun () -> !fault_hook u)
-                    (fun () -> work u) )
-                :: !active
-            end)
-      (ready ());
-    !merged_here
-  in
-  (* On a normal exit [active] is empty; when [merge] raises, the workers
-     still running must not outlive the run. *)
-  Fun.protect
-    ~finally:(fun () -> List.iter (fun (_, j) -> cancel j) !active)
-  @@ fun () ->
-  while !n_merged < n_units do
-    while dispatch () do
-      ()
-    done;
-    if !n_merged < n_units then begin
-      (* Topological numbering guarantees progress: if nothing is merged
-         yet, unit 0 has no deps and is always dispatchable. *)
-      assert (!active <> []);
-      let now = Unix.gettimeofday () in
-      let wait =
-        List.fold_left
-          (fun acc (_, j) ->
-            match job_deadline j with
-            | None -> acc
-            | Some d ->
-                let left = max 0.0 (d -. now) in
-                if acc < 0.0 then left else min acc left)
-          (-1.0) !active
-      in
-      ignore (select_eintr (List.map (fun (_, j) -> job_fd j) !active) wait);
-      active :=
-        List.filter
-          (fun (u, j) ->
-            match step j with
-            | Some outcome ->
-                finish u outcome;
-                false
-            | None -> true)
-          !active
-    end
-  done

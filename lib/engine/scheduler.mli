@@ -1,26 +1,20 @@
-(** Parallel execution over forked worker processes, with per-attempt
-    wall-clock timeouts, one retry, and graceful failure surfacing.
+(** Work in forked worker processes, with per-attempt wall-clock
+    timeouts, one retry, and graceful failure surfacing.
 
-    Two layers: an {e async job} API ({!submit} / {!step}) for callers
-    that multiplex work inside their own event loop — the verification
+    An {e async job} API ({!submit} / {!step}) for callers that
+    multiplex work inside their own event loop: the verification
     daemon's reactor dispatches solves this way while it keeps accepting
-    connections — and {!run}, the run-to-completion driver over a
-    topologically ordered DAG of units, built on the same jobs. *)
+    connections. *)
 
-(** Test-only fault injection, applied in the worker immediately after
-    the fork: [Hang] loops forever (exercising the timeout/kill path),
-    [Crash] exits abruptly without writing a payload.  Reset to
-    [(fun _ -> None)] after use.  Consulted by {!run} with the unit id;
-    {!submit} takes its own [?fault] thunk instead. *)
+(** Test-only fault injection, evaluated in the worker immediately
+    after the fork ({!submit}'s [?fault]): [Hang] loops forever
+    (exercising the timeout/kill path), [Crash] exits abruptly without
+    writing a payload. *)
 type fault = Hang | Crash
-
-val fault_hook : (int -> fault option) ref
 
 type 'r outcome =
   | Done of 'r
   | Failed of { timed_out : bool; attempts : int; detail : string }
-
-(** {1 Async jobs} *)
 
 (** A unit of work running in a forked worker.  The handle owns the
     worker's result pipe; drive it with {!step} until an outcome
@@ -51,39 +45,3 @@ val job_deadline : 'r job -> float option
     failure returns the job's final outcome (idempotently from then
     on). *)
 val step : 'r job -> 'r outcome option
-
-(** Kill the current attempt and pin the job to [Failed] (no retry).
-    No-op on a finished job. *)
-val cancel : 'r job -> unit
-
-(** {1 The DAG driver} *)
-
-(** [run ?timeout ?pre ~jobs ~n_units ~deps ~work ~merge ()] executes
-    units [0 .. n_units-1], where every id in [deps u] is [< u].  A unit
-    is dispatched once all of its dependencies have merged, so a forked
-    worker sees every upstream result through inherited memory; [work u]
-    runs in the worker and its result is marshalled back.  [merge u
-    outcome elapsed] runs in the parent, exactly once per unit.  At most
-    [jobs] workers run concurrently.  A worker exceeding [timeout]
-    seconds is killed and the unit retried once; crashes likewise.  A
-    second failure yields [Failed] — the scheduler never wedges and
-    never aborts the run.
-
-    [pre u] (default: always [None]) is consulted in the parent at
-    dispatch time, after [u]'s dependencies merged: [Some r] merges
-    [Done r] without forking a worker — the shortcut a result cache
-    uses to skip already-solved units.
-
-    [merge] may raise, e.g. to fail the run on a [Failed] unit: the
-    workers still running are then {!cancel}led (killed and reaped)
-    and the exception propagates. *)
-val run :
-  ?timeout:float ->
-  ?pre:(int -> 'r option) ->
-  jobs:int ->
-  n_units:int ->
-  deps:(int -> int list) ->
-  work:(int -> 'r) ->
-  merge:(int -> 'r outcome -> float -> unit) ->
-  unit ->
-  unit

@@ -36,12 +36,12 @@
 
     Explanation runs {e post-fixpoint} on per-unit state only: it needs
     the final solution and the constraint system, never the engine's
-    worklist — which is why it composes with the partitioned scheduler.
+    worklist — which is why it composes with partitioned solving.
 
     All searches are deterministic: candidate instances are tried in
     construction order (the order the fixpoint itself uses), writers in
     [sub_id] order, frontier κs in ascending order — so explanations
-    are byte-identical across job counts and process boundaries. *)
+    are byte-identical across cache replays and process boundaries. *)
 
 open Liquid_common
 open Liquid_logic

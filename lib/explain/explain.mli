@@ -3,10 +3,10 @@
     concrete witnesses, and verified repair hints.
 
     Runs {e post-fixpoint} on per-unit state — the final solution and
-    the constraint system — so it composes with every solve schedule;
-    all searches are deterministic (candidates in construction order,
-    writers in [sub_id] order), making explanations byte-identical
-    across job counts and process boundaries. *)
+    the constraint system — so it composes with every way a solve is
+    served; all searches are deterministic (candidates in construction
+    order, writers in [sub_id] order), making explanations
+    byte-identical across cache replays and process boundaries. *)
 
 open Liquid_common
 open Liquid_logic

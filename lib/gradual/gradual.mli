@@ -16,7 +16,7 @@
 
     Residual identity is content-addressed ({!residual_id}): a digest of
     the obligation's source span, reason, and goal rendering — stable
-    across job counts, cache temperatures, and process boundaries, so
+    across cache temperatures and process boundaries, so
     residual reports are byte-identical however the run was solved. *)
 
 open Liquid_logic

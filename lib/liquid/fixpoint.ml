@@ -17,42 +17,32 @@
     verdict counts as "not valid" (sound: κs only get weaker, and concrete
     checks only fail more).
 
-    Two engines implement the weakening loop:
+    The weakening loop compiles each constraint's antecedent once into
+    static facts plus per-κ instantiation sites ({!compile_antecedent}),
+    and records, per (constraint, instance), which κs the validating
+    query's retained hypotheses came from.  On requeue, an instance is
+    re-checked only if some κ it depends on has weakened since its last
+    validation.  This skip is {e exact}, not just sound: relevance
+    pruning is monotone, so weakening a κ outside the recorded
+    dependency set leaves the instance's pruned query — and hence its
+    verdict — byte-identical.  A second, finer skip on the interned tags
+    of the retained hypotheses catches instances whose pruned query
+    survives even though a dependency κ changed.
 
-    - the {e naive} engine re-embeds every constraint's environment on
-      each worklist pop and re-checks every candidate instance (kept
-      because [Pipeline.options.incremental] selects it; the reference
-      the tests hold the incremental engine to is the pool-free
-      {!solve_unit});
-    - the {e incremental} engine (default) compiles each constraint's
-      antecedent once into static facts plus per-κ instantiation sites
-      ({!compile_antecedent}), and records, per (constraint, instance),
-      which κs the validating query's retained hypotheses came from.  On
-      requeue, an instance is re-checked only if some κ it depends on has
-      weakened since its last validation.  This skip is {e exact}, not
-      just sound: relevance pruning is monotone, so weakening a κ outside
-      the recorded dependency set leaves the instance's pruned query —
-      and hence its verdict — byte-identical.  A second, finer skip on
-      the interned tags of the retained hypotheses catches instances
-      whose pruned query survives even though a dependency κ changed.
-      Both engines compute the same solution, in the same candidate
-      order.
+    The loop also runs {e model-based elimination}: a pool of
+    counterexample models harvested from failing checks kills any
+    pending instance whose prepared query a pooled model satisfies, with
+    no solver contact, and a per-constraint bandit picks how each writer
+    visit is decided.  Both live in an {!elim} value that the caller
+    threads through every unit of a run; without one, a unit is solved
+    pool-free, the reference the tests hold the engine to.
 
-    The incremental engine also runs {e model-based elimination}: a
-    pool of counterexample models harvested from failing checks kills
-    any pending instance whose prepared query a pooled model satisfies,
-    with no solver contact, and a per-constraint bandit picks how each
-    writer visit is decided.  Both live in an {!elim} value that the
-    caller threads through every unit of a run; without one, a unit is
-    solved pool-free, the reference the tests hold the engine to.
-
-    The engine itself is organized around {e solve units}
-    ({!Constr.partition}): the worklist, assignment fragment, compiled
-    constraints, κ versions and counters live in a per-unit record
-    created by {!solve_unit}, never in module globals.  {!solve} runs
-    the whole system as a single unit; {!Liquid_engine.Psolve} runs one
-    unit per κ-SCC in topological order, merging the resulting
-    {!partial}s with the pure helpers below. *)
+    The engine is organized around {e solve units} ({!Constr.partition}):
+    the worklist, assignment fragment, compiled constraints, κ versions
+    and counters live in a per-unit record created by {!solve_unit},
+    never in module globals.  {!Liquid_engine.Psolve} runs one unit per
+    κ-SCC in topological order, merging the resulting {!partial}s with
+    the pure helpers below. *)
 
 open Liquid_common
 open Liquid_logic
@@ -243,11 +233,7 @@ let rec eval_pred (m : model_table) (p : Pred.t) : bool =
    [Unvalued]), memoized per writer visit. *)
 type verdict = Unevaluated | Holds | Fails
 
-(* -- Worklist ------------------------------------------------------------------------- *)
-
-(* The two engines share initialization, the dependency-directed worklist,
-   the final concrete pass, and dead-qualifier reporting; they differ only
-   in how a popped κ-rhs constraint is weakened. *)
+(* -- Model-based elimination ------------------------------------------------- *)
 
 (* Model-based elimination state: a pool of models harvested from
    failing checks, plus a per-constraint two-armed bandit choosing
@@ -305,103 +291,7 @@ let fresh_elim () : elim =
     g_indiv_n = 0;
   }
 
-type shared = {
-  stats : stats;
-  assignment : (Pred.t * SSet.t) list KMap.t ref;
-  lookup : Rtype.kvar -> Pred.t list;
-  push_dependents : Rtype.kvar -> unit;
-  elim : elim option;
-      (* model-based elimination; [None] solves pool-free.  A pending
-         instance whose prepared query evaluates to [true] under a
-         pooled model is semantically satisfiable — the instance dies
-         with no solver contact at all. *)
-}
-
-let run_worklist ?elim (subs : Constr.sub list)
-    (stats : stats) (assignment : (Pred.t * SSet.t) list KMap.t ref)
-    ~(base : Constr.solution)
-    ~(weaken : shared -> Constr.sub -> Rtype.kvar -> Pred.subst -> unit) :
-    unit =
-  (* Owned κs resolve through the unit's own (mutable) assignment;
-     anything else is an upstream κ, final for the lifetime of this
-     unit, resolved through the read-only [base]. *)
-  let lookup k =
-    match KMap.find_opt k !assignment with
-    | Some ps -> List.map fst ps
-    | None -> Constr.sol_find base k
-  in
-  (* Dependency index: κ -> constraints that must be re-checked when the
-     assignment of κ weakens. *)
-  let depends : Constr.sub list IMap.t =
-    List.fold_left
-      (fun acc c ->
-        if writes c = None then acc
-        else
-          List.fold_left
-            (fun acc k ->
-              IMap.update k
-                (function None -> Some [ c ] | Some cs -> Some (c :: cs))
-                acc)
-            acc (reads c))
-      IMap.empty subs
-  in
-  (* Worklist of κ-rhs constraints, deduplicated by id. *)
-  let queue = Queue.create () in
-  let queued = ref ISet.empty in
-  let push c =
-    if not (ISet.mem c.Constr.sub_id !queued) then begin
-      queued := ISet.add c.Constr.sub_id !queued;
-      Queue.add c queue
-    end
-  in
-  let push_dependents k =
-    match IMap.find_opt k depends with
-    | Some cs -> List.iter push cs
-    | None -> ()
-  in
-  let shared = { stats; assignment; lookup; push_dependents; elim } in
-  List.iter (fun c -> if writes c <> None then push c) subs;
-  while not (Queue.is_empty queue) do
-    let c = Queue.pop queue in
-    queued := ISet.remove c.Constr.sub_id !queued;
-    stats.iterations <- stats.iterations + 1;
-    match c.Constr.rhs with
-    | Constr.Rconc _ -> ()
-    | Constr.Rkvar (k, theta) -> weaken shared c k theta
-  done
-
-(* -- Naive weakening ------------------------------------------------------------------ *)
-
-let weaken_naive (sh : shared) (c : Constr.sub) (k : Rtype.kvar)
-    (theta : Pred.subst) : unit =
-  let current =
-    match KMap.find_opt k !(sh.assignment) with Some ps -> ps | None -> []
-  in
-  if current <> [] then begin
-    let hyps, kept = hypotheses sh.lookup c in
-    let goal_of (q, _) = Pred.subst theta q in
-    (* Fast path: if the whole conjunction is implied, keep all. *)
-    sh.stats.implication_checks <- sh.stats.implication_checks + 1;
-    let all_ok =
-      Solver.check_valid ~kept hyps (Pred.conj (List.map goal_of current))
-      = Solver.Valid
-    in
-    let retained =
-      if all_ok then current
-      else
-        List.filter
-          (fun inst ->
-            sh.stats.implication_checks <- sh.stats.implication_checks + 1;
-            Solver.check_valid ~kept hyps (goal_of inst) = Solver.Valid)
-          current
-    in
-    if List.length retained <> List.length current then begin
-      sh.assignment := KMap.add k retained !(sh.assignment);
-      sh.push_dependents k
-    end
-  end
-
-(* -- Incremental weakening ------------------------------------------------------------ *)
+(* -- Weakening --------------------------------------------------------------- *)
 
 (** Per-constraint compiled state.  [checks] maps an instance's interned
     tag to its last validation's dependency record: the κ/version pairs
@@ -425,15 +315,40 @@ let compile_sub (c : Constr.sub) : compiled =
     checks = Hashtbl.create 16;
   }
 
-let weaken_incremental (compiled_of : Constr.sub -> compiled)
-    (version : (int, int) Hashtbl.t) (sh : shared) (c : Constr.sub)
-    (k : Rtype.kvar) (theta : Pred.subst) : unit =
-  let ver k = match Hashtbl.find_opt version k with Some v -> v | None -> 0 in
+(* The state one writer visit reads and updates: the unit's counters
+   and assignment, its compiled constraints and κ versions, and the
+   run's elimination state. *)
+type shared = {
+  stats : stats;
+  assignment : (Pred.t * SSet.t) list KMap.t ref;
+  lookup : Rtype.kvar -> Pred.t list;
+  push_dependents : Rtype.kvar -> unit;
+  compiled : (int, compiled) Hashtbl.t; (* constraint id -> compiled state *)
+  version : (int, int) Hashtbl.t; (* κ -> times it weakened *)
+  elim : elim option;
+      (* model-based elimination; [None] solves pool-free.  A pending
+         instance whose prepared query evaluates to [true] under a
+         pooled model is semantically satisfiable — the instance dies
+         with no solver contact at all. *)
+}
+
+let weaken (sh : shared) (c : Constr.sub) (k : Rtype.kvar)
+    (theta : Pred.subst) : unit =
+  let ver k =
+    match Hashtbl.find_opt sh.version k with Some v -> v | None -> 0
+  in
   let current =
     match KMap.find_opt k !(sh.assignment) with Some ps -> ps | None -> []
   in
   if current <> [] then begin
-    let comp = compiled_of c in
+    let comp =
+      match Hashtbl.find_opt sh.compiled c.Constr.sub_id with
+      | Some comp -> comp
+      | None ->
+          let comp = compile_sub c in
+          Hashtbl.add sh.compiled c.Constr.sub_id comp;
+          comp
+    in
     let goal_of (q, _) = Pred.subst theta q in
     let up_to_date (q, _) =
       match Hashtbl.find_opt comp.checks (Pred.tag q) with
@@ -793,11 +708,74 @@ let weaken_incremental (compiled_of : Constr.sub -> compiled)
       in
       if List.length retained <> List.length current then begin
         sh.assignment := KMap.add k retained !(sh.assignment);
-        Hashtbl.replace version k (ver k + 1);
+        Hashtbl.replace sh.version k (ver k + 1);
         sh.push_dependents k
       end
     end
   end
+
+(* -- Worklist ------------------------------------------------------------------------- *)
+
+let run_worklist ?elim (subs : Constr.sub list) (stats : stats)
+    (assignment : (Pred.t * SSet.t) list KMap.t ref) ~(base : Constr.solution)
+    : unit =
+  (* Owned κs resolve through the unit's own (mutable) assignment;
+     anything else is an upstream κ, final for the lifetime of this
+     unit, resolved through the read-only [base]. *)
+  let lookup k =
+    match KMap.find_opt k !assignment with
+    | Some ps -> List.map fst ps
+    | None -> Constr.sol_find base k
+  in
+  (* Dependency index: κ -> constraints that must be re-checked when the
+     assignment of κ weakens. *)
+  let depends : Constr.sub list IMap.t =
+    List.fold_left
+      (fun acc c ->
+        if writes c = None then acc
+        else
+          List.fold_left
+            (fun acc k ->
+              IMap.update k
+                (function None -> Some [ c ] | Some cs -> Some (c :: cs))
+                acc)
+            acc (reads c))
+      IMap.empty subs
+  in
+  (* Worklist of κ-rhs constraints, deduplicated by id. *)
+  let queue = Queue.create () in
+  let queued = ref ISet.empty in
+  let push c =
+    if not (ISet.mem c.Constr.sub_id !queued) then begin
+      queued := ISet.add c.Constr.sub_id !queued;
+      Queue.add c queue
+    end
+  in
+  let push_dependents k =
+    match IMap.find_opt k depends with
+    | Some cs -> List.iter push cs
+    | None -> ()
+  in
+  let shared =
+    {
+      stats;
+      assignment;
+      lookup;
+      push_dependents;
+      compiled = Hashtbl.create 64;
+      version = Hashtbl.create 64;
+      elim;
+    }
+  in
+  List.iter (fun c -> if writes c <> None then push c) subs;
+  while not (Queue.is_empty queue) do
+    let c = Queue.pop queue in
+    queued := ISet.remove c.Constr.sub_id !queued;
+    stats.iterations <- stats.iterations + 1;
+    match c.Constr.rhs with
+    | Constr.Rconc _ -> ()
+    | Constr.Rkvar (k, theta) -> weaken shared c k theta
+  done
 
 (* -- Solving one unit --------------------------------------------------------------- *)
 
@@ -805,9 +783,9 @@ let weaken_incremental (compiled_of : Constr.sub -> compiled)
     carrying the names of the patterns that produced it. *)
 type candidates = (Pred.t * SSet.t) list KMap.t
 
-(** Global SMT-counter movement during a unit's solve, so a parent
-    process can fold a worker's solver activity into its own counters
-    (the worker's {!Solver.stats} die with the worker). *)
+(** Global SMT-counter movement during a unit's solve, so a partial
+    served from the partition cache can replay its recorded solver
+    activity into the counters of the run that reuses it. *)
 type smt_delta = {
   d_queries : int;
   d_cache_hits : int;
@@ -851,8 +829,8 @@ let size (a : candidates) : int =
     state, shared with every other unit of the run; without it the
     unit is solved pool-free, the reference the tests hold the engine
     to.  All other engine state is local to this call. *)
-let solve_unit ?(incremental = true) ?elim ~(base : Constr.solution)
-    ~(init : candidates) (subs : Constr.sub list) : partial =
+let solve_unit ?elim ~(base : Constr.solution) ~(init : candidates)
+    (subs : Constr.sub list) : partial =
   let stats = fresh_stats () in
   let smt0 =
     ( Solver.stats.Solver.queries,
@@ -862,21 +840,7 @@ let solve_unit ?(incremental = true) ?elim ~(base : Constr.solution)
   in
   stats.initial_candidates <- size init;
   let assignment = ref init in
-  (if incremental then begin
-     let table : (int, compiled) Hashtbl.t = Hashtbl.create 64 in
-     let compiled_of c =
-       match Hashtbl.find_opt table c.Constr.sub_id with
-       | Some comp -> comp
-       | None ->
-           let comp = compile_sub c in
-           Hashtbl.add table c.Constr.sub_id comp;
-           comp
-     in
-     let version : (int, int) Hashtbl.t = Hashtbl.create 64 in
-     run_worklist ?elim subs stats assignment ~base
-       ~weaken:(weaken_incremental compiled_of version)
-   end
-   else run_worklist subs stats assignment ~base ~weaken:weaken_naive);
+  run_worklist ?elim subs stats assignment ~base;
   let lookup k =
     match KMap.find_opt k !assignment with
     | Some ps -> List.map fst ps
@@ -953,10 +917,10 @@ let dead_qualifiers ~(initial : candidates) ~(final : candidates) :
   in
   SSet.elements (SSet.diff (names_of initial) (names_of final))
 
-(** Re-intern a partial that crossed a process boundary: every predicate
-    in it is physically foreign after unmarshalling and must be mapped
-    to this process's canonical nodes before it can meet native
-    predicates (see {!Pred.rehasher}). *)
+(** Re-intern a partial read back from the partition cache: every
+    predicate in it is physically foreign after unmarshalling and must
+    be mapped to this process's canonical nodes before it can meet
+    native predicates (see {!Pred.rehasher}). *)
 let rehash_partial (p : partial) : partial =
   let go = Pred.rehasher () in
   {
@@ -967,24 +931,6 @@ let rehash_partial (p : partial) : partial =
       List.map
         (fun (id, f) -> (id, { f with f_goal = go f.f_goal }))
         p.pr_failures;
-  }
-
-(* -- Solving ------------------------------------------------------------------------- *)
-
-let solve ?(quals = Qualifier.defaults) ?(consts = []) ?(incremental = true)
-    (wfs : Constr.wf list) (subs : Constr.sub list) : result =
-  let collapsed = ref 0 in
-  let initial = init_assignment ~consts ~collapsed quals wfs in
-  let partial =
-    solve_unit ~incremental ~elim:(fresh_elim ()) ~base:KMap.empty
-      ~init:initial subs
-  in
-  partial.pr_stats.alpha_collapsed <- !collapsed;
-  {
-    solution = KMap.map (List.map fst) partial.pr_solution;
-    failures = List.map snd partial.pr_failures;
-    solver_stats = partial.pr_stats;
-    dead_quals = dead_qualifiers ~initial ~final:partial.pr_solution;
   }
 
 (* -- Applying solutions ----------------------------------------------------------------- *)

@@ -1,7 +1,9 @@
 (** Liquid constraint solving by predicate abstraction: the paper's
     [Solve]/[Weaken] fixpoint with a dependency-directed worklist and
     model-based elimination, followed by the final check of concrete
-    obligations. *)
+    obligations.  There is one weakening engine; {!solve_unit} without
+    an {!elim} runs it pool-free, the reference tests hold it to, and
+    {!Liquid_engine.Psolve.solve} runs it over a whole plan. *)
 
 open Liquid_logic
 
@@ -27,6 +29,8 @@ type stats = {
       (* instances collapsed by orientation-level dedup at instantiation *)
 }
 
+(** A whole run's answer, merged from its units'
+    {!partial}s by {!Liquid_engine.Psolve.solve}. *)
 type result = {
   solution : Pred.t list KMap.t;
   failures : failure list;
@@ -42,10 +46,9 @@ type result = {
     κs are closed under mutual dependency (see {!Constr.partition_plan}).
     The worklist, assignment, compiled-constraint cache and counters
     are local to one {!solve_unit} call; only the run's {!elim} state
-    crosses units.  A multi-unit run merges the resulting {!partial}s
-    with the pure functions below.  A whole-system run is the special
-    case of a single unit with an empty base, which is exactly what
-    {!solve} does. *)
+    crosses units.  {!Liquid_engine.Psolve.solve} runs every unit of a
+    plan and merges the resulting {!partial}s with the pure functions
+    below. *)
 
 (** Candidate assignment: per κ, the surviving qualifier instances, each
     tagged with the qualifier-pattern names that produced it. *)
@@ -66,8 +69,8 @@ val init_assignment :
   candidates
 
 (** Movement of the global {!Solver.stats} counters during one
-    {!solve_unit} call, so a parent process can fold a worker's solver
-    activity into its own counters. *)
+    {!solve_unit} call, so a partial served from the partition cache can
+    replay its recorded solver activity. *)
 type smt_delta = {
   d_queries : int;
   d_cache_hits : int;
@@ -105,12 +108,11 @@ val fresh_elim : unit -> elim
 (** Solve one unit to fixpoint and check its concrete obligations.
     [base] holds the final solutions of every upstream κ read but not
     owned by this unit; [init] is the initial assignment of the unit's
-    own κs.  [elim] is the run's elimination state: the incremental
-    engine reads and extends it, so every unit of a run can share one.
-    Without [elim] the unit is solved pool-free: the reference that
-    tests hold the engine to.  The naive engine ignores [elim]. *)
+    own κs.  [elim] is the run's elimination state: the weakening loop
+    reads and extends it, so every unit of a run can share one.  Without
+    [elim] the unit is solved pool-free: the reference that tests hold
+    the engine to. *)
 val solve_unit :
-  ?incremental:bool ->
   ?elim:elim ->
   base:Constr.solution ->
   init:candidates ->
@@ -126,29 +128,10 @@ val merge_solutions : candidates -> candidates -> candidates
     none of which survived into [final]. *)
 val dead_qualifiers : initial:candidates -> final:candidates -> string list
 
-(** Re-intern a partial that crossed a process boundary (unmarshalled
-    values are physically foreign to the local hash-cons tables; see
-    {!Pred.rehasher}). *)
+(** Re-intern a partial read back from the partition cache
+    (unmarshalled values are physically foreign to the local hash-cons
+    tables; see {!Pred.rehasher}). *)
 val rehash_partial : partial -> partial
-
-(** {1 Whole-system solving} *)
-
-(** Solve the constraint system as one unit.  [quals] are the qualifier
-    patterns; [consts] are mined integer literals offered to
-    placeholders.  [incremental] (default [true]) selects the
-    incremental weakening engine — compiled antecedents with per-κ
-    invalidation, re-checking only instances whose recorded κ-dependency
-    set weakened; [false] runs the naive reference engine, which
-    re-embeds and re-checks everything on each pop.  Both compute the
-    same solution and failures, in the same order.  This is
-    {!init_assignment} plus one {!solve_unit} with a {!fresh_elim}. *)
-val solve :
-  ?quals:Qualifier.t list ->
-  ?consts:int list ->
-  ?incremental:bool ->
-  Constr.wf list ->
-  Constr.sub list ->
-  result
 
 (** Replace every κ by the conjunction of its solution. *)
 val apply_solution : Pred.t list KMap.t -> Rtype.t -> Rtype.t

@@ -15,15 +15,15 @@ type verify_request = {
   vq_spec_text : string;
   vq_mine : bool;
   vq_lint : bool;
-  vq_incremental : bool;
+  vq_incremental : bool; (* ignored *)
   vq_explain : bool;
   vq_explain_limit : int;
   vq_gradual : bool;
 }
 
 let request ?(qual_text = "") ?(use_defaults = true) ?(list_quals = false)
-    ?(spec_text = "") ?(mine = true) ?(lint = false) ?(incremental = true)
-    ?(explain = false) ?(explain_limit = 5) ?(gradual = false) ~name source =
+    ?(spec_text = "") ?(mine = true) ?(lint = false) ?(explain = false)
+    ?(explain_limit = 5) ?(gradual = false) ~name source =
   {
     vq_name = name;
     vq_source = source;
@@ -33,7 +33,7 @@ let request ?(qual_text = "") ?(use_defaults = true) ?(list_quals = false)
     vq_spec_text = spec_text;
     vq_mine = mine;
     vq_lint = lint;
-    vq_incremental = incremental;
+    vq_incremental = true;
     vq_explain = explain;
     vq_explain_limit = explain_limit;
     vq_gradual = gradual;

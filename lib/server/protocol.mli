@@ -33,15 +33,15 @@ type verify_request = {
   vq_spec_text : string; (* external specifications, may be "" *)
   vq_mine : bool;
   vq_lint : bool;
-  vq_incremental : bool;
+  vq_incremental : bool; (* ignored; {!request} sets it *)
   vq_explain : bool; (* explain failed obligations (post-fixpoint) *)
   vq_explain_limit : int; (* failures explained per program *)
   vq_gradual : bool; (* gradual mode: residual casts, not errors *)
 }
 
 (** Build a request; defaults mirror {!Liquid_driver.Pipeline.default}
-    (defaults on, no list qualifiers, mining on, lint off, incremental
-    engine, explanation off with a limit of 5, gradual off). *)
+    (defaults on, no list qualifiers, mining on, lint off, explanation
+    off with a limit of 5, gradual off). *)
 val request :
   ?qual_text:string ->
   ?use_defaults:bool ->
@@ -49,7 +49,6 @@ val request :
   ?spec_text:string ->
   ?mine:bool ->
   ?lint:bool ->
-  ?incremental:bool ->
   ?explain:bool ->
   ?explain_limit:int ->
   ?gradual:bool ->

@@ -54,11 +54,9 @@ let options_of cfg (q : Protocol.verify_request) :
       specs;
       mine = q.vq_mine;
       lint = q.vq_lint;
-      incremental = q.vq_incremental;
       explain = q.vq_explain;
       explain_limit = q.vq_explain_limit;
       gradual = q.vq_gradual;
-      jobs = 1 (* each program is already one worker *);
       cache_dir = cfg.cache_dir;
     }
   with

@@ -46,8 +46,8 @@ type config = {
 val default_config : sock:string -> config
 
 (** Test-only fault injection, keyed by request name ([vq_name]) and
-    mapped onto the scheduler's fault hook for cold solves.  Reset to
-    [(fun _ -> None)] after use. *)
+    passed as {!Liquid_engine.Scheduler.submit}'s [?fault] for cold
+    solves.  Reset to [(fun _ -> None)] after use. *)
 val fault_for : (string -> Liquid_engine.Scheduler.fault option) ref
 
 (** Test-only solve delay, keyed by request name and applied inside the

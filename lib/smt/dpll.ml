@@ -144,16 +144,18 @@ let shrink_core ~(unsat : 'a list -> bool) (lits : 'a list) : 'a list =
   in
   go [] 0
 
-(** Satisfiability of a CNF whose theory atoms are named by [atoms]:
-    [atoms.(v) = Some a] maps propositional variable [v] to theory atom
-    [a] ([None]: a Tseitin definition variable).  {!check_sat} wraps this
-    for a one-shot predicate. *)
-let check_sat_cnf ~(nvars : int) ~(atoms : Liquid_logic.Pred.t option array)
-    (clauses0 : Prop.clause list) : result =
+(** Check satisfiability of [p] (a quantifier-free EUFLIA predicate). *)
+let check_sat (p : Liquid_logic.Pred.t) : result =
+  let cnf = Prop.of_pred p in
+  (* [of_pred] interns atoms first, so they form the variable prefix:
+     variable [v] names the theory atom [atoms.(v)] below [natoms], and
+     a Tseitin definition above. *)
+  let atoms = cnf.Prop.atoms in
+  let clauses0 = [ cnf.Prop.root ] :: cnf.Prop.clauses in
   let nvars =
     List.fold_left
       (fun acc c -> List.fold_left (fun acc l -> max acc (abs l)) acc c)
-      nvars clauses0
+      1 clauses0
   in
   let natoms = Array.length atoms in
   (* Fast path: literals forced by unit propagation hold in every
@@ -169,9 +171,7 @@ let check_sat_cnf ~(nvars : int) ~(atoms : Liquid_logic.Pred.t option array)
     | Some _ ->
         let lits = ref [] in
         for v = 0 to natoms - 1 do
-          match atoms.(v) with
-          | Some a when asg.(v) <> 0 -> lits := (a, asg.(v) = 1) :: !lits
-          | _ -> ()
+          if asg.(v) <> 0 then lits := (atoms.(v), asg.(v) = 1) :: !lits
         done;
         if !lits <> [] && theory_unsat !lits then Some Unsat else None
   in
@@ -188,9 +188,7 @@ let check_sat_cnf ~(nvars : int) ~(atoms : Liquid_logic.Pred.t option array)
         (* Project onto theory literals (variable id, atom, polarity). *)
         let lits = ref [] in
         for v = 0 to natoms - 1 do
-          match atoms.(v) with
-          | Some a when asg.(v) <> 0 -> lits := (v, a, asg.(v) = 1) :: !lits
-          | _ -> ()
+          if asg.(v) <> 0 then lits := (v, atoms.(v), asg.(v) = 1) :: !lits
         done;
         incr models_total;
         match Theory.check_sat (List.map (fun (_, a, p) -> (a, p)) !lits) with
@@ -199,19 +197,6 @@ let check_sat_cnf ~(nvars : int) ~(atoms : Liquid_logic.Pred.t option array)
                program variables live as propositional [Bvar] atoms whose
                truth values the DPLL assignment itself carries.  Merge
                them in so boolean counterexample values surface too. *)
-            let bools =
-              List.filter_map
-                (fun (_, a, pos) ->
-                  match Liquid_logic.Pred.view a with
-                  | Liquid_logic.Pred.Bvar x -> (
-                      match
-                        Theory.clean_label (Liquid_common.Ident.to_string x)
-                      with
-                      | Some l -> Some (l, Theory.Vbool pos)
-                      | None -> None)
-                  | _ -> None)
-                !lits
-            in
             let bools_raw =
               List.filter_map
                 (fun (_, a, pos) ->
@@ -223,6 +208,7 @@ let check_sat_cnf ~(nvars : int) ~(atoms : Liquid_logic.Pred.t option array)
                   | _ -> None)
                 !lits
             in
+            let bools = Theory.display_labels bools_raw in
             let merge from_theory bools =
               List.sort compare
                 (from_theory
@@ -259,10 +245,3 @@ let check_sat_cnf ~(nvars : int) ~(atoms : Liquid_logic.Pred.t option array)
     end
   in
   loop 2000
-
-(** Check satisfiability of [p] (a quantifier-free EUFLIA predicate). *)
-let check_sat (p : Liquid_logic.Pred.t) : result =
-  let cnf = Prop.of_pred p in
-  (* [of_pred] interns atoms first, so they form the variable prefix. *)
-  let atoms = Array.map Option.some cnf.Prop.atoms in
-  check_sat_cnf ~nvars:1 ~atoms ([ cnf.Prop.root ] :: cnf.Prop.clauses)

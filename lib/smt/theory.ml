@@ -387,23 +387,10 @@ let extract_model_raw st (m : Rat.t array) : model =
     st.labels;
   List.sort compare !out
 
-let extract_model st (m : Rat.t array) : model =
-  let out = ref [] in
-  Hashtbl.iter
-    (fun id label ->
-      if id < Array.length m then
-        let sort = sort_of_ent st id in
-        let value =
-          match sort with
-          | Sort.Int -> Some (Vint (Rat.floor m.(id)))
-          | Sort.Bool -> Some (Vbool (Rat.floor m.(id) <> 0))
-          | Sort.Obj -> None
-        in
-        match (value, clean_label label) with
-        | Some v, Some label -> out := (label, v) :: !out
-        | _ -> ())
-    st.labels;
-  List.sort compare !out
+let display_labels (m : model) : model =
+  List.filter_map
+    (fun (label, v) -> Option.map (fun l -> (l, v)) (clean_label label))
+    m
 
 let check_sat (lits : (Pred.t * bool) list) : result =
   nlits_total := !nlits_total + List.length lits;
@@ -415,7 +402,10 @@ let check_sat (lits : (Pred.t * bool) list) : result =
       else
         let nvars = st.nents in
         let cons = st.defs @ st.arith @ cc_equalities st in
-        let sat m = Sat (extract_model st m, extract_model_raw st m) in
+        let sat m =
+          let raw = extract_model_raw st m in
+          Sat (List.sort compare (display_labels raw), raw)
+        in
         (* An unprobed pair the model leaves unseparated may be forced
            equal: the model may then violate congruence, and only a
            probe could tell. *)

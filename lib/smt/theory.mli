@@ -31,6 +31,10 @@ type result = Sat of model * model | Unsat | Unknown
     [#N] suffixes and renders the value variable [VV] as [v]. *)
 val clean_label : string -> string option
 
+(** The entries of a raw model whose labels have a display form
+    ({!clean_label}), relabelled, in the same order. *)
+val display_labels : model -> model
+
 (** Decide the conjunction of the given signed atoms ([(p, false)]
     asserts the negation of [p]).  Non-atomic predicates are rejected
     with [Invalid_argument]. *)

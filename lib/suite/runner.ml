@@ -13,31 +13,18 @@ let qualifiers_of (b : Programs.benchmark) =
   Liquid_infer.Qualifier.defaults
   @ Liquid_infer.Qualifier.parse_string b.extra_qualifiers
 
-(** Default worker count: the [DSOLVE_JOBS] environment variable when
-    set (so CI can run the whole suite sharded without touching every
-    call site), else sequential. *)
-let default_jobs () =
-  match Sys.getenv_opt "DSOLVE_JOBS" with
-  | Some s -> ( match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> n
-    | _ -> 1)
-  | None -> 1
-
 (** Verify one benchmark with its qualifier set.  Constant mining is off
     by default: the paper's evaluation supplies qualifiers explicitly, and
     mining only grows the candidate sets on these programs. *)
-let verify ?quals ?(mine = false) ?(lint = false) ?(incremental = true) ?jobs
-    (b : Programs.benchmark) : row =
+let verify ?quals ?(mine = false) ?(lint = false) (b : Programs.benchmark) :
+    row =
   let quals = match quals with Some q -> q | None -> qualifiers_of b in
-  let jobs = match jobs with Some j -> j | None -> default_jobs () in
   let options =
     {
       Liquid_driver.Pipeline.default with
       Liquid_driver.Pipeline.quals;
       mine;
       lint;
-      incremental;
-      jobs;
     }
   in
   let t0 = Unix.gettimeofday () in

@@ -10,22 +10,14 @@ type row = {
 
 val qualifiers_of : Programs.benchmark -> Liquid_infer.Qualifier.t list
 
-(** The [DSOLVE_JOBS] environment variable when it is a positive
-    integer, else 1. *)
-val default_jobs : unit -> int
-
 (** Verify one benchmark with its qualifier set ([quals] overrides;
     constant mining off by default — the suite supplies qualifiers
     explicitly, as the paper's evaluation did; [lint] additionally runs
-    the semantic-lint pass and fills [report.lints]; [jobs] defaults to
-    the [DSOLVE_JOBS] environment variable when set, else 1, so CI can
-    run the whole suite sharded). *)
+    the semantic-lint pass and fills [report.lints]). *)
 val verify :
   ?quals:Liquid_infer.Qualifier.t list ->
   ?mine:bool ->
   ?lint:bool ->
-  ?incremental:bool ->
-  ?jobs:int ->
   Programs.benchmark ->
   row
 

@@ -1,8 +1,10 @@
-(* The reference model-based elimination is held to: a program built
-   into the constraint system the pipeline solves, and the check that
-   the pooled solves reach exactly what the pool-free engine
-   ([Fixpoint.solve_unit] without [~elim]) reaches. *)
+(* The references model-based elimination is held to: a program built
+   into the constraint system the pipeline solves, a naive Kleene
+   solve of that system, and the check that the pooled solve reaches
+   exactly what the pool-free engine ([Fixpoint.solve_unit] without
+   [~elim]) and the naive solve reach. *)
 
+open Liquid_smt
 open Liquid_logic
 open Liquid_infer
 module Pipeline = Liquid_driver.Pipeline
@@ -44,48 +46,74 @@ let system ?(mine = true) ?(quals = Qualifier.defaults) name src =
 
 let initial s = Fixpoint.init_assignment ~consts:s.consts s.quals s.wfs
 
-(* Counters of one [check_reference]: the one-unit pooled solve, the
-   per-unit pooled solve, and the pool-free reference. *)
-type counters = {
-  whole : Fixpoint.stats;
-  per_unit : Fixpoint.stats;
-  reference : Fixpoint.stats;
-}
+(* The naive solve: Kleene rounds over the whole system.  A round
+   visits every κ constraint in order, re-embeds its antecedent under
+   the current assignment ([Fixpoint.hypotheses]) and re-checks every
+   instance of its κ, the conjunction first and then goal by goal;
+   rounds repeat until one changes nothing.  It keeps none of the
+   engine's dependency records, version stamps, tag skips or pool, so
+   it holds all of them to an independent answer. *)
+let naive s : Constr.solution =
+  let assignment = ref (KMap.map (List.map fst) (initial s)) in
+  let lookup k = Constr.sol_find !assignment k in
+  let weaken (c : Constr.sub) =
+    match c.Constr.rhs with
+    | Constr.Rconc _ -> false
+    | Constr.Rkvar (k, theta) ->
+        let current = lookup k in
+        let hyps, kept = Fixpoint.hypotheses lookup c in
+        let valid q = Solver.check_valid ~kept hyps q = Solver.Valid in
+        let goal q = Pred.subst theta q in
+        current <> []
+        && (not (valid (Pred.conj (List.map goal current))))
+        &&
+        let retained = List.filter (fun q -> valid (goal q)) current in
+        assignment := KMap.add k retained !assignment;
+        List.length retained <> List.length current
+  in
+  let rec rounds () =
+    if List.fold_left (fun changed c -> weaken c || changed) false s.subs
+    then rounds ()
+  in
+  rounds ();
+  !assignment
 
-(* Both pooled solves must reach exactly the reference's solution — per
-   κ, instances in the same order — and the same failures, with the
-   same goals and counterexamples: [Fixpoint.solve], one unit with a
-   fresh elimination state, and [Psolve.solve ~jobs:1] over the
-   partition plan, whose units share one state. *)
+(* Counters of one [check_reference]: the pooled solve over the
+   partition plan, and the pool-free reference. *)
+type counters = { pooled : Fixpoint.stats; reference : Fixpoint.stats }
+
+(* The naive solve must reach the pool-free reference's solution, and
+   the pooled solve ([Psolve.solve] over the partition plan, whose
+   units share one elimination state) the same solution and the same
+   failures, with the same goals and counterexamples.  Solutions are
+   compared per κ, instances in the same order. *)
 let check_reference s =
   let reference =
     Fixpoint.solve_unit ~base:KMap.empty ~init:(initial s) s.subs
   in
-  let failure (f : Fixpoint.failure) =
-    (f.Fixpoint.f_sub_id, Pred.tag f.Fixpoint.f_goal, f.Fixpoint.f_cex)
-  in
-  let check what (r : Fixpoint.result) =
+  let solution = KMap.map (List.map fst) reference.Fixpoint.pr_solution in
+  let same_solution what sol =
     Alcotest.(check bool)
       (Fmt.str "%s: %s, same solution per κ" s.name what)
       true
-      (KMap.equal (List.equal Pred.equal) r.Fixpoint.solution
-         (KMap.map (List.map fst) reference.Fixpoint.pr_solution));
-    Alcotest.(check bool)
-      (Fmt.str "%s: %s, same failures" s.name what)
-      true
-      (List.map failure r.Fixpoint.failures
-      = List.map (fun (_, f) -> failure f) reference.Fixpoint.pr_failures);
-    r.Fixpoint.solver_stats
+      (KMap.equal (List.equal Pred.equal) sol solution)
   in
-  let whole =
-    check "one unit"
-      (Fixpoint.solve ~quals:s.quals ~consts:s.consts s.wfs s.subs)
+  same_solution "naive" (naive s);
+  let pooled =
+    (Liquid_engine.Psolve.solve ~quals:s.quals ~consts:s.consts s.wfs s.subs
+       (Constr.partition_plan s.wfs s.subs))
+      .Liquid_engine.Psolve.ps_result
   in
-  let per_unit =
-    check "per unit"
-      (Liquid_engine.Psolve.solve ~jobs:1 ~quals:s.quals ~consts:s.consts
-         s.wfs s.subs
-         (Constr.partition_plan s.wfs s.subs))
-        .Liquid_engine.Psolve.ps_result
+  same_solution "pooled" pooled.Fixpoint.solution;
+  let failure (f : Fixpoint.failure) =
+    (f.Fixpoint.f_sub_id, Pred.tag f.Fixpoint.f_goal, f.Fixpoint.f_cex)
   in
-  { whole; per_unit; reference = reference.Fixpoint.pr_stats }
+  Alcotest.(check bool)
+    (Fmt.str "%s: pooled, same failures" s.name)
+    true
+    (List.map failure pooled.Fixpoint.failures
+    = List.map (fun (_, f) -> failure f) reference.Fixpoint.pr_failures);
+  {
+    pooled = pooled.Fixpoint.solver_stats;
+    reference = reference.Fixpoint.pr_stats;
+  }

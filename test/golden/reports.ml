@@ -12,12 +12,7 @@
 module Pipeline = Liquid_driver.Pipeline
 module Programs = Liquid_suite.Programs
 module Extended = Liquid_suite.Extended
-module Runner = Liquid_suite.Runner
 module Qualifier = Liquid_infer.Qualifier
-
-(* Solve workers as the suite runner counts them ([DSOLVE_JOBS]): the
-   reports must not depend on it. *)
-let base = { Pipeline.default with jobs = Runner.default_jobs () }
 
 (* An input: its file name, source, options before the mode is set, and
    its modes.  T1 mutants verify with their qualifiers and no mining, E1
@@ -30,7 +25,7 @@ let inputs =
       ( file,
         b.Programs.source,
         {
-          base with
+          Pipeline.default with
           Pipeline.quals =
             Qualifier.defaults
             @ Qualifier.parse_string ~file b.Programs.extra_qualifiers;
@@ -43,7 +38,7 @@ let inputs =
       (fun name ->
         ( name ^ "-ablated.ml",
           (Programs.find name).Programs.source,
-          { base with mine = false },
+          { Pipeline.default with mine = false },
           [ `Explain ] ))
       [ "tower"; "simplex"; "gauss"; "bcopy" ]
 

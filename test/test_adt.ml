@@ -1,8 +1,8 @@
 (* Tests for user-declared algebraic datatypes and measures: declaration
    validation (structured diagnostics with spans), measure-indexed
    refinement inference, measure hypotheses in explanation cores,
-   determinism across engines (pooled and pool-free, jobs 1/4, cache,
-   daemon), and the cache-soundness of the declaration digest. *)
+   determinism across engines (pooled and pool-free, cache, daemon),
+   and the cache-soundness of the declaration digest. *)
 
 open Liquid_lang
 module Pipeline = Liquid_driver.Pipeline
@@ -83,8 +83,8 @@ let src_rbtree =
   \  assert (count_reds (T (Red, l, x, r)) > count_reds l + count_reds r)\n\
    let main = red_root_adds Nil 7 (T (Black, Nil, 8, Nil))"
 
-(* The datatype programs every engine arm (jobs, cache, daemon) must
-   agree on, with their expected verdicts. *)
+(* The datatype programs every engine arm (cache, daemon) must agree
+   on, with their expected verdicts. *)
 let arm_programs =
   [
     ("tree", src_tree_safe, true);
@@ -163,22 +163,6 @@ let test_unsafe_explain_cites_measure () =
       r.Pipeline.explanations
   in
   check_bool "explanation core cites a measure hypothesis" true cites_measure
-
-(* ------------------------------------------------------------------ *)
-(* Determinism across engines                                          *)
-(* ------------------------------------------------------------------ *)
-
-let test_jobs_identity () =
-  List.iter
-    (fun (name, src, expect_safe) ->
-      let seq = verify src in
-      check_engaged name expect_safe seq;
-      let par =
-        verify ~options:{ Pipeline.default with Pipeline.jobs = 4 } src
-      in
-      check_string (name ^ ": jobs 1/4 reports identical")
-        (report_fingerprint seq) (report_fingerprint par))
-    arm_programs
 
 (* ------------------------------------------------------------------ *)
 (* Declaration diagnostics                                             *)
@@ -502,7 +486,6 @@ let tests =
       test_unsafe_explain_cites_measure;
     Alcotest.test_case "pooled solve equals the pool-free reference" `Quick
       test_elim_identity;
-    Alcotest.test_case "jobs 1/4 identity" `Quick test_jobs_identity;
     Alcotest.test_case "declcheck: unknown constructor" `Quick
       test_declcheck_unknown_ctor;
     Alcotest.test_case "declcheck: duplicate constructor" `Quick

@@ -324,18 +324,10 @@ let test_punit_key_stability () =
         (report_fingerprint cold) (report_fingerprint warm))
 
 (* A one-function edit re-solves only the edited cone; the report still
-   matches a cache-less verification byte for byte.  Exercised at
-   [jobs = 1] (in-process sequential) and [jobs = 4] (forked workers +
-   dispatch-time reuse). *)
-let test_punit_cone_reuse jobs () =
+   matches a cache-less verification byte for byte. *)
+let test_punit_cone_reuse () =
   with_dir (fun dir ->
-      let options =
-        {
-          Pipeline.default with
-          Pipeline.cache_dir = Some dir;
-          Pipeline.jobs = jobs;
-        }
-      in
+      let options = { Pipeline.default with Pipeline.cache_dir = Some dir } in
       ignore (Pipeline.verify_string ~options ~name:"two.ml" src_two_v1);
       let warm = Pipeline.verify_string ~options ~name:"two.ml" src_two_v2 in
       check_int "edited source misses the whole-run cache" 0
@@ -353,49 +345,35 @@ let test_punit_cone_reuse jobs () =
         (report_fingerprint reference)
         (report_fingerprint warm))
 
-(* Reports do not depend on scheduling, so neither does the whole-run
-   key: a report solved over four workers is a hit for a sequential run
-   and equals a cold, cache-less sequential report. *)
-let test_jobs_share_entries () =
+(* The ignored option fields never split a cache entry: neither the
+   options fingerprint nor the daemon's request key reads them, and the
+   rendered fingerprint names none of them. *)
+let test_inert_options_ignored () =
   let src = Test_gradual.sharded_src in
-  with_dir (fun dir ->
-      let options jobs partition_timeout =
-        {
-          Pipeline.default with
-          Pipeline.jobs;
-          partition_timeout;
-          cache_dir = Some dir;
-        }
-      in
-      let sequential = options 1 None in
-      List.iter
-        (fun (jobs, timeout) ->
-          check_string
-            (Fmt.str "fingerprint ignores jobs=%d and the timeout" jobs)
-            (Pipeline.options_fingerprint sequential)
-            (Pipeline.options_fingerprint (options jobs timeout)))
-        [ (1, Some 30.); (2, None); (4, Some 0.2); (4, Some 30.) ];
-      let sharded =
-        Pipeline.verify_string
-          ~options:(options 4 (Some 30.))
-          ~name:"sharded.ml" src
-      in
-      check_bool "program shards" true
-        (sharded.Pipeline.stats.Pipeline.n_partitions > 1);
-      check_bool "program fails" false sharded.Pipeline.safe;
-      let warm =
-        Pipeline.verify_string ~options:sequential ~name:"sharded.ml" src
-      in
-      check_int "jobs=1 run hits the jobs=4 entry" 1
-        warm.Pipeline.stats.Pipeline.n_pcache_hits;
-      let cold =
-        Pipeline.verify_string
-          ~options:{ sequential with Pipeline.cache_dir = None }
-          ~name:"sharded.ml" src
-      in
-      check_string "served report equals a cold sequential run"
-        (Test_partition.report_json cold)
-        (Test_partition.report_json warm))
+  let key options = Pipeline.request_key ~options ~name:"sharded.ml" src in
+  let fingerprint = Pipeline.options_fingerprint Pipeline.default in
+  List.iter
+    (fun (what, options) ->
+      check_string
+        (what ^ ": same options fingerprint")
+        fingerprint
+        (Pipeline.options_fingerprint options);
+      check_string (what ^ ": same request key") (key Pipeline.default)
+        (key options))
+    [
+      ( "incremental=false",
+        { Pipeline.default with Pipeline.incremental = false } );
+      ("jobs=4", { Pipeline.default with Pipeline.jobs = 4 });
+    ];
+  List.iter
+    (fun name ->
+      check_bool
+        (Fmt.str "fingerprint names no %s field" name)
+        false
+        (match Str.search_forward (Str.regexp_string name) fingerprint 0 with
+        | _ -> true
+        | exception Not_found -> false))
+    [ "incremental"; "jobs"; "timeout" ]
 
 (* Partition keys do not depend on what the process verified before.
    Unresolved type variables reach the unit signatures, so their ids
@@ -429,7 +407,7 @@ let in_child (f : unit -> int) : int =
 
 let test_punit_warm_process () =
   let module Programs = Liquid_suite.Programs in
-  ignore (Liquid_suite.Runner.verify ~jobs:1 Programs.isort);
+  ignore (Liquid_suite.Runner.verify Programs.isort);
   List.iter
     (fun (b : Programs.benchmark) ->
       let edit = b.Programs.source ^ appended_fn in
@@ -558,11 +536,8 @@ let tests =
     tc "pipeline: corrupt entry falls back and rewrites"
       test_pipeline_corrupt_entry_recovers;
     tc "punit: unchanged partitions all reuse" test_punit_key_stability;
-    tc "punit: edit re-solves only its cone (jobs=1)"
-      (test_punit_cone_reuse 1);
-    tc "punit: edit re-solves only its cone (jobs=4)"
-      (test_punit_cone_reuse 4);
-    tc "pipeline: a jobs=4 report is a jobs=1 hit" test_jobs_share_entries;
+    tc "punit: edit re-solves only its cone (jobs=1)" test_punit_cone_reuse;
+    tc "pipeline: keys ignore the inert options" test_inert_options_ignored;
     tc "punit: a warm process reuses what a fresh one does"
       test_punit_warm_process;
     tc "store sweeps stale tmp files" test_tmp_sweep;

@@ -49,17 +49,6 @@ let sum_src =
    let total = sum 5\n\
    let ok = assert (0 <= total)"
 
-(* Independent items in separate solve units, two of them failing: the
-   partition plan shards, and explanations must not depend on it. *)
-let sharded_src =
-  "let f x = if x > 0 then x else 0 - x\n\
-   let g y = y + 1\n\
-   let a = Array.make 10 0\n\
-   let bada = a.(12)\n\
-   let b = Array.make 5 0\n\
-   let badb = b.(9)\n\
-   let ok = assert (f 3 >= 0)"
-
 let explain_options ?(quals = Qualifier.defaults) () =
   { Pipeline.default with Pipeline.quals; explain = true }
 
@@ -91,7 +80,10 @@ let test_traced_embedding () =
   let info = Liquid_typing.Infer.infer_program prog in
   let out = Congen.generate info prog in
   let res =
-    Fixpoint.solve ~quals:Qualifier.defaults out.Congen.wfs out.Congen.subs
+    (Liquid_engine.Psolve.solve ~quals:Qualifier.defaults ~consts:[]
+       out.Congen.wfs out.Congen.subs
+       (Constr.partition_plan out.Congen.wfs out.Congen.subs))
+      .Liquid_engine.Psolve.ps_result
   in
   let lookup k = Constr.sol_find res.Fixpoint.solution k in
   List.iter
@@ -233,30 +225,6 @@ let test_explain_limit () =
      with Not_found -> false)
 
 (* ------------------------------------------------------------------ *)
-(* Determinism across job counts                                       *)
-(* ------------------------------------------------------------------ *)
-
-let test_jobs_determinism () =
-  let run jobs =
-    Pipeline.verify_string
-      ~options:{ (explain_options ()) with Pipeline.jobs }
-      ~name:"sharded.ml" sharded_src
-  in
-  let reference = run 1 in
-  check_bool "program shards" true
-    (reference.Pipeline.stats.Pipeline.n_partitions > 1);
-  check_bool "explanations produced" true
-    (reference.Pipeline.explanations <> []);
-  let expected = render_explanations reference in
-  List.iter
-    (fun jobs ->
-      let got = render_explanations (run jobs) in
-      check_bool
-        (Fmt.str "explanations byte-identical at jobs=%d" jobs)
-        true (got = expected))
-    [ 2; 4 ]
-
-(* ------------------------------------------------------------------ *)
 (* JSON                                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -348,7 +316,6 @@ let tests =
     tc "repair hint verifies when applied" test_repair_hint_sound;
     tc "identical failures dedup with counts" test_dedup_counts;
     tc "--explain-limit caps and counts the rest" test_explain_limit;
-    slow "explanations byte-identical at jobs 1/2/4" test_jobs_determinism;
     tc "JSON schema and parser round-trip" test_json_schema_and_round_trip;
     slow "direct/cache/daemon explanations byte-identical"
       test_paths_byte_identical;

@@ -61,8 +61,7 @@ let sum_src =
    let ok = assert (0 <= total)"
 
 (* Two independent off-by-one loops in separate solve units, plus a safe
-   item: the partition plan shards, and the residual report must not
-   depend on the schedule. *)
+   item: the partition plan has several units. *)
 let sharded_src =
   "let a = Array.make 10 0\n\
    let rec fill i =\n\
@@ -82,7 +81,7 @@ let sharded_src =
    let startb = fillb 0\n\
    let h z = z + 1"
 
-(* The residual corpus every scheduling arm must agree on: file name,
+(* The residual corpus every path must agree on: file name,
    source, whether the default qualifiers are on (an empty set leaves
    [sum_src]'s assertion unprovable), and the expected residual count. *)
 let residual_corpus =
@@ -279,7 +278,7 @@ let test_repair_discharges_cast () =
     (List.length fixed.Pipeline.residuals)
 
 (* ------------------------------------------------------------------ *)
-(* Determinism: jobs, cache temperatures, daemon                       *)
+(* Determinism: cache temperatures, daemon                             *)
 (* ------------------------------------------------------------------ *)
 
 (* Zero hard errors and the expected residual count, with a plain run
@@ -296,31 +295,6 @@ let check_residual_program (name, src, use_defaults, expected)
       ~name src
   in
   check_bool (name ^ ": plain run fails") false plain.Pipeline.safe
-
-let test_jobs_byte_identity () =
-  check_bool "sharded program shards" true
-    ((verify ~name:"sharded.ml" sharded_src).Pipeline.stats
-       .Pipeline.n_partitions > 1);
-  List.iter
-    (fun ((name, src, use_defaults, _) as program) ->
-      let run jobs =
-        Pipeline.verify_string
-          ~options:
-            { (gradual_options ~quals:(quals_of use_defaults) ()) with
-              Pipeline.jobs }
-          ~name src
-      in
-      let reference = run 1 in
-      check_residual_program program reference;
-      let expected = render_residuals reference in
-      List.iter
-        (fun jobs ->
-          let got = render_residuals (run jobs) in
-          check_bool
-            (Fmt.str "%s: residuals byte-identical at jobs=%d" name jobs)
-            true (got = expected))
-        [ 2; 4 ])
-    residual_corpus
 
 let test_paths_byte_identical () =
   let direct =
@@ -465,7 +439,6 @@ let tests =
     tc "armed assertion failure is absorbed" test_armed_assert_absorbed;
     tc "unarmed assertion failure still raises" test_unarmed_assert_still_raises;
     tc "repair hint discharges its cast" test_repair_discharges_cast;
-    slow "residuals byte-identical at jobs 1/2/4" test_jobs_byte_identity;
     slow "direct/cache/daemon residuals byte-identical"
       test_paths_byte_identical;
     tc "gradual and plain runs never share cache entries"

@@ -421,7 +421,7 @@ let test_suite_warm_equals_cold () =
       let direct =
         List.map
           (fun (b : Programs.benchmark) ->
-            (b.Programs.name, render (Runner.verify ~jobs:1 b).Runner.report))
+            (b.Programs.name, render (Runner.verify b).Runner.report))
           Programs.all
       in
       let batch =

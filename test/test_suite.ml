@@ -43,44 +43,6 @@ let test_execution () =
   ignore (exec_int "gauss")
 
 (* ------------------------------------------------------------------ *)
-(* Engine equivalence: the incremental fixpoint must compute exactly   *)
-(* the naive (reference) engine's result on the whole suite — same     *)
-(* verdicts, same failures, same inferred types.                       *)
-(* ------------------------------------------------------------------ *)
-
-let engine_fingerprint incremental =
-  List.map
-    (fun (b : Programs.benchmark) ->
-      let row = Runner.verify ~incremental b in
-      let rep = row.Runner.report in
-      ( b.Programs.name,
-        rep.Liquid_driver.Pipeline.safe,
-        List.map
-          (fun (e : Liquid_driver.Pipeline.error) ->
-            Fmt.str "%a: %s: %s" Liquid_common.Loc.pp
-              e.Liquid_driver.Pipeline.err_loc e.Liquid_driver.Pipeline.err_reason
-              e.Liquid_driver.Pipeline.err_goal)
-          rep.Liquid_driver.Pipeline.errors,
-        List.map
-          (fun (x, t) ->
-            (* display form: alpha-renaming counters are session-global,
-               so raw types differ in binder suffixes across runs *)
-            Fmt.str "%a : %a" Liquid_common.Ident.pp x Liquid_infer.Rtype.pp
-              (Liquid_infer.Report.display t))
-          rep.Liquid_driver.Pipeline.item_types ))
-    Programs.all
-
-let test_engine_equivalence () =
-  let naive = engine_fingerprint false in
-  let incr = engine_fingerprint true in
-  List.iter2
-    (fun (name, safe_n, errs_n, types_n) (_, safe_i, errs_i, types_i) ->
-      check_bool (name ^ ": same verdict") true (safe_n = safe_i);
-      check_bool (name ^ ": same failures") true (errs_n = errs_i);
-      check_bool (name ^ ": same inferred types") true (types_n = types_i))
-    naive incr
-
-(* ------------------------------------------------------------------ *)
 (* Mutation testing: planting an off-by-one or dropping a guard must   *)
 (* flip the verdict to unsafe.                                         *)
 (* ------------------------------------------------------------------ *)
@@ -127,13 +89,13 @@ let test_overview () =
 (* Qualifier ablation: benchmarks that need an extra qualifier fail    *)
 (* cleanly without it (they are not vacuously safe), every failure is  *)
 (* fully explained, and the explanations do not depend on the run: a   *)
-(* second run at jobs=4 renders byte-identical JSON.                   *)
+(* second run renders byte-identical JSON.                             *)
 (* ------------------------------------------------------------------ *)
 
 let test_qualifier_ablation () =
   let module Pipeline = Liquid_driver.Pipeline in
   let module Explain = Liquid_explain.Explain in
-  let run (b : Programs.benchmark) jobs =
+  let run (b : Programs.benchmark) =
     Pipeline.verify_string
       ~options:
         {
@@ -141,7 +103,6 @@ let test_qualifier_ablation () =
           Pipeline.quals = Liquid_infer.Qualifier.defaults;
           mine = false;
           explain = true;
-          jobs;
         }
       ~name:(b.Programs.name ^ ".ml") b.Programs.source
   in
@@ -153,7 +114,7 @@ let test_qualifier_ablation () =
   List.iter
     (fun name ->
       let b = Programs.find name in
-      let report = run b 1 in
+      let report = run b in
       check_bool
         (name ^ " fails without its extra qualifier")
         false report.Pipeline.safe;
@@ -165,9 +126,9 @@ let test_qualifier_ablation () =
             (ex.Explain.ex_unexplained = None))
         report.Pipeline.explanations;
       Alcotest.(check string)
-        (name ^ ": explanations byte-identical at jobs 1/4")
+        (name ^ ": explanations byte-identical on a second run")
         (explanations_json report)
-        (explanations_json (run b 4)))
+        (explanations_json (run b)))
     [ "tower"; "simplex"; "gauss"; "bcopy" ]
 
 let tests =
@@ -182,7 +143,6 @@ let tests =
     Programs.all
   @ [
       tc "execute all benchmarks" test_execution;
-      slow "incremental engine matches naive engine" test_engine_equivalence;
       slow "mutants are rejected" test_mutants;
       tc "overview examples match the paper" test_overview;
       slow "extra qualifiers are necessary" test_qualifier_ablation;
