@@ -87,28 +87,21 @@ let pid_gone pid =
   | exception Unix.Unix_error (Unix.ESRCH, _, _) -> true
   | exception Unix.Unix_error _ -> false
 
-let sweep_tmp (t : t) =
-  let rec walk d depth =
-    match Sys.readdir d with
-    | exception Sys_error _ -> ()
-    | entries ->
-        Array.iter
-          (fun e ->
-            let p = Filename.concat d e in
-            match Sys.is_directory p with
-            | true -> if depth < 3 then walk p (depth + 1)
-            | false -> (
-                match tmp_pid e with
-                | Some pid when pid_gone pid -> (
-                    try
-                      Sys.remove p;
-                      t.stats.swept <- t.stats.swept + 1
-                    with Sys_error _ -> ())
-                | _ -> ())
-            | exception Sys_error _ -> ())
-          entries
-  in
-  walk t.dir 1
+(* Remove the stale temp files of one directory, counting them. *)
+let sweep_tmp (t : t) (d : string) =
+  match Sys.readdir d with
+  | exception Sys_error _ -> ()
+  | entries ->
+      Array.iter
+        (fun e ->
+          match tmp_pid e with
+          | Some pid when pid_gone pid -> (
+              try
+                Sys.remove (Filename.concat d e);
+                t.stats.swept <- t.stats.swept + 1
+              with Sys_error _ -> ())
+          | _ -> ())
+        entries
 
 (* One handle (hence one stats record) per (dir, stamp) in a process, so
    a resident daemon reports cumulative cache traffic. *)
@@ -120,7 +113,6 @@ let open_store ?(stamp = default_stamp) ~dir () =
   | None ->
       (try mkdir_p dir with _ -> ());
       let t = { dir; stamp; stats = fresh_stats () } in
-      sweep_tmp t;
       Hashtbl.replace registry (dir, stamp) t;
       t
 
@@ -194,7 +186,14 @@ let tmp_counter = ref 0
 let store ?ns t ~key ~fingerprint v =
   try
     let path = path_of ?ns t key in
-    mkdir_p (Filename.dirname path);
+    let fanout = Filename.dirname path in
+    mkdir_p fanout;
+    (* Temp files are only ever written into fanout directories, so
+       each write sweeps the one it writes into: every write reads one
+       fanout directory, about 1/256 of its namespace, and no process
+       walks the whole store.  A temp file orphaned in a fanout
+       directory that is never written again stays. *)
+    sweep_tmp t fanout;
     let payload = Marshal.to_string v [] in
     incr tmp_counter;
     let tmp =

@@ -21,7 +21,7 @@ type stats = {
   mutable rejected : int; (* stale stamp/fingerprint, corrupt, truncated *)
   mutable writes : int; (* entries persisted *)
   mutable write_errors : int; (* failed writes, swallowed *)
-  mutable swept : int; (* orphaned temp files removed at open *)
+  mutable swept : int; (* orphaned temp files removed by [store] *)
 }
 
 type t
@@ -37,14 +37,8 @@ val default_stamp : string
     repeated opens share one stats record.  [stamp] defaults to
     {!default_stamp}; tests override it to simulate builds that must not
     share entries.  Directory-creation failures are deferred: the handle
-    is returned and every [find]/[store] just misses/swallows.
-
-    Creating a handle sweeps the store for orphaned
-    ["<key>.bin.tmp.<pid>.<n>"] files — debris of writers that died
-    between opening their temp file and renaming it into place.  A temp
-    file is removed (and counted in [stats.swept]) only when its writer
-    pid no longer exists, so a concurrent writer's in-flight file is
-    never touched. *)
+    is returned and every [find]/[store] just misses/swallows.  Opening
+    reads nothing in the store, so its cost does not grow with it. *)
 val open_store : ?stamp:string -> dir:string -> unit -> t
 
 val dir : t -> string
@@ -66,7 +60,18 @@ val find : ?ns:string -> t -> key:string -> fingerprint:string -> 'a option
 
 (** [store st ~key ~fingerprint v] persists [v] atomically (in the
     given namespace, when [ns] is set).  Any failure (permissions, disk
-    full, unwritable dir) is swallowed and counted in [write_errors]. *)
+    full, unwritable dir) is swallowed and counted in [write_errors].
+
+    Before writing, it sweeps the one fanout directory it writes into
+    for orphaned ["<key>.bin.tmp.<pid>.<n>"] files — debris of writers
+    that died between opening their temp file and renaming it into
+    place.  A temp file is removed (and counted in [stats.swept]) only
+    when its writer pid no longer exists, so a concurrent writer's
+    in-flight file is never touched.  The sweep is paid on every write
+    and reads the whole fanout directory, about 1/256 of the namespace,
+    so its cost grows with the store, 256 times more slowly than a walk
+    of it.  Opening a handle sweeps nothing, so a temp file orphaned in
+    a fanout directory that is never written again stays. *)
 val store : ?ns:string -> t -> key:string -> fingerprint:string -> 'a -> unit
 
 (** Live counters of the handle (shared across memoized opens). *)

@@ -293,12 +293,14 @@ let verify_program ?(options = default) ?(parse_time = 0.0)
   let n_parts = Array.length plan.Constr.parts in
   (* Partition-level persistent cache: with [cache_dir] set, each solve
      unit round-trips its {!Fixpoint.partial} through the store under a
-     content key (constraints + instantiated qualifiers + upstream κ
-     solutions — computed by {!Liquid_engine.Psolve}), so a re-verify
-     after an edit reuses every unit outside the edit's downstream cone.
-     The fingerprint carries the payload version, the [gradual] flag and
-     the declaration digest; everything else that could change the
-     result is already in the key. *)
+     content key (constraints, qualifier patterns and mined constants,
+     upstream κ solutions — computed by {!Liquid_engine.Psolve}), so a
+     re-verify after an edit reuses every unit outside the edit's
+     downstream cone.  The fingerprint carries the payload version, the
+     [gradual] flag and the declaration digest; everything else that
+     could change the result is already in [Psolve]'s key.  The
+     fingerprint joins the store key too, so runs that differ only in
+     it address different entries instead of evicting each other's. *)
   let punit_store =
     Option.map
       (fun dir -> Liquid_cache.Store.open_store ~dir ())
@@ -326,7 +328,7 @@ let verify_program ?(options = default) ?(parse_time = 0.0)
             | "" -> ""
             | d -> "|decls=" ^ d)
         in
-        let key k = Liquid_cache.Store.key store [ "punit"; k ] in
+        let key k = Liquid_cache.Store.key store [ "punit"; fingerprint; k ] in
         ( Some
             (fun k ->
               Liquid_cache.Store.find ~ns:"punit" store ~key:(key k)

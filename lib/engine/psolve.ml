@@ -4,22 +4,23 @@
 
     Units run in process, sequentially in id order (always legal: every
     dependency has a smaller id), each one solved by
-    {!Fixpoint.solve_unit} with the merged upstream solutions as its
-    base, and folded into the running solution, failure list, and
-    counters.
+    {!Fixpoint.solve_unit} from the qualifier instances at its own κs,
+    with the merged upstream solutions as its base, and folded into the
+    running solution, failure list, and counters.
 
     Every unit of one call shares one {!Fixpoint.elim}: the
     counterexample pool and bandit that the units fill in id order.  The
     state moves only the work, never the answer.
 
     The [reuse]/[persist] hooks connect a per-partition result cache:
-    each unit is content-addressed by a key digesting its own
-    constraints and wf environments ({!Constr.unit_signature}), its
-    instantiated qualifier set, and the final solutions of its
-    [part_deps] — everything that determines its partial.  Once its
-    dependencies merged (so the key is computable) [reuse key] may
-    return a cached partial, skipping the solve entirely; solved units
-    are offered to [persist key partial]. *)
+    each unit is content-addressed by a digest over digests — its own
+    constraints and wf environments ({!Constr.unit_signature}), the
+    run's qualifier patterns and mined constants, and the final
+    solutions of its [part_deps] — everything that determines its
+    partial.  Once its dependencies merged (so the key is computable)
+    [reuse key] may return a cached partial, skipping both the
+    instantiation and the solve; solved units are offered to
+    [persist key partial]. *)
 
 open Liquid_smt
 open Liquid_logic
@@ -46,61 +47,57 @@ let solve ?(reuse : (string -> Fixpoint.partial option) option)
     ~(quals : Qualifier.t list) ~(consts : int list) (wfs : Constr.wf list)
     (subs : Constr.sub list) (plan : Constr.plan) : outcome =
   let parts = plan.Constr.parts in
-  let collapsed = ref 0 in
-  let initial = Fixpoint.init_assignment ~consts ~collapsed quals wfs in
+  let unit_wfs = Constr.unit_wfs wfs in
   let elim = Fixpoint.fresh_elim () in
-  (* Initial assignment restricted to each partition's own κs. *)
-  let init_of = Array.map
-      (fun (p : Constr.partition) ->
-        List.fold_left
-          (fun acc k ->
-            match KMap.find_opt k initial with
-            | Some ps -> KMap.add k ps acc
-            | None -> acc)
-          KMap.empty p.Constr.part_kvars)
-      parts
-  in
   let merged_sol : Constr.solution ref = ref KMap.empty in
   let merged_cands = ref KMap.empty in
+  let instantiated = ref Fixpoint.SSet.empty in
   let failures = ref [] in
   let stats = ref (Fixpoint.fresh_stats ()) in
   let infos = ref [] in
   let merge_time = ref 0.0 in
   let caching = reuse <> None || persist <> None in
   let hits = ref 0 and misses = ref 0 in
-  (* Content key of unit [u]; valid once [u]'s dependencies merged
-     (their solutions are final in [merged_sol] from then on). *)
-  let key_of u =
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf (Constr.unit_signature wfs parts.(u));
-    Buffer.add_char buf '\x01';
-    KMap.iter
-      (fun k ps ->
-        Buffer.add_string buf (Fmt.str "k%d:" k);
-        List.iter
-          (fun (p, names) ->
-            Buffer.add_string buf
-              (Fmt.str "%a{%s};" Pred.pp p
-                 (String.concat "," (Fixpoint.SSet.elements names))))
-          ps)
-      init_of.(u);
-    Buffer.add_char buf '\x01';
-    List.iter
-      (fun d ->
-        List.iter
-          (fun k ->
-            Buffer.add_string buf
-              (Fmt.str "k%d=[%a];" k
-                 Fmt.(list ~sep:(any " && ") Pred.pp)
-                 (Constr.sol_find !merged_sol k)))
-          parts.(d).Constr.part_kvars)
-      parts.(u).Constr.part_deps;
-    Digest.to_hex (Digest.string (Buffer.contents buf))
+  (* The digests a key is made of, taken only when caching: one of the
+     run's qualifier patterns and mined constants (every unit's initial
+     instances are a function of them and of its wf constraints), and
+     one of each merged unit's final solution. *)
+  let quals_digest =
+    if caching then
+      Digest.to_hex
+        (Digest.string
+           (Fmt.str "%a|%s"
+              Fmt.(list ~sep:(any " ;; ") Qualifier.pp)
+              quals
+              (String.concat "," (List.map string_of_int consts))))
+    else ""
+  in
+  let sol_digest = Array.make (Array.length parts) "" in
+  let solution_digest (p : Constr.partition) =
+    Digest.to_hex
+      (Digest.string
+         (String.concat ""
+            (List.map
+               (fun k ->
+                 Fmt.str "k%d=[%a];" k
+                   Fmt.(list ~sep:(any " && ") Pred.pp)
+                   (Constr.sol_find !merged_sol k))
+               p.Constr.part_kvars)))
+  in
+  (* Content key of unit [p]; valid once [p]'s dependencies merged. *)
+  let key_of (p : Constr.partition) own_wfs =
+    Digest.to_hex
+      (Digest.string
+         (String.concat "\x01"
+            (Constr.unit_signature own_wfs p
+            :: quals_digest
+            :: List.map (fun d -> sol_digest.(d)) p.Constr.part_deps)))
   in
   Array.iteri
     (fun u (p : Constr.partition) ->
       let t0 = Unix.gettimeofday () in
-      let key = if caching then Some (key_of u) else None in
+      let own_wfs = unit_wfs p in
+      let key = if caching then Some (key_of p own_wfs) else None in
       let cached =
         match (reuse, key) with Some f, Some k -> f k | _ -> None
       in
@@ -123,10 +120,17 @@ let solve ?(reuse : (string -> Fixpoint.partial option) option)
               Solver.stats.Solver.unknowns + d.Fixpoint.d_unknowns;
             (Fixpoint.rehash_partial partial, t1)
         | None ->
+            (* Qualifiers are instantiated for the units solved, and
+               only at their own κs. *)
+            let collapsed = ref 0 in
+            let init =
+              Fixpoint.init_assignment ~consts ~collapsed quals own_wfs
+            in
             let partial =
-              Fixpoint.solve_unit ~elim ~base:!merged_sol ~init:init_of.(u)
+              Fixpoint.solve_unit ~elim ~base:!merged_sol ~init
                 p.Constr.part_subs
             in
+            partial.Fixpoint.pr_stats.Fixpoint.alpha_collapsed <- !collapsed;
             let t1 = Unix.gettimeofday () in
             if caching then incr misses;
             (match (persist, key) with
@@ -140,6 +144,9 @@ let solve ?(reuse : (string -> Fixpoint.partial option) option)
         KMap.fold
           (fun k ps acc -> KMap.add k (List.map fst ps) acc)
           partial.Fixpoint.pr_solution !merged_sol;
+      if caching then sol_digest.(u) <- solution_digest p;
+      instantiated :=
+        Fixpoint.SSet.union partial.Fixpoint.pr_quals !instantiated;
       failures := List.rev_append partial.Fixpoint.pr_failures !failures;
       stats := Fixpoint.merge_stats !stats partial.Fixpoint.pr_stats;
       infos :=
@@ -164,9 +171,8 @@ let solve ?(reuse : (string -> Fixpoint.partial option) option)
     |> List.map snd
   in
   let dead_quals =
-    Fixpoint.dead_qualifiers ~initial ~final:!merged_cands
+    Fixpoint.dead_qualifiers ~instantiated:!instantiated ~final:!merged_cands
   in
-  (!stats).Fixpoint.alpha_collapsed <- !collapsed;
   merge_time := !merge_time +. (Unix.gettimeofday () -. t0);
   {
     ps_result =

@@ -22,22 +22,29 @@ type outcome = {
 
 (** [solve ?reuse ?persist ~quals ~consts wfs subs plan] solves the
     system described by [plan] (built from [wfs]/[subs]) unit by unit, in
-    process and in id order.  Failures are returned in
+    process and in id order.  Each unit solved is first given its
+    initial assignment: {!Fixpoint.init_assignment} over the wf
+    constraints of its own κs.  Failures are returned in
     original-constraint order.  Every unit shares one {!Fixpoint.elim}
     made for this call, which the units extend in id order.  [subs] must
     be the same list [plan] was built from.
 
     [reuse]/[persist] connect a per-partition result cache.  Each unit
-    is addressed by a content key digesting {!Constr.unit_signature}
-    (its constraints and owned-κ wf environments), its instantiated
-    qualifier set, and the final solutions of its [part_deps] — so a
-    key matches exactly when every input that determines the unit's
-    {!Fixpoint.partial} is unchanged.  [reuse key] is consulted once the
-    unit's dependencies merged; a hit skips the unit's solve and is
-    folded in like a solved partial, its recorded SMT-counter movement
-    replayed (counted in [ps_punit_hits]).  Units solved live are
-    offered to [persist key partial] (and counted in
-    [ps_punit_misses]). *)
+    is addressed by a content key, a digest of three digests:
+    {!Constr.unit_signature} (its constraints and owned-κ wf
+    environments), one digest of [quals] (names included) and [consts]
+    for the whole call, and the digest of each [part_deps] unit's final
+    solution, taken once as that unit merges.  A key matches exactly
+    when every input that determines the unit's {!Fixpoint.partial} is
+    unchanged; a change to [quals] or [consts] changes every key.
+    [reuse key] is consulted once the unit's dependencies merged; a hit
+    skips the unit's instantiation and solve and is folded in like a
+    solved partial, its recorded SMT-counter movement replayed (counted
+    in [ps_punit_hits]).  The partial carries its unit's instantiated
+    pattern names and [alpha_collapsed] count, so [dead_quals] and the
+    merged counters equal a cold run's.  Units solved live are offered
+    to [persist key partial] (and counted in [ps_punit_misses]).
+    Without either hook no digest is computed. *)
 val solve :
   ?reuse:(string -> Fixpoint.partial option) ->
   ?persist:(string -> Fixpoint.partial -> unit) ->

@@ -15,30 +15,56 @@ open Liquid_logic
 
 (* -- Environments -------------------------------------------------------- *)
 
-type env = {
-  binds : (Ident.t * Rtype.t) list; (* newest first *)
-  guards : Pred.t list;
-}
+(* The bindings and the guards of an environment are each a chain,
+   newest first, sharing its tail with the environment it extends.  A
+   link's digest is the MD5 of its parent's digest and its own
+   rendering, taken when a content key ({!unit_signature}) first asks
+   for it and kept on the link: each binding and guard is rendered at
+   most once per run however many environments share it, and a run
+   without a cache renders none. *)
+type 'a chain =
+  | Root
+  | Link of {
+      item : 'a;
+      up : 'a chain;
+      mutable digest : Digest.t; (* "" until a key asks for it *)
+    }
 
-let empty_env = { binds = []; guards = [] }
+type env = { binds : (Ident.t * Rtype.t) chain; guards : Pred.t chain }
 
-let bind_var x rt env = { env with binds = (x, rt) :: env.binds }
+let empty_env = { binds = Root; guards = Root }
+let link item up = Link { item; up; digest = "" }
+let bind_var x rt env = { env with binds = link (x, rt) env.binds }
+let guard p env = { env with guards = link p env.guards }
 
-let guard p env = { env with guards = p :: env.guards }
+let[@tail_mod_cons] rec list_of_chain = function
+  | Root -> []
+  | Link l -> l.item :: list_of_chain l.up
 
-let lookup_env env x = List.assoc_opt x env.binds
+let bindings env = list_of_chain env.binds
+let guards env = list_of_chain env.guards
+
+let lookup_env env x =
+  let rec find = function
+    | Root -> None
+    | Link { item = y, rt; up; _ } ->
+        if Ident.equal x y then Some rt else find up
+  in
+  find env.binds
 
 (** Scope of an environment: variables usable in qualifier instances and
     their logical sorts.  Function-typed variables are excluded (no
     uninterpreted symbol applies to them) as are unit variables. *)
 let scope_of_env env : (Ident.t * Sort.t) list =
-  List.filter_map
-    (fun (x, rt) ->
-      match rt with
-      | Rtype.Fun _ -> None
-      | Rtype.Base (Rtype.Bunit, _) -> None
-      | rt -> Some (x, Rtype.sort_of rt))
-    env.binds
+  let[@tail_mod_cons] rec scope = function
+    | Root -> []
+    | Link { item = x, rt; up; _ } -> (
+        match rt with
+        | Rtype.Fun _ -> scope up
+        | Rtype.Base (Rtype.Bunit, _) -> scope up
+        | rt -> (x, Rtype.sort_of rt) :: scope up)
+  in
+  scope env.binds
 
 (* -- Constraints -------------------------------------------------------------- *)
 
@@ -239,10 +265,13 @@ let rec compile_binding ?inst (value : Pred.value) (rt : Rtype.t) : slot list =
 
 (** The binding slots of an environment, each with its binder. *)
 let compile_env ?inst (env : env) : (Ident.t * slot) list =
-  List.concat_map
-    (fun (x, rt) ->
-      List.map (fun s -> (x, s)) (compile_binding ?inst (var_value rt x) rt))
-    env.binds
+  let rec slots = function
+    | Root -> []
+    | Link { item = x, rt; up; _ } ->
+        List.map (fun s -> (x, s)) (compile_binding ?inst (var_value rt x) rt)
+        @ slots up
+  in
+  slots env.binds
 
 let expand_slot lookup = function
   | Sstatic p -> [ (p, None) ]
@@ -281,7 +310,7 @@ let embed_env_trace (lookup : Rtype.kvar -> Pred.t list) (env : env) :
           (expand_slot lookup s))
       (compile_env env)
   in
-  (facts, env.guards)
+  (facts, guards env)
 
 (** {!embed_env_trace} without provenance. *)
 let embed_env (lookup : Rtype.kvar -> Pred.t list) (env : env) :
@@ -295,11 +324,12 @@ let embed_env (lookup : Rtype.kvar -> Pred.t list) (env : env) :
     Weakening the constraint's right-hand κ must be reconsidered whenever
     any of these weakens. *)
 let reads (c : sub) : int list =
-  let env_ks =
-    List.concat_map (fun (_, rt) -> Rtype.kvars rt) c.sub_env.binds
+  let rec env_ks = function
+    | Root -> []
+    | Link { item = _, rt; up; _ } -> Rtype.kvars rt @ env_ks up
   in
   Listx.dedup_ordered ~compare:Int.compare
-    (List.map fst c.lhs.Rtype.kvars @ env_ks)
+    (List.map fst c.lhs.Rtype.kvars @ env_ks c.sub_env.binds)
 
 (** The κ a constraint weakens, if any ([None]: a concrete obligation). *)
 let writes (c : sub) : int option =
@@ -489,16 +519,59 @@ let pp_wf ppf (c : wf) =
 
 (* -- Content signatures ------------------------------------------------------ *)
 
-(* Canonical rendering of an environment for content hashing: every
-   bind (name and full refinement type, κs included) and every guard,
-   in order.  Unlike the display printers nothing is elided — two
-   environments render equal iff the solver sees the same antecedent. *)
+(* One formatter for every rendering a digest is taken of: a margin no
+   line reaches, so no rendering depends on where the printer breaks. *)
+let sig_buf = Buffer.create 256
+
+let sig_ppf =
+  let ppf = Format.formatter_of_buffer sig_buf in
+  Format.pp_set_margin ppf 1_000_000;
+  ppf
+
+let render pp x =
+  Buffer.clear sig_buf;
+  pp sig_ppf x;
+  Format.pp_print_flush sig_ppf ();
+  Buffer.contents sig_buf
+
+let root_digest = Digest.string ""
+
+let rec chain_digest pp = function
+  | Root -> root_digest
+  | Link l ->
+      if l.digest = "" then begin
+        let up = chain_digest pp l.up in
+        l.digest <- Digest.string (up ^ render pp l.item)
+      end;
+      l.digest
+
+let pp_bind ppf (x, t) = Fmt.pf ppf "%a:%a;" Ident.pp x Rtype.pp t
+let pp_guard ppf g = Fmt.pf ppf "%a;" Pred.pp g
+
+(* An environment in a signature: the digests of its binding chain
+   (every bind, name and full refinement type, κs included) and of its
+   guard chain.  Two environments digest equal iff the solver sees the
+   same antecedent. *)
 let pp_env_sig ppf (e : env) =
-  List.iter
-    (fun (x, t) -> Fmt.pf ppf "%a:%a;" Ident.pp x Rtype.pp t)
-    e.binds;
-  Fmt.pf ppf "|";
-  List.iter (fun g -> Fmt.pf ppf "%a;" Pred.pp g) e.guards
+  Fmt.pf ppf "%s|%s"
+    (Digest.to_hex (chain_digest pp_bind e.binds))
+    (Digest.to_hex (chain_digest pp_guard e.guards))
+
+let unit_wfs (wfs : wf list) : partition -> wf list =
+  let by_kvar : (int, (int * wf) list) Hashtbl.t = Hashtbl.create 64 in
+  List.iteri
+    (fun i (w : wf) ->
+      let prev =
+        Option.value ~default:[] (Hashtbl.find_opt by_kvar w.wf_kvar)
+      in
+      Hashtbl.replace by_kvar w.wf_kvar ((i, w) :: prev))
+    wfs;
+  fun p ->
+    List.concat_map
+      (fun k -> Option.value ~default:[] (Hashtbl.find_opt by_kvar k))
+      p.part_kvars
+    |> List.sort (fun (i, _) (j, _) -> Int.compare i j)
+    |> List.map snd
 
 let unit_signature (wfs : wf list) (p : partition) : string =
   (* [part_id] is deliberately absent: it is a position in the
@@ -517,9 +590,8 @@ let unit_signature (wfs : wf list) (p : partition) : string =
     p.part_subs;
   List.iter
     (fun (w : wf) ->
-      if List.mem w.wf_kvar p.part_kvars then
-        Fmt.pf ppf "wf k%d %a : %a\n" w.wf_kvar pp_env_sig w.wf_env Sort.pp
-          w.wf_sort)
+      Fmt.pf ppf "wf k%d %a : %a\n" w.wf_kvar pp_env_sig w.wf_env Sort.pp
+        w.wf_sort)
     wfs;
   Format.pp_print_flush ppf ();
   Digest.to_hex (Digest.string (Buffer.contents buf))

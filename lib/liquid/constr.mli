@@ -7,15 +7,22 @@ open Liquid_logic
 
 (** {1 Environments} *)
 
-type env = {
-  binds : (Ident.t * Rtype.t) list; (* newest first *)
-  guards : Pred.t list;
-}
+(** An environment: its bindings and its guards, newest first.  Each
+    is a digest chain: every link digests its parent's digest and its
+    own rendering once, on first demand by a content key
+    ({!unit_signature}). *)
+type env
 
 val empty_env : env
 val bind_var : Ident.t -> Rtype.t -> env -> env
 val guard : Pred.t -> env -> env
 val lookup_env : env -> Ident.t -> Rtype.t option
+
+(** The bindings of an environment, newest first. *)
+val bindings : env -> (Ident.t * Rtype.t) list
+
+(** The guards of an environment, newest first. *)
+val guards : env -> Pred.t list
 
 (** Variables usable in qualifier instances, with their sorts (functions
     and unit excluded). *)
@@ -169,16 +176,18 @@ val embed_env :
 
 (** {1 Content signatures} (partition-level result cache)
 
-    [unit_signature wfs p] digests a canonical rendering of everything
-    {e local} to solve unit [p]: its constraints (ids, full
-    environments with κ occurrences, left- and right-hand sides, sorts,
-    origins — origins included because cached failures replay their
-    locations verbatim) and the well-formedness constraints of the κs
-    it owns (whose environments determine the unit's qualifier
-    instances).  Together with the instantiated qualifier set and the
-    final solutions of the unit's [part_deps] — supplied by the caller,
-    which knows them — the signature content-addresses the unit's
-    {!Liquid_infer.Fixpoint.partial}: equal inputs, equal result.
+    [unit_signature wfs p] digests everything {e local} to solve unit
+    [p]: its constraints (ids, environments, left- and right-hand sides,
+    sorts, origins — origins included because cached failures replay
+    their locations verbatim) and [wfs], the well-formedness constraints
+    of the κs it owns (whose environments determine the unit's qualifier
+    instances), as given by {!unit_wfs}.  An environment enters as the
+    digests of its binding and guard chains, so each binding is rendered
+    once per run, not once per constraint that sees it.  Together with
+    a digest of the run's qualifier patterns and mined constants and the
+    digests of the final solutions of its [part_deps] — supplied by the
+    caller, which knows them — the signature content-addresses the
+    unit's {!Liquid_infer.Fixpoint.partial}: equal inputs, equal result.
 
     Stability: κ numbers, constraint ids, and source locations restart
     deterministically per run, so an edit that preserves the shape of
@@ -186,6 +195,10 @@ val embed_env :
     its signature exactly; an edit that renumbers κs or shifts lines
     through it changes the signature and honestly forces a re-solve. *)
 val unit_signature : wf list -> partition -> string
+
+(** [unit_wfs wfs] indexes [wfs] by κ once; applied to a unit, it gives
+    the well-formedness constraints of the unit's κs, in [wfs] order. *)
+val unit_wfs : wf list -> partition -> wf list
 
 (** {1 Printing} *)
 

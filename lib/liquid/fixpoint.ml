@@ -137,7 +137,7 @@ let compile_antecedent ?inst (c : Constr.sub) : antecedent =
     hyp_slots = List.map snd (Constr.compile_env ?inst c.Constr.sub_env);
     kept_slots =
       Constr.compile_refinement ?inst (vv_value c.Constr.vv_sort) c.Constr.lhs
-      @ List.map (fun g -> Constr.Sstatic g) c.Constr.sub_env.Constr.guards;
+      @ List.map (fun g -> Constr.Sstatic g) (Constr.guards c.Constr.sub_env);
   }
 
 (** Expand environment slots under the current solution: the
@@ -801,6 +801,7 @@ type partial = {
   pr_failures : (int * failure) list;
   pr_stats : stats;
   pr_smt : smt_delta;
+  pr_quals : SSet.t; (* patterns with an initial instance at its κs *)
 }
 
 (* Versions the marshalled [partial] layout for the persistent
@@ -808,7 +809,7 @@ type partial = {
    across rebuilds; this tag additionally keys the {e meaning} of the
    payload, so a semantic change (what a partial promises, not just its
    shape) can invalidate old entries explicitly. *)
-let partial_version = "fixpoint-partial/v3"
+let partial_version = "fixpoint-partial/v4"
 
 let fresh_stats () =
   {
@@ -821,6 +822,12 @@ let fresh_stats () =
 (* Number of instances over all κs of an assignment. *)
 let size (a : candidates) : int =
   KMap.fold (fun _ ps n -> n + List.length ps) a 0
+
+(* Names of the patterns with an instance in some κ of an assignment. *)
+let names_of (a : candidates) : SSet.t =
+  KMap.fold
+    (fun _ ps acc -> List.fold_left (fun acc (_, ns) -> SSet.union ns acc) acc ps)
+    a SSet.empty
 
 (** Solve one unit to fixpoint and check its concrete obligations.
     [init] is the initial (strongest) assignment of the unit's own κs;
@@ -886,6 +893,7 @@ let solve_unit ?elim ~(base : Constr.solution) ~(init : candidates)
         d_sat_checks = Solver.stats.Solver.sat_checks - s0;
         d_unknowns = Solver.stats.Solver.unknowns - u0;
       };
+    pr_quals = names_of init;
   }
 
 (* -- Merging ------------------------------------------------------------------------ *)
@@ -905,17 +913,12 @@ let merge_stats (a : stats) (b : stats) : stats =
 let merge_solutions (a : candidates) (b : candidates) : candidates =
   KMap.union (fun _ ps _ -> Some ps) a b
 
-(** Dead qualifiers of a merged run: patterns with an initial instance
-    in some κ of [initial], none of which survived into [final]. *)
-let dead_qualifiers ~(initial : candidates) ~(final : candidates) :
+(** Dead qualifiers of a merged run: patterns instantiated at some κ
+    ([instantiated], the union of the units' [pr_quals]), none of whose
+    instances survived into [final]. *)
+let dead_qualifiers ~(instantiated : SSet.t) ~(final : candidates) :
     string list =
-  let names_of asg =
-    KMap.fold
-      (fun _ ps acc ->
-        List.fold_left (fun acc (_, ns) -> SSet.union ns acc) acc ps)
-      asg SSet.empty
-  in
-  SSet.elements (SSet.diff (names_of initial) (names_of final))
+  SSet.elements (SSet.diff instantiated (names_of final))
 
 (** Re-intern a partial read back from the partition cache: every
     predicate in it is physically foreign after unmarshalling and must

@@ -80,12 +80,16 @@ type smt_delta = {
 
 (** Result of solving one unit: final assignment of its κs, concrete
     failures keyed by [sub_id] (for deterministic cross-unit ordering),
-    per-unit counters, and the SMT-counter delta. *)
+    per-unit counters, the SMT-counter delta, and the qualifier patterns
+    instantiated at its κs — so a partial served from the partition
+    cache accounts for its unit's dead qualifiers without instantiating
+    them again. *)
 type partial = {
   pr_solution : candidates;
   pr_failures : (int * failure) list;
   pr_stats : stats;
   pr_smt : smt_delta;
+  pr_quals : SSet.t; (* patterns with an instance in [init] *)
 }
 
 (** Version tag of the marshalled [partial] payload, for fingerprints of
@@ -124,9 +128,10 @@ val solve_unit :
 val merge_stats : stats -> stats -> stats
 val merge_solutions : candidates -> candidates -> candidates
 
-(** Qualifier patterns with an initial instance in some κ of [initial],
-    none of which survived into [final]. *)
-val dead_qualifiers : initial:candidates -> final:candidates -> string list
+(** Qualifier patterns instantiated at some κ of a run ([instantiated],
+    the union of its partials' [pr_quals]), none of whose instances
+    survived into [final]. *)
+val dead_qualifiers : instantiated:SSet.t -> final:candidates -> string list
 
 (** Re-intern a partial read back from the partition cache
     (unmarshalled values are physically foreign to the local hash-cons

@@ -10,11 +10,11 @@ open Liquid_infer
 module Pipeline = Liquid_driver.Pipeline
 module KMap = Constr.KMap
 
-(* A program as the pipeline solves it: its constraint system, its
-   qualifier set (with the generated measure patterns) and its mined
-   constants.  Solve it before building the next one: building loads
-   the program's measures into the process-wide table, which the
-   embedding reads. *)
+(* A program as the pipeline solves it: its constraint system, numbered
+   as the pipeline numbers it, its qualifier set (with the generated
+   measure patterns) and its mined constants.  Solve it before building
+   the next one: building loads the program's measures into the
+   process-wide table, which the embedding reads. *)
 type system = {
   name : string;
   wfs : Constr.wf list;
@@ -33,8 +33,12 @@ let system ?(mine = true) ?(quals = Qualifier.defaults) name src =
            (fun (m : Liquid_lang.Ast.measure_decl) -> m.Liquid_lang.Ast.m_name)
            decls.Liquid_lang.Ast.measures)
   in
+  Liquid_typing.Mltype.reset_vars ();
   let anf = Liquid_anf.Anf.normalize_program prog in
   let info = Liquid_typing.Infer.infer_program ~decls anf in
+  Rtype.reset_kvars ();
+  Constr.reset_subs ();
+  Liquid_common.Gensym.reset_inst ();
   let out = Congen.generate info anf in
   {
     name;

@@ -35,24 +35,8 @@ let with_dir f =
   let dir = fresh_dir () in
   Fun.protect ~finally:(fun () -> try rm_rf dir with _ -> ()) (fun () -> f dir)
 
-(* All regular files under [dir] (entry files of the store). *)
-let rec files_under dir =
-  List.concat_map
-    (fun f ->
-      let p = Filename.concat dir f in
-      if Sys.is_directory p then files_under p else [ p ])
-    (Array.to_list (Sys.readdir dir))
-
-(* Whole-run report entries only: partition-level entries live in the
-   "punit" namespace (an extra directory level) and are not counted. *)
-let report_entries dir =
-  List.concat_map
-    (fun f ->
-      let p = Filename.concat dir f in
-      if f = "punit" then []
-      else if Sys.is_directory p then files_under p
-      else [ p ])
-    (Array.to_list (Sys.readdir dir))
+(* Whole-run report entries only (partition entries are not counted). *)
+let report_entries = Test_server.report_entries
 
 (* ------------------------------------------------------------------ *)
 (* Store basics                                                        *)
@@ -442,13 +426,23 @@ let test_punit_warm_process () =
         fresh warm)
     [ Programs.bcopy; Programs.gauss ]
 
-(* Stale tmp files (left by a crashed writer) are swept when a store
-   handle is created; a live writer's tmp file is left alone. *)
+(* Stale tmp files (left by a crashed writer) are swept by the next
+   [store] into their fanout directory, not when a handle opens; a live
+   writer's tmp file and the directory's entries are left alone. *)
 let test_tmp_sweep () =
   with_dir (fun dir ->
       let st = Store.open_store ~stamp:"sweep-A" ~dir () in
       let key = Store.key st [ "prog" ] in
-      Store.store st ~key ~fingerprint:"f" 42;
+      (* An entry written before the sweep, whose key lands in the same
+         fanout directory as [key]. *)
+      let neighbour =
+        let rec go i =
+          let k = Store.key st [ "prog"; string_of_int i ] in
+          if String.sub k 0 2 = String.sub key 0 2 then k else go (i + 1)
+        in
+        go 0
+      in
+      Store.store st ~key:neighbour ~fingerprint:"f" 41;
       let fan =
         match report_entries dir with
         | [ p ] -> Filename.dirname p
@@ -477,14 +471,176 @@ let test_tmp_sweep () =
           close_out oc)
         [ stale; live ];
       (* Handles are memoized per (dir, stamp): a different stamp forces
-         a genuinely fresh handle, whose creation sweeps. *)
+         a genuinely fresh handle, and opening it reads nothing. *)
       let st2 = Store.open_store ~stamp:"sweep-B" ~dir () in
+      check_bool "opening a handle leaves the stale file" true
+        (Sys.file_exists stale);
+      check_int "nothing swept at open" 0 (Store.stats st2).Store.swept;
+      (* [key] writes into the neighbour's fanout directory. *)
+      Store.store st ~key ~fingerprint:"f" 42;
       check_bool "stale tmp file removed" false (Sys.file_exists stale);
       check_bool "live writer's tmp file kept" true (Sys.file_exists live);
-      check_int "sweep counted" 1 (Store.stats st2).Store.swept;
+      check_int "sweep counted" 1 (Store.stats st).Store.swept;
       check_bool "entries survive the sweep" true
+        (Store.find st ~key:neighbour ~fingerprint:"f" = Some 41);
+      check_bool "the sweeping write is readable" true
         (Store.find st ~key ~fingerprint:"f" = Some 42);
       Sys.remove live)
+
+(* Two wf constraints alike in κ, sort and bindings, whose environments
+   differ only in one guard, must key differently: the guard chain is
+   part of every environment's digest. *)
+let test_guards_in_unit_key () =
+  let open Liquid_logic in
+  let module Constr = Liquid_infer.Constr in
+  let module Rtype = Liquid_infer.Rtype in
+  let x = Term.var "x" Sort.Int in
+  let signature g =
+    let env =
+      Constr.empty_env
+      |> Constr.bind_var "x" (Rtype.Base (Rtype.Bint, Rtype.trivial))
+      |> Constr.guard g
+    in
+    let w = { Constr.wf_env = env; wf_kvar = 1; wf_sort = Sort.Int } in
+    Constr.unit_signature [ w ]
+      { Constr.part_id = 0; part_kvars = [ 1 ]; part_subs = []; part_deps = [] }
+  in
+  let p = Pred.lt x (Term.int 10) and q = Pred.ge x (Term.int 10) in
+  check_string "equal guards, equal signatures" (signature p) (signature p);
+  check_bool "different guards, different signatures" true
+    (signature p <> signature q)
+
+(* ------------------------------------------------------------------ *)
+(* Digest keys against the printed keys they replaced                  *)
+(* ------------------------------------------------------------------ *)
+
+let index_from s sub from =
+  match Str.search_forward (Str.regexp_string sub) s from with
+  | i -> Some i
+  | exception Not_found -> None
+
+(* A program under a fixed set of edits: a binding appended, then that
+   binding with its uncompared literal changed and with its compared
+   literal changed, a same-length edit of the first measure body (when
+   the program declares a measure), and one more qualifier. *)
+let key_edits ~quals src =
+  let append ~cmp ~arm =
+    src ^ Printf.sprintf "\nlet edit_shift y = if y > %d then y + 3 else %d\n" cmp arm
+  in
+  let measure_body =
+    match index_from src "measure " 0 with
+    | None -> []
+    | Some m -> (
+        match index_from src "-> 1" m with
+        | None -> []
+        | Some i ->
+            [
+              ( "measure body",
+                String.sub src 0 i ^ "-> 2"
+                ^ String.sub src (i + 4) (String.length src - i - 4),
+                quals );
+            ])
+  in
+  [
+    ("base", src, quals);
+    ("appended binding", append ~cmp:0 ~arm:1, quals);
+    ("uncompared literal", append ~cmp:0 ~arm:2, quals);
+    ("compared literal", append ~cmp:7 ~arm:1, quals);
+  ]
+  @ measure_body
+  @ [
+      ( "one more qualifier",
+        src,
+        quals
+        @ Liquid_infer.Qualifier.parse_string "qualif EditPlus(v) : v <= _ + 1"
+      );
+    ]
+
+(* Every T1, E1 and datatype program: name, mining, qualifiers, source. *)
+let key_programs =
+  let module Programs = Liquid_suite.Programs in
+  let bench ~mine (b : Programs.benchmark) =
+    (b.Programs.name, mine, Liquid_suite.Runner.qualifiers_of b, b.Programs.source)
+  in
+  List.map (bench ~mine:false) Programs.all
+  @ List.map (bench ~mine:true) Liquid_suite.Extended.all
+  @ List.map
+      (fun (name, src, _) -> (name, true, Liquid_infer.Qualifier.defaults, src))
+      (Test_adt.arm_programs @ [ ("measure", Test_adt.src_measure_v1, true) ])
+
+(* The digest key of every unit, captured through [Psolve.solve]'s
+   [reuse] hook, against the printed key of {!Unit_key_reference}:
+   equal digest keys must mean equal printed keys, and under the same
+   qualifiers and mined constants, equal printed keys must mean equal
+   digest keys.  Each program's variants share an in-memory cache, so
+   the units an edit leaves alone are served, not solved. *)
+let test_digest_keys_match_printed_keys () =
+  let module Fixpoint = Liquid_infer.Fixpoint in
+  let module Constr = Liquid_infer.Constr in
+  let printed_of_digest = Hashtbl.create 4096 in
+  let digest_of_printed = Hashtbl.create 4096 in
+  let served = ref 0 in
+  let check_pair ~where ~inputs digest_key printed_key =
+    (match Hashtbl.find_opt printed_of_digest digest_key with
+    | Some (p, w) when p <> printed_key ->
+        Alcotest.failf "%s and %s: equal digest keys, different printed keys"
+          w where
+    | Some _ -> ()
+    | None -> Hashtbl.add printed_of_digest digest_key (printed_key, where));
+    let printed_key = inputs ^ printed_key in
+    match Hashtbl.find_opt digest_of_printed printed_key with
+    | Some (d, w) when d <> digest_key ->
+        Alcotest.failf
+          "%s and %s: same qualifiers and constants, equal printed keys, \
+           different digest keys"
+          w where
+    | Some _ -> ()
+    | None -> Hashtbl.add digest_of_printed printed_key (digest_key, where)
+  in
+  List.iter
+    (fun (name, mine, quals, src) ->
+      let cache = Hashtbl.create 64 in
+      List.iter
+        (fun (edit, src, quals) ->
+          let s = Elim_reference.system ~mine ~quals name src in
+          let seen = ref [] in
+          let reuse k =
+            seen := k :: !seen;
+            let hit = Hashtbl.find_opt cache k in
+            if hit <> None then incr served;
+            hit
+          in
+          let plan = Constr.partition_plan s.wfs s.subs in
+          let o =
+            Liquid_engine.Psolve.solve ~reuse ~persist:(Hashtbl.replace cache)
+              ~quals:s.quals ~consts:s.consts s.wfs s.subs plan
+          in
+          let printed =
+            Unit_key_reference.keys ~initial:(Elim_reference.initial s)
+              ~solution:o.Liquid_engine.Psolve.ps_result.Fixpoint.solution
+              s.wfs plan
+          in
+          let digests = Array.of_list (List.rev !seen) in
+          check_int
+            (Fmt.str "%s (%s): one key per unit" name edit)
+            (Array.length printed) (Array.length digests);
+          let inputs =
+            Digest.string
+              (Fmt.str "%a|%a"
+                 Fmt.(list Liquid_infer.Qualifier.pp)
+                 s.quals
+                 Fmt.(list int)
+                 s.consts)
+          in
+          Array.iteri
+            (fun u d ->
+              check_pair
+                ~where:(Fmt.str "%s (%s) unit %d" name edit u)
+                ~inputs d printed.(u))
+            digests)
+        (key_edits ~quals src))
+    key_programs;
+  check_bool "edits leave units to serve" true (!served > 0)
 
 let test_no_cache_dir_no_probes () =
   let r = Pipeline.verify_string ~name:"sum.ml" src_safe in
@@ -541,6 +697,9 @@ let tests =
     tc "punit: a warm process reuses what a fresh one does"
       test_punit_warm_process;
     tc "store sweeps stale tmp files" test_tmp_sweep;
+    tc "punit: digest keys agree with printed keys"
+      test_digest_keys_match_printed_keys;
+    tc "punit: keys cover the guard chain" test_guards_in_unit_key;
     tc "pipeline: no cache dir means no probes" test_no_cache_dir_no_probes;
     tc "reset_run_state clears answer state" test_reset_run_state;
     tc "pipeline runs start with clean solver state" test_pipeline_resets_cex;

@@ -391,7 +391,25 @@ let test_cache_key_separation () =
       check_bool "warm plain report is still a failure" false
         plain2.Pipeline.safe;
       check_int "warm plain report has no residuals" 0
-        (List.length plain2.Pipeline.residuals))
+        (List.length plain2.Pipeline.residuals);
+      (* Partition entries are kept apart by mode too, not only checked:
+         with the whole-run entries gone, plain, gradual and plain again
+         re-solve no unit a run of their own mode solved before. *)
+      let reuses_every_unit what opts =
+        List.iter Sys.remove (Test_server.report_entries base);
+        let r =
+          Pipeline.verify_string ~options:opts ~name:"overrun.ml" overrun_src
+        in
+        let s = r.Pipeline.stats in
+        check_int (what ^ ": whole-run entry is gone") 0 s.Pipeline.n_pcache_hits;
+        check_bool (what ^ ": has units") true (s.Pipeline.n_partitions > 0);
+        check_int (what ^ ": reuses every unit") s.Pipeline.n_partitions
+          s.Pipeline.n_punit_hits;
+        check_int (what ^ ": re-solves nothing") 0 s.Pipeline.n_punit_misses
+      in
+      reuses_every_unit "plain" plain_opts;
+      reuses_every_unit "gradual" grad_opts;
+      reuses_every_unit "plain after gradual" plain_opts)
 
 (* ------------------------------------------------------------------ *)
 (* JSON                                                                *)

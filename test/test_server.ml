@@ -37,6 +37,26 @@ let with_dir f =
   let dir = fresh_dir () in
   Fun.protect ~finally:(fun () -> try rm_rf dir with _ -> ()) (fun () -> f dir)
 
+(* All regular files under [dir] (entry files of the store). *)
+let rec files_under dir =
+  List.concat_map
+    (fun f ->
+      let p = Filename.concat dir f in
+      if Sys.is_directory p then files_under p else [ p ])
+    (Array.to_list (Sys.readdir dir))
+
+(* A store's whole-run report entries only: partition-level entries
+   live in the "punit" namespace (an extra directory level) and are not
+   counted. *)
+let report_entries dir =
+  List.concat_map
+    (fun f ->
+      let p = Filename.concat dir f in
+      if f = "punit" then []
+      else if Sys.is_directory p then files_under p
+      else [ p ])
+    (Array.to_list (Sys.readdir dir))
+
 (* The daemon runs in a forked child (as in production); [Server.fault_for]
    and [Server.delay_for] set before the fork are inherited by it.
    [Unix._exit] keeps the child away from alcotest's exit machinery. *)
