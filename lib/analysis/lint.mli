@@ -7,12 +7,17 @@ open Liquid_infer
 val dead_qualifier_diags :
   quals:Qualifier.t list -> string list -> Diagnostic.t list
 
+(** [wfs], [quals] and [consts] are those the run was solved with: the
+    dead-qualifier check (L005) instantiates [quals] at every κ again
+    and reports the patterns none of whose instances survived into
+    [solution]. *)
 val run :
   source:Ast.program ->
   branches:Congen.branch list ->
+  wfs:Constr.wf list ->
   solution:Constr.solution ->
   quals:Qualifier.t list ->
-  dead_quals:string list ->
+  consts:int list ->
   Diagnostic.t list
 
 (** Only the diagnostics that gate [--warn-error]. *)

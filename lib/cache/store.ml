@@ -116,9 +116,6 @@ let open_store ?(stamp = default_stamp) ~dir () =
       Hashtbl.replace registry (dir, stamp) t;
       t
 
-let dir t = t.dir
-let stamp t = t.stamp
-
 let key t parts =
   Digest.to_hex (Digest.string (String.concat "\x00" (t.stamp :: parts)))
 
@@ -225,16 +222,6 @@ let stats_snapshot t =
     write_errors = t.stats.write_errors;
     swept = t.stats.swept;
   }
-
-let reset_stats t =
-  let s = t.stats in
-  s.lookups <- 0;
-  s.hits <- 0;
-  s.misses <- 0;
-  s.rejected <- 0;
-  s.writes <- 0;
-  s.write_errors <- 0;
-  s.swept <- 0
 
 let pp_stats ppf s =
   Fmt.pf ppf

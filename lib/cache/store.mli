@@ -41,9 +41,6 @@ val default_stamp : string
     reads nothing in the store, so its cost does not grow with it. *)
 val open_store : ?stamp:string -> dir:string -> unit -> t
 
-val dir : t -> string
-val stamp : t -> string
-
 (** Digest the given parts (together with the store's stamp) into a
     cache key. *)
 val key : t -> string list -> string
@@ -80,5 +77,4 @@ val stats : t -> stats
 (** A detached copy (for marshalling across processes). *)
 val stats_snapshot : t -> stats
 
-val reset_stats : t -> unit
 val pp_stats : Format.formatter -> stats -> unit

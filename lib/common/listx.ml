@@ -13,17 +13,6 @@ let rec drop n xs =
   | _, [] -> []
   | n, _ :: xs -> drop (n - 1) xs
 
-(** Cartesian-product map: [product f xs ys] applies [f] to every pair. *)
-let product f xs ys =
-  List.concat_map (fun x -> List.map (fun y -> f x y) ys) xs
-
-(** All ways of choosing one element from each of the given lists. *)
-let rec choices = function
-  | [] -> [ [] ]
-  | xs :: rest ->
-      let tails = choices rest in
-      List.concat_map (fun x -> List.map (fun tl -> x :: tl) tails) xs
-
 (** Deduplicate while preserving first-occurrence order; O(n log n). *)
 let dedup_ordered (type a) ~(compare : a -> a -> int) (xs : a list) =
   let module S = Set.Make (struct
@@ -38,8 +27,3 @@ let dedup_ordered (type a) ~(compare : a -> a -> int) (xs : a list) =
       (S.empty, []) xs
   in
   List.rev rev
-
-let rec last = function
-  | [] -> invalid_arg "Listx.last"
-  | [ x ] -> x
-  | _ :: xs -> last xs

@@ -20,13 +20,11 @@ type error = {
       (* falsifying values, when available *)
 }
 
-(** Shape and per-unit cost of the solve plan (see
-    {!Constr.partition_plan}). *)
-type part_stat = {
+type part_stat = Fixpoint.part_info = {
   pt_id : int;
-  pt_kvars : int; (* κs owned by the partition *)
-  pt_subs : int; (* constraints solved there *)
-  pt_time : float; (* wall-clock seconds *)
+  pt_kvars : int;
+  pt_subs : int;
+  pt_time : float;
 }
 
 type stats = {
@@ -65,9 +63,9 @@ type stats = {
   elapsed : float; (* sum of the phase times below *)
   phases : (string * float) list;
       (* per-phase wall-clock seconds, in pipeline order:
-         parse, anf, hm, congen, partition, solve, concrete_check,
-         merge, gradual (when enabled), explain (when enabled), lint.
-         [elapsed] is exactly their sum. *)
+         parse, anf, hm, congen, partition, solve, merge, gradual (when
+         enabled), explain (when enabled), lint.  [elapsed] is exactly
+         their sum. *)
 }
 
 type report = {
@@ -294,11 +292,11 @@ let verify_program ?(options = default) ?(parse_time = 0.0)
   (* Partition-level persistent cache: with [cache_dir] set, each solve
      unit round-trips its {!Fixpoint.partial} through the store under a
      content key (constraints, qualifier patterns and mined constants,
-     upstream κ solutions — computed by {!Liquid_engine.Psolve}), so a
+     upstream κ solutions — computed by {!Fixpoint.solve}), so a
      re-verify after an edit reuses every unit outside the edit's
      downstream cone.  The fingerprint carries the payload version, the
      [gradual] flag and the declaration digest; everything else that
-     could change the result is already in [Psolve]'s key.  The
+     could change the result is already in the solve's key.  The
      fingerprint joins the store key too, so runs that differ only in
      it address different entries instead of evicting each other's. *)
   let punit_store =
@@ -339,33 +337,20 @@ let verify_program ?(options = default) ?(parse_time = 0.0)
                 ~fingerprint p) )
   in
   (* Unit by unit, in process, the units sharing one elimination state
-     ({!Liquid_engine.Psolve.solve}). *)
+     ({!Fixpoint.solve}). *)
   let t0 = Unix.gettimeofday () in
-  let o =
-    Liquid_engine.Psolve.solve ?reuse ?persist ~quals ~consts out.Congen.wfs
+  let res =
+    Fixpoint.solve ?reuse ?persist ~quals ~consts out.Congen.wfs
       out.Congen.subs plan
   in
   let wall = Unix.gettimeofday () -. t0 in
   (* Each unit runs its concrete check right after its weakening loop, so
-     "solve" covers both (solve wall minus the merge cost),
-     "concrete_check" reads 0 and "merge" is the merge cost. *)
+     "solve" covers both (solve wall minus the merge cost) and "merge"
+     is the merge cost. *)
   phases :=
-    ("merge", o.Liquid_engine.Psolve.ps_merge_time)
-    :: ("concrete_check", 0.0)
-    :: ("solve", max 0.0 (wall -. o.Liquid_engine.Psolve.ps_merge_time))
+    ("merge", res.Fixpoint.merge_time)
+    :: ("solve", max 0.0 (wall -. res.Fixpoint.merge_time))
     :: !phases;
-  let res = o.Liquid_engine.Psolve.ps_result in
-  let part_stats =
-    List.map
-      (fun (i : Liquid_engine.Psolve.part_info) ->
-        {
-          pt_id = i.Liquid_engine.Psolve.pi_id;
-          pt_kvars = i.Liquid_engine.Psolve.pi_kvars;
-          pt_subs = i.Liquid_engine.Psolve.pi_subs;
-          pt_time = i.Liquid_engine.Psolve.pi_time;
-        })
-      o.Liquid_engine.Psolve.ps_parts
-  in
   (* Deduplicate identical failures (same origin span, same reason, same
      goal) before reporting and explanation, keeping a count: one bad κ
      read by many constraints must not flood the report. *)
@@ -468,8 +453,7 @@ let verify_program ?(options = default) ?(parse_time = 0.0)
     else
       timed phases "lint" (fun () ->
           Liquid_analysis.Lint.run ~source ~branches:out.Congen.branches
-            ~solution:res.Fixpoint.solution ~quals
-            ~dead_quals:res.Fixpoint.dead_quals)
+            ~wfs:out.Congen.wfs ~solution:res.Fixpoint.solution ~quals ~consts)
   in
   let phases = List.rev !phases in
   {
@@ -508,12 +492,12 @@ let verify_program ?(options = default) ?(parse_time = 0.0)
         n_diagnostics = List.length lints;
         n_partitions = n_parts;
         critical_path = plan.Constr.critical_path;
-        partitions = part_stats;
+        partitions = res.Fixpoint.parts;
         n_residuals = List.length residuals;
         n_pcache_lookups = 0;
         n_pcache_hits = 0;
-        n_punit_hits = o.Liquid_engine.Psolve.ps_punit_hits;
-        n_punit_misses = o.Liquid_engine.Psolve.ps_punit_misses;
+        n_punit_hits = res.Fixpoint.unit_hits;
+        n_punit_misses = res.Fixpoint.unit_misses;
         elapsed = List.fold_left (fun acc (_, t) -> acc +. t) 0.0 phases;
         phases;
       };

@@ -16,9 +16,10 @@ type error = {
 }
 
 (** Shape and per-unit cost of the solve plan (see
-    {!Liquid_infer.Constr.partition_plan}).  Every run solves unit by
-    unit, so [pt_time] is measured on every run. *)
-type part_stat = {
+    {!Liquid_infer.Constr.partition_plan}), as {!Liquid_infer.Fixpoint.solve}
+    records it.  Every run solves unit by unit, so [pt_time] is measured
+    on every run. *)
+type part_stat = Fixpoint.part_info = {
   pt_id : int;
   pt_kvars : int; (* κs owned by the partition *)
   pt_subs : int; (* constraints solved there *)
@@ -68,12 +69,12 @@ type stats = {
   elapsed : float; (* sum of the phase times below *)
   phases : (string * float) list;
       (* per-phase wall-clock seconds, in pipeline order:
-         parse, anf, hm, congen, partition, solve, concrete_check,
-         merge, gradual (when enabled), explain (when enabled), lint.
-         [elapsed] is exactly their sum.  "solve" is the solve's wall
-         time less the parent-side folding, which goes under "merge";
-         each unit runs its concrete check right after its weakening
-         loop, so "concrete_check" reads 0. *)
+         parse, anf, hm, congen, partition, solve, merge, gradual (when
+         enabled), explain (when enabled), lint.  [elapsed] is exactly
+         their sum.  "solve" is the solve's wall time, each unit's
+         concrete check included, less the folding of unit results,
+         which goes under "merge".  "lint" includes instantiating every
+         κ's qualifiers again for the dead-qualifier check. *)
 }
 
 type report = {
@@ -117,7 +118,7 @@ val mine_constants : Ast.program -> int list
     fills [report.lints]; the three fields marked [ignored]
     ([incremental], [jobs] and the unit timeout) are read by nothing:
     every run solves its units in process, in id order, with the one
-    weakening engine ({!Liquid_engine.Psolve.solve}), and no cache key
+    weakening engine ({!Liquid_infer.Fixpoint.solve}), and no cache key
     or fingerprint renders them;
     [cache_dir], when set, roots a persistent on-disk result cache
     ({!Liquid_cache.Store}): {!verify_string}/{!verify_file} first probe
@@ -128,7 +129,7 @@ val mine_constants : Ast.program -> int list
     itself runs incrementally over the same store: each solve unit of
     the partition plan is content-addressed (constraints + instantiated
     qualifiers + upstream κ solutions — see
-    {!Liquid_engine.Psolve.solve}), units whose keys are unchanged are
+    {!Liquid_infer.Fixpoint.solve}), units whose keys are unchanged are
     reused from disk, and only the cone downstream of an edit is
     re-solved ([stats.n_punit_hits]/[n_punit_misses]).  Stale or
     corrupt entries fall back silently to a cold solve. *)

@@ -233,13 +233,9 @@ let core_of ctx (c : Constr.sub) (goal : Pred.t) :
   let refute = Solver.prepare idx not_goal in
   if Solver.check_query refute = Solver.Valid then
     (true, List.map core_hyp_of (minimize (retained refute) not_goal))
-  else begin
-    let unproven = Solver.prepare idx goal in
-    (* Only the pruning is read, but the query is still decided:
-       [explain_smt_queries] counts it. *)
-    ignore (Solver.check_query unproven);
-    (false, List.map core_hyp_of (retained unproven))
-  end
+  else
+    (* Only the pruning is read: the query is not decided. *)
+    (false, List.map core_hyp_of (retained (Solver.prepare idx goal)))
 
 (* -- Blame path -------------------------------------------------------- *)
 
@@ -251,63 +247,27 @@ let dedup_origins (os : Constr.origin list) : Constr.origin list =
       | n -> n)
     os
 
-(* Breadth-first backwards walk: from the seed κs to the constraints
-   that weakened them, then to the κs those constraints read.  Steps
-   come out in level order, κs ascending within a level — deterministic
-   whatever the solve schedule was. *)
-let blame_of ctx (seeds : Rtype.kvar list) : blame_step list =
-  let steps = ref [] and n_steps = ref 0 in
-  let visited = ref ISet.empty in
-  let frontier = ref (Listx.dedup_ordered ~compare:Int.compare seeds) in
-  let depth = ref 0 in
-  while !frontier <> [] && !depth < max_blame_depth do
-    incr depth;
-    let next = ref ISet.empty in
-    List.iter
-      (fun k ->
-        if (not (ISet.mem k !visited)) && !n_steps < max_blame_steps then begin
-          visited := ISet.add k !visited;
-          let ws = writers_of ctx k in
-          incr n_steps;
-          steps :=
-            {
-              bs_kvar = k;
-              bs_origins =
-                dedup_origins
-                  (List.map (fun (w : Constr.sub) -> w.Constr.origin) ws);
-            }
-            :: !steps;
-          List.iter
-            (fun w ->
-              List.iter
-                (fun k' ->
-                  if not (ISet.mem k' !visited) then next := ISet.add k' !next)
-                (Constr.reads w))
-            ws
-        end)
-      (List.sort Int.compare !frontier);
-    frontier := ISet.elements !next
-  done;
-  List.rev !steps
-
-(* The full backward κ-closure of the seeds under "κs read by writers
-   of", in breadth-first order (most proximate first, ascending within
-   a level).  Unlike the {e rendered} blame path this is uncapped: the
-   repair search must see every κ the verdict can depend on — a
-   mini-fixpoint restricted to a truncated set would collapse at the
-   first missing intermediate κ — and the closure is bounded by the
-   failing constraint's solve unit anyway. *)
-let closure_of ctx (seeds : Rtype.kvar list) : Rtype.kvar list =
+(* The backward κ-closure of the seeds under "κs read by writers of":
+   a breadth-first walk from the seed κs to the constraints that
+   weakened them, then to the κs those constraints read.  κs come out
+   in level order (most proximate first), ascending within a level —
+   deterministic whatever the solve schedule was — each with its level
+   (0 for the seeds).  The closure is uncapped: the repair search must
+   see every κ the verdict can depend on — a mini-fixpoint restricted to
+   a truncated set would collapse at the first missing intermediate κ —
+   and it is bounded by the failing constraint's solve unit anyway. *)
+let closure_of ctx (seeds : Rtype.kvar list) : (Rtype.kvar * int) list =
   let order = ref [] in
   let visited = ref ISet.empty in
   let frontier = ref (Listx.dedup_ordered ~compare:Int.compare seeds) in
+  let level = ref 0 in
   while !frontier <> [] do
     let next = ref ISet.empty in
     List.iter
       (fun k ->
         if not (ISet.mem k !visited) then begin
           visited := ISet.add k !visited;
-          order := k :: !order;
+          order := (k, !level) :: !order;
           List.iter
             (fun w ->
               List.iter
@@ -317,47 +277,51 @@ let closure_of ctx (seeds : Rtype.kvar list) : Rtype.kvar list =
             (writers_of ctx k)
         end)
       (List.sort Int.compare !frontier);
-    frontier := ISet.elements !next
+    frontier := ISet.elements !next;
+    incr level
   done;
   List.rev !order
 
+(* The rendered blame path: the first [max_blame_steps] κs of the
+   closure within [max_blame_depth] levels, each with the program points
+   whose constraints weakened it. *)
+let blame_of ctx (closure : (Rtype.kvar * int) list) : blame_step list =
+  List.filter (fun (_, level) -> level < max_blame_depth) closure
+  |> Listx.take max_blame_steps
+  |> List.map (fun (k, _) ->
+         {
+           bs_kvar = k;
+           bs_origins =
+             dedup_origins
+               (List.map
+                  (fun (w : Constr.sub) -> w.Constr.origin)
+                  (writers_of ctx k));
+         })
+
 (* -- Repair hints ------------------------------------------------------ *)
 
-(* Candidate instances for κ: the qualifier pool instantiated at the
-   κ's well-formedness environments (intersected over all of them, as
-   the fixpoint's initial assignment is), minus instances already in
-   the κ's solution.  Construction order — the order the fixpoint
-   itself tries instances — makes the search deterministic. *)
+(* Candidate instances for κ: the fixpoint's initial assignment of κ
+   under the qualifier pool ({!Fixpoint.init_assignment}), minus
+   instances already in the κ's solution.  Construction order — the
+   order the fixpoint itself tries instances — makes the search
+   deterministic. *)
 let candidates_for ctx (k : Rtype.kvar) : Pred.t list =
   match Hashtbl.find_opt ctx.cand_cache k with
   | Some cs -> cs
   | None ->
       let wfsk = try Hashtbl.find ctx.wfs_of k with Not_found -> [] in
+      let inter =
+        Fixpoint.init_assignment ~consts:ctx.consts ctx.pool wfsk
+        |> Constr.KMap.find_opt k |> Option.value ~default:[] |> List.map fst
+      in
+      let current = ctx.lookup k in
       let cs =
-        match wfsk with
-        | [] -> []
-        | w0 :: rest ->
-            let insts (w : Constr.wf) =
-              Qualifier.instances ~consts:ctx.consts ctx.pool
-                ~vv_sort:w.Constr.wf_sort
-                ~scope:(Constr.scope_of_env w.Constr.wf_env)
-            in
-            let inter =
-              List.fold_left
-                (fun acc w ->
-                  let here = insts w in
-                  List.filter
-                    (fun p -> List.exists (Pred.equal p) here)
-                    acc)
-                (insts w0) rest
-            in
-            let current = ctx.lookup k in
-            Listx.take max_candidates_per_kvar
-              (List.filter
-                 (fun p ->
-                   (not (Pred.is_true p))
-                   && not (List.exists (Pred.equal p) current))
-                 inter)
+        Listx.take max_candidates_per_kvar
+          (List.filter
+             (fun p ->
+               (not (Pred.is_true p))
+               && not (List.exists (Pred.equal p) current))
+             inter)
       in
       Hashtbl.add ctx.cand_cache k cs;
       cs
@@ -501,8 +465,9 @@ let explain_failure ctx ((f : Fixpoint.failure), count) : explanation =
       let seeds =
         List.filter_map (fun h -> h.ch_kvar) core @ Constr.reads c
       in
-      let blame = blame_of ctx seeds in
-      let repair = repair_of ctx c f.Fixpoint.f_goal (closure_of ctx seeds) in
+      let closure = closure_of ctx seeds in
+      let blame = blame_of ctx closure in
+      let repair = repair_of ctx c f.Fixpoint.f_goal (List.map fst closure) in
       { base with ex_refuted = refuted; ex_core = core; ex_blame = blame;
         ex_repair = repair }
 

@@ -35,11 +35,6 @@ let verdict_of ~errors ~residuals =
   else if residuals > 0 then Safe_modulo residuals
   else Safe
 
-let verdict_name = function
-  | Safe -> "SAFE"
-  | Safe_modulo _ -> "SAFE_MODULO"
-  | Unsafe -> "UNSAFE"
-
 let pp_verdict ppf = function
   | Safe -> Fmt.string ppf "SAFE"
   | Safe_modulo n -> Fmt.pf ppf "SAFE_MODULO %d" n

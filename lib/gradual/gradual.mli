@@ -45,7 +45,6 @@ type verdict = Safe | Safe_modulo of int | Unsafe
 val residual_id : Constr.origin -> Pred.t -> string
 
 val verdict_of : errors:int -> residuals:int -> verdict
-val verdict_name : verdict -> string
 val pp_verdict : Format.formatter -> verdict -> unit
 
 (** Classify a run's failing obligations post-fixpoint.  [failures] are

@@ -250,10 +250,3 @@ let rec pp ppf e =
   | Assert e -> Fmt.pf ppf "(assert %a)" pp e
   | Constr (c, []) -> Fmt.string ppf c
   | Constr (c, es) -> Fmt.pf ppf "%s (%a)" c Fmt.(list ~sep:comma pp) es
-
-let pp_item ppf { rec_flag; name; body; _ } =
-  Fmt.pf ppf "@[<v>let%s %a = %a@]"
-    (match rec_flag with Rec -> " rec" | Nonrec -> "")
-    Ident.pp name pp body
-
-let pp_program ppf items = Fmt.pf ppf "@[<v>%a@]" Fmt.(list ~sep:(any "@,@,") pp_item) items

@@ -128,5 +128,3 @@ val pp_const : Format.formatter -> const -> unit
 val binop_name : binop -> string
 val pp_pat : Format.formatter -> pat -> unit
 val pp : Format.formatter -> expr -> unit
-val pp_item : Format.formatter -> item -> unit
-val pp_program : Format.formatter -> program -> unit

@@ -22,9 +22,6 @@ open Ast
 
 type diag = { code : string; message : string; loc : Loc.t }
 
-let pp_diag ppf d =
-  Fmt.pf ppf "%a: %s [%s]" Loc.pp d.loc d.message d.code
-
 (* Base types usable in constructor arguments. *)
 let base_types = [ "int"; "bool"; "unit" ]
 

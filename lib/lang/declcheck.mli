@@ -7,7 +7,5 @@ open Liquid_common
 
 type diag = { code : string; message : string; loc : Loc.t }
 
-val pp_diag : Format.formatter -> diag -> unit
-
 (** All problems of a declaration unit, in source order. *)
 val check : Ast.decls -> diag list

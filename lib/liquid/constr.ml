@@ -44,14 +44,6 @@ let[@tail_mod_cons] rec list_of_chain = function
 let bindings env = list_of_chain env.binds
 let guards env = list_of_chain env.guards
 
-let lookup_env env x =
-  let rec find = function
-    | Root -> None
-    | Link { item = y, rt; up; _ } ->
-        if Ident.equal x y then Some rt else find up
-  in
-  find env.binds
-
 (** Scope of an environment: variables usable in qualifier instances and
     their logical sorts.  Function-typed variables are excluded (no
     uninterpreted symbol applies to them) as are unit variables. *)
@@ -414,18 +406,21 @@ let scc_condense (nodes : int list) (succs : int -> int list) : int list list
     they read (with explicit dependency edges on the others, so every κ
     a concrete check reads is final when the check runs). *)
 let partition_plan (wfs : wf list) (subs : sub list) : plan =
+  (* Each constraint with the κs it reads, computed once: [reads] walks
+     the constraint's whole environment. *)
+  let subs = List.map (fun c -> (c, reads c)) subs in
   (* κ universe: wf κs plus everything read or written. *)
   let kvars =
     Listx.dedup_ordered ~compare:Int.compare
       (List.map (fun w -> w.wf_kvar) wfs
       @ List.concat_map
-          (fun c -> match writes c with Some k -> k :: reads c | None -> reads c)
+          (fun (c, rs) -> match writes c with Some k -> k :: rs | None -> rs)
           subs)
   in
   (* Adjacency: k -> κs written by constraints reading k. *)
   let succs_tbl : (int, ISet.t) Hashtbl.t = Hashtbl.create 64 in
   List.iter
-    (fun c ->
+    (fun (c, rs) ->
       match writes c with
       | None -> ()
       | Some kw ->
@@ -437,7 +432,7 @@ let partition_plan (wfs : wf list) (subs : sub list) : plan =
                     (Hashtbl.find_opt succs_tbl kr)
                 in
                 Hashtbl.replace succs_tbl kr (ISet.add kw prev))
-            (reads c))
+            rs)
     subs;
   let succs k =
     match Hashtbl.find_opt succs_tbl k with
@@ -460,20 +455,20 @@ let partition_plan (wfs : wf list) (subs : sub list) : plan =
   let bucket_subs = Array.make n [] in
   let deps = Array.make n ISet.empty in
   List.iter
-    (fun c ->
+    (fun (c, rs) ->
       let home =
         match writes c with
         | Some kw -> part_of_kvar kw
         | None ->
             (* latest unit among the κs read; unit 0 for κ-free checks *)
-            List.fold_left (fun acc k -> max acc (part_of_kvar k)) 0 (reads c)
+            List.fold_left (fun acc k -> max acc (part_of_kvar k)) 0 rs
       in
       bucket_subs.(home) <- c :: bucket_subs.(home);
       List.iter
         (fun kr ->
           let p = part_of_kvar kr in
           if p <> home then deps.(home) <- ISet.add p deps.(home))
-        (reads c))
+        rs)
     subs;
   let parts =
     Array.of_list
@@ -509,13 +504,6 @@ let pp_rhs ppf = function
       if Ident.Map.is_empty theta then Fmt.pf ppf "k%d" k
       else Fmt.pf ppf "k%d%a" k Rtype.pp_subst theta
   | Rconc p -> Pred.pp ppf p
-
-let pp_sub ppf (c : sub) =
-  Fmt.pf ppf "[%d] ... ⊢ %a <: %a (%a)" c.sub_id Rtype.pp_refinement c.lhs
-    pp_rhs c.rhs pp_origin c.origin
-
-let pp_wf ppf (c : wf) =
-  Fmt.pf ppf "... ⊢ k%d : %a" c.wf_kvar Sort.pp c.wf_sort
 
 (* -- Content signatures ------------------------------------------------------ *)
 

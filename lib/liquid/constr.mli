@@ -16,7 +16,6 @@ type env
 val empty_env : env
 val bind_var : Ident.t -> Rtype.t -> env -> env
 val guard : Pred.t -> env -> env
-val lookup_env : env -> Ident.t -> Rtype.t option
 
 (** The bindings of an environment, newest first. *)
 val bindings : env -> (Ident.t * Rtype.t) list
@@ -204,5 +203,3 @@ val unit_wfs : wf list -> partition -> wf list
 
 val pp_origin : Format.formatter -> origin -> unit
 val pp_rhs : Format.formatter -> rhs -> unit
-val pp_sub : Format.formatter -> sub -> unit
-val pp_wf : Format.formatter -> wf -> unit

@@ -33,16 +33,16 @@
     counterexample models harvested from failing checks kills any
     pending instance whose prepared query a pooled model satisfies, with
     no solver contact, and a per-constraint bandit picks how each writer
-    visit is decided.  Both live in an {!elim} value that the caller
+    visit is decided.  Both live in an {!elim} value that {!solve}
     threads through every unit of a run; without one, a unit is solved
-    pool-free, the reference the tests hold the engine to.
+    pool-free ({!solve_unit}), the reference the tests hold the engine
+    to.
 
     The engine is organized around {e solve units} ({!Constr.partition}):
     the worklist, assignment fragment, compiled constraints, κ versions
-    and counters live in a per-unit record created by {!solve_unit},
-    never in module globals.  {!Liquid_engine.Psolve} runs one unit per
-    κ-SCC in topological order, merging the resulting {!partial}s with
-    the pure helpers below. *)
+    and counters live in a per-unit record created by {!run_unit},
+    never in module globals.  {!solve} runs one unit per κ-SCC in
+    topological order and merges the resulting {!partial}s. *)
 
 open Liquid_common
 open Liquid_logic
@@ -67,25 +67,43 @@ type stats = {
   mutable initial_candidates : int;
   mutable alpha_collapsed : int;
       (* instances collapsed by orientation-level dedup at instantiation *)
+  mutable smt_queries : int;
+  mutable smt_cache_hits : int;
+  mutable smt_sat_checks : int;
+  mutable smt_unknowns : int;
+      (* movement of the global {!Solver.stats} counters during the solve,
+         replayed when a unit is served from the partition cache *)
+}
+
+type part_info = {
+  pt_id : int;
+  pt_kvars : int; (* κs owned *)
+  pt_subs : int; (* constraints solved *)
+  pt_time : float; (* wall-clock seconds *)
 }
 
 type result = {
-  solution : Pred.t list KMap.t;
-  failures : failure list;
+  solution : Constr.solution;
+  failures : failure list; (* in original-constraint order *)
   solver_stats : stats;
-  dead_quals : string list;
-      (* qualifier patterns with at least one initial instance, none of
-         which survived weakening in any κ *)
+  parts : part_info list; (* by unit id *)
+  merge_time : float; (* seconds re-interning, storing, folding results *)
+  unit_hits : int; (* units served from the partition cache *)
+  unit_misses : int; (* units solved live under a partition cache *)
 }
 
 (* -- Initialization ---------------------------------------------------------- *)
 
+(** Candidate assignment: per κ, the qualifier instances, each carrying
+    the names of the patterns that produced it. *)
+type candidates = (Pred.t * SSet.t) list KMap.t
+
 (** Initial assignment: qualifier instances per κ, intersected over all of
     the κ's well-formedness environments.  Each instance carries the names
-    of the qualifier patterns that produced it, so the solver can report
-    patterns whose every instance gets pruned. *)
+    of the qualifier patterns that produced it; the solve drops them, and
+    the dead-qualifier lint instantiates again to read them. *)
 let init_assignment ?(consts = []) ?collapsed (quals : Qualifier.t list)
-    (wfs : Constr.wf list) : (Pred.t * SSet.t) list KMap.t =
+    (wfs : Constr.wf list) : candidates =
   List.fold_left
     (fun acc (wf : Constr.wf) ->
       let scope = Constr.scope_of_env wf.Constr.wf_env in
@@ -320,7 +338,7 @@ let compile_sub (c : Constr.sub) : compiled =
    run's elimination state. *)
 type shared = {
   stats : stats;
-  assignment : (Pred.t * SSet.t) list KMap.t ref;
+  assignment : Constr.solution ref;
   lookup : Rtype.kvar -> Pred.t list;
   push_dependents : Rtype.kvar -> unit;
   compiled : (int, compiled) Hashtbl.t; (* constraint id -> compiled state *)
@@ -349,8 +367,8 @@ let weaken (sh : shared) (c : Constr.sub) (k : Rtype.kvar)
           Hashtbl.add sh.compiled c.Constr.sub_id comp;
           comp
     in
-    let goal_of (q, _) = Pred.subst theta q in
-    let up_to_date (q, _) =
+    let goal_of q = Pred.subst theta q in
+    let up_to_date q =
       match Hashtbl.find_opt comp.checks (Pred.tag q) with
       | None -> false
       | Some (deps, _) -> List.for_all (fun (k', v) -> ver k' = v) deps
@@ -402,14 +420,14 @@ let weaken (sh : shared) (c : Constr.sub) (k : Rtype.kvar)
         in
         (List.map (fun k' -> (k', ver k')) (ISet.elements ks), tags)
       in
-      let record (q, _) deps = Hashtbl.replace comp.checks (Pred.tag q) deps in
+      let record q deps = Hashtbl.replace comp.checks (Pred.tag q) deps in
       (* Second-chance skip: hypotheses only ever shrink, so if every
          pruned-in hypothesis of an instance's last validating query is
          still present — and the lhs κs (whose preds are exempt from
          pruning) are unchanged — then relevance pruning reproduces that
          query byte-for-byte and the instance is still Valid.  Costs a
          tag-set check; no solver interaction at all. *)
-      let still_identical (q, _) =
+      let still_identical q =
         match Hashtbl.find_opt comp.checks (Pred.tag q) with
         | None -> false
         | Some (deps, tags) ->
@@ -418,7 +436,7 @@ let weaken (sh : shared) (c : Constr.sub) (k : Rtype.kvar)
               deps
             && ISet.subset tags (fst (Lazy.force tag_tables))
       in
-      let revalidate (q, _) tags =
+      let revalidate q tags =
         (* Re-stamp with current versions; origins are recomputed because
            a surviving predicate may now be owed to different κs. *)
         let tag_origins = snd (Lazy.force tag_tables) in
@@ -435,10 +453,10 @@ let weaken (sh : shared) (c : Constr.sub) (k : Rtype.kvar)
       in
       let pending =
         List.filter
-          (fun ((q, _) as inst) ->
+          (fun q ->
             match Hashtbl.find_opt comp.checks (Pred.tag q) with
-            | Some (_, tags) when still_identical inst ->
-                revalidate inst tags;
+            | Some (_, tags) when still_identical q ->
+                revalidate q tags;
                 false
             | _ -> true)
           stale
@@ -456,8 +474,8 @@ let weaken (sh : shared) (c : Constr.sub) (k : Rtype.kvar)
           let confirm_all insts idx =
             let deps = deps_of idx in
             List.iter
-              (fun ((q, _) as inst) ->
-                record inst deps;
+              (fun q ->
+                record q deps;
                 valid := ISet.add (Pred.tag q) !valid)
               insts
           in
@@ -466,11 +484,11 @@ let weaken (sh : shared) (c : Constr.sub) (k : Rtype.kvar)
              miss. *)
           let individually insts =
             List.iter
-              (fun ((q, _) as inst) ->
+              (fun q ->
                 sh.stats.implication_checks <- sh.stats.implication_checks + 1;
-                let prep = Solver.prepare relevance (goal_of inst) in
+                let prep = Solver.prepare relevance (goal_of q) in
                 if Solver.check_query prep = Solver.Valid then begin
-                  record inst (deps_of prep.Solver.pruned_idx);
+                  record q (deps_of prep.Solver.pruned_idx);
                   valid := ISet.add (Pred.tag q) !valid
                 end)
               insts
@@ -498,11 +516,11 @@ let weaken (sh : shared) (c : Constr.sub) (k : Rtype.kvar)
           in
           (* An instance's goal, its negation and its relevant
              hypotheses. *)
-          let facts_of ((q, _) as inst) =
+          let facts_of q =
             match Hashtbl.find_opt facts (Pred.tag q) with
             | Some f -> f
             | None ->
-                let goal = goal_of inst in
+                let goal = goal_of q in
                 let f =
                   (goal, Pred.not_ goal, Solver.relevant relevance goal)
                 in
@@ -587,17 +605,16 @@ let weaken (sh : shared) (c : Constr.sub) (k : Rtype.kvar)
             let entry = e.harvests in
             let deaths = ref 0 in
             List.iter
-              (fun ((q, _) as inst) ->
+              (fun q ->
                 let fresh = Listx.take (e.harvests - entry) !(e.pool) in
-                if List.exists (fun m -> killed_by m inst) fresh then
-                  incr deaths
+                if List.exists (fun m -> killed_by m q) fresh then incr deaths
                 else begin
                   sh.stats.implication_checks <-
                     sh.stats.implication_checks + 1;
-                  let prep = prep_of inst in
+                  let prep = prep_of q in
                   match Solver.check_query prep with
                   | Solver.Valid ->
-                      record inst (deps_of prep.Solver.pruned_idx);
+                      record q (deps_of prep.Solver.pruned_idx);
                       valid := ISet.add (Pred.tag q) !valid
                   | Solver.Invalid cex ->
                       incr deaths;
@@ -694,15 +711,11 @@ let weaken (sh : shared) (c : Constr.sub) (k : Rtype.kvar)
                      end))
           in
           rounds pending;
-          if
-            List.for_all
-              (fun (q, _) -> ISet.mem (Pred.tag q) !valid)
-              pending
-          then current
+          if List.for_all (fun q -> ISet.mem (Pred.tag q) !valid) pending then
+            current
           else
             List.filter
-              (fun ((q, _) as inst) ->
-                ISet.mem (Pred.tag q) !valid || up_to_date inst)
+              (fun q -> ISet.mem (Pred.tag q) !valid || up_to_date q)
               current
         end
       in
@@ -717,16 +730,8 @@ let weaken (sh : shared) (c : Constr.sub) (k : Rtype.kvar)
 (* -- Worklist ------------------------------------------------------------------------- *)
 
 let run_worklist ?elim (subs : Constr.sub list) (stats : stats)
-    (assignment : (Pred.t * SSet.t) list KMap.t ref) ~(base : Constr.solution)
-    : unit =
-  (* Owned κs resolve through the unit's own (mutable) assignment;
-     anything else is an upstream κ, final for the lifetime of this
-     unit, resolved through the read-only [base]. *)
-  let lookup k =
-    match KMap.find_opt k !assignment with
-    | Some ps -> List.map fst ps
-    | None -> Constr.sol_find base k
-  in
+    (assignment : Constr.solution ref) ~(lookup : Rtype.kvar -> Pred.t list) :
+    unit =
   (* Dependency index: κ -> constraints that must be re-checked when the
      assignment of κ weakens. *)
   let depends : Constr.sub list IMap.t =
@@ -779,29 +784,12 @@ let run_worklist ?elim (subs : Constr.sub list) (stats : stats)
 
 (* -- Solving one unit --------------------------------------------------------------- *)
 
-(** Candidate assignment: per κ, the surviving qualifier instances, each
-    carrying the names of the patterns that produced it. *)
-type candidates = (Pred.t * SSet.t) list KMap.t
-
-(** Global SMT-counter movement during a unit's solve, so a partial
-    served from the partition cache can replay its recorded solver
-    activity into the counters of the run that reuses it. *)
-type smt_delta = {
-  d_queries : int;
-  d_cache_hits : int;
-  d_sat_checks : int;
-  d_unknowns : int;
-}
-
 (** Result of solving one unit: the final assignment of its κs, its
-    concrete-check failures keyed by [sub_id] (for deterministic
-    cross-unit ordering), its counters, and its SMT-counter delta. *)
+    concrete-check failures in constraint order, and its counters. *)
 type partial = {
-  pr_solution : candidates;
-  pr_failures : (int * failure) list;
+  pr_solution : Constr.solution;
+  pr_failures : failure list;
   pr_stats : stats;
-  pr_smt : smt_delta;
-  pr_quals : SSet.t; (* patterns with an initial instance at its κs *)
 }
 
 (* Versions the marshalled [partial] layout for the persistent
@@ -809,7 +797,7 @@ type partial = {
    across rebuilds; this tag additionally keys the {e meaning} of the
    payload, so a semantic change (what a partial promises, not just its
    shape) can invalidate old entries explicitly. *)
-let partial_version = "fixpoint-partial/v4"
+let partial_version = "fixpoint-partial/v5"
 
 let fresh_stats () =
   {
@@ -817,42 +805,39 @@ let fresh_stats () =
     implication_checks = 0;
     initial_candidates = 0;
     alpha_collapsed = 0;
+    smt_queries = 0;
+    smt_cache_hits = 0;
+    smt_sat_checks = 0;
+    smt_unknowns = 0;
   }
 
-(* Number of instances over all κs of an assignment. *)
-let size (a : candidates) : int =
-  KMap.fold (fun _ ps n -> n + List.length ps) a 0
-
-(* Names of the patterns with an instance in some κ of an assignment. *)
-let names_of (a : candidates) : SSet.t =
-  KMap.fold
-    (fun _ ps acc -> List.fold_left (fun acc (_, ns) -> SSet.union ns acc) acc ps)
-    a SSet.empty
-
-(** Solve one unit to fixpoint and check its concrete obligations.
-    [init] is the initial (strongest) assignment of the unit's own κs;
-    [base] holds the final solutions of every upstream κ the unit's
-    constraints read.  [elim] is the run's model-based elimination
-    state, shared with every other unit of the run; without it the
-    unit is solved pool-free, the reference the tests hold the engine
-    to.  All other engine state is local to this call. *)
-let solve_unit ?elim ~(base : Constr.solution) ~(init : candidates)
+(* Solve one unit to fixpoint and check its concrete obligations.
+   [init] is the initial (strongest) assignment of the unit's own κs;
+   [base] holds the final solutions of every upstream κ the unit's
+   constraints read.  [elim] is the run's model-based elimination
+   state, shared with every other unit of the run; without it the unit
+   is solved pool-free.  All other engine state is local to this
+   call. *)
+let run_unit ?elim ~(base : Constr.solution) ~(init : Constr.solution)
     (subs : Constr.sub list) : partial =
   let stats = fresh_stats () in
-  let smt0 =
-    ( Solver.stats.Solver.queries,
-      Solver.stats.Solver.cache_hits,
-      Solver.stats.Solver.sat_checks,
-      Solver.stats.Solver.unknowns )
-  in
-  stats.initial_candidates <- size init;
+  let smt = Solver.stats in
+  let q0 = smt.Solver.queries
+  and h0 = smt.Solver.cache_hits
+  and s0 = smt.Solver.sat_checks
+  and u0 = smt.Solver.unknowns in
+  stats.initial_candidates <-
+    KMap.fold (fun _ ps n -> n + List.length ps) init 0;
   let assignment = ref init in
-  run_worklist ?elim subs stats assignment ~base;
+  (* Owned κs resolve through the unit's own (mutable) assignment;
+     anything else is an upstream κ, final for the lifetime of this
+     unit, resolved through the read-only [base]. *)
   let lookup k =
     match KMap.find_opt k !assignment with
-    | Some ps -> List.map fst ps
+    | Some ps -> ps
     | None -> Constr.sol_find base k
   in
+  run_worklist ?elim subs stats assignment ~lookup;
   (* Final pass: concrete obligations, in original constraint order. *)
   let failures =
     List.filter_map
@@ -866,13 +851,12 @@ let solve_unit ?elim ~(base : Constr.solution) ~(init : candidates)
               let hyps, kept = hypotheses lookup c in
               let fail f_cex =
                 Some
-                  ( c.Constr.sub_id,
-                    {
-                      f_sub_id = c.Constr.sub_id;
-                      f_origin = c.Constr.origin;
-                      f_goal = goal;
-                      f_cex;
-                    } )
+                  {
+                    f_sub_id = c.Constr.sub_id;
+                    f_origin = c.Constr.origin;
+                    f_goal = goal;
+                    f_cex;
+                  }
               in
               match Solver.check_valid ~kept hyps goal with
               | Solver.Valid -> None
@@ -881,59 +865,166 @@ let solve_unit ?elim ~(base : Constr.solution) ~(init : candidates)
             end)
       subs
   in
-  let q0, h0, s0, u0 = smt0 in
-  {
-    pr_solution = !assignment;
-    pr_failures = failures;
-    pr_stats = stats;
-    pr_smt =
-      {
-        d_queries = Solver.stats.Solver.queries - q0;
-        d_cache_hits = Solver.stats.Solver.cache_hits - h0;
-        d_sat_checks = Solver.stats.Solver.sat_checks - s0;
-        d_unknowns = Solver.stats.Solver.unknowns - u0;
-      };
-    pr_quals = names_of init;
-  }
+  stats.smt_queries <- smt.Solver.queries - q0;
+  stats.smt_cache_hits <- smt.Solver.cache_hits - h0;
+  stats.smt_sat_checks <- smt.Solver.sat_checks - s0;
+  stats.smt_unknowns <- smt.Solver.unknowns - u0;
+  { pr_solution = !assignment; pr_failures = failures; pr_stats = stats }
 
-(* -- Merging ------------------------------------------------------------------------ *)
+let solve_unit ~base ~init subs = run_unit ~base ~init subs
 
-(** Pure sum of per-unit counters ([initial_candidates] included: units
-    own disjoint κ sets, so per-unit counts partition the global one). *)
+(* -- Solving a plan ----------------------------------------------------------------- *)
+
+(* Pure sum of per-unit counters ([initial_candidates] included: units
+   own disjoint κ sets, so per-unit counts partition the global one). *)
 let merge_stats (a : stats) (b : stats) : stats =
   {
     iterations = a.iterations + b.iterations;
     implication_checks = a.implication_checks + b.implication_checks;
     initial_candidates = a.initial_candidates + b.initial_candidates;
     alpha_collapsed = a.alpha_collapsed + b.alpha_collapsed;
+    smt_queries = a.smt_queries + b.smt_queries;
+    smt_cache_hits = a.smt_cache_hits + b.smt_cache_hits;
+    smt_sat_checks = a.smt_sat_checks + b.smt_sat_checks;
+    smt_unknowns = a.smt_unknowns + b.smt_unknowns;
   }
 
-(** Pure union of unit solutions (unit κ sets are disjoint by
-    construction, so the merge direction is immaterial). *)
-let merge_solutions (a : candidates) (b : candidates) : candidates =
-  KMap.union (fun _ ps _ -> Some ps) a b
-
-(** Dead qualifiers of a merged run: patterns instantiated at some κ
-    ([instantiated], the union of the units' [pr_quals]), none of whose
-    instances survived into [final]. *)
-let dead_qualifiers ~(instantiated : SSet.t) ~(final : candidates) :
-    string list =
-  SSet.elements (SSet.diff instantiated (names_of final))
-
-(** Re-intern a partial read back from the partition cache: every
-    predicate in it is physically foreign after unmarshalling and must
-    be mapped to this process's canonical nodes before it can meet
-    native predicates (see {!Pred.rehasher}). *)
+(* Re-intern a partial read back from the partition cache: every
+   predicate in it is physically foreign after unmarshalling and must be
+   mapped to this process's canonical nodes before it can meet native
+   predicates (see {!Pred.rehasher}). *)
 let rehash_partial (p : partial) : partial =
   let go = Pred.rehasher () in
   {
     p with
-    pr_solution =
-      KMap.map (List.map (fun (q, ns) -> (go q, ns))) p.pr_solution;
+    pr_solution = KMap.map (List.map go) p.pr_solution;
     pr_failures =
-      List.map
-        (fun (id, f) -> (id, { f with f_goal = go f.f_goal }))
-        p.pr_failures;
+      List.map (fun f -> { f with f_goal = go f.f_goal }) p.pr_failures;
+  }
+
+let solve ?(reuse : (string -> partial option) option)
+    ?(persist : (string -> partial -> unit) option)
+    ~(quals : Qualifier.t list) ~(consts : int list) (wfs : Constr.wf list)
+    (subs : Constr.sub list) (plan : Constr.plan) : result =
+  let parts = plan.Constr.parts in
+  let unit_wfs = Constr.unit_wfs wfs in
+  let elim = fresh_elim () in
+  let solution = ref KMap.empty in
+  let failures = ref [] in
+  let stats = ref (fresh_stats ()) in
+  let infos = ref [] in
+  let merge_time = ref 0.0 in
+  let caching = reuse <> None || persist <> None in
+  let hits = ref 0 and misses = ref 0 in
+  (* The digests a key is made of, taken only when caching: one of the
+     run's qualifier patterns and mined constants (every unit's initial
+     instances are a function of them and of its wf constraints), and
+     one of each merged unit's final solution. *)
+  let quals_digest =
+    if caching then
+      Digest.to_hex
+        (Digest.string
+           (Fmt.str "%a|%s"
+              Fmt.(list ~sep:(any " ;; ") Qualifier.pp)
+              quals
+              (String.concat "," (List.map string_of_int consts))))
+    else ""
+  in
+  let sol_digest = Array.make (Array.length parts) "" in
+  let solution_digest (p : Constr.partition) =
+    Digest.to_hex
+      (Digest.string
+         (String.concat ""
+            (List.map
+               (fun k ->
+                 Fmt.str "k%d=[%a];" k
+                   Fmt.(list ~sep:(any " && ") Pred.pp)
+                   (Constr.sol_find !solution k))
+               p.Constr.part_kvars)))
+  in
+  (* Content key of unit [p]; valid once [p]'s dependencies merged. *)
+  let key_of (p : Constr.partition) own_wfs =
+    Digest.to_hex
+      (Digest.string
+         (String.concat "\x01"
+            (Constr.unit_signature own_wfs p
+            :: quals_digest
+            :: List.map (fun d -> sol_digest.(d)) p.Constr.part_deps)))
+  in
+  Array.iteri
+    (fun u (p : Constr.partition) ->
+      let t0 = Unix.gettimeofday () in
+      let own_wfs = unit_wfs p in
+      let key = if caching then Some (key_of p own_wfs) else None in
+      let cached =
+        match (reuse, key) with Some f, Some k -> f k | _ -> None
+      in
+      let partial, t1 =
+        match cached with
+        | Some partial ->
+            let t1 = Unix.gettimeofday () in
+            incr hits;
+            (* Replay the recorded solve's SMT-counter movement, and
+               re-intern: a partial read back from disk is physically
+               foreign to this process's hash-cons tables. *)
+            let smt = Solver.stats and s = partial.pr_stats in
+            smt.Solver.queries <- smt.Solver.queries + s.smt_queries;
+            smt.Solver.cache_hits <- smt.Solver.cache_hits + s.smt_cache_hits;
+            smt.Solver.sat_checks <- smt.Solver.sat_checks + s.smt_sat_checks;
+            smt.Solver.unknowns <- smt.Solver.unknowns + s.smt_unknowns;
+            (rehash_partial partial, t1)
+        | None ->
+            (* Qualifiers are instantiated for the units solved, and
+               only at their own κs; the solve drops the pattern
+               names. *)
+            let collapsed = ref 0 in
+            let init =
+              KMap.map (List.map fst)
+                (init_assignment ~consts ~collapsed quals own_wfs)
+            in
+            let partial =
+              run_unit ~elim ~base:!solution ~init p.Constr.part_subs
+            in
+            partial.pr_stats.alpha_collapsed <- !collapsed;
+            let t1 = Unix.gettimeofday () in
+            if caching then incr misses;
+            (match (persist, key) with
+            | Some f, Some k -> f k partial
+            | _ -> ());
+            (partial, t1)
+      in
+      solution := KMap.fold KMap.add partial.pr_solution !solution;
+      if caching then sol_digest.(u) <- solution_digest p;
+      failures := List.rev_append partial.pr_failures !failures;
+      stats := merge_stats !stats partial.pr_stats;
+      infos :=
+        {
+          pt_id = u;
+          pt_kvars = List.length p.Constr.part_kvars;
+          pt_subs = List.length p.Constr.part_subs;
+          pt_time = t1 -. t0;
+        }
+        :: !infos;
+      merge_time := !merge_time +. (Unix.gettimeofday () -. t1))
+    parts;
+  let t0 = Unix.gettimeofday () in
+  (* Failures in original-constraint order. *)
+  let rank = Hashtbl.create (List.length subs) in
+  List.iteri (fun i (c : Constr.sub) -> Hashtbl.add rank c.Constr.sub_id i) subs;
+  let failures =
+    List.sort
+      (fun a b ->
+        compare (Hashtbl.find rank a.f_sub_id) (Hashtbl.find rank b.f_sub_id))
+      !failures
+  in
+  {
+    solution = !solution;
+    failures;
+    solver_stats = !stats;
+    parts = List.rev !infos;
+    merge_time = !merge_time +. (Unix.gettimeofday () -. t0);
+    unit_hits = !hits;
+    unit_misses = !misses;
   }
 
 (* -- Applying solutions ----------------------------------------------------------------- *)

@@ -1,9 +1,10 @@
 (** Liquid constraint solving by predicate abstraction: the paper's
     [Solve]/[Weaken] fixpoint with a dependency-directed worklist and
     model-based elimination, followed by the final check of concrete
-    obligations.  There is one weakening engine; {!solve_unit} without
-    an {!elim} runs it pool-free, the reference tests hold it to, and
-    {!Liquid_engine.Psolve.solve} runs it over a whole plan. *)
+    obligations.  There is one weakening engine and one solve path:
+    {!solve} runs it over a whole plan, unit by unit, and {!solve_unit}
+    runs it pool-free on one unit, the reference the tests hold it
+    to. *)
 
 open Liquid_logic
 
@@ -21,46 +22,51 @@ type failure = {
       (* falsifying values, when available *)
 }
 
+(** Counters of a unit's solve, or summed over a run's units. *)
 type stats = {
   mutable iterations : int;
   mutable implication_checks : int;
   mutable initial_candidates : int;
   mutable alpha_collapsed : int;
       (* instances collapsed by orientation-level dedup at instantiation *)
+  mutable smt_queries : int;
+  mutable smt_cache_hits : int;
+  mutable smt_sat_checks : int;
+  mutable smt_unknowns : int;
+      (* movement of the global {!Liquid_smt.Solver.stats} counters
+         during the solve, replayed when a unit is served from the
+         partition cache *)
 }
 
-(** A whole run's answer, merged from its units'
-    {!partial}s by {!Liquid_engine.Psolve.solve}. *)
+(** Shape and cost of one solve unit. *)
+type part_info = {
+  pt_id : int;
+  pt_kvars : int; (* κs owned *)
+  pt_subs : int; (* constraints solved *)
+  pt_time : float; (* wall-clock seconds *)
+}
+
+(** A whole run's answer, merged by {!solve} from its units'
+    {!partial}s. *)
 type result = {
-  solution : Pred.t list KMap.t;
-  failures : failure list;
+  solution : Constr.solution;
+  failures : failure list; (* in original-constraint order *)
   solver_stats : stats;
-  dead_quals : string list;
-      (* qualifier patterns with at least one initial instance, none of
-         which survived weakening in any κ *)
+  parts : part_info list; (* by unit id *)
+  merge_time : float; (* seconds re-interning, storing, folding results *)
+  unit_hits : int; (* units served from the partition cache *)
+  unit_misses : int; (* units solved live under a partition cache *)
 }
 
-(** {1 Solve units}
-
-    The engine solves {e units} — subsets of the constraint system whose
-    κs are closed under mutual dependency (see {!Constr.partition_plan}).
-    The worklist, assignment, compiled-constraint cache and counters
-    are local to one {!solve_unit} call; only the run's {!elim} state
-    crosses units.  {!Liquid_engine.Psolve.solve} runs every unit of a
-    plan and merges the resulting {!partial}s with the pure functions
-    below. *)
-
-(** Candidate assignment: per κ, the surviving qualifier instances, each
-    tagged with the qualifier-pattern names that produced it. *)
+(** Candidate assignment: per κ, the qualifier instances, each tagged
+    with the names of the qualifier patterns that produced it. *)
 type candidates = (Pred.t * SSet.t) list KMap.t
-
-(** All-zero counters, for accumulating merged stats. *)
-val fresh_stats : unit -> stats
 
 (** Initial (strongest) assignment from the well-formedness constraints:
     all qualifier instances scoping correctly per κ, intersected over
     the κ's wf environments.  [collapsed] is incremented once per
-    instance collapsed by orientation-level dedup at instantiation. *)
+    instance collapsed by orientation-level dedup at instantiation.  The
+    solve drops the pattern names; the dead-qualifier lint reads them. *)
 val init_assignment :
   ?consts:int list ->
   ?collapsed:int ref ->
@@ -68,28 +74,25 @@ val init_assignment :
   Constr.wf list ->
   candidates
 
-(** Movement of the global {!Solver.stats} counters during one
-    {!solve_unit} call, so a partial served from the partition cache can
-    replay its recorded solver activity. *)
-type smt_delta = {
-  d_queries : int;
-  d_cache_hits : int;
-  d_sat_checks : int;
-  d_unknowns : int;
-}
+(** {1 Solve units}
 
-(** Result of solving one unit: final assignment of its κs, concrete
-    failures keyed by [sub_id] (for deterministic cross-unit ordering),
-    per-unit counters, the SMT-counter delta, and the qualifier patterns
-    instantiated at its κs — so a partial served from the partition
-    cache accounts for its unit's dead qualifiers without instantiating
-    them again. *)
+    The engine solves {e units}: subsets of the constraint system whose
+    κs are closed under mutual dependency (see {!Constr.partition_plan}).
+    The worklist, assignment, compiled-constraint cache and counters are
+    local to one unit's solve; only the run's model-based elimination
+    state crosses units: a pool of counterexample models harvested from
+    failing checks and a per-constraint bandit that decides each writer
+    visit conjunction-first or goal by goal.  A pooled model kills a
+    pending instance only when it satisfies that instance's prepared
+    query under the current assignment, so the state changes the work a
+    solve does, never its answer. *)
+
+(** Result of solving one unit: the final assignment of its κs, its
+    concrete-check failures in constraint order, and its counters. *)
 type partial = {
-  pr_solution : candidates;
-  pr_failures : (int * failure) list;
+  pr_solution : Constr.solution;
+  pr_failures : failure list;
   pr_stats : stats;
-  pr_smt : smt_delta;
-  pr_quals : SSet.t; (* patterns with an instance in [init] *)
 }
 
 (** Version tag of the marshalled [partial] payload, for fingerprints of
@@ -98,45 +101,50 @@ type partial = {
     on any semantic change to what a partial represents. *)
 val partial_version : string
 
-(** Model-based elimination state of one run: a pool of counterexample
-    models harvested from failing checks (at most 8, most recent
-    first), and a per-constraint bandit, with a run-wide prior, that
-    decides each writer visit either conjunction-first or goal by goal.
-    A pooled model kills a pending instance only when it satisfies that
-    instance's prepared query under the current assignment, so the
-    state changes the work a solve does, never its answer. *)
-type elim
-
-val fresh_elim : unit -> elim
-
-(** Solve one unit to fixpoint and check its concrete obligations.
-    [base] holds the final solutions of every upstream κ read but not
-    owned by this unit; [init] is the initial assignment of the unit's
-    own κs.  [elim] is the run's elimination state: the weakening loop
-    reads and extends it, so every unit of a run can share one.  Without
-    [elim] the unit is solved pool-free: the reference that tests hold
-    the engine to. *)
+(** [solve_unit ~base ~init subs] solves one unit to fixpoint and checks
+    its concrete obligations, pool-free: the reference that tests hold
+    {!solve} to.  [base] holds the final solutions of every upstream κ
+    read but not owned by the unit; [init] is the initial assignment of
+    the unit's own κs. *)
 val solve_unit :
-  ?elim:elim ->
-  base:Constr.solution ->
-  init:candidates ->
+  base:Constr.solution -> init:Constr.solution -> Constr.sub list -> partial
+
+(** [solve ?reuse ?persist ~quals ~consts wfs subs plan] solves the
+    system described by [plan] (built from [wfs]/[subs]) unit by unit, in
+    process and in id order (always legal: every dependency has a
+    smaller id).  Each unit solved is first given its initial
+    assignment: {!init_assignment} over the wf constraints of its own
+    κs, without the pattern names.  It is solved with the merged
+    upstream solutions as its base and folded into the running solution,
+    failure list and counters.  Every unit shares one elimination state
+    made for this call, which the units extend in id order.  Failures
+    are returned in original-constraint order.  [subs] must be the same
+    list [plan] was built from.
+
+    [reuse]/[persist] connect a per-partition result cache.  Each unit
+    is addressed by a content key, a digest of three digests:
+    {!Constr.unit_signature} (its constraints and owned-κ wf
+    environments), one digest of [quals] (names included) and [consts]
+    for the whole call, and the digest of each [part_deps] unit's final
+    solution, taken once as that unit merges.  A key matches exactly
+    when every input that determines the unit's {!partial} is unchanged;
+    a change to [quals] or [consts] changes every key.  [reuse key] is
+    consulted once the unit's dependencies merged; a hit skips the
+    unit's instantiation and solve, is re-interned, and is folded in
+    like a solved partial, its recorded SMT-counter movement replayed
+    (counted in [unit_hits]).  The partial carries its unit's
+    [alpha_collapsed] count, so the merged counters equal a cold run's.
+    Units solved live are offered to [persist key partial] (and counted
+    in [unit_misses]).  Without either hook no digest is computed. *)
+val solve :
+  ?reuse:(string -> partial option) ->
+  ?persist:(string -> partial -> unit) ->
+  quals:Qualifier.t list ->
+  consts:int list ->
+  Constr.wf list ->
   Constr.sub list ->
-  partial
-
-(** {1 Merging} — pure; units own disjoint κ sets. *)
-
-val merge_stats : stats -> stats -> stats
-val merge_solutions : candidates -> candidates -> candidates
-
-(** Qualifier patterns instantiated at some κ of a run ([instantiated],
-    the union of its partials' [pr_quals]), none of whose instances
-    survived into [final]. *)
-val dead_qualifiers : instantiated:SSet.t -> final:candidates -> string list
-
-(** Re-intern a partial read back from the partition cache
-    (unmarshalled values are physically foreign to the local hash-cons
-    tables; see {!Pred.rehasher}). *)
-val rehash_partial : partial -> partial
+  Constr.plan ->
+  result
 
 (** Replace every κ by the conjunction of its solution. *)
 val apply_solution : Pred.t list KMap.t -> Rtype.t -> Rtype.t

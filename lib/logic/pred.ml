@@ -41,8 +41,6 @@ and node =
 (* Interning                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let brel_compare (a : brel) (b : brel) = Stdlib.compare a b
-
 module Node = struct
   type nonrec t = node
 
@@ -340,8 +338,6 @@ let subst (m : subst) p =
   go p
 
 let subst1 x v p = subst (Ident.Map.singleton x v) p
-
-let subst_term x t p = subst1 x (Tm t) p
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)

@@ -41,8 +41,6 @@ val hash : t -> int
 (** Number of distinct predicate nodes interned so far. *)
 val interned_count : unit -> int
 
-val brel_compare : brel -> brel -> int
-
 (** Constant-time: physical equality / interning-id order. *)
 val compare : t -> t -> int
 
@@ -112,7 +110,6 @@ val term_part : subst -> Term.t Ident.Map.t
 val subst : subst -> t -> t
 
 val subst1 : Ident.t -> value -> t -> t
-val subst_term : Ident.t -> Term.t -> t -> t
 
 (** {1 Printing} *)
 

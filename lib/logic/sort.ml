@@ -29,6 +29,3 @@ let to_string t = Fmt.str "%a" pp t
 
 (** First-order signature of an uninterpreted function symbol. *)
 type signature = { args : t list; result : t }
-
-let sig_pp ppf { args; result } =
-  Fmt.pf ppf "(%a) -> %a" Fmt.(list ~sep:comma pp) args pp result

@@ -14,5 +14,3 @@ val to_string : t -> string
 
 (** First-order signature of an uninterpreted function symbol. *)
 type signature = { args : t list; result : t }
-
-val sig_pp : Format.formatter -> signature -> unit

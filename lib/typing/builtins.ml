@@ -34,5 +34,3 @@ let env : scheme Ident.Map.t =
   List.fold_left
     (fun m (name, sch) -> Ident.Map.add (Ident.of_string name) sch m)
     Ident.Map.empty signatures
-
-let is_builtin x = Ident.Map.mem x env

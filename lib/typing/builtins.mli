@@ -5,4 +5,3 @@ open Liquid_common
 
 val signatures : (string * Mltype.scheme) list
 val env : Mltype.scheme Ident.Map.t
-val is_builtin : Ident.t -> bool

@@ -50,6 +50,10 @@ let system ?(mine = true) ?(quals = Qualifier.defaults) name src =
 
 let initial s = Fixpoint.init_assignment ~consts:s.consts s.quals s.wfs
 
+(* The initial assignment as the solve starts from it, without the
+   pattern names. *)
+let initial_preds s = KMap.map (List.map fst) (initial s)
+
 (* The naive solve: Kleene rounds over the whole system.  A round
    visits every κ constraint in order, re-embeds its antecedent under
    the current assignment ([Fixpoint.hypotheses]) and re-checks every
@@ -58,7 +62,7 @@ let initial s = Fixpoint.init_assignment ~consts:s.consts s.quals s.wfs
    engine's dependency records, version stamps, tag skips or pool, so
    it holds all of them to an independent answer. *)
 let naive s : Constr.solution =
-  let assignment = ref (KMap.map (List.map fst) (initial s)) in
+  let assignment = ref (initial_preds s) in
   let lookup k = Constr.sol_find !assignment k in
   let weaken (c : Constr.sub) =
     match c.Constr.rhs with
@@ -87,15 +91,15 @@ let naive s : Constr.solution =
 type counters = { pooled : Fixpoint.stats; reference : Fixpoint.stats }
 
 (* The naive solve must reach the pool-free reference's solution, and
-   the pooled solve ([Psolve.solve] over the partition plan, whose
+   the pooled solve ([Fixpoint.solve] over the partition plan, whose
    units share one elimination state) the same solution and the same
    failures, with the same goals and counterexamples.  Solutions are
    compared per κ, instances in the same order. *)
 let check_reference s =
   let reference =
-    Fixpoint.solve_unit ~base:KMap.empty ~init:(initial s) s.subs
+    Fixpoint.solve_unit ~base:KMap.empty ~init:(initial_preds s) s.subs
   in
-  let solution = KMap.map (List.map fst) reference.Fixpoint.pr_solution in
+  let solution = reference.Fixpoint.pr_solution in
   let same_solution what sol =
     Alcotest.(check bool)
       (Fmt.str "%s: %s, same solution per κ" s.name what)
@@ -104,9 +108,8 @@ let check_reference s =
   in
   same_solution "naive" (naive s);
   let pooled =
-    (Liquid_engine.Psolve.solve ~quals:s.quals ~consts:s.consts s.wfs s.subs
-       (Constr.partition_plan s.wfs s.subs))
-      .Liquid_engine.Psolve.ps_result
+    Fixpoint.solve ~quals:s.quals ~consts:s.consts s.wfs s.subs
+      (Constr.partition_plan s.wfs s.subs)
   in
   same_solution "pooled" pooled.Fixpoint.solution;
   let failure (f : Fixpoint.failure) =
@@ -116,7 +119,7 @@ let check_reference s =
     (Fmt.str "%s: pooled, same failures" s.name)
     true
     (List.map failure pooled.Fixpoint.failures
-    = List.map (fun (_, f) -> failure f) reference.Fixpoint.pr_failures);
+    = List.map failure reference.Fixpoint.pr_failures);
   {
     pooled = pooled.Fixpoint.solver_stats;
     reference = reference.Fixpoint.pr_stats;

@@ -329,6 +329,63 @@ let test_punit_cone_reuse () =
         (report_fingerprint reference)
         (report_fingerprint warm))
 
+(* The dead-qualifier lint (L005) reads the initial instances of every
+   κ, those of units served from the partition cache included: the lint
+   instantiates them again, so an edited run that reuses units reports
+   the diagnostics of a run that solved them all.  [first] and its call
+   form one unit and [shift] and [main] another; only the first has an
+   array in scope, so the dead default [VEqLen] ([v = len _]) is
+   instantiated only at κs of the unit the edit to [shift] leaves to
+   the cache. *)
+let src_lint_v1 =
+  "let first a = if Array.length a > 0 then a.(0) else 0\n\
+   let b = first (Array.make 3 1)\n\
+   let shift y = if y > 0 then y + 3 else 1\n\
+   let main = shift 6"
+
+let src_lint_v2 =
+  "let first a = if Array.length a > 0 then a.(0) else 0\n\
+   let b = first (Array.make 3 1)\n\
+   let shift y = if y > 0 then y + 3 else 2\n\
+   let main = shift 6"
+
+let test_punit_lint_reuse () =
+  let diagnostics (r : Pipeline.report) =
+    Fmt.str "%a"
+      Fmt.(list ~sep:(any "\n") Liquid_analysis.Diagnostic.pp)
+      r.Pipeline.lints
+  in
+  let dead name (r : Pipeline.report) =
+    List.exists
+      (fun (d : Liquid_analysis.Diagnostic.t) ->
+        d.Liquid_analysis.Diagnostic.code
+        = Liquid_analysis.Diagnostic.Dead_qualifier
+        && Str.string_match
+             (Str.regexp_string ("dead qualifier " ^ name ^ ":"))
+             d.Liquid_analysis.Diagnostic.message 0)
+      r.Pipeline.lints
+  in
+  with_dir (fun dir ->
+      let options =
+        { Pipeline.default with Pipeline.lint = true; cache_dir = Some dir }
+      in
+      let cold = Pipeline.verify_string ~options ~name:"lint.ml" src_lint_v1 in
+      check_bool "cold run reports VEqLen dead" true (dead "VEqLen" cold);
+      List.iter Sys.remove (report_entries dir);
+      let warm = Pipeline.verify_string ~options ~name:"lint.ml" src_lint_v2 in
+      check_bool "unedited unit reused" true
+        (warm.Pipeline.stats.Pipeline.n_punit_hits >= 1);
+      check_bool "edited unit re-solved" true
+        (warm.Pipeline.stats.Pipeline.n_punit_misses >= 1);
+      check_bool "edited run reports VEqLen dead" true (dead "VEqLen" warm);
+      let reference =
+        Pipeline.verify_string
+          ~options:{ options with Pipeline.cache_dir = None }
+          ~name:"lint.ml" src_lint_v2
+      in
+      check_string "diagnostics identical to an uncached run"
+        (diagnostics reference) (diagnostics warm))
+
 (* The ignored option fields never split a cache entry: neither the
    options fingerprint nor the daemon's request key reads them, and the
    rendered fingerprint names none of them. *)
@@ -568,7 +625,7 @@ let key_programs =
       (fun (name, src, _) -> (name, true, Liquid_infer.Qualifier.defaults, src))
       (Test_adt.arm_programs @ [ ("measure", Test_adt.src_measure_v1, true) ])
 
-(* The digest key of every unit, captured through [Psolve.solve]'s
+(* The digest key of every unit, captured through [Fixpoint.solve]'s
    [reuse] hook, against the printed key of {!Unit_key_reference}:
    equal digest keys must mean equal printed keys, and under the same
    qualifiers and mined constants, equal printed keys must mean equal
@@ -611,14 +668,13 @@ let test_digest_keys_match_printed_keys () =
             hit
           in
           let plan = Constr.partition_plan s.wfs s.subs in
-          let o =
-            Liquid_engine.Psolve.solve ~reuse ~persist:(Hashtbl.replace cache)
+          let res =
+            Fixpoint.solve ~reuse ~persist:(Hashtbl.replace cache)
               ~quals:s.quals ~consts:s.consts s.wfs s.subs plan
           in
           let printed =
             Unit_key_reference.keys ~initial:(Elim_reference.initial s)
-              ~solution:o.Liquid_engine.Psolve.ps_result.Fixpoint.solution
-              s.wfs plan
+              ~solution:res.Fixpoint.solution s.wfs plan
           in
           let digests = Array.of_list (List.rev !seen) in
           check_int
@@ -693,6 +749,7 @@ let tests =
       test_pipeline_corrupt_entry_recovers;
     tc "punit: unchanged partitions all reuse" test_punit_key_stability;
     tc "punit: edit re-solves only its cone (jobs=1)" test_punit_cone_reuse;
+    tc "punit: reused units keep their dead qualifiers" test_punit_lint_reuse;
     tc "pipeline: keys ignore the inert options" test_inert_options_ignored;
     tc "punit: a warm process reuses what a fresh one does"
       test_punit_warm_process;

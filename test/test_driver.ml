@@ -76,7 +76,6 @@ let test_phase_timings () =
         "congen";
         "partition";
         "solve";
-        "concrete_check";
         "merge";
         "lint";
       ]);

@@ -80,10 +80,9 @@ let test_traced_embedding () =
   let info = Liquid_typing.Infer.infer_program prog in
   let out = Congen.generate info prog in
   let res =
-    (Liquid_engine.Psolve.solve ~quals:Qualifier.defaults ~consts:[]
-       out.Congen.wfs out.Congen.subs
-       (Constr.partition_plan out.Congen.wfs out.Congen.subs))
-      .Liquid_engine.Psolve.ps_result
+    Fixpoint.solve ~quals:Qualifier.defaults ~consts:[] out.Congen.wfs
+      out.Congen.subs
+      (Constr.partition_plan out.Congen.wfs out.Congen.subs)
   in
   let lookup k = Constr.sol_find res.Fixpoint.solution k in
   List.iter

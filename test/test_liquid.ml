@@ -232,10 +232,9 @@ let test_requeue_reaches_fixpoint () =
   let info = Liquid_typing.Infer.infer_program prog in
   let out = Congen.generate info prog in
   let res =
-    (Liquid_engine.Psolve.solve ~quals:Qualifier.defaults ~consts:[ 10 ]
-       out.Congen.wfs out.Congen.subs
-       (Constr.partition_plan out.Congen.wfs out.Congen.subs))
-      .Liquid_engine.Psolve.ps_result
+    Fixpoint.solve ~quals:Qualifier.defaults ~consts:[ 10 ] out.Congen.wfs
+      out.Congen.subs
+      (Constr.partition_plan out.Congen.wfs out.Congen.subs)
   in
   check_bool "program safe" true (res.Fixpoint.failures = []);
   let writers =
