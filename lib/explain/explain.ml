@@ -145,7 +145,15 @@ let make_ctx ~wfs ~subs ~solution ~quals ~consts : ctx =
     writers;
     sub_by_id;
     wfs_of;
-    pool = quals @ Qualifier.defaults @ Qualifier.list_defaults;
+    (* Each pattern once, at its last occurrence: a run's [quals]
+       usually begin with the defaults, and an instance generated twice
+       already sits at its last generation, so the candidates keep their
+       order. *)
+    pool =
+      List.rev
+        (Listx.dedup_ordered
+           ~compare:(fun (a : Qualifier.t) b -> compare (a.name, a.body) (b.name, b.body))
+           (List.rev (quals @ Qualifier.defaults @ Qualifier.list_defaults)));
     consts;
     cand_cache = Hashtbl.create 16;
     antecedents = Hashtbl.create 64;

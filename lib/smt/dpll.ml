@@ -115,7 +115,7 @@ let rec find_model (asg : assignment) nvars clauses =
       end
 
 let theory_unsat lits =
-  match Theory.check_sat lits with Theory.Unsat -> true | _ -> false
+  match Theory.check_sat lits with Theory.Unsat _ -> true | _ -> false
 
 (** Shrink an unsat list [l0 … l(n-1)] to a (locally) minimal core, as
     the greedy deletion filter would: it walks the list with the kept
@@ -143,6 +143,15 @@ let shrink_core ~(unsat : 'a list -> bool) (lits : 'a list) : 'a list =
     | l :: _ -> go (l :: kept) (!lo + 1)
   in
   go [] 0
+
+(* The elements of [l] at the increasing positions [is], in order. *)
+let at_positions is l =
+  let rec go i is l =
+    match (is, l) with
+    | j :: is', x :: l' -> if i = j then x :: go (i + 1) is' l' else go (i + 1) is l'
+    | _ -> []
+  in
+  go 0 is l
 
 (** Check satisfiability of [p] (a quantifier-free EUFLIA predicate). *)
 let check_sat (p : Liquid_logic.Pred.t) : result =
@@ -218,23 +227,30 @@ let check_sat (p : Liquid_logic.Pred.t) : result =
             in
             Sat (merge from_theory bools, merge from_theory_raw bools_raw)
         | Theory.Unknown -> Unknown
-        | Theory.Unsat ->
-            (* Shrink the conflict to a (locally) minimal unsat core before
-               blocking: a short blocking clause excludes exponentially
-               more future models than the full assignment would.  The
-               bisection costs about log2 n theory calls per core
-               literal, which pays for itself by slashing the model
+        | Theory.Unsat explained ->
+            (* Block a core of the conflict rather than the whole
+               assignment: a short blocking clause excludes
+               exponentially more future models.  The theory's
+               explanation is a core for free.  A conflict it cannot
+               explain is shrunk to a (locally) minimal core by
+               bisection, about log2 n theory calls per core literal,
+               which pays for itself by slashing the model
                enumeration. *)
             let core =
               (* Adaptive: plain blocking is cheapest when a query needs
                  only a few models; once enumeration shows signs of
-                 blowing up, pay for minimal cores. *)
+                 blowing up, block cores. *)
               if 2000 - iters < 8 || List.length !lits > 100 then !lits
               else
-                shrink_core
-                  ~unsat:(fun ls ->
-                    theory_unsat (List.map (fun (_, a, p) -> (a, p)) ls))
-                  !lits
+                match explained with
+                | Some is ->
+                    (* Reversed, as a bisected core comes back. *)
+                    List.rev (at_positions is !lits)
+                | None ->
+                    shrink_core
+                      ~unsat:(fun ls ->
+                        theory_unsat (List.map (fun (_, a, p) -> (a, p)) ls))
+                      !lits
             in
             let blocking =
               List.map (fun (v, _, pos) -> if pos then -(v + 1) else v + 1) core

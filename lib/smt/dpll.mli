@@ -1,6 +1,7 @@
 (** Lazy-SMT search: DPLL over the propositional abstraction with theory
-    checks at propositional models, unsat-core-minimized blocking
-    clauses, and a propagation-only fast path. *)
+    checks at propositional models, blocking clauses from conflict cores
+    (the theory's explanation, or a bisection when it has none), and a
+    propagation-only fast path. *)
 
 (** [Sat (display, raw)]: a counterexample assignment (label -> value)
     under display labels and under original labels (see

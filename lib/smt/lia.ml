@@ -9,13 +9,19 @@
     - any remaining fractional model values are handled by bounded
       branch-and-bound; exhausting the node budget yields [`Unknown],
       which callers must treat as "possibly satisfiable" (sound for a
-      validity checker). *)
+      validity checker).
+
+    An [Unsat] answer explains itself when it can, by the positions of
+    input constraints that are infeasible together: the one constraint
+    that normalization refutes, or the simplex's explanation of an
+    infeasible root relaxation.  A conflict found only after branching
+    has no explanation. *)
 
 type op = Le | Lt | Eq
 
 type cons = { exp : Linexp.t; op : op; rhs : Rat.t }
 
-type result = Sat of Rat.t array | Unsat | Unknown
+type result = Sat of Rat.t array | Unsat of int list option | Unknown
 
 let default_budget = 400
 
@@ -94,24 +100,31 @@ let fractional model =
 
 let check ?(budget = default_budget) ~nvars (cs : cons list) : result =
   let nodes = ref 0 in
-  (* Normalize once up front; later branch constraints are already integral. *)
-  let exception Trivially_unsat in
+  (* Normalize once up front, keeping the position in [cs] of each
+     constraint that stays; later branch constraints are already
+     integral. *)
+  let exception Refuted of int in
+  let rec normal k = function
+    | [] -> ([], [])
+    | c :: rest -> (
+        match normalize c with
+        | None -> raise (Refuted k)
+        | Some None -> normal (k + 1) rest
+        | Some (Some c') ->
+            let cs, ks = normal (k + 1) rest in
+            (c' :: cs, k :: ks))
+  in
   try
-    let cs =
-      List.filter_map
-        (fun c ->
-          match normalize c with
-          | None -> raise Trivially_unsat
-          | Some c' -> c')
-        cs
-    in
+    let root, ks = normal 0 cs in
+    let origin = Array.of_list ks in
     let rec bb (cs : cons list) : result =
       incr nodes;
       incr nnodes_total;
       if !nodes > budget then Unknown
       else
         match Simplex.solve ~nvars (List.map to_simplex cs) with
-        | `Unsat -> Unsat
+        | `Unsat ks ->
+            Unsat (if cs == root then Some (List.map (fun k -> origin.(k)) ks) else None)
         | `Sat model -> (
             match fractional model with
             | None -> Sat model
@@ -128,11 +141,10 @@ let check ?(budget = default_budget) ~nvars (cs : cons list) : result =
                 in
                 match bb (lo :: cs) with
                 | Sat m -> Sat m
-                | Unknown -> (
-                    match bb (hi :: cs) with Sat m -> Sat m | r -> if r = Unsat then Unknown else r)
-                | Unsat -> bb (hi :: cs)))
+                | Unknown -> ( match bb (hi :: cs) with Sat m -> Sat m | _ -> Unknown)
+                | Unsat _ -> bb (hi :: cs)))
     in
-    bb cs
+    bb root
   with
-  | Trivially_unsat -> Unsat
+  | Refuted k -> Unsat (Some [ k ])
   | Rat.Overflow -> Unknown

@@ -1,13 +1,18 @@
 (** Linear integer arithmetic over the rational simplex: strict-inequality
     tightening, the GCD test on equalities, and bounded branch-and-bound.
     [Unknown] (budget or overflow) must be treated as "possibly
-    satisfiable" — sound for a validity checker. *)
+    satisfiable" — sound for a validity checker.  An [Unsat] found
+    before any branching names the input constraints behind it. *)
 
 type op = Le | Lt | Eq
 
 type cons = { exp : Linexp.t; op : op; rhs : Rat.t }
 
-type result = Sat of Rat.t array | Unsat | Unknown
+(** [Unsat (Some ks)]: the constraints at positions [ks] of the input,
+    increasing, are infeasible on their own — the one that
+    normalization refutes, or the simplex's explanation of the root
+    relaxation.  A conflict found only after branching has none. *)
+type result = Sat of Rat.t array | Unsat of int list option | Unknown
 
 val default_budget : int
 

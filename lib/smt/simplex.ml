@@ -6,23 +6,25 @@
     the rationals and produces a model on success.  The integer layer
     ({!Lia}) adds branch-and-bound on top.
 
-    The implementation is the textbook one-shot variant: each constraint
-    whose left-hand side is not a plain variable gets a slack variable
-    [s = e]; constraints then become bounds on variables, and a pivoting
-    loop repairs bound violations of basic variables.  Bland's rule
-    (always choose the smallest eligible index) guarantees termination.
+    The implementation is the one-shot variant of that design.  A
+    constraint over one variable becomes a bound on that variable, its
+    right-hand side divided by the coefficient.  The constraints over two
+    or more variables share one slack variable [s = e] per linear form
+    [e], oriented so that its first coefficient is positive, and become
+    bounds on [s].  A pivoting loop then repairs bound violations of
+    basic variables.  Bland's rule (always choose the smallest eligible
+    index) guarantees termination.
 
-    Pivots are the work units the solver meters and models are the
-    witnesses users see, so a faster tableau must not change either: it
-    must pivot on the same variables and perform the same rational
-    operations on each entry, so that it also overflows on the same
-    inputs.  [test/simplex_reference.ml] is the map-based tableau this
-    one is held to.
+    Each bound remembers the constraint that set it, so an infeasible
+    conjunction comes with its explanation: the two bounds that clash at
+    installation, or, when no pivot can repair a basic variable, its
+    violated bound and the bounds its row's nonbasic variables sit at.
 
-    A column index keeps, for each variable, the basic rows that mention
-    it, so a pivot substitutes into those rows, in increasing order,
-    without searching the others.  It changes no pivot, model or
-    overflow. *)
+    [test/simplex_reference.ml] is the map-based tableau, installing the
+    same way, that this one is held to pivot for pivot.  A column index
+    keeps, for each variable, the basic rows that mention it, so a pivot
+    substitutes into those rows, in increasing order, without searching
+    the others.  It changes no pivot, model or overflow. *)
 
 type op = Le | Ge | Eq
 
@@ -30,7 +32,9 @@ type cons = { exp : Linexp.t; op : op; rhs : Rat.t }
 
 let cons exp op rhs = { exp; op; rhs }
 
-exception Unsat
+(* An infeasible conjunction, with the positions of constraints that are
+   infeasible together. *)
+exception Conflict of int list
 
 (* A tableau row: a basic variable as a linear form over nonbasic
    variables, with no constant term.  [vars] is strictly increasing and
@@ -71,6 +75,9 @@ type t = {
   mutable nvars : int;
   lower : Rat.t option array;
   upper : Rat.t option array;
+  (* The position of the constraint that set each bound. *)
+  lower_src : int array;
+  upper_src : int array;
   beta : Rat.t array;
   basic : bool array;
   (* [rows.(i)] is meaningful iff [basic.(i)]. *)
@@ -88,7 +95,7 @@ type t = {
   mutable ntouched : int;
 }
 
-(* Room for [cap] variables: the problem's plus one slack per
+(* Room for [cap] variables: the problem's plus at most one slack per
    constraint. *)
 let create nvars cap =
   let cap = max cap 1 in
@@ -96,6 +103,8 @@ let create nvars cap =
     nvars;
     lower = Array.make cap None;
     upper = Array.make cap None;
+    lower_src = Array.make cap (-1);
+    upper_src = Array.make cap (-1);
     beta = Array.make cap Rat.zero;
     basic = Array.make cap false;
     rows = Array.make cap empty_row;
@@ -112,19 +121,27 @@ let fresh_var t =
   t.nvars <- v + 1;
   v
 
-let set_lower t v c =
+(* Bound [v] by constraint [k]; a bound no tighter than the one [v]
+   has keeps the older one. *)
+let set_lower t v c k =
   match t.lower.(v) with
   | Some l when Rat.le c l -> ()
   | _ ->
-      (match t.upper.(v) with Some u when Rat.lt u c -> raise Unsat | _ -> ());
-      t.lower.(v) <- Some c
+      (match t.upper.(v) with
+      | Some u when Rat.lt u c -> raise (Conflict [ t.upper_src.(v); k ])
+      | _ -> ());
+      t.lower.(v) <- Some c;
+      t.lower_src.(v) <- k
 
-let set_upper t v c =
+let set_upper t v c k =
   match t.upper.(v) with
   | Some u when Rat.le u c -> ()
   | _ ->
-      (match t.lower.(v) with Some l when Rat.lt c l -> raise Unsat | _ -> ());
-      t.upper.(v) <- Some c
+      (match t.lower.(v) with
+      | Some l when Rat.lt c l -> raise (Conflict [ t.lower_src.(v); k ])
+      | _ -> ());
+      t.upper.(v) <- Some c;
+      t.upper_src.(v) <- k
 
 (* -- The column index ------------------------------------------------ *)
 
@@ -332,9 +349,24 @@ let repair t xi v =
     true
   end
 
+(* Why basic [xi] cannot be repaired towards its violated bound (its
+   lower one if [below]): that bound, and for each variable of its row
+   the bound it sits at, the one that made it ineligible.  Over those
+   bounds the row cannot reach the violated one. *)
+let explain t xi below =
+  let row = t.rows.(xi) in
+  let srcs = ref [ (if below then t.lower_src.(xi) else t.upper_src.(xi)) ] in
+  for q = 0 to Array.length row.vars - 1 do
+    let xj = row.vars.(q) in
+    let at_upper = Rat.sign row.coeffs.(q) > 0 = below in
+    srcs := (if at_upper then t.upper_src.(xj) else t.lower_src.(xj)) :: !srcs
+  done;
+  !srcs
+
+(* Repair violated basic variables until none is left; raises
+   [Conflict] when one cannot be repaired. *)
 let check_loop t =
   let continue_ = ref true in
-  let sat = ref true in
   while !continue_ do
     (* Find the smallest basic variable violating one of its bounds. *)
     let viol = ref None in
@@ -343,12 +375,12 @@ let check_loop t =
          if t.basic.(v) then begin
            (match t.lower.(v) with
            | Some l when Rat.lt t.beta.(v) l ->
-               viol := Some (v, l);
+               viol := Some (v, l, true);
                raise Exit
            | _ -> ());
            match t.upper.(v) with
            | Some u when Rat.lt u t.beta.(v) ->
-               viol := Some (v, u);
+               viol := Some (v, u, false);
                raise Exit
            | _ -> ()
          end
@@ -356,57 +388,64 @@ let check_loop t =
      with Exit -> ());
     match !viol with
     | None -> continue_ := false
-    | Some (xi, target) ->
-        if not (repair t xi target) then begin
-          sat := false;
-          continue_ := false
-        end
-  done;
-  !sat
+    | Some (xi, target, below) ->
+        if not (repair t xi target) then raise (Conflict (explain t xi below))
+  done
+
+module Linexp_tbl = Hashtbl.Make (Linexp)
+
+let flip = function Le -> Ge | Ge -> Le | Eq -> Eq
+
+let set_bound t v op c k =
+  match op with
+  | Le -> set_upper t v c k
+  | Ge -> set_lower t v c k
+  | Eq ->
+      set_lower t v c k;
+      set_upper t v c k
+
+(* Install constraint [k] as a bound.  [rows] maps each oriented form
+   over two or more variables to its slack. *)
+let install t rows k { exp; op; rhs } =
+  let rhs, exp =
+    let c = Linexp.constant exp in
+    if Rat.is_zero c then (rhs, exp) else (Rat.sub rhs c, Linexp.sub exp (Linexp.const c))
+  in
+  match Linexp.choose_var exp with
+  | None ->
+      let holds =
+        match op with
+        | Le -> Rat.le Rat.zero rhs
+        | Ge -> Rat.le rhs Rat.zero
+        | Eq -> Rat.is_zero rhs
+      in
+      if not holds then raise (Conflict [ k ])
+  | Some (v, c) when Linexp.cardinal exp = 1 ->
+      if Rat.equal c Rat.one then set_bound t v op rhs k
+      else set_bound t v (if Rat.sign c < 0 then flip op else op) (Rat.div rhs c) k
+  | Some (_, c) ->
+      let exp, op, rhs =
+        if Rat.sign c > 0 then (exp, op, rhs) else (Linexp.neg exp, flip op, Rat.neg rhs)
+      in
+      let s =
+        match Linexp_tbl.find_opt rows exp with
+        | Some s -> s
+        | None ->
+            let s = fresh_var t in
+            Linexp_tbl.add rows exp s;
+            t.basic.(s) <- true;
+            t.rows.(s) <- row_of_linexp exp;
+            s
+      in
+      set_bound t s op rhs k
 
 (** Decide a conjunction of constraints over variables [0 .. nvars-1].
-    On success returns a model assigning a rational to each variable. *)
-let solve ~nvars (cs : cons list) : [ `Sat of Rat.t array | `Unsat ] =
+    On success returns a model assigning a rational to each variable; on
+    failure, the positions of constraints that are infeasible together. *)
+let solve ~nvars (cs : cons list) : [ `Sat of Rat.t array | `Unsat of int list ] =
   let t = create nvars (nvars + List.length cs) in
   try
-    (* Install each constraint as a bound, introducing slacks as needed. *)
-    List.iter
-      (fun { exp; op; rhs } ->
-        let rhs, exp =
-          let c = Linexp.constant exp in
-          if Rat.is_zero c then (rhs, exp)
-          else (Rat.sub rhs c, Linexp.sub exp (Linexp.const c))
-        in
-        let v =
-          match Linexp.choose_var exp with
-          | None ->
-              (* Constant constraint: check immediately. *)
-              let ok =
-                match op with
-                | Le -> Rat.le Rat.zero rhs
-                | Ge -> Rat.le rhs Rat.zero
-                | Eq -> Rat.is_zero rhs
-              in
-              if not ok then raise Unsat;
-              -1
-          | Some (v0, c0) ->
-              if Rat.equal c0 Rat.one && Linexp.cardinal exp = 1 then v0
-              else begin
-                let s = fresh_var t in
-                t.basic.(s) <- true;
-                t.rows.(s) <- row_of_linexp exp;
-                s
-              end
-        in
-        if v >= 0 then begin
-          (match op with
-          | Le -> set_upper t v rhs
-          | Ge -> set_lower t v rhs
-          | Eq ->
-              set_lower t v rhs;
-              set_upper t v rhs)
-        end)
-      cs;
+    List.iteri (install t (Linexp_tbl.create 8)) cs;
     (* Initialize nonbasic values within their bounds. *)
     for v = 0 to t.nvars - 1 do
       if not t.basic.(v) then
@@ -417,5 +456,6 @@ let solve ~nvars (cs : cons list) : [ `Sat of Rat.t array | `Unsat ] =
           | None, None -> Rat.zero)
     done;
     recompute_basic t;
-    if check_loop t then `Sat (Array.sub t.beta 0 nvars) else `Unsat
-  with Unsat -> `Unsat
+    check_loop t;
+    `Sat (Array.sub t.beta 0 nvars)
+  with Conflict ks -> `Unsat (List.sort_uniq Int.compare ks)

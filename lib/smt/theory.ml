@@ -42,7 +42,7 @@ type model = (string * value) list
 (** [Sat (display, raw)]: the satisfying model under display labels
     ({!clean_label}) and under the entities' original labels, which a
     strict evaluator needs (display labels can collide). *)
-type result = Sat of model * model | Unsat | Unknown
+type result = Sat of model * model | Unsat of int list option | Unknown
 
 (* Literals processed across all calls: prices each check by the size
    of the conjunction it decides (congruence closure and constraint
@@ -60,8 +60,9 @@ type state = {
   app_proxy : (Cc.node, int) Hashtbl.t; (* app node -> entity id *)
   linexp_proxy : int Linexp_tbl.t; (* compound linexp -> entity id *)
   mutable defs : Lia.cons list;
-  mutable arith : Lia.cons list;
-  mutable diseqs : Linexp.t list; (* d <> 0 constraints, branched at the end *)
+  (* Each constraint with the index of the literal it came from. *)
+  mutable arith : (Lia.cons * int) list;
+  mutable diseqs : (Linexp.t * int) list; (* d <> 0 constraints, branched at the end *)
   labels : (int, string) Hashtbl.t; (* entity id -> display label *)
 }
 
@@ -173,8 +174,9 @@ and proxy_of_app st t f args =
 
 (* -- Literal assertion ------------------------------------------------ *)
 
-(** Assert one signed atom.  [polarity = false] asserts the negation. *)
-let assert_atom st (p : Pred.t) (polarity : bool) =
+(** Assert one signed atom, the literal of index [i].  [polarity =
+    false] asserts the negation. *)
+let assert_atom st i ((p : Pred.t), (polarity : bool)) =
   let open Pred in
   match view p with
   | Bvar _ | True | False -> () (* propositional; no theory content *)
@@ -197,18 +199,18 @@ let assert_atom st (p : Pred.t) (polarity : bool) =
           Cc.assert_eq st.cc (node_of_term st t1) (node_of_term st t2);
           if not is_obj then
             st.arith <-
-              {
-                Lia.exp = Linexp.sub (linexp_of_term st t1) (linexp_of_term st t2);
-                op = Lia.Eq;
-                rhs = Rat.zero;
-              }
+              ( {
+                  Lia.exp = Linexp.sub (linexp_of_term st t1) (linexp_of_term st t2);
+                  op = Lia.Eq;
+                  rhs = Rat.zero;
+                },
+                i )
               :: st.arith
       | Ne ->
           Cc.assert_ne st.cc (node_of_term st t1) (node_of_term st t2);
           if not is_obj then
             st.diseqs <-
-              Linexp.sub (linexp_of_term st t1) (linexp_of_term st t2)
-              :: st.diseqs
+              (Linexp.sub (linexp_of_term st t1) (linexp_of_term st t2), i) :: st.diseqs
       | Lt | Le | Gt | Ge ->
           let le1 = linexp_of_term st t1 and le2 = linexp_of_term st t2 in
           let exp, op =
@@ -219,26 +221,53 @@ let assert_atom st (p : Pred.t) (polarity : bool) =
             | Ge -> (Linexp.sub le2 le1, Lia.Le)
             | _ -> assert false
           in
-          st.arith <- { Lia.exp; op; rhs = Rat.zero } :: st.arith)
+          st.arith <- ({ Lia.exp; op; rhs = Rat.zero }, i) :: st.arith)
   | Not _ | And _ | Or _ | Imp _ | Iff _ ->
       invalid_arg "Theory.assert_atom: non-atomic predicate"
 
 (* -- Satisfiability check --------------------------------------------- *)
 
-(** LIA check with integer disequalities handled by case-splitting. *)
-let rec lia_with_diseqs ~nvars cons diseqs : Lia.result =
+(* The source of an arithmetic constraint that no literal asserts: a
+   proxy definition, which always holds, or an equality derived by
+   congruence, which an explanation cannot name. *)
+let always = -1
+let derived = -2
+
+(** The literals behind the constraints at positions [ks] of a list
+    whose sources are [srcs], increasing; [None] if one of them is
+    derived. *)
+let literals srcs ks =
+  let srcs = Array.of_list srcs in
+  let rec go acc = function
+    | [] -> Some (List.sort_uniq Int.compare acc)
+    | k :: rest ->
+        let s = srcs.(k) in
+        if s = derived then None else go (if s = always then acc else s :: acc) rest
+  in
+  go [] ks
+
+(** LIA check with integer disequalities handled by case-splitting;
+    [srcs] are the sources of [cons], and an [Unsat] explanation names
+    literals.  Both branches of a split name the disequality's literal,
+    and a split explains its [Unsat] by both branches' explanations. *)
+let rec lia_with_diseqs ~nvars cons srcs diseqs : Lia.result =
   match diseqs with
-  | [] -> Lia.check ~nvars cons
-  | d :: rest -> (
+  | [] -> (
+      match Lia.check ~nvars cons with
+      | Lia.Unsat (Some ks) -> Lia.Unsat (literals srcs ks)
+      | r -> r)
+  | (d, i) :: rest -> (
       let lo = { Lia.exp = d; op = Lia.Lt; rhs = Rat.zero } in
       let hi = { Lia.exp = Linexp.neg d; op = Lia.Lt; rhs = Rat.zero } in
-      match lia_with_diseqs ~nvars (lo :: cons) rest with
+      let branch c = lia_with_diseqs ~nvars (c :: cons) (i :: srcs) rest in
+      match branch lo with
       | Lia.Sat m -> Lia.Sat m
-      | Lia.Unsat -> lia_with_diseqs ~nvars (hi :: cons) rest
-      | Lia.Unknown -> (
-          match lia_with_diseqs ~nvars (hi :: cons) rest with
-          | Lia.Sat m -> Lia.Sat m
-          | _ -> Lia.Unknown))
+      | Lia.Unsat e -> (
+          match (e, branch hi) with
+          | Some e, Lia.Unsat (Some e') -> Lia.Unsat (Some (List.sort_uniq Int.compare (e @ e')))
+          | _, Lia.Unsat _ -> Lia.Unsat None
+          | _, r -> r)
+      | Lia.Unknown -> ( match branch hi with Lia.Sat m -> Lia.Sat m | _ -> Lia.Unknown))
 
 (** CC-derived equalities between integer entities, as LIA constraints. *)
 let cc_equalities st =
@@ -396,12 +425,18 @@ let check_sat (lits : (Pred.t * bool) list) : result =
   nlits_total := !nlits_total + List.length lits;
   let st = create () in
   try
-    List.iter (fun (p, pol) -> assert_atom st p pol) lits;
+    List.iteri (assert_atom st) lits;
     let rec loop rounds budget =
-      if not (Cc.ok st.cc) then Unsat
+      if not (Cc.ok st.cc) then Unsat None
       else
         let nvars = st.nents in
-        let cons = st.defs @ st.arith @ cc_equalities st in
+        let ccs = cc_equalities st in
+        let cons = st.defs @ List.map fst st.arith @ ccs in
+        let srcs =
+          List.map (fun _ -> always) st.defs
+          @ List.map snd st.arith
+          @ List.map (fun _ -> derived) ccs
+        in
         let sat m =
           let raw = extract_model_raw st m in
           Sat (List.sort compare (display_labels raw), raw)
@@ -414,8 +449,8 @@ let check_sat (lits : (Pred.t * bool) list) : result =
             Unknown
           else sat m
         in
-        match lia_with_diseqs ~nvars cons st.diseqs with
-        | Lia.Unsat -> Unsat
+        match lia_with_diseqs ~nvars cons srcs st.diseqs with
+        | Lia.Unsat e -> Unsat e
         | Lia.Unknown -> Unknown
         | Lia.Sat m when rounds = 0 ->
             sat_unless_unseparated m (candidate_pairs st)
@@ -429,9 +464,8 @@ let check_sat (lits : (Pred.t * bool) list) : result =
                 { Lia.exp = d; op = Lia.Lt; rhs = Rat.zero }
               in
               let d = Linexp.sub (Linexp.var u) (Linexp.var v) in
-              Rat.equal m.(u) m.(v)
-              && Lia.check ~nvars (neq d :: cons) = Lia.Unsat
-              && Lia.check ~nvars (neq (Linexp.neg d) :: cons) = Lia.Unsat
+              let refuted c = match Lia.check ~nvars (c :: cons) with Lia.Unsat _ -> true | _ -> false in
+              Rat.equal m.(u) m.(v) && refuted (neq d) && refuted (neq (Linexp.neg d))
             in
             let budget = ref budget in
             let merged = ref false in

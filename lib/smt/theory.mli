@@ -1,7 +1,9 @@
 (** Combined theory solver for QF-EUFLIA conjunctions: purification into
     {!Lia} constraints and {!Cc} assertions, with a bounded Nelson–Oppen
     equality exchange.  [Unknown] must be treated as "possibly
-    satisfiable". *)
+    satisfiable".  An [Unsat] answer names the literals behind it when
+    the arithmetic explains its conflict without a congruence-derived
+    equality. *)
 
 open Liquid_logic
 
@@ -23,8 +25,16 @@ val pp_value : Format.formatter -> value -> unit
     (alpha-renaming suffixes intact, internal names included).  Display
     labels are lossy — distinct solver variables can collide on one —
     so callers that {e evaluate} predicates under a model read the raw
-    one. *)
-type result = Sat of model * model | Unsat | Unknown
+    one.
+
+    [Unsat (Some is)]: the literals at positions [is] of the input,
+    increasing, are unsat on their own.  It is the arithmetic's
+    explanation, with proxy definitions, which always hold, dropped; an
+    explanation that leans on a congruence-derived equality is dropped
+    whole ([Unsat None]), and so is a congruence conflict.  A
+    disequality split explains its conflict by both branches'
+    explanations. *)
+type result = Sat of model * model | Unsat of int list option | Unknown
 
 (** Display form of an entity label: [None] for internal ('%'-prefixed)
     names and non-measure application proxies; strips alpha-renaming

@@ -1,20 +1,28 @@
-(* The simplex that lib/smt/simplex.ml replaced, kept verbatim as the
-   reference its differential tests hold it to: tableau rows are
-   persistent [Linexp.t] maps, and every pivot re-evaluates every basic
-   row.  The sparse-array simplex must make the same pivots, return the
-   same models and raise [Rat.Overflow] on the same inputs. *)
+(* The simplex that lib/smt/simplex.ml replaced, kept as the reference
+   its differential tests hold it to: tableau rows are persistent
+   [Linexp.t] maps, and every pivot re-evaluates every basic row.  It
+   installs a conjunction as the sparse tableau does: a constraint over
+   one variable is a bound on it, and the constraints over one oriented
+   form of two or more variables share a slack, numbered in the order
+   the forms first appear (found here by a scan, not a hash table).
+   The sparse-array simplex must make the same pivots, return the same
+   models and explanations and raise [Rat.Overflow] on the same
+   inputs. *)
 
 open Liquid_smt
 
 type op = Simplex.op = Le | Ge | Eq
 type cons = Simplex.cons = { exp : Linexp.t; op : op; rhs : Rat.t }
 
-exception Unsat
+exception Conflict of int list
 
 type t = {
   mutable nvars : int;
   mutable lower : Rat.t option array;
   mutable upper : Rat.t option array;
+  (* The position of the constraint that set each bound. *)
+  mutable lower_src : int array;
+  mutable upper_src : int array;
   mutable beta : Rat.t array;
   mutable basic : bool array;
   (* [rows.(i)] is meaningful iff [basic.(i)]; it expresses variable [i] as a
@@ -27,6 +35,8 @@ let create nvars =
     nvars;
     lower = Array.make (max nvars 1) None;
     upper = Array.make (max nvars 1) None;
+    lower_src = Array.make (max nvars 1) (-1);
+    upper_src = Array.make (max nvars 1) (-1);
     beta = Array.make (max nvars 1) Rat.zero;
     basic = Array.make (max nvars 1) false;
     rows = Array.make (max nvars 1) Linexp.zero;
@@ -43,6 +53,8 @@ let grow t n =
     in
     t.lower <- extend t.lower None;
     t.upper <- extend t.upper None;
+    t.lower_src <- extend t.lower_src (-1);
+    t.upper_src <- extend t.upper_src (-1);
     t.beta <- extend t.beta Rat.zero;
     t.basic <- extend t.basic false;
     t.rows <- extend t.rows Linexp.zero
@@ -54,19 +66,25 @@ let fresh_var t =
   t.nvars <- v + 1;
   v
 
-let set_lower t v c =
+let set_lower t v c k =
   match t.lower.(v) with
   | Some l when Rat.le c l -> ()
   | _ ->
-      (match t.upper.(v) with Some u when Rat.lt u c -> raise Unsat | _ -> ());
-      t.lower.(v) <- Some c
+      (match t.upper.(v) with
+      | Some u when Rat.lt u c -> raise (Conflict [ t.upper_src.(v); k ])
+      | _ -> ());
+      t.lower.(v) <- Some c;
+      t.lower_src.(v) <- k
 
-let set_upper t v c =
+let set_upper t v c k =
   match t.upper.(v) with
   | Some u when Rat.le u c -> ()
   | _ ->
-      (match t.lower.(v) with Some l when Rat.lt c l -> raise Unsat | _ -> ());
-      t.upper.(v) <- Some c
+      (match t.lower.(v) with
+      | Some l when Rat.lt c l -> raise (Conflict [ t.lower_src.(v); k ])
+      | _ -> ());
+      t.upper.(v) <- Some c;
+      t.upper_src.(v) <- k
 
 (* β update helpers ------------------------------------------------- *)
 
@@ -150,9 +168,17 @@ let repair t xi v =
       done;
       true
 
+(* The violated bound of [xi] and the bound each variable of its row
+   sits at. *)
+let explain t xi below =
+  Linexp.fold
+    (fun xj a srcs ->
+      (if Rat.sign a > 0 = below then t.upper_src.(xj) else t.lower_src.(xj)) :: srcs)
+    t.rows.(xi)
+    [ (if below then t.lower_src.(xi) else t.upper_src.(xi)) ]
+
 let check_loop t =
   let continue_ = ref true in
-  let sat = ref true in
   while !continue_ do
     (* Find the smallest basic variable violating one of its bounds. *)
     let viol = ref None in
@@ -161,12 +187,12 @@ let check_loop t =
          if t.basic.(v) then begin
            (match t.lower.(v) with
            | Some l when Rat.lt t.beta.(v) l ->
-               viol := Some (v, l);
+               viol := Some (v, l, true);
                raise Exit
            | _ -> ());
            match t.upper.(v) with
            | Some u when Rat.lt u t.beta.(v) ->
-               viol := Some (v, u);
+               viol := Some (v, u, false);
                raise Exit
            | _ -> ()
          end
@@ -174,54 +200,60 @@ let check_loop t =
      with Exit -> ());
     match !viol with
     | None -> continue_ := false
-    | Some (xi, target) ->
-        if not (repair t xi target) then begin
-          sat := false;
-          continue_ := false
-        end
-  done;
-  !sat
+    | Some (xi, target, below) ->
+        if not (repair t xi target) then raise (Conflict (explain t xi below))
+  done
+
+let flip = function Le -> Ge | Ge -> Le | Eq -> Eq
+
+let set_bound t v op c k =
+  match op with
+  | Le -> set_upper t v c k
+  | Ge -> set_lower t v c k
+  | Eq ->
+      set_lower t v c k;
+      set_upper t v c k
 
 (** Decide a conjunction of constraints over variables [0 .. nvars-1].
-    On success returns a model assigning a rational to each variable. *)
-let solve ~nvars (cs : cons list) : [ `Sat of Rat.t array | `Unsat ] =
+    On success returns a model assigning a rational to each variable; on
+    failure, the positions of constraints that are infeasible together. *)
+let solve ~nvars (cs : cons list) : [ `Sat of Rat.t array | `Unsat of int list ] =
   let t = create nvars in
+  (* Each oriented form's slack, in the order the forms appear. *)
+  let slacks = ref [] in
+  let slack exp =
+    match List.find_opt (fun (e, _) -> Linexp.equal e exp) !slacks with
+    | Some (_, s) -> s
+    | None ->
+        let s = fresh_var t in
+        t.basic.(s) <- true;
+        t.rows.(s) <- exp;
+        slacks := (exp, s) :: !slacks;
+        s
+  in
   try
-    (* Install each constraint as a bound, introducing slacks as needed. *)
-    List.iter
-      (fun { exp; op; rhs } ->
+    List.iteri
+      (fun k { exp; op; rhs } ->
         let rhs = Rat.sub rhs (Linexp.constant exp) in
         let exp = Linexp.sub exp (Linexp.const (Linexp.constant exp)) in
-        let v =
-          match Linexp.choose_var exp with
-          | None ->
-              (* Constant constraint: check immediately. *)
-              let ok =
-                match op with
-                | Le -> Rat.le Rat.zero rhs
-                | Ge -> Rat.le rhs Rat.zero
-                | Eq -> Rat.is_zero rhs
-              in
-              if not ok then raise Unsat;
-              -1
-          | Some (v0, c0) ->
-              if Rat.equal c0 Rat.one && Linexp.compare exp (Linexp.var v0) = 0
-              then v0
-              else begin
-                let s = fresh_var t in
-                t.basic.(s) <- true;
-                t.rows.(s) <- exp;
-                s
-              end
-        in
-        if v >= 0 then begin
-          (match op with
-          | Le -> set_upper t v rhs
-          | Ge -> set_lower t v rhs
-          | Eq ->
-              set_lower t v rhs;
-              set_upper t v rhs)
-        end)
+        match Linexp.choose_var exp with
+        | None ->
+            (* Constant constraint: check immediately. *)
+            let ok =
+              match op with
+              | Le -> Rat.le Rat.zero rhs
+              | Ge -> Rat.le rhs Rat.zero
+              | Eq -> Rat.is_zero rhs
+            in
+            if not ok then raise (Conflict [ k ])
+        | Some (v0, c0) when Linexp.cardinal exp = 1 ->
+            (* A bound on [v0]: divide by its coefficient. *)
+            set_bound t v0 (if Rat.sign c0 < 0 then flip op else op) (Rat.div rhs c0) k
+        | Some (_, c0) ->
+            (* A bound on the slack of the form, first coefficient
+               positive. *)
+            if Rat.sign c0 > 0 then set_bound t (slack exp) op rhs k
+            else set_bound t (slack (Linexp.neg exp)) (flip op) (Rat.neg rhs) k)
       cs;
     (* Initialize nonbasic values within their bounds. *)
     for v = 0 to t.nvars - 1 do
@@ -233,12 +265,10 @@ let solve ~nvars (cs : cons list) : [ `Sat of Rat.t array | `Unsat ] =
           | None, None -> Rat.zero)
     done;
     recompute_basic t;
-    if check_loop t then begin
-      let model = Array.make nvars Rat.zero in
-      for v = 0 to nvars - 1 do
-        model.(v) <- t.beta.(v)
-      done;
-      `Sat model
-    end
-    else `Unsat
-  with Unsat -> `Unsat
+    check_loop t;
+    let model = Array.make nvars Rat.zero in
+    for v = 0 to nvars - 1 do
+      model.(v) <- t.beta.(v)
+    done;
+    `Sat model
+  with Conflict ks -> `Unsat (List.sort_uniq Int.compare ks)

@@ -62,20 +62,20 @@ let test_simplex_sat () =
       check_bool "x >= 1" true (Rat.le Rat.one m.(0));
       check_bool "y >= 1" true (Rat.le Rat.one m.(1));
       check_bool "x + y <= 3" true (Rat.le (Rat.add m.(0) m.(1)) (Rat.of_int 3))
-  | `Unsat -> Alcotest.fail "expected sat"
+  | `Unsat _ -> Alcotest.fail "expected sat"
 
 let test_simplex_unsat () =
   (* x >= 2, x <= 1 is unsat; also via sums *)
   let v0 = Linexp.var 0 and v1 = Linexp.var 1 in
   (match Simplex.solve ~nvars:1 [ ge v0 (Rat.of_int 2); le v0 Rat.one ] with
-  | `Unsat -> ()
+  | `Unsat _ -> ()
   | `Sat _ -> Alcotest.fail "expected unsat (bounds)");
   (* x + y >= 4, x <= 1, y <= 2 *)
   match
     Simplex.solve ~nvars:2
       [ ge (Linexp.add v0 v1) (Rat.of_int 4); le v0 Rat.one; le v1 (Rat.of_int 2) ]
   with
-  | `Unsat -> ()
+  | `Unsat _ -> ()
   | `Sat _ -> Alcotest.fail "expected unsat (sum)"
 
 let test_simplex_eq_chain () =
@@ -90,18 +90,20 @@ let test_simplex_eq_chain () =
       ]
   with
   | `Sat m -> check_bool "z = 5" true (Rat.equal m.(2) (Rat.of_int 5))
-  | `Unsat -> Alcotest.fail "expected sat"
+  | `Unsat _ -> Alcotest.fail "expected sat"
 
 (* ------------------------------------------------------------------ *)
 (* LIA                                                                 *)
 (* ------------------------------------------------------------------ *)
+
+let lia_unsat = function Lia.Unsat _ -> true | _ -> false
 
 let test_lia_integrality () =
   (* 2x = 1 is rationally sat but integrally unsat (gcd test). *)
   let c =
     { Lia.exp = Linexp.var ~coeff:(Rat.of_int 2) 0; op = Lia.Eq; rhs = Rat.one }
   in
-  check_bool "2x = 1 unsat over Z" true (Lia.check ~nvars:1 [ c ] = Lia.Unsat)
+  check_bool "2x = 1 unsat over Z" true (lia_unsat (Lia.check ~nvars:1 [ c ]))
 
 let test_lia_tightening () =
   (* x < 1 and x > -1 forces x = 0 over Z; adding x != 0 via x >= 1 is unsat *)
@@ -113,7 +115,7 @@ let test_lia_tightening () =
       { Lia.exp = Linexp.neg v0; op = Lia.Le; rhs = Rat.of_int (-1) };
     ]
   in
-  check_bool "-1 < x < 1 and x >= 1 unsat" true (Lia.check ~nvars:1 cs = Lia.Unsat)
+  check_bool "-1 < x < 1 and x >= 1 unsat" true (lia_unsat (Lia.check ~nvars:1 cs))
 
 let test_lia_branch () =
   (* 2x + 2y = 3 : rationally sat, integrally unsat after normalization. *)
@@ -125,7 +127,7 @@ let test_lia_branch () =
       rhs = Rat.of_int 3;
     }
   in
-  check_bool "2x + 2y = 3 unsat over Z" true (Lia.check ~nvars:2 [ c ] = Lia.Unsat)
+  check_bool "2x + 2y = 3 unsat over Z" true (lia_unsat (Lia.check ~nvars:2 [ c ]))
 
 (* ------------------------------------------------------------------ *)
 (* Congruence closure                                                  *)
@@ -480,7 +482,7 @@ let prop_simplex_agrees_with_fm =
     small_system
     (fun cs ->
       let simplex =
-        match Simplex.solve ~nvars:3 cs with `Sat _ -> `Sat | `Unsat -> `Unsat
+        match Simplex.solve ~nvars:3 cs with `Sat _ -> `Sat | `Unsat _ -> `Unsat
       in
       simplex = Fm.solve cs)
 
@@ -490,7 +492,7 @@ let prop_simplex_models_check_out =
     small_system
     (fun cs ->
       match Simplex.solve ~nvars:3 cs with
-      | `Unsat -> true
+      | `Unsat _ -> true
       | `Sat model ->
           List.for_all
             (fun (c : Simplex.cons) ->
@@ -519,8 +521,8 @@ let prop_lia_refines_rational =
       in
       match (Lia.check ~nvars:3 lia_cons, Fm.solve cs) with
       | Lia.Sat _, `Unsat -> false (* int-sat but rat-unsat: impossible *)
-      | Lia.Unsat, `Unsat -> true
-      | Lia.Unsat, `Sat ->
+      | Lia.Unsat _, `Unsat -> true
+      | Lia.Unsat _, `Sat ->
           true (* rational-sat, integrally unsat: fine (gcd/branching) *)
       | Lia.Sat m, `Sat ->
           (* the integer model must be integral and satisfy everything *)
@@ -593,9 +595,9 @@ let prop_simplex_overflows_like_reference =
     same_as_reference
 
 (* 8 to 24 variables and up to 48 constraints of about four terms each,
-   nearer the 91 variables a T1 tableau averages at a pivot: pivots
+   nearer the 54 variables a T1 tableau averages at a pivot: pivots
    substitute into many rows, so the column index gains and loses
-   entries.  About three systems in four pivot, one in five pivots 20
+   entries.  About two systems in three pivot, one in eight pivots 20
    times or more, and a few overflow. *)
 let prop_simplex_matches_reference_large =
   QCheck.Test.make ~count:100 ~long_factor:10
@@ -886,7 +888,7 @@ let prop_core_matches_filter =
       && !calls <= bound)
 
 let theory_unsat lits =
-  match Theory.check_sat lits with Theory.Unsat -> true | _ -> false
+  match Theory.check_sat lits with Theory.Unsat _ -> true | _ -> false
 
 (* Random signed atoms over [x], [y], [z]; half the lists also hold the
    complement of their first literal somewhere. *)
@@ -907,6 +909,10 @@ let gen_theory_lits =
       return (Liquid_common.Listx.take at lits @ [ (a, not pol) ] @ Liquid_common.Listx.drop at lits)
   | _ -> return lits
 
+let print_lits lits =
+  String.concat " /\\ "
+    (List.map (fun (a, pol) -> (if pol then "" else "~") ^ Pred.to_string a) lits)
+
 (* The LIA budget makes the theory non-monotone, and its answers depend
    on the order of the literals: a list can answer [Unknown] where a
    sublist, or the same literals in another order, answer [Unsat].  The
@@ -920,14 +926,7 @@ let gen_theory_lits =
 let prop_core_matches_filter_on_theory =
   QCheck.Test.make ~count:500 ~long_factor:10
     ~name:"dpll: bisection finds the filter's core under the theory"
-    (QCheck.make
-       ~print:(fun lits ->
-         String.concat " /\\ "
-           (List.map
-              (fun (a, pol) ->
-                (if pol then "" else "~") ^ Pred.to_string a)
-              lits))
-       gen_theory_lits)
+    (QCheck.make ~print:print_lits gen_theory_lits)
     (fun lits ->
       let set ls =
         List.sort_uniq compare (List.map (fun (a, pol) -> (Pred.tag a, pol)) ls)
@@ -935,7 +934,7 @@ let prop_core_matches_filter_on_theory =
       let unknown = ref false and unsat_sets = ref [] in
       let unsat ls =
         match Theory.check_sat ls with
-        | Theory.Unsat ->
+        | Theory.Unsat _ ->
             unsat_sets := set ls :: !unsat_sets;
             true
         | Theory.Unknown ->
@@ -973,6 +972,155 @@ let test_core_bisection_calls () =
     (Printf.sprintf "bisection makes at most 20 calls (made %d)" bisection)
     true (bisection <= 20)
 
+(* ------------------------------------------------------------------ *)
+(* Explanations: the simplex's against Fourier-Motzkin, the theory's    *)
+(* against the theory, and the models of Invalid answers against their *)
+(* queries.                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* The elements of [l] at the increasing positions [is]. *)
+let at_positions is l = List.filteri (fun k _ -> List.mem k is) l
+
+(* A [gen_system] on three variables, widened with constraints over a
+   form an earlier one uses, repeated, negated or scaled, each with its
+   own relation and right-hand side, and with one-variable constraints
+   whose coefficient is not 1: the cases where constraints share a
+   tableau row, or divide into a bound. *)
+let gen_shared_system =
+  let open QCheck.Gen in
+  let rhs = int_range (-6) 6 and op = oneofl [ Simplex.Le; Simplex.Ge; Simplex.Eq ] in
+  let* cs = gen_system ~nvars:3 ~max_cons:6 ~coeff:(int_range (-3) 3) ~rhs in
+  let shared =
+    let* (c : Simplex.cons) = oneofl cs in
+    let* k = oneofl [ 1; -1; 2; -2; 3 ] in
+    let* op = op in
+    let+ rhs = rhs in
+    Simplex.cons (Linexp.scale (Rat.of_int k) c.Simplex.exp) op (Rat.of_int rhs)
+  in
+  let single =
+    let* v = int_range 0 2 in
+    let* k = oneofl [ -3; -2; -1; 2; 3 ] in
+    let* op = op in
+    let+ rhs = rhs in
+    Simplex.cons (Linexp.var ~coeff:(Rat.of_int k) v) op (Rat.of_int rhs)
+  in
+  let* extra = list_size (int_range 1 5) (frequency [ (3, shared); (2, single) ]) in
+  shuffle_l (cs @ extra)
+
+let print_simplex_system cs =
+  String.concat "; "
+    (List.map
+       (fun (c : Simplex.cons) ->
+         Fmt.str "%a %s %a"
+           (Linexp.pp (fun ppf v -> Fmt.pf ppf "x%d" v))
+           c.Simplex.exp
+           (match c.Simplex.op with Simplex.Le -> "<=" | Simplex.Ge -> ">=" | Simplex.Eq -> "=")
+           Rat.pp c.Simplex.rhs)
+       cs)
+
+let prop_simplex_explains =
+  QCheck.Test.make ~count:1000 ~long_factor:10
+    ~name:"simplex on shared and one-variable forms agrees with Fourier-Motzkin and explains"
+    (QCheck.make ~print:print_simplex_system gen_shared_system)
+    (fun cs ->
+      match Simplex.solve ~nvars:3 cs with
+      | `Sat model ->
+          Fm.solve cs = `Sat
+          && List.for_all
+               (fun (c : Simplex.cons) ->
+                 let v = Linexp.eval (fun i -> model.(i)) c.Simplex.exp in
+                 match c.Simplex.op with
+                 | Simplex.Le -> Rat.le v c.Simplex.rhs
+                 | Simplex.Ge -> Rat.le c.Simplex.rhs v
+                 | Simplex.Eq -> Rat.equal v c.Simplex.rhs)
+               cs
+      | `Unsat ks ->
+          Fm.solve cs = `Unsat
+          && ks <> []
+          && List.for_all (fun k -> k >= 0 && k < List.length cs) ks
+          && Fm.solve (at_positions ks cs) = `Unsat)
+
+let prop_theory_explains =
+  QCheck.Test.make ~count:1000 ~long_factor:10
+    ~name:"theory: the literals an Unsat names are unsat on their own"
+    (QCheck.make ~print:print_lits gen_theory_lits)
+    (fun lits ->
+      match Theory.check_sat lits with
+      | Theory.Unsat (Some is) ->
+          is <> []
+          && List.for_all (fun k -> k >= 0 && k < List.length lits) is
+          && theory_unsat (at_positions is lits)
+      | Theory.Unsat None | Theory.Sat _ | Theory.Unknown -> true)
+
+let uf = Symbol.declare "uf" { Sort.args = [ Sort.Int ]; result = Sort.Int }
+let flag = Pred.bvar (Liquid_common.Ident.of_string "flag")
+
+(* [p] under a raw model, whose labels are entities' original names and
+   applications' renderings: [None] where it reaches an entity the model
+   does not value. *)
+let eval_raw (raw : (string * Solver.cex_value) list) p =
+  let exception Unvalued in
+  let int_of label =
+    match List.assoc_opt label raw with Some (Solver.Vint n) -> n | _ -> raise Unvalued
+  in
+  let rec term t =
+    match Term.view t with
+    | Term.Int n -> n
+    | Term.Var (x, _) -> int_of (Liquid_common.Ident.to_string x)
+    | Term.App _ -> int_of (Term.to_string t)
+    | Term.Neg a -> -term a
+    | Term.Add (a, b) -> term a + term b
+    | Term.Sub (a, b) -> term a - term b
+    | Term.Mul (a, b) -> term a * term b
+  in
+  let rec pred p =
+    match Pred.view p with
+    | Pred.True -> true
+    | Pred.False -> false
+    | Pred.Atom (a, r, b) -> (
+        let a = term a and b = term b in
+        match r with
+        | Pred.Eq -> a = b
+        | Pred.Ne -> a <> b
+        | Pred.Lt -> a < b
+        | Pred.Le -> a <= b
+        | Pred.Gt -> a > b
+        | Pred.Ge -> a >= b)
+    | Pred.Bvar x -> (
+        match List.assoc_opt (Liquid_common.Ident.to_string x) raw with
+        | Some (Solver.Vbool b) -> b
+        | _ -> raise Unvalued)
+    | Pred.Not p -> not (pred p)
+    | Pred.And ps -> List.for_all pred ps
+    | Pred.Or ps -> List.exists pred ps
+    | Pred.Imp (a, b) -> (not (pred a)) || pred b
+    | Pred.Iff (a, b) -> pred a = pred b
+  in
+  match pred p with b -> Some b | exception Unvalued -> None
+
+(* Hypotheses and a goal over [x], [y], [z], applications of [uf] and a
+   boolean. *)
+let gen_query =
+  let open QCheck.Gen in
+  let vars = [ x; y; z; Term.app uf [ x ]; Term.app uf [ y ] ] in
+  let fact =
+    frequency [ (6, gen_pred vars); (1, return flag); (1, return (Pred.not_ flag)) ]
+  in
+  pair (list_size (int_range 0 4) fact) fact
+
+let prop_invalid_models_satisfy_queries =
+  QCheck.Test.make ~count:1000 ~long_factor:10
+    ~name:"solver: an Invalid model never falsifies its query"
+    (QCheck.make
+       ~print:(fun (hyps, goal) ->
+         String.concat ", " (List.map Pred.to_string hyps) ^ " => " ^ Pred.to_string goal)
+       gen_query)
+    (fun (hyps, goal) ->
+      let q = Solver.prepare (Solver.index hyps) goal in
+      match Solver.check_query q with
+      | Solver.Invalid cex -> eval_raw cex.Solver.raw q.Solver.query <> Some false
+      | Solver.Valid | Solver.Unknown -> true)
+
 let tests =
   tests
   @ List.map QCheck_alcotest.to_alcotest
@@ -987,3 +1135,5 @@ let tests =
     ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_simplex_matches_reference_large; prop_normalize_matches_reference ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_simplex_explains; prop_theory_explains; prop_invalid_models_satisfy_queries ]
