@@ -435,7 +435,7 @@ let request_timeout_arg =
     & opt float 300.0
     & info [ "request-timeout" ] ~docv:"SECONDS"
         ~doc:"Under $(b,--serve): wall-clock budget per program; an \
-              exceeded solve is retried once, then rejected with E_TIMEOUT. \
+              exceeded solve is killed and rejected with E_TIMEOUT. \
               0 disables the timeout")
 
 let max_inflight_arg =

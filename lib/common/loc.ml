@@ -10,8 +10,6 @@ let dummy = { file = "<none>"; start_pos = dummy_pos; end_pos = dummy_pos }
 
 let is_dummy t = t.file = "<none>"
 
-let make ~file ~start_pos ~end_pos = { file; start_pos; end_pos }
-
 let of_lexing (p1 : Lexing.position) (p2 : Lexing.position) =
   let cvt (p : Lexing.position) =
     { line = p.pos_lnum; col = p.pos_cnum - p.pos_bol }
@@ -59,5 +57,3 @@ let pp ppf t =
   else
     Fmt.pf ppf "%s:%d.%d-%d.%d" t.file t.start_pos.line t.start_pos.col
       t.end_pos.line t.end_pos.col
-
-let to_string t = Fmt.str "%a" pp t

@@ -8,8 +8,6 @@ val dummy_pos : pos
 val dummy : t
 val is_dummy : t -> bool
 
-val make : file:string -> start_pos:pos -> end_pos:pos -> t
-
 (** Build a span from two lexer positions. *)
 val of_lexing : Lexing.position -> Lexing.position -> t
 
@@ -24,4 +22,3 @@ val contains : t -> t -> bool
 val compare : t -> t -> int
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

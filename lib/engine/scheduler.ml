@@ -1,5 +1,5 @@
-(** Forked worker jobs with per-attempt wall-clock timeouts, one
-    retry, and graceful failure surfacing.
+(** Forked worker jobs with a per-job wall-clock timeout and graceful
+    failure surfacing.
 
     {!submit} forks one unit of work immediately and returns a handle;
     the caller multiplexes over {!job_fd}/{!job_deadline} (e.g. in its
@@ -7,12 +7,13 @@
     the verification daemon's reactor uses: solves run in a pool of
     workers while the event loop keeps accepting and replying.
 
-    Fault isolation lives {e inside} [step]: each attempt has an
-    optional wall-clock [timeout]; a worker that exceeds it is killed
-    ([SIGKILL]) and the job retried once, likewise for a worker that
-    crashes (non-zero exit, signal, or a truncated/unreadable payload).
-    A job whose second attempt also fails surfaces as {!Failed} — a job
-    never wedges its caller. *)
+    Fault isolation lives {e inside} [step]: a job has an optional
+    wall-clock [timeout]; a worker that exceeds it is killed
+    ([SIGKILL]), and the job surfaces as {!Failed}, likewise for a
+    worker that crashes (non-zero exit, signal, or a truncated or
+    unreadable payload) — a job never wedges its caller.  There is no
+    retry: the work is a pure function of its inputs, so a second
+    attempt would repeat the first. *)
 
 (** Test-only fault injection, applied in the worker immediately after
     the fork: [Hang] loops forever (exercising the timeout path),
@@ -21,7 +22,7 @@ type fault = Hang | Crash
 
 type 'r outcome =
   | Done of 'r
-  | Failed of { timed_out : bool; attempts : int; detail : string }
+  | Failed of { timed_out : bool; detail : string }
 
 let rec select_eintr fds t =
   try Unix.select fds [] [] t
@@ -38,20 +39,19 @@ let status_detail = function
   | Unix.WSTOPPED n -> Printf.sprintf "worker stopped by signal %d" n
 
 (* ------------------------------------------------------------------ *)
-(* One attempt: a forked worker and the pipe its result crosses        *)
+(* A job: a forked worker and the pipe its result crosses              *)
 
-type attempt = {
+type 'r job = {
   pid : int;
   fd : Unix.file_descr;
-  deadline : float option; (* absolute, for this attempt *)
-  n : int; (* 1 or 2 *)
+  deadline : float option; (* absolute *)
+  mutable outcome : 'r outcome option;
 }
 
-(** Fork one attempt.  The child runs [work ()] and marshals [Ok result]
+(** Fork the worker.  The child runs [work ()] and marshals [Ok result]
     (or [Error exn_string]) back; it exits with [_exit] so inherited
     output buffers are never flushed twice. *)
-let spawn_attempt ?timeout ~(fault : unit -> fault option)
-    ~(work : unit -> 'r) (n : int) : attempt =
+let submit ?timeout ?(fault = fun () -> None) (work : unit -> 'r) : 'r job =
   let rd, wr = Unix.pipe () in
   match Unix.fork () with
   | 0 ->
@@ -77,83 +77,42 @@ let spawn_attempt ?timeout ~(fault : unit -> fault option)
   | pid ->
       Unix.close wr;
       let deadline = Option.map (fun t -> Unix.gettimeofday () +. t) timeout in
-      { pid; fd = rd; deadline; n }
+      { pid; fd = rd; deadline; outcome = None }
 
-(** Read a worker's payload.  Returns [Ok result] or [Error detail];
-    always reaps the child and closes the pipe. *)
-let collect_attempt (a : attempt) : ('r, string) Result.t =
-  let ic = Unix.in_channel_of_descr a.fd in
+let job_fd (j : 'r job) = j.fd
+let job_deadline (j : 'r job) = j.deadline
+
+(** Read the worker's payload.  Always reaps the child and closes the
+    pipe. *)
+let collect (j : 'r job) : 'r outcome =
+  let ic = Unix.in_channel_of_descr j.fd in
   let payload =
     match (Marshal.from_channel ic : ('r, string) Result.t) with
     | p -> Some p
     | exception _ -> None
   in
   close_in_noerr ic;
-  let status = waitpid_eintr a.pid in
+  let status = waitpid_eintr j.pid in
   match payload with
-  | Some (Ok res) -> Ok res
-  | Some (Error msg) -> Error ("worker raised: " ^ msg)
-  | None -> Error (status_detail status)
+  | Some (Ok res) -> Done res
+  | Some (Error msg) -> Failed { timed_out = false; detail = "worker raised: " ^ msg }
+  | None -> Failed { timed_out = false; detail = status_detail status }
 
-let kill_attempt (a : attempt) : unit =
-  (try Unix.kill a.pid Sys.sigkill with Unix.Unix_error _ -> ());
-  ignore (waitpid_eintr a.pid);
-  try Unix.close a.fd with Unix.Unix_error _ -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Async jobs                                                          *)
-
-type 'r job = {
-  j_timeout : float option;
-  j_work : unit -> 'r;
-  j_fault : unit -> fault option;
-  mutable j_att : attempt;
-  mutable j_done : 'r outcome option;
-}
-
-let submit ?timeout ?(fault = fun () -> None) (work : unit -> 'r) : 'r job =
-  {
-    j_timeout = timeout;
-    j_work = work;
-    j_fault = fault;
-    j_att = spawn_attempt ?timeout ~fault ~work 1;
-    j_done = None;
-  }
-
-let job_fd (j : 'r job) = j.j_att.fd
-let job_deadline (j : 'r job) = j.j_att.deadline
+let kill (j : 'r job) : 'r outcome =
+  (try Unix.kill j.pid Sys.sigkill with Unix.Unix_error _ -> ());
+  ignore (waitpid_eintr j.pid);
+  (try Unix.close j.fd with Unix.Unix_error _ -> ());
+  Failed { timed_out = true; detail = "killed at its deadline" }
 
 let readable fd =
   match select_eintr [ fd ] 0.0 with [], _, _ -> false | _ -> true
 
 let step (j : 'r job) : 'r outcome option =
-  match j.j_done with
-  | Some _ as d -> d
-  | None ->
-      let finish o =
-        j.j_done <- Some o;
-        j.j_done
-      in
-      let retry_or_fail ~timed_out detail =
-        if j.j_att.n >= 2 then
-          finish (Failed { timed_out; attempts = j.j_att.n; detail })
-        else begin
-          j.j_att <-
-            spawn_attempt ?timeout:j.j_timeout ~fault:j.j_fault ~work:j.j_work
-              (j.j_att.n + 1);
-          None
-        end
-      in
-      if readable j.j_att.fd then
-        match collect_attempt j.j_att with
-        | Ok res -> finish (Done res)
-        | Error detail -> retry_or_fail ~timed_out:false detail
-      else begin
-        match j.j_att.deadline with
-        | Some d when d <= Unix.gettimeofday () ->
-            kill_attempt j.j_att;
-            retry_or_fail ~timed_out:true
-              (Printf.sprintf "timed out after %.1fs"
-                 (Option.value ~default:0.0 j.j_timeout))
-        | _ -> None
-      end
+  if Option.is_none j.outcome then
+    if readable j.fd then j.outcome <- Some (collect j)
+    else begin
+      match j.deadline with
+      | Some d when d <= Unix.gettimeofday () -> j.outcome <- Some (kill j)
+      | _ -> ()
+    end;
+  j.outcome

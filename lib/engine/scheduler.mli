@@ -1,5 +1,6 @@
-(** Work in forked worker processes, with per-attempt wall-clock
-    timeouts, one retry, and graceful failure surfacing.
+(** Work in forked worker processes, with a per-job wall-clock timeout
+    and graceful failure surfacing.  A job runs once: a crash or a
+    timeout is its outcome, not a cue to respawn it.
 
     An {e async job} API ({!submit} / {!step}) for callers that
     multiplex work inside their own event loop: the verification
@@ -14,13 +15,11 @@ type fault = Hang | Crash
 
 type 'r outcome =
   | Done of 'r
-  | Failed of { timed_out : bool; attempts : int; detail : string }
+  | Failed of { timed_out : bool; detail : string }
 
 (** A unit of work running in a forked worker.  The handle owns the
     worker's result pipe; drive it with {!step} until an outcome
-    appears.  Retry-on-crash and kill-on-timeout happen inside [step],
-    so a job presents at most one live worker (and so one pipe fd) at a
-    time. *)
+    appears.  Kill-on-timeout happens inside [step]. *)
 type 'r job
 
 (** [submit ?timeout ?fault work] forks a worker running [work ()] now
@@ -30,18 +29,16 @@ type 'r job
     worker} right after the fork — test-only. *)
 val submit : ?timeout:float -> ?fault:(unit -> fault option) -> (unit -> 'r) -> 'r job
 
-(** The result pipe of the job's current attempt — select/poll on it.
-    Respawned attempts change the fd, so re-query after every {!step}. *)
+(** The result pipe of the job's worker — select/poll on it. *)
 val job_fd : 'r job -> Unix.file_descr
 
-(** Absolute deadline of the current attempt, when a timeout was set:
-    feed [min] of these into the select timeout so expired workers are
-    killed promptly. *)
+(** Absolute deadline of the job, when a timeout was set: feed [min] of
+    these into the select timeout so expired workers are killed
+    promptly. *)
 val job_deadline : 'r job -> float option
 
 (** Make progress: if the worker's pipe is readable, collect its payload
-    (reaping the child); if its deadline has passed, kill it.  A first
-    failure respawns the attempt and returns [None]; a success or second
-    failure returns the job's final outcome (idempotently from then
-    on). *)
+    (reaping the child) and return the job's outcome; if its deadline
+    has passed, kill it and return [Failed].  [None] while the worker
+    runs; the same outcome on every call once there is one. *)
 val step : 'r job -> 'r outcome option

@@ -57,8 +57,6 @@ let all () = List.rev !order
 let measures_on tycon =
   List.filter (fun m -> String.equal m.tycon tycon) (all ())
 
-let user_measures () = List.filter (fun m -> not m.builtin) (all ())
-
 (* A measure is non-negative when every equation body is, granting the
    induction hypothesis that recursive applications of the measure
    itself (and previously registered non-negative measures) are
@@ -218,10 +216,4 @@ let pp ppf m =
   Fmt.pf ppf "measure %s : %s =%a" m.name m.tycon
     (Fmt.list ~sep:Fmt.nop (fun ppf e ->
          Fmt.pf ppf "@ | %s/%d -> %a" e.ctor e.arity pp_body e.body))
-    m.eqns
-
-(** Stable digest of a measure's definition, for cache keys. *)
-let fingerprint m =
-  Fmt.str "%s:%s:%b:%a" m.name m.tycon m.nonneg
-    (Fmt.list ~sep:(Fmt.any ";") pp_eqn)
     m.eqns

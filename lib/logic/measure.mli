@@ -43,8 +43,6 @@ val all : unit -> t list
 (** Measures over one datatype, registration order. *)
 val measures_on : string -> t list
 
-val user_measures : unit -> t list
-
 (** Built-in entries. *)
 val llen : t
 
@@ -71,6 +69,3 @@ val ctor_axioms :
 val pp_body : Format.formatter -> body -> unit
 val pp_eqn : Format.formatter -> eqn -> unit
 val pp : Format.formatter -> t -> unit
-
-(** Stable digest of a definition, for cache keys. *)
-val fingerprint : t -> string

@@ -25,7 +25,5 @@ let pp ppf = function
   | Bool -> Fmt.string ppf "bool"
   | Obj -> Fmt.string ppf "obj"
 
-let to_string t = Fmt.str "%a" pp t
-
 (** First-order signature of an uninterpreted function symbol. *)
 type signature = { args : t list; result : t }

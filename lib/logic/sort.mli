@@ -10,7 +10,6 @@ type t = Int | Bool | Obj
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string
 
 (** First-order signature of an uninterpreted function symbol. *)
 type signature = { args : t list; result : t }

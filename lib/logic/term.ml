@@ -179,10 +179,6 @@ let rec vars t =
       t.fvs <- Some vs;
       vs
 
-(** Accumulating variant kept for callers that merge several var sets
-    themselves (the result may contain duplicates across terms). *)
-let free_vars acc t = vars t @ acc
-
 let mem_var x t = List.exists (fun (y, _) -> Ident.equal x y) (vars t)
 
 (* ------------------------------------------------------------------ *)

@@ -58,10 +58,7 @@ val rehasher : unit -> t -> t
 val sort : t -> Sort.t
 
 (** Free variables with sorts, deduplicated, in left-to-right
-    first-occurrence order; memoized per node.  [free_vars] is the
-    accumulating variant ([vars t @ acc]). *)
-val free_vars : (Ident.t * Sort.t) list -> t -> (Ident.t * Sort.t) list
-
+    first-occurrence order; memoized per node. *)
 val vars : t -> (Ident.t * Sort.t) list
 val mem_var : Ident.t -> t -> bool
 

@@ -26,35 +26,6 @@ let connect sock =
       close c;
       raise e
 
-(* Equal-jitter exponential backoff: attempt [k] (0-based) sleeps for
-   [c/2 + u*c/2] where [c = min cap (base * 2^k)] and [u] is a
-   deterministic pseudo-uniform draw from [(seed, k)].  The exponential
-   ceiling spaces retries out as the daemon stays busy; the jitter
-   de-synchronizes a herd of clients that all started retrying at the
-   same instant (e.g. forked by one parent), so their connect attempts
-   don't arrive in lockstep bursts. *)
-let backoff_delay ~base ~cap ~seed k =
-  let ceiling = Float.min cap (base *. Float.pow 2. (float_of_int k)) in
-  let u =
-    float_of_int (Hashtbl.seeded_hash seed k land 0xFFFF) /. 65536.
-  in
-  (ceiling /. 2.) +. (ceiling /. 2. *. u)
-
-let connect_retry ?(attempts = 50) ?(delay = 0.1) ?(cap = 2.0) ?seed sock =
-  let seed = match seed with Some s -> s | None -> Unix.getpid () in
-  let last = max 1 attempts - 1 in
-  let rec go k =
-    match connect sock with
-    | c -> c
-    | exception (Unix.Unix_error ((ECONNREFUSED | ENOENT), _, _) as e) ->
-        if k >= last then raise e
-        else begin
-          Unix.sleepf (backoff_delay ~base:delay ~cap ~seed k);
-          go (k + 1)
-        end
-  in
-  go 0
-
 let roundtrip c q =
   Protocol.send_request c.oc q;
   Protocol.recv_reply c.ic

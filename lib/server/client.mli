@@ -7,22 +7,6 @@ type t
     @raise Unix.Unix_error when nothing is listening on [sock]. *)
 val connect : string -> t
 
-(** The retry schedule of {!connect_retry}, exposed for tests: attempt
-    [k] (0-based) sleeps for [c/2 + u*c/2] where
-    [c = min cap (base * 2^k)] and [u ∈ \[0, 1)] is drawn
-    deterministically from [(seed, k)] — equal-jitter exponential
-    backoff.  Delays grow with [k] until capped, never exceed [cap],
-    never undercut half the ceiling, and different seeds spread a herd
-    of simultaneous clients apart. *)
-val backoff_delay : base:float -> cap:float -> seed:int -> int -> float
-
-(** As {!connect}, retrying while the daemon is still starting up (or
-    briefly out of descriptors), sleeping {!backoff_delay} between
-    attempts.  Defaults: 50 attempts, [base = 0.1] s, [cap = 2] s,
-    [seed] = this process's pid. *)
-val connect_retry :
-  ?attempts:int -> ?delay:float -> ?cap:float -> ?seed:int -> string -> t
-
 (** Verify a batch; replies come back in request order.
     @raise Failure if the server answers with a protocol error. *)
 val verify : t -> Protocol.verify_request list -> Protocol.verify_reply list

@@ -59,10 +59,10 @@ val request :
 (** Structured failure for one program; the daemon survives all of
     them.  Codes: [E_QUALIFIER] / [E_SPEC] (malformed request inputs),
     [E_SOURCE] (lex/parse/type error in the program), [E_CRASH] (the
-    solve worker died, after one retry), [E_TIMEOUT] (the solve worker
-    exceeded the request timeout, after one retry), [E_OVERLOAD] (shed:
-    the per-client queue or the global in-flight cap was full — retry
-    later). *)
+    solve worker died), [E_TIMEOUT] (the solve worker exceeded the
+    request timeout and was killed), [E_OVERLOAD] (shed: the per-client
+    queue or the global in-flight cap was full — retry later).  A solve
+    runs once; the daemon never respawns a failed one. *)
 type verify_error = { ve_code : string; ve_message : string }
 
 type verify_reply =

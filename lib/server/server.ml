@@ -320,16 +320,14 @@ let settle st (p : pending) (outcome : work_result Scheduler.outcome) =
           st.failures <- st.failures + 1;
           fill st w (Protocol.Rejected e))
         waiters
-  | Scheduler.Failed { timed_out; attempts; detail } ->
+  | Scheduler.Failed { timed_out; detail } ->
       let code = if timed_out then "E_TIMEOUT" else "E_CRASH" in
       let e =
         {
           Protocol.ve_code = code;
           ve_message =
-            Fmt.str "solve worker %s after %d attempt%s: %s"
+            Fmt.str "solve worker %s: %s"
               (if timed_out then "timed out" else "crashed")
-              attempts
-              (if attempts = 1 then "" else "s")
               detail;
         }
       in

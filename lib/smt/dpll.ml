@@ -3,9 +3,13 @@
 
     The loop is the classic offline lazy schema: find a propositional
     model; check the induced conjunction of theory literals; on theory
-    conflict add a blocking clause (the negation of the assigned theory
-    literals) and resume.  Termination: each blocking clause removes at
-    least one propositional model from a finite space.
+    conflict add a blocking clause, the negation of a core of the
+    assigned theory literals, and resume.  Every conflict, from the
+    first model on, is blocked by a core: the literals the theory names
+    as its explanation, or else a core bisected out of the assignment
+    ({!shrink_core}).  Termination: a core is a subset of the assigned
+    literals, so each blocking clause removes at least the current
+    propositional model from a finite space.
 
     The propositional search itself is a recursive DPLL with unit
     propagation, stopping as soon as every clause is satisfied (leaving
@@ -237,20 +241,15 @@ let check_sat (p : Liquid_logic.Pred.t) : result =
                which pays for itself by slashing the model
                enumeration. *)
             let core =
-              (* Adaptive: plain blocking is cheapest when a query needs
-                 only a few models; once enumeration shows signs of
-                 blowing up, block cores. *)
-              if 2000 - iters < 8 || List.length !lits > 100 then !lits
-              else
-                match explained with
-                | Some is ->
-                    (* Reversed, as a bisected core comes back. *)
-                    List.rev (at_positions is !lits)
-                | None ->
-                    shrink_core
-                      ~unsat:(fun ls ->
-                        theory_unsat (List.map (fun (_, a, p) -> (a, p)) ls))
-                      !lits
+              match explained with
+              | Some is ->
+                  (* Reversed, as a bisected core comes back. *)
+                  List.rev (at_positions is !lits)
+              | None ->
+                  shrink_core
+                    ~unsat:(fun ls ->
+                      theory_unsat (List.map (fun (_, a, p) -> (a, p)) ls))
+                    !lits
             in
             let blocking =
               List.map (fun (v, _, pos) -> if pos then -(v + 1) else v + 1) core

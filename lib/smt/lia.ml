@@ -23,7 +23,7 @@ type cons = { exp : Linexp.t; op : op; rhs : Rat.t }
 
 type result = Sat of Rat.t array | Unsat of int list option | Unknown
 
-let default_budget = 400
+let budget = 400 (* branch-and-bound nodes per check *)
 
 let nnodes_total = ref 0
 
@@ -98,7 +98,7 @@ let fractional model =
   in
   go 0
 
-let check ?(budget = default_budget) ~nvars (cs : cons list) : result =
+let check ~nvars (cs : cons list) : result =
   let nodes = ref 0 in
   (* Normalize once up front, keeping the position in [cs] of each
      constraint that stays; later branch constraints are already

@@ -14,8 +14,6 @@ type cons = { exp : Linexp.t; op : op; rhs : Rat.t }
     relaxation.  A conflict found only after branching has none. *)
 type result = Sat of Rat.t array | Unsat of int list option | Unknown
 
-val default_budget : int
-
 (** Branch-and-bound nodes across all checks (instrumentation). *)
 val nnodes_total : int ref
 
@@ -26,5 +24,5 @@ val nnodes_total : int ref
 val normalize : cons -> cons option option
 
 (** Decide a conjunction of integer constraints over variables
-    [0 .. nvars-1].  [budget] bounds branch-and-bound nodes. *)
-val check : ?budget:int -> nvars:int -> cons list -> result
+    [0 .. nvars-1]; [Unknown] once branch and bound exceeds 400 nodes. *)
+val check : nvars:int -> cons list -> result

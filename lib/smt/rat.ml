@@ -95,7 +95,6 @@ let equal a b = a.num = b.num && a.den = b.den
 let lt a b = compare a b < 0
 let le a b = compare a b <= 0
 let min a b = if le a b then a else b
-let max a b = if le a b then b else a
 
 (** Largest integer [<= t]. *)
 let floor t =
@@ -106,9 +105,5 @@ let floor t =
 (** Smallest integer [>= t]. *)
 let ceil t = -floor (neg t)
 
-let to_float t = float_of_int t.num /. float_of_int t.den
-
 let pp ppf t =
   if t.den = 1 then Fmt.int ppf t.num else Fmt.pf ppf "%d/%d" t.num t.den
-
-let to_string t = Fmt.str "%a" pp t

@@ -45,7 +45,6 @@ val equal : t -> t -> bool
 val lt : t -> t -> bool
 val le : t -> t -> bool
 val min : t -> t -> t
-val max : t -> t -> t
 
 (** Largest integer [<= t]. *)
 val floor : t -> int
@@ -53,6 +52,4 @@ val floor : t -> int
 (** Smallest integer [>= t]. *)
 val ceil : t -> int
 
-val to_float : t -> float
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

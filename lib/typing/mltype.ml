@@ -176,8 +176,6 @@ and pp_atom ppf t =
   | Tarrow _ | Ttuple _ -> Fmt.pf ppf "(%a)" pp t
   | _ -> pp ppf t
 
-let to_string t = Fmt.str "%a" pp t
-
 let pp_scheme ppf { nvars; body } =
   if nvars = 0 then pp ppf body
   else

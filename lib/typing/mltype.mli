@@ -49,5 +49,4 @@ val instantiate : int -> scheme -> t * t list
 val tyvar_name : int -> string
 val pp : Format.formatter -> t -> unit
 val pp_atom : Format.formatter -> t -> unit
-val to_string : t -> string
 val pp_scheme : Format.formatter -> scheme -> unit

@@ -416,7 +416,7 @@ let expect_verified = function
 
 let test_daemon_round_trip () =
   with_server (fun sock ->
-      let c = Client.connect_retry sock in
+      let c = Test_server.connect_when_up sock in
       Fun.protect
         ~finally:(fun () -> Client.close c)
         (fun () ->

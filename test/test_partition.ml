@@ -125,10 +125,8 @@ let settle jobs =
     jobs
 
 let check_failed what ~timed_out = function
-  | Scheduler.Failed f ->
-      check_bool (what ^ ": timed out") timed_out f.timed_out;
-      check_int (what ^ ": retried once") 2 f.attempts
-  | Scheduler.Done _ -> Alcotest.failf "%s job should fail after a retry" what
+  | Scheduler.Failed f -> check_bool (what ^ ": timed out") timed_out f.timed_out
+  | Scheduler.Done _ -> Alcotest.failf "%s job should fail" what
 
 let check_healthy = function
   | Scheduler.Done r -> check_int "healthy job completes" 7 r

@@ -88,8 +88,19 @@ let stop_server pid sock =
   (try Client.with_connection sock Client.shutdown with _ -> ());
   ignore (Unix.waitpid [] pid)
 
+(* Connect to a daemon forked a moment ago: poll until it listens. *)
+let connect_when_up sock =
+  let rec go tries =
+    match Client.connect sock with
+    | c -> c
+    | exception Unix.Unix_error ((ECONNREFUSED | ENOENT), _, _) when tries > 1 ->
+        Unix.sleepf 0.05;
+        go (tries - 1)
+  in
+  go 400
+
 let with_client sock f =
-  let c = Client.connect_retry sock in
+  let c = connect_when_up sock in
   Fun.protect ~finally:(fun () -> Client.close c) (fun () -> f c)
 
 let with_server ?cache_dir ?request_timeout ?jobs ?max_inflight ?client_queue
@@ -489,8 +500,8 @@ let test_coalescing () =
     (fun name -> if name = "dup.ml" then Some 0.5 else None)
     (fun () ->
       with_server (fun sock ->
-          let c1 = Client.connect_retry sock in
-          let c2 = Client.connect_retry sock in
+          let c1 = connect_when_up sock in
+          let c2 = connect_when_up sock in
           Fun.protect
             ~finally:(fun () ->
               Client.close c1;
@@ -631,7 +642,7 @@ let test_graceful_drain () =
       with_dir (fun base ->
           let sock = Filename.concat base "d.sock" in
           let pid = start_server sock in
-          let c1 = Client.connect_retry sock in
+          let c1 = connect_when_up sock in
           Fun.protect
             ~finally:(fun () -> Client.close c1)
             (fun () ->
@@ -644,25 +655,6 @@ let test_graceful_drain () =
               check_bool "in-flight solve answered through the drain" true
                 r.Pipeline.safe);
           ignore (Unix.waitpid [] pid)))
-
-(* The connect-retry schedule, as pure arithmetic: equal-jitter delays
-   sit in [c/2, c] of an exponentially growing, capped ceiling, are
-   reproducible per seed, and differ across seeds. *)
-let test_backoff_schedule () =
-  let base = 0.1 and cap = 2.0 in
-  let delays seed = List.init 10 (Client.backoff_delay ~base ~cap ~seed) in
-  let d42 = delays 42 in
-  List.iteri
-    (fun k d ->
-      let ceiling = Float.min cap (base *. Float.pow 2. (float_of_int k)) in
-      check_bool "delay at least half the ceiling" true
-        (d >= (ceiling /. 2.) -. 1e-9);
-      check_bool "delay at most the ceiling" true (d <= ceiling +. 1e-9))
-    d42;
-  check_bool "ceiling reaches the cap" true
-    (List.nth d42 9 >= (cap /. 2.) -. 1e-9);
-  check_bool "deterministic for a fixed seed" true (delays 42 = d42);
-  check_bool "different seeds de-synchronize the herd" true (delays 7 <> d42)
 
 let tests =
   let tc name f = Alcotest.test_case name `Quick f in
@@ -684,8 +676,6 @@ let tests =
     tc "a stalled client never blocks healthy ones" test_stalled_client;
     tc "pipelined batches reply in request order" test_pipelined_order;
     tc "shutdown drains in-flight solves" test_graceful_drain;
-    tc "connect backoff is jittered, exponential, capped"
-      test_backoff_schedule;
     slow "suite through warm daemon equals direct runs"
       test_suite_warm_equals_cold;
   ]

@@ -347,11 +347,11 @@ let gen_term vars =
           ])
     2
 
-let gen_pred vars =
+let gen_pred ?(term = gen_term) ?(depth = 2) vars =
   let open QCheck.Gen in
   let atom =
-    let* t1 = gen_term vars in
-    let* t2 = gen_term vars in
+    let* t1 = term vars in
+    let* t2 = term vars in
     let* rel = oneofl Pred.[ Eq; Ne; Lt; Le; Gt; Ge ] in
     return (Pred.atom t1 rel t2)
   in
@@ -367,7 +367,20 @@ let gen_pred vars =
             (2, map2 Pred.or_ (self (depth - 1)) (self (depth - 1)));
             (1, map2 Pred.imp (self (depth - 1)) (self (depth - 1)));
           ])
-    2
+    depth
+
+(* The brute-force properties' formulas: Boolean depth 3 over terms with
+   products, so that queries reach congruence conflicts and the core
+   bisection.  [Pred.eval] multiplies, which is one interpretation of
+   the uninterpreted [mul], so a brute-force model is still a model.
+   The Invalid-model oracle below keeps linear terms: it multiplies,
+   while a solver model values [mul] as uninterpreted. *)
+let gen_brute_pred vars =
+  let term vars =
+    QCheck.Gen.(
+      frequency [ (3, gen_term vars); (1, map2 Term.mul (gen_term vars) (gen_term vars)) ])
+  in
+  gen_pred ~term ~depth:3 vars
 
 (* Brute-force satisfiability over assignments in [-bound, bound]. *)
 let brute_sat vars p ~bound =
@@ -391,8 +404,9 @@ let brute_sat vars p ~bound =
 
 let prop_solver_agrees_with_brute_force =
   let vars = [ x; y; z ] in
-  QCheck.Test.make ~count:300 ~name:"solver never refutes a brute-force model"
-    (QCheck.make (gen_pred vars))
+  QCheck.Test.make ~count:300 ~long_factor:10
+    ~name:"solver never refutes a brute-force model"
+    (QCheck.make ~print:Pred.to_string (gen_brute_pred vars))
     (fun p ->
       (* If a small model exists, the solver must not report UNSAT.
          (The converse direction needs unbounded search, so we only check
@@ -402,8 +416,11 @@ let prop_solver_agrees_with_brute_force =
 
 let prop_valid_implications_hold =
   let vars = [ x; y; z ] in
-  QCheck.Test.make ~count:300 ~name:"Valid answers are truly valid on small domain"
-    (QCheck.make QCheck.Gen.(pair (gen_pred vars) (gen_pred vars)))
+  QCheck.Test.make ~count:300 ~long_factor:10
+    ~name:"Valid answers are truly valid on small domain"
+    (QCheck.make
+       ~print:(fun (h, g) -> Pred.to_string h ^ " => " ^ Pred.to_string g)
+       QCheck.Gen.(pair (gen_brute_pred vars) (gen_brute_pred vars)))
     (fun (h, g) ->
       match Solver.check_valid [ h ] g with
       | Solver.Valid ->
