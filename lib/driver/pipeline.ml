@@ -20,13 +20,6 @@ type error = {
       (* falsifying values, when available *)
 }
 
-type part_stat = Fixpoint.part_info = {
-  pt_id : int;
-  pt_kvars : int;
-  pt_subs : int;
-  pt_time : float;
-}
-
 type stats = {
   source_lines : int;
   ast_nodes : int;
@@ -54,7 +47,7 @@ type stats = {
   n_diagnostics : int; (* lint diagnostics emitted *)
   n_partitions : int; (* solve units in the partition plan *)
   critical_path : int; (* longest dependency chain, in partitions *)
-  partitions : part_stat list; (* by partition id *)
+  partitions : Fixpoint.part_info list; (* by partition id *)
   n_residuals : int; (* residual casts ([--gradual] runs only) *)
   n_pcache_lookups : int; (* persistent-cache probes for this run (0/1) *)
   n_pcache_hits : int; (* runs served from the persistent cache (0/1) *)
@@ -63,7 +56,7 @@ type stats = {
   elapsed : float; (* sum of the phase times below *)
   phases : (string * float) list;
       (* per-phase wall-clock seconds, in pipeline order:
-         parse, anf, hm, congen, partition, solve, merge, gradual (when
+         parse, anf, hm, congen, partition, solve, gradual (when
          enabled), explain (when enabled), lint.  [elapsed] is exactly
          their sum. *)
 }
@@ -294,11 +287,14 @@ let verify_program ?(options = default) ?(parse_time = 0.0)
      content key (constraints, qualifier patterns and mined constants,
      upstream κ solutions — computed by {!Fixpoint.solve}), so a
      re-verify after an edit reuses every unit outside the edit's
-     downstream cone.  The fingerprint carries the payload version, the
-     [gradual] flag and the declaration digest; everything else that
-     could change the result is already in the solve's key.  The
-     fingerprint joins the store key too, so runs that differ only in
-     it address different entries instead of evicting each other's. *)
+     downstream cone.  The fingerprint carries the payload version and
+     the declaration digest; everything else that could change the
+     result is already in the solve's key.  The [gradual] flag is not
+     in it: gradual classification reads the final solution after the
+     solve, so a unit's partial is the same in both modes, and plain
+     and gradual runs share unit entries.  The fingerprint joins the
+     store key too, so runs that differ only in it address different
+     entries instead of evicting each other's. *)
   let punit_store =
     Option.map
       (fun dir -> Liquid_cache.Store.open_store ~dir ())
@@ -317,14 +313,11 @@ let verify_program ?(options = default) ?(parse_time = 0.0)
              invalidate every unit of the program even when the
              signatures it feeds are unchanged.  Declaration-free
              programs keep their pre-measure fingerprints. *)
-          (* [gradual] joins too: the solved partial is the same either
-             way, but gradual runs and plain runs must never share cache
-             entries — a stale partial served across the mode boundary
-             would make the two reports drift. *)
-          Fmt.str "%s|gradual=%b%s" Fixpoint.partial_version gradual
-            (match Measures.fingerprint decls with
-            | "" -> ""
-            | d -> "|decls=" ^ d)
+          Fixpoint.partial_version
+          ^
+          match Measures.fingerprint decls with
+          | "" -> ""
+          | d -> "|decls=" ^ d
         in
         let key k = Liquid_cache.Store.key store [ "punit"; fingerprint; k ] in
         ( Some
@@ -337,20 +330,13 @@ let verify_program ?(options = default) ?(parse_time = 0.0)
                 ~fingerprint p) )
   in
   (* Unit by unit, in process, the units sharing one elimination state
-     ({!Fixpoint.solve}). *)
-  let t0 = Unix.gettimeofday () in
+     ({!Fixpoint.solve}); each unit's concrete check runs right after its
+     weakening loop, so "solve" covers both. *)
   let res =
-    Fixpoint.solve ?reuse ?persist ~quals ~consts out.Congen.wfs
-      out.Congen.subs plan
+    timed phases "solve" (fun () ->
+        Fixpoint.solve ?reuse ?persist ~quals ~consts out.Congen.wfs
+          out.Congen.subs plan)
   in
-  let wall = Unix.gettimeofday () -. t0 in
-  (* Each unit runs its concrete check right after its weakening loop, so
-     "solve" covers both (solve wall minus the merge cost) and "merge"
-     is the merge cost. *)
-  phases :=
-    ("merge", res.Fixpoint.merge_time)
-    :: ("solve", max 0.0 (wall -. res.Fixpoint.merge_time))
-    :: !phases;
   (* Deduplicate identical failures (same origin span, same reason, same
      goal) before reporting and explanation, keeping a count: one bad κ
      read by many constraints must not flood the report. *)
@@ -803,13 +789,13 @@ let json_of_stats (s : stats) : Liquid_analysis.Json.t =
       ( "partition",
         Json.List
           (List.map
-             (fun p ->
+             (fun (p : Fixpoint.part_info) ->
                Json.Obj
                  [
-                   ("id", Json.Int p.pt_id);
-                   ("kvars", Json.Int p.pt_kvars);
-                   ("subs", Json.Int p.pt_subs);
-                   ("time", Json.Float p.pt_time);
+                   ("id", Json.Int p.Fixpoint.pt_id);
+                   ("kvars", Json.Int p.Fixpoint.pt_kvars);
+                   ("subs", Json.Int p.Fixpoint.pt_subs);
+                   ("time", Json.Float p.Fixpoint.pt_time);
                  ])
              s.partitions) );
       ("residuals", Json.Int s.n_residuals);

@@ -15,17 +15,6 @@ type error = {
       (* falsifying values, when available *)
 }
 
-(** Shape and per-unit cost of the solve plan (see
-    {!Liquid_infer.Constr.partition_plan}), as {!Liquid_infer.Fixpoint.solve}
-    records it.  Every run solves unit by unit, so [pt_time] is measured
-    on every run. *)
-type part_stat = Fixpoint.part_info = {
-  pt_id : int;
-  pt_kvars : int; (* κs owned by the partition *)
-  pt_subs : int; (* constraints solved there *)
-  pt_time : float; (* wall-clock seconds *)
-}
-
 type stats = {
   source_lines : int;
   ast_nodes : int;
@@ -35,7 +24,7 @@ type stats = {
   n_qualifiers : int; (* qualifier patterns supplied *)
   n_measures : int; (* user-declared measures in the program *)
   n_measure_axioms : int; (* measure axioms emitted during congen *)
-  n_initial_candidates : int; (* total instances over all κs *)
+  n_initial_candidates : int; (* instances over the solved units' κs *)
   n_alpha_collapsed : int;
       (* instances collapsed by orientation-level dedup at instantiation *)
   n_quals_pruned : int;
@@ -47,13 +36,18 @@ type stats = {
          change. *)
   n_implication_checks : int;
   n_smt_queries : int;
+      (* the solve's SMT queries.  This, [n_smt_cache_hits],
+         [n_implication_checks], [n_initial_candidates] and
+         [n_alpha_collapsed] count only the units the run solved: a unit
+         served from the partition cache ([n_punit_hits]) adds nothing,
+         so a run whose units all come from the cache reads 0 in each *)
   n_smt_cache_hits : int;
   n_lint_smt_queries : int; (* SMT queries spent by the lint pass *)
   n_explain_smt_queries : int; (* SMT queries spent by the explain pass *)
   n_diagnostics : int; (* lint diagnostics emitted *)
   n_partitions : int; (* solve units in the partition plan *)
   critical_path : int; (* longest dependency chain, in partitions *)
-  partitions : part_stat list; (* by partition id *)
+  partitions : Fixpoint.part_info list; (* by partition id *)
   n_residuals : int; (* residual casts ([gradual] runs only) *)
   n_pcache_lookups : int;
       (* persistent-cache probes for this run: 1 when [cache_dir] is
@@ -69,11 +63,11 @@ type stats = {
   elapsed : float; (* sum of the phase times below *)
   phases : (string * float) list;
       (* per-phase wall-clock seconds, in pipeline order:
-         parse, anf, hm, congen, partition, solve, merge, gradual (when
+         parse, anf, hm, congen, partition, solve, gradual (when
          enabled), explain (when enabled), lint.  [elapsed] is exactly
-         their sum.  "solve" is the solve's wall time, each unit's
-         concrete check included, less the folding of unit results,
-         which goes under "merge".  "lint" includes instantiating every
+         their sum.  "solve" is the solve's wall time: every unit's
+         cache probe or weakening loop and concrete check, and the
+         folding of its result.  "lint" includes instantiating every
          κ's qualifiers again for the dead-qualifier check. *)
 }
 
@@ -152,8 +146,11 @@ type options = {
          refute becomes a residual runtime cast ([report.residuals])
          instead of an error; only refuted obligations stay in
          [report.errors].  Residual reports are byte-identical across
-         cache temperatures and the daemon, and gradual/non-gradual runs
-         never share cache entries (both fingerprints carry the flag). *)
+         cache temperatures and the daemon.  Gradual and plain runs
+         never share a whole-run report entry ({!options_fingerprint}
+         carries the flag), but they share partition-cache entries:
+         classification reads the final solution after the solve, so a
+         unit's solved partial is the same in both modes. *)
 }
 
 (** Defaults: {!Liquid_infer.Qualifier.defaults}, mining on, no specs,

@@ -84,16 +84,14 @@ type result = { exs : explanation list; skipped : int }
 
 (* -- Bounds ---------------------------------------------------------- *)
 
-(* Per-κ cap on candidate qualifier instances, and per-failure cap on
-   candidate (local + survival) tests; both keep pathological qualifier
-   sets from turning explanation into a second fixpoint run. *)
-let max_candidates_per_kvar = 64
-
-(* 256 exhausts before reaching the right instance on programs with a
-   second concern in scope (more constants and scope variables inflate
-   the candidate pool); each probe is one query over an antecedent
-   compiled once per explanation run, so the larger budget costs tens
-   of milliseconds, not a second fixpoint run. *)
+(* Per-failure budget of candidate (local + survival) tests, the repair
+   search's only bound: it keeps pathological qualifier sets from turning
+   explanation into a second fixpoint run.  256 exhausts before reaching
+   the right instance on programs with a second concern in scope (more
+   constants and scope variables inflate the candidate pool); each probe
+   is one query over an antecedent compiled once per explanation run, so
+   the larger budget costs tens of milliseconds, not a second fixpoint
+   run. *)
 let max_repair_tests = 512
 
 (* Blame walks are capped in depth and breadth: past a few levels the
@@ -324,12 +322,10 @@ let candidates_for ctx (k : Rtype.kvar) : Pred.t list =
       in
       let current = ctx.lookup k in
       let cs =
-        Listx.take max_candidates_per_kvar
-          (List.filter
-             (fun p ->
-               (not (Pred.is_true p))
-               && not (List.exists (Pred.equal p) current))
-             inter)
+        List.filter
+          (fun p ->
+            (not (Pred.is_true p)) && not (List.exists (Pred.equal p) current))
+          inter
       in
       Hashtbl.add ctx.cand_cache k cs;
       cs

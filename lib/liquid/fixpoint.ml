@@ -39,10 +39,10 @@
     to.
 
     The engine is organized around {e solve units} ({!Constr.partition}):
-    the worklist, assignment fragment, compiled constraints, κ versions
-    and counters live in a per-unit record created by {!run_unit},
-    never in module globals.  {!solve} runs one unit per κ-SCC in
-    topological order and merges the resulting {!partial}s. *)
+    the worklist, assignment fragment, compiled constraints and κ
+    versions live in a per-unit record created by {!run_unit}, never in
+    module globals.  {!solve} runs one unit per κ-SCC in topological
+    order, folding each unit's {!partial} into the run's solution. *)
 
 open Liquid_common
 open Liquid_logic
@@ -67,12 +67,6 @@ type stats = {
   mutable initial_candidates : int;
   mutable alpha_collapsed : int;
       (* instances collapsed by orientation-level dedup at instantiation *)
-  mutable smt_queries : int;
-  mutable smt_cache_hits : int;
-  mutable smt_sat_checks : int;
-  mutable smt_unknowns : int;
-      (* movement of the global {!Solver.stats} counters during the solve,
-         replayed when a unit is served from the partition cache *)
 }
 
 type part_info = {
@@ -87,7 +81,6 @@ type result = {
   failures : failure list; (* in original-constraint order *)
   solver_stats : stats;
   parts : part_info list; (* by unit id *)
-  merge_time : float; (* seconds re-interning, storing, folding results *)
   unit_hits : int; (* units served from the partition cache *)
   unit_misses : int; (* units solved live under a partition cache *)
 }
@@ -333,9 +326,9 @@ let compile_sub (c : Constr.sub) : compiled =
     checks = Hashtbl.create 16;
   }
 
-(* The state one writer visit reads and updates: the unit's counters
-   and assignment, its compiled constraints and κ versions, and the
-   run's elimination state. *)
+(* The state one writer visit reads and updates: the unit's assignment,
+   compiled constraints and κ versions, and the run's counters and
+   elimination state. *)
 type shared = {
   stats : stats;
   assignment : Constr.solution ref;
@@ -784,20 +777,16 @@ let run_worklist ?elim (subs : Constr.sub list) (stats : stats)
 
 (* -- Solving one unit --------------------------------------------------------------- *)
 
-(** Result of solving one unit: the final assignment of its κs, its
-    concrete-check failures in constraint order, and its counters. *)
-type partial = {
-  pr_solution : Constr.solution;
-  pr_failures : failure list;
-  pr_stats : stats;
-}
+(** Result of solving one unit: the final assignment of its κs and its
+    concrete-check failures in constraint order. *)
+type partial = { pr_solution : Constr.solution; pr_failures : failure list }
 
 (* Versions the marshalled [partial] layout for the persistent
    partition cache.  The executable-stamp check already rejects entries
    across rebuilds; this tag additionally keys the {e meaning} of the
    payload, so a semantic change (what a partial promises, not just its
    shape) can invalidate old entries explicitly. *)
-let partial_version = "fixpoint-partial/v5"
+let partial_version = "fixpoint-partial/v6"
 
 let fresh_stats () =
   {
@@ -805,29 +794,19 @@ let fresh_stats () =
     implication_checks = 0;
     initial_candidates = 0;
     alpha_collapsed = 0;
-    smt_queries = 0;
-    smt_cache_hits = 0;
-    smt_sat_checks = 0;
-    smt_unknowns = 0;
   }
 
-(* Solve one unit to fixpoint and check its concrete obligations.
-   [init] is the initial (strongest) assignment of the unit's own κs;
-   [base] holds the final solutions of every upstream κ the unit's
-   constraints read.  [elim] is the run's model-based elimination
-   state, shared with every other unit of the run; without it the unit
-   is solved pool-free.  All other engine state is local to this
-   call. *)
-let run_unit ?elim ~(base : Constr.solution) ~(init : Constr.solution)
-    (subs : Constr.sub list) : partial =
-  let stats = fresh_stats () in
-  let smt = Solver.stats in
-  let q0 = smt.Solver.queries
-  and h0 = smt.Solver.cache_hits
-  and s0 = smt.Solver.sat_checks
-  and u0 = smt.Solver.unknowns in
+(* Solve one unit to fixpoint and check its concrete obligations,
+   counting into [stats].  [init] is the initial (strongest) assignment
+   of the unit's own κs; [base] holds the final solutions of every
+   upstream κ the unit's constraints read.  [elim] is the run's
+   model-based elimination state, shared with every other unit of the
+   run; without it the unit is solved pool-free.  All other engine state
+   is local to this call. *)
+let run_unit ?elim ~(stats : stats) ~(base : Constr.solution)
+    ~(init : Constr.solution) (subs : Constr.sub list) : partial =
   stats.initial_candidates <-
-    KMap.fold (fun _ ps n -> n + List.length ps) init 0;
+    KMap.fold (fun _ ps n -> n + List.length ps) init stats.initial_candidates;
   let assignment = ref init in
   (* Owned κs resolve through the unit's own (mutable) assignment;
      anything else is an upstream κ, final for the lifetime of this
@@ -865,29 +844,13 @@ let run_unit ?elim ~(base : Constr.solution) ~(init : Constr.solution)
             end)
       subs
   in
-  stats.smt_queries <- smt.Solver.queries - q0;
-  stats.smt_cache_hits <- smt.Solver.cache_hits - h0;
-  stats.smt_sat_checks <- smt.Solver.sat_checks - s0;
-  stats.smt_unknowns <- smt.Solver.unknowns - u0;
-  { pr_solution = !assignment; pr_failures = failures; pr_stats = stats }
+  { pr_solution = !assignment; pr_failures = failures }
 
-let solve_unit ~base ~init subs = run_unit ~base ~init subs
+let solve_unit ~base ~init subs =
+  let stats = fresh_stats () in
+  (run_unit ~stats ~base ~init subs, stats)
 
 (* -- Solving a plan ----------------------------------------------------------------- *)
-
-(* Pure sum of per-unit counters ([initial_candidates] included: units
-   own disjoint κ sets, so per-unit counts partition the global one). *)
-let merge_stats (a : stats) (b : stats) : stats =
-  {
-    iterations = a.iterations + b.iterations;
-    implication_checks = a.implication_checks + b.implication_checks;
-    initial_candidates = a.initial_candidates + b.initial_candidates;
-    alpha_collapsed = a.alpha_collapsed + b.alpha_collapsed;
-    smt_queries = a.smt_queries + b.smt_queries;
-    smt_cache_hits = a.smt_cache_hits + b.smt_cache_hits;
-    smt_sat_checks = a.smt_sat_checks + b.smt_sat_checks;
-    smt_unknowns = a.smt_unknowns + b.smt_unknowns;
-  }
 
 (* Re-intern a partial read back from the partition cache: every
    predicate in it is physically foreign after unmarshalling and must be
@@ -896,7 +859,6 @@ let merge_stats (a : stats) (b : stats) : stats =
 let rehash_partial (p : partial) : partial =
   let go = Pred.rehasher () in
   {
-    p with
     pr_solution = KMap.map (List.map go) p.pr_solution;
     pr_failures =
       List.map (fun f -> { f with f_goal = go f.f_goal }) p.pr_failures;
@@ -909,17 +871,17 @@ let solve ?(reuse : (string -> partial option) option)
   let parts = plan.Constr.parts in
   let unit_wfs = Constr.unit_wfs wfs in
   let elim = fresh_elim () in
+  let stats = fresh_stats () in
+  let collapsed = ref 0 in
   let solution = ref KMap.empty in
   let failures = ref [] in
-  let stats = ref (fresh_stats ()) in
   let infos = ref [] in
-  let merge_time = ref 0.0 in
   let caching = reuse <> None || persist <> None in
   let hits = ref 0 and misses = ref 0 in
   (* The digests a key is made of, taken only when caching: one of the
      run's qualifier patterns and mined constants (every unit's initial
      instances are a function of them and of its wf constraints), and
-     one of each merged unit's final solution. *)
+     one of each folded unit's final solution. *)
   let quals_digest =
     if caching then
       Digest.to_hex
@@ -942,7 +904,8 @@ let solve ?(reuse : (string -> partial option) option)
                    (Constr.sol_find !solution k))
                p.Constr.part_kvars)))
   in
-  (* Content key of unit [p]; valid once [p]'s dependencies merged. *)
+  (* Content key of unit [p]; valid once [p]'s dependencies are folded
+     in. *)
   let key_of (p : Constr.partition) own_wfs =
     Digest.to_hex
       (Digest.string
@@ -959,55 +922,41 @@ let solve ?(reuse : (string -> partial option) option)
       let cached =
         match (reuse, key) with Some f, Some k -> f k | _ -> None
       in
-      let partial, t1 =
+      let partial =
         match cached with
         | Some partial ->
-            let t1 = Unix.gettimeofday () in
             incr hits;
-            (* Replay the recorded solve's SMT-counter movement, and
-               re-intern: a partial read back from disk is physically
-               foreign to this process's hash-cons tables. *)
-            let smt = Solver.stats and s = partial.pr_stats in
-            smt.Solver.queries <- smt.Solver.queries + s.smt_queries;
-            smt.Solver.cache_hits <- smt.Solver.cache_hits + s.smt_cache_hits;
-            smt.Solver.sat_checks <- smt.Solver.sat_checks + s.smt_sat_checks;
-            smt.Solver.unknowns <- smt.Solver.unknowns + s.smt_unknowns;
-            (rehash_partial partial, t1)
+            rehash_partial partial
         | None ->
             (* Qualifiers are instantiated for the units solved, and
                only at their own κs; the solve drops the pattern
                names. *)
-            let collapsed = ref 0 in
             let init =
               KMap.map (List.map fst)
                 (init_assignment ~consts ~collapsed quals own_wfs)
             in
             let partial =
-              run_unit ~elim ~base:!solution ~init p.Constr.part_subs
+              run_unit ~elim ~stats ~base:!solution ~init p.Constr.part_subs
             in
-            partial.pr_stats.alpha_collapsed <- !collapsed;
-            let t1 = Unix.gettimeofday () in
             if caching then incr misses;
             (match (persist, key) with
             | Some f, Some k -> f k partial
             | _ -> ());
-            (partial, t1)
+            partial
       in
       solution := KMap.fold KMap.add partial.pr_solution !solution;
       if caching then sol_digest.(u) <- solution_digest p;
       failures := List.rev_append partial.pr_failures !failures;
-      stats := merge_stats !stats partial.pr_stats;
       infos :=
         {
           pt_id = u;
           pt_kvars = List.length p.Constr.part_kvars;
           pt_subs = List.length p.Constr.part_subs;
-          pt_time = t1 -. t0;
+          pt_time = Unix.gettimeofday () -. t0;
         }
-        :: !infos;
-      merge_time := !merge_time +. (Unix.gettimeofday () -. t1))
+        :: !infos)
     parts;
-  let t0 = Unix.gettimeofday () in
+  stats.alpha_collapsed <- !collapsed;
   (* Failures in original-constraint order. *)
   let rank = Hashtbl.create (List.length subs) in
   List.iteri (fun i (c : Constr.sub) -> Hashtbl.add rank c.Constr.sub_id i) subs;
@@ -1020,9 +969,8 @@ let solve ?(reuse : (string -> partial option) option)
   {
     solution = !solution;
     failures;
-    solver_stats = !stats;
+    solver_stats = stats;
     parts = List.rev !infos;
-    merge_time = !merge_time +. (Unix.gettimeofday () -. t0);
     unit_hits = !hits;
     unit_misses = !misses;
   }

@@ -22,20 +22,15 @@ type failure = {
       (* falsifying values, when available *)
 }
 
-(** Counters of a unit's solve, or summed over a run's units. *)
+(** Counters of the units a run solved: worklist pops, implication
+    checks, and the initial instances of their κs.  A unit served from
+    the partition cache counts in none of them. *)
 type stats = {
   mutable iterations : int;
   mutable implication_checks : int;
   mutable initial_candidates : int;
   mutable alpha_collapsed : int;
       (* instances collapsed by orientation-level dedup at instantiation *)
-  mutable smt_queries : int;
-  mutable smt_cache_hits : int;
-  mutable smt_sat_checks : int;
-  mutable smt_unknowns : int;
-      (* movement of the global {!Liquid_smt.Solver.stats} counters
-         during the solve, replayed when a unit is served from the
-         partition cache *)
 }
 
 (** Shape and cost of one solve unit. *)
@@ -43,17 +38,18 @@ type part_info = {
   pt_id : int;
   pt_kvars : int; (* κs owned *)
   pt_subs : int; (* constraints solved *)
-  pt_time : float; (* wall-clock seconds *)
+  pt_time : float;
+      (* wall-clock seconds: key, cache probe or solve, store, and
+         folding into the run's solution *)
 }
 
-(** A whole run's answer, merged by {!solve} from its units'
+(** A whole run's answer, folded by {!solve} from its units'
     {!partial}s. *)
 type result = {
   solution : Constr.solution;
   failures : failure list; (* in original-constraint order *)
   solver_stats : stats;
   parts : part_info list; (* by unit id *)
-  merge_time : float; (* seconds re-interning, storing, folding results *)
   unit_hits : int; (* units served from the partition cache *)
   unit_misses : int; (* units solved live under a partition cache *)
 }
@@ -78,22 +74,20 @@ val init_assignment :
 
     The engine solves {e units}: subsets of the constraint system whose
     κs are closed under mutual dependency (see {!Constr.partition_plan}).
-    The worklist, assignment, compiled-constraint cache and counters are
-    local to one unit's solve; only the run's model-based elimination
-    state crosses units: a pool of counterexample models harvested from
-    failing checks and a per-constraint bandit that decides each writer
-    visit conjunction-first or goal by goal.  A pooled model kills a
-    pending instance only when it satisfies that instance's prepared
-    query under the current assignment, so the state changes the work a
-    solve does, never its answer. *)
+    The worklist, assignment and compiled-constraint cache are local to
+    one unit's solve; only the run's counters and model-based
+    elimination state cross units.  That state is a pool of
+    counterexample models harvested from failing checks and a
+    per-constraint bandit that decides each writer visit
+    conjunction-first or goal by goal.  A pooled model kills a pending
+    instance only when it satisfies that instance's prepared query
+    under the current assignment, so the state changes the work a solve
+    does, never its answer. *)
 
-(** Result of solving one unit: the final assignment of its κs, its
-    concrete-check failures in constraint order, and its counters. *)
-type partial = {
-  pr_solution : Constr.solution;
-  pr_failures : failure list;
-  pr_stats : stats;
-}
+(** Result of solving one unit: the final assignment of its κs and its
+    concrete-check failures in constraint order.  This is all the
+    partition cache stores of a unit. *)
+type partial = { pr_solution : Constr.solution; pr_failures : failure list }
 
 (** Version tag of the marshalled [partial] payload, for fingerprints of
     persistent partition-cache entries ({!Liquid_cache.Store}): a
@@ -105,37 +99,41 @@ val partial_version : string
     its concrete obligations, pool-free: the reference that tests hold
     {!solve} to.  [base] holds the final solutions of every upstream κ
     read but not owned by the unit; [init] is the initial assignment of
-    the unit's own κs. *)
+    the unit's own κs.  Returns the unit's partial and its counters. *)
 val solve_unit :
-  base:Constr.solution -> init:Constr.solution -> Constr.sub list -> partial
+  base:Constr.solution ->
+  init:Constr.solution ->
+  Constr.sub list ->
+  partial * stats
 
 (** [solve ?reuse ?persist ~quals ~consts wfs subs plan] solves the
     system described by [plan] (built from [wfs]/[subs]) unit by unit, in
     process and in id order (always legal: every dependency has a
     smaller id).  Each unit solved is first given its initial
     assignment: {!init_assignment} over the wf constraints of its own
-    κs, without the pattern names.  It is solved with the merged
-    upstream solutions as its base and folded into the running solution,
-    failure list and counters.  Every unit shares one elimination state
-    made for this call, which the units extend in id order.  Failures
-    are returned in original-constraint order.  [subs] must be the same
-    list [plan] was built from.
+    κs, without the pattern names.  It is solved with the upstream
+    solutions folded so far as its base, counting into the run's
+    [solver_stats], and folded into the running solution and failure
+    list.  Every unit shares one elimination state made for this call,
+    which the units extend in id order.  Failures are returned in
+    original-constraint order.  [subs] must be the same list [plan] was
+    built from.
 
     [reuse]/[persist] connect a per-partition result cache.  Each unit
     is addressed by a content key, a digest of three digests:
     {!Constr.unit_signature} (its constraints and owned-κ wf
     environments), one digest of [quals] (names included) and [consts]
     for the whole call, and the digest of each [part_deps] unit's final
-    solution, taken once as that unit merges.  A key matches exactly
-    when every input that determines the unit's {!partial} is unchanged;
-    a change to [quals] or [consts] changes every key.  [reuse key] is
-    consulted once the unit's dependencies merged; a hit skips the
-    unit's instantiation and solve, is re-interned, and is folded in
-    like a solved partial, its recorded SMT-counter movement replayed
-    (counted in [unit_hits]).  The partial carries its unit's
-    [alpha_collapsed] count, so the merged counters equal a cold run's.
-    Units solved live are offered to [persist key partial] (and counted
-    in [unit_misses]).  Without either hook no digest is computed. *)
+    solution, taken once as that unit is folded in.  A key matches
+    exactly when every input that determines the unit's {!partial} is
+    unchanged; a change to [quals] or [consts] changes every key.
+    [reuse key] is consulted once the unit's dependencies are folded
+    in; a hit skips the unit's instantiation and solve, is re-interned
+    and folded in like a solved partial, and counts in [unit_hits] and
+    in no other counter: [solver_stats] and the SMT layer's counters
+    count only the units this call solved.  Units solved live are
+    offered to [persist key partial] (and counted in [unit_misses]).
+    Without either hook no digest is computed. *)
 val solve :
   ?reuse:(string -> partial option) ->
   ?persist:(string -> partial -> unit) ->

@@ -96,7 +96,7 @@ type counters = { pooled : Fixpoint.stats; reference : Fixpoint.stats }
    failures, with the same goals and counterexamples.  Solutions are
    compared per κ, instances in the same order. *)
 let check_reference s =
-  let reference =
+  let reference, reference_stats =
     Fixpoint.solve_unit ~base:KMap.empty ~init:(initial_preds s) s.subs
   in
   let solution = reference.Fixpoint.pr_solution in
@@ -120,7 +120,4 @@ let check_reference s =
     true
     (List.map failure pooled.Fixpoint.failures
     = List.map failure reference.Fixpoint.pr_failures);
-  {
-    pooled = pooled.Fixpoint.solver_stats;
-    reference = reference.Fixpoint.pr_stats;
-  }
+  { pooled = pooled.Fixpoint.solver_stats; reference = reference_stats }

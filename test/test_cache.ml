@@ -285,7 +285,8 @@ let src_two_v2 =
    let shift y = if y > 0 then y + 3 else 2"
 
 (* Same source re-verified when only the whole-run entry is gone: every
-   partition key matches and nothing re-solves. *)
+   partition key matches and nothing re-solves, so the run poses no
+   query and instantiates no candidate. *)
 let test_punit_key_stability () =
   with_dir (fun dir ->
       let options = { Pipeline.default with Pipeline.cache_dir = Some dir } in
@@ -304,6 +305,11 @@ let test_punit_key_stability () =
         warm.Pipeline.stats.Pipeline.n_punit_hits;
       check_int "nothing re-solved" 0
         warm.Pipeline.stats.Pipeline.n_punit_misses;
+      check_int "no SMT query" 0 warm.Pipeline.stats.Pipeline.n_smt_queries;
+      check_int "no implication check" 0
+        warm.Pipeline.stats.Pipeline.n_implication_checks;
+      check_int "no initial candidate" 0
+        warm.Pipeline.stats.Pipeline.n_initial_candidates;
       check_string "report identical to the cold run"
         (report_fingerprint cold) (report_fingerprint warm))
 

@@ -76,7 +76,6 @@ let test_phase_timings () =
         "congen";
         "partition";
         "solve";
-        "merge";
         "lint";
       ]);
   check_bool "phase times are non-negative" true

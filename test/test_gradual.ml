@@ -2,8 +2,8 @@
    (SAFE / SAFE_MODULO / UNSAFE), residual identity and determinism
    across job counts, cache temperatures, and the daemon, runtime casts
    through the reference interpreter, repair hints that discharge their
-   casts, and gradual/non-gradual cache-key separation in both
-   directions. *)
+   casts, whole-run cache-key separation between gradual and plain runs
+   in both directions, and the partition entries the two modes share. *)
 
 open Liquid_logic
 open Liquid_infer
@@ -348,6 +348,15 @@ let test_paths_byte_identical () =
 (* Cache-key separation, both directions                               *)
 (* ------------------------------------------------------------------ *)
 
+(* A report's JSON without its stats: verdict, errors, residuals,
+   explanations and rendered types. *)
+let report_body (r : Pipeline.report) =
+  let open Liquid_analysis in
+  Json.to_string
+    (match Pipeline.json_of_report r with
+    | Json.Obj kvs -> Json.Obj (List.filter (fun (k, _) -> k <> "stats") kvs)
+    | j -> j)
+
 let test_cache_key_separation () =
   check_bool "options fingerprints differ" true
     (Pipeline.options_fingerprint Pipeline.default
@@ -363,7 +372,7 @@ let test_cache_key_separation () =
       in
       check_bool "plain run fails" false plain.Pipeline.safe;
       (* A gradual run of the same source must not be served the plain
-         entry: it solves cold and reports residuals. *)
+         entry: it classifies the failure itself and reports residuals. *)
       let grad =
         Pipeline.verify_string ~options:grad_opts ~name:"overrun.ml"
           overrun_src
@@ -392,9 +401,10 @@ let test_cache_key_separation () =
         plain2.Pipeline.safe;
       check_int "warm plain report has no residuals" 0
         (List.length plain2.Pipeline.residuals);
-      (* Partition entries are kept apart by mode too, not only checked:
-         with the whole-run entries gone, plain, gradual and plain again
-         re-solve no unit a run of their own mode solved before. *)
+      (* Partition entries are shared by the two modes: the solve never
+         sees the mode, and classification reads the final solution
+         after it.  With the whole-run entries gone, plain, gradual and
+         plain again re-solve no unit an earlier run solved. *)
       let reuses_every_unit what opts =
         List.iter Sys.remove (Test_server.report_entries base);
         let r =
@@ -409,7 +419,34 @@ let test_cache_key_separation () =
       in
       reuses_every_unit "plain" plain_opts;
       reuses_every_unit "gradual" grad_opts;
-      reuses_every_unit "plain after gradual" plain_opts)
+      reuses_every_unit "plain after gradual" plain_opts);
+  (* In a fresh store, a gradual run after a plain run of the same
+     program, with the whole-run entries gone, solves no unit, and each
+     mode's report equals an uncached run's in that mode. *)
+  Test_server.with_dir (fun base ->
+      let plain_opts = { Pipeline.default with cache_dir = Some base } in
+      let grad_opts = { plain_opts with Pipeline.gradual = true } in
+      let run options =
+        Pipeline.verify_string ~options ~name:"overrun.ml" overrun_src
+      in
+      let uncached options = run { options with Pipeline.cache_dir = None } in
+      let same_as_uncached what options r =
+        Alcotest.(check string)
+          (what ^ ": report equals an uncached run's")
+          (report_body (uncached options))
+          (report_body r)
+      in
+      same_as_uncached "plain" plain_opts (run plain_opts);
+      List.iter Sys.remove (Test_server.report_entries base);
+      let grad = run grad_opts in
+      let s = grad.Pipeline.stats in
+      check_int "gradual after plain: whole-run entry is gone" 0
+        s.Pipeline.n_pcache_hits;
+      check_int "gradual after plain: reuses every unit"
+        s.Pipeline.n_partitions s.Pipeline.n_punit_hits;
+      check_int "gradual after plain: solves no unit" 0
+        s.Pipeline.n_punit_misses;
+      same_as_uncached "gradual after plain" grad_opts grad)
 
 (* ------------------------------------------------------------------ *)
 (* JSON                                                                *)
@@ -459,7 +496,7 @@ let tests =
     tc "repair hint discharges its cast" test_repair_discharges_cast;
     slow "direct/cache/daemon residuals byte-identical"
       test_paths_byte_identical;
-    tc "gradual and plain runs never share cache entries"
+    tc "gradual and plain runs never share a report entry"
       test_cache_key_separation;
     tc "JSON verdict, residual schema, stats counters"
       test_json_verdict_and_residuals;
