@@ -3,7 +3,4 @@
 
 open Liquid_lang
 
-(** Names starting with ['_'] opt out of the binding lints. *)
-val ignorable : Liquid_common.Ident.t -> bool
-
 val analyze : Ast.program -> Diagnostic.t list

@@ -17,8 +17,6 @@ type t = { code : code; severity : severity; loc : Loc.t; message : string }
 (** The stable code string, ["L001"] ... ["L005"], ["R001"]. *)
 val code_name : code -> string
 
-val severity_name : severity -> string
-
 (** Warnings gate [--warn-error]; dead qualifiers default to [Info]. *)
 val default_severity : code -> severity
 

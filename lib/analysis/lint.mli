@@ -4,9 +4,6 @@
 open Liquid_lang
 open Liquid_infer
 
-val dead_qualifier_diags :
-  quals:Qualifier.t list -> string list -> Diagnostic.t list
-
 (** [wfs], [quals] and [consts] are those the run was solved with: the
     dead-qualifier check (L005) instantiates [quals] at every κ again
     and reports the patterns none of whose instances survived into

@@ -5,7 +5,6 @@
     operands are atoms (variables or constants), application spines are
     preserved, and every binder is globally unique. *)
 
-open Liquid_common
 open Liquid_lang
 
 (** Reset the renaming counter (deterministic tests only). *)
@@ -14,10 +13,6 @@ val reset : unit -> unit
 val is_atom : Ast.expr -> bool
 
 val normalize_program : Ast.program -> Ast.program
-
-(** Rename a source binder to a globally unique, readable name
-    (["x#N"]). *)
-val rename_binder : Ident.t -> Ident.t
 
 (** Validity check used by tests. *)
 val is_anf : Ast.expr -> bool

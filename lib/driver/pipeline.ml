@@ -221,7 +221,8 @@ let verify_program ?(options = default) ?(parse_time = 0.0)
     options
   in
   (* A warm process (daemon, repeated library calls) must never leak a
-     counterexample or per-run counter from a previous run. *)
+     cached answer, counterexample or per-run counter from a previous
+     run. *)
   Liquid_smt.Solver.reset_run_state ();
   (* Type-variable ids restart per run too: unresolved ones reach the
      partition cache's unit signatures, so a long-lived process must

@@ -215,8 +215,3 @@ val json_of_report : ?file:string -> report -> Liquid_analysis.Json.t
     report's ["explanations"] array). *)
 val json_of_explanation :
   Liquid_explain.Explain.explanation -> Liquid_analysis.Json.t
-
-(** Machine-readable form of one residual cast (an element of the
-    report's ["residuals"] array). *)
-val json_of_residual :
-  Liquid_gradual.Gradual.residual -> Liquid_analysis.Json.t

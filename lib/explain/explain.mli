@@ -81,6 +81,4 @@ val explain :
 val rehash : result -> result
 
 val pp_witness : Format.formatter -> (string * Solver.cex_value) list -> unit
-val pp_core_hyp : Format.formatter -> core_hyp -> unit
-val pp_blame_step : Format.formatter -> blame_step -> unit
 val pp_explanation : Format.formatter -> explanation -> unit

@@ -94,5 +94,4 @@ type run_report = {
 val run_casts :
   ?fuel:int -> ?quiet:bool -> residual list -> Ast.program -> run_report
 
-val pp_cast_status : Format.formatter -> cast_status -> unit
 val pp_run_report : Format.formatter -> run_report -> unit

@@ -124,7 +124,4 @@ val size : expr -> int
 
 val free_vars : expr -> Ident.Set.t
 
-val pp_const : Format.formatter -> const -> unit
-val binop_name : binop -> string
-val pp_pat : Format.formatter -> pat -> unit
 val pp : Format.formatter -> expr -> unit

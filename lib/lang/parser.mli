@@ -12,15 +12,11 @@ exception Error of string * Loc.t
     into {!Ast.decls} (source order per kind) and are only checked
     syntactically here — semantic validation (unknown constructors,
     non-structural recursion, …) is {!Declcheck.check}.
-    @raise Error on syntax errors (lexer errors are re-raised as [Error]
-    by the file/string entry points). *)
-val parse_lexbuf : file:string -> Lexing.lexbuf -> Ast.program * Ast.decls
-
+    @raise Error on syntax errors, lexer errors included. *)
 val parse_string : ?file:string -> string -> Ast.program * Ast.decls
-val parse_file : string -> Ast.program * Ast.decls
 
-(** The item-only views ([fst] of the above) — convenient for
-    declaration-free programs. *)
+(** The item-only views ([fst] of the above, from a string or a file) —
+    convenient for declaration-free programs. *)
 val program_of_string : ?file:string -> string -> Ast.program
 val program_of_file : string -> Ast.program
 

@@ -58,11 +58,6 @@ val reset_subs : unit -> unit
 
 (** {1 Splitting} *)
 
-val base_sort : Rtype.base -> Sort.t
-
-(** Logical value standing for a variable of a given type. *)
-val var_value : Rtype.t -> Ident.t -> Pred.value
-
 (** Split [env ⊢ t1 <: t2] into simple constraints (functions
     contravariant, arrays invariant, lists covariant).
     @raise Shape_error on incompatible shapes. *)

@@ -34,9 +34,8 @@
     pending instance whose prepared query a pooled model satisfies, with
     no solver contact, and a per-constraint bandit picks how each writer
     visit is decided.  Both live in an {!elim} value that {!solve}
-    threads through every unit of a run; without one, a unit is solved
-    pool-free ({!solve_unit}), the reference the tests hold the engine
-    to.
+    threads through every unit of a run.  The tests hold the engine to
+    a naive Kleene solve that shares none of this machinery.
 
     The engine is organized around {e solve units} ({!Constr.partition}):
     the worklist, assignment fragment, compiled constraints and κ
@@ -336,11 +335,11 @@ type shared = {
   push_dependents : Rtype.kvar -> unit;
   compiled : (int, compiled) Hashtbl.t; (* constraint id -> compiled state *)
   version : (int, int) Hashtbl.t; (* κ -> times it weakened *)
-  elim : elim option;
-      (* model-based elimination; [None] solves pool-free.  A pending
-         instance whose prepared query evaluates to [true] under a
-         pooled model is semantically satisfiable — the instance dies
-         with no solver contact at all. *)
+  elim : elim;
+      (* model-based elimination: a pending instance whose prepared
+         query evaluates to [true] under a pooled model is semantically
+         satisfiable — the instance dies with no solver contact at
+         all. *)
 }
 
 let weaken (sh : shared) (c : Constr.sub) (k : Rtype.kvar)
@@ -472,29 +471,15 @@ let weaken (sh : shared) (c : Constr.sub) (k : Rtype.kvar)
                 valid := ISet.add (Pred.tag q) !valid)
               insts
           in
-          (* Decide each instance on its own prepared query — built
-             once, probed against the cache, SAT-checked only on a
-             miss. *)
-          let individually insts =
-            List.iter
-              (fun q ->
-                sh.stats.implication_checks <- sh.stats.implication_checks + 1;
-                let prep = Solver.prepare relevance (goal_of q) in
-                if Solver.check_query prep = Solver.Valid then begin
-                  record q (deps_of prep.Solver.pruned_idx);
-                  valid := ISet.add (Pred.tag q) !valid
-                end)
-              insts
-          in
           (* With a counterexample pool, a failing check is not a dead
              end.  A pending instance dies for free when a pooled model
              makes its {e prepared} per-goal query ([¬goal] plus its own
              relevance-pruned hypotheses) evaluate to [true]: that is a
              semantic satisfiability certificate for exactly the query
-             the pool-free engine would have SAT-checked.  Each failing
-             check contributes its fresh model to the pool, so one paid
-             query buries every pool-refutable goal of this — and every
-             later — writer visit.
+             the solver would have SAT-checked.  Each failing check
+             contributes its fresh model to the pool, so one paid query
+             buries every pool-refutable goal of this — and every later
+             — writer visit.
 
              The query is the conjunction of [¬goal], the kept facts
              and the relevant hypotheses, and a conjunction evaluates
@@ -563,45 +548,42 @@ let weaken (sh : shared) (c : Constr.sub) (k : Rtype.kvar)
           (* Full pool scan, with move-to-front on a kill: a model that
              refutes one instance tends to refute its siblings too, so
              successful killers drift to the head of the scan order. *)
-          let pool_kills e inst =
+          let pool_kills inst =
             let rec go seen = function
               | [] -> false
               | m :: rest ->
                   if killed_by m inst then begin
                     (if seen <> [] then
-                       e.pool := m :: List.rev_append seen rest);
+                       elim.pool := m :: List.rev_append seen rest);
                     true
                   end
                   else go (m :: seen) rest
             in
-            go [] !(e.pool)
+            go [] !(elim.pool)
           in
           let pool_filter insts =
-            match elim with
-            | None -> insts
-            | Some e -> List.filter (fun inst -> not (pool_kills e inst)) insts
+            List.filter (fun inst -> not (pool_kills inst)) insts
           in
-          let harvest_model e (cex : Solver.cex) =
+          let harvest_model (cex : Solver.cex) =
             match cex.Solver.raw with
             | [] -> ()
             | raw ->
-                e.pool := model_table raw :: Listx.take 7 !(e.pool);
-                e.harvests <- e.harvests + 1
+                elim.pool := model_table raw :: Listx.take 7 !(elim.pool);
+                elim.harvests <- elim.harvests + 1
           in
-          (* Individual decisions, pool-accelerated: a pool-refuted
-             instance costs nothing; a freshly failing one contributes
-             its model, so deaths cascade within — and across — writer
-             visits.  Every caller has just pool-filtered [insts], so
-             only models harvested {e since entry} need scanning.
-             Returns the number of instances that failed. *)
-          let individually_pooled e insts =
-            let entry = e.harvests in
-            let deaths = ref 0 in
+          (* Decide each instance on its own prepared query — built
+             once, probed against the cache, SAT-checked only on a
+             miss.  A pool-refuted instance costs nothing; a freshly
+             failing one contributes its model, so deaths cascade
+             within — and across — writer visits.  Every caller has
+             just pool-filtered [insts], so only models harvested
+             {e since entry} need scanning. *)
+          let individually insts =
+            let entry = elim.harvests in
             List.iter
               (fun q ->
-                let fresh = Listx.take (e.harvests - entry) !(e.pool) in
-                if List.exists (fun m -> killed_by m q) fresh then incr deaths
-                else begin
+                let fresh = Listx.take (elim.harvests - entry) !(elim.pool) in
+                if not (List.exists (fun m -> killed_by m q) fresh) then begin
                   sh.stats.implication_checks <-
                     sh.stats.implication_checks + 1;
                   let prep = prep_of q in
@@ -609,22 +591,19 @@ let weaken (sh : shared) (c : Constr.sub) (k : Rtype.kvar)
                   | Solver.Valid ->
                       record q (deps_of prep.Solver.pruned_idx);
                       valid := ISet.add (Pred.tag q) !valid
-                  | Solver.Invalid cex ->
-                      incr deaths;
-                      harvest_model e cex
-                  | Solver.Unknown -> incr deaths
+                  | Solver.Invalid cex -> harvest_model cex
+                  | Solver.Unknown -> ()
                 end)
-              insts;
-            !deaths
+              insts
           in
           let conjoined insts =
             sh.stats.implication_checks <- sh.stats.implication_checks + 1;
             let prep =
               Solver.prepare relevance (Pred.conj (List.map goal_of insts))
             in
-            match (Solver.check_query prep, elim) with
-            | Solver.Valid, _ -> confirm_all insts prep.Solver.pruned_idx
-            | Solver.Invalid cex, Some e -> (
+            match Solver.check_query prep with
+            | Solver.Valid -> confirm_all insts prep.Solver.pruned_idx
+            | Solver.Invalid cex -> (
                 match insts with
                 | [ _ ] -> () (* sole culprit: refuted, not retained *)
                 | _ ->
@@ -632,9 +611,9 @@ let weaken (sh : shared) (c : Constr.sub) (k : Rtype.kvar)
                        conjunction per visit: seed the pool with its
                        model and fall through to individual
                        decisions. *)
-                    harvest_model e cex;
-                    ignore (individually_pooled e (pool_filter insts)))
-            | _, _ -> individually insts
+                    harvest_model cex;
+                    individually (pool_filter insts))
+            | Solver.Unknown -> individually insts (* no model to harvest *)
           in
           (* Per-instance work of a visit body, in deterministic solver
              units.  Each issued query also pays a fixed cost the work
@@ -655,53 +634,44 @@ let weaken (sh : shared) (c : Constr.sub) (k : Rtype.kvar)
           let rounds insts =
             match pool_filter insts with
             | [] -> ()
-            | insts -> (
-                match elim with
-                | None -> conjoined insts
-                | Some e ->
-                    let st =
-                      match Hashtbl.find_opt e.arms c.Constr.sub_id with
-                      | Some st -> st
-                      | None ->
-                          let st = { av_conj = -1.0; av_indiv = -1.0 } in
-                          Hashtbl.add e.arms c.Constr.sub_id st;
-                          st
-                    in
-                    (* Estimate each arm from this constraint's own
-                       samples, falling back to the global prior; play
-                       the cheaper arm, sampling any arm the whole run
-                       has never tried. *)
-                    let est own sum cnt =
-                      if own >= 0.0 then own
-                      else if cnt > 0 then sum /. float_of_int cnt
-                      else -1.0
-                    in
-                    let ec = est st.av_conj e.g_conj e.g_conj_n in
-                    let ei = est st.av_indiv e.g_indiv e.g_indiv_n in
-                    let use_conj =
-                      if ec < 0.0 then true
-                      else if ei < 0.0 then false
-                      else ec < ei
-                    in
-                    let per =
-                      visit_work (List.length insts) (fun () ->
-                          if use_conj then conjoined insts
-                          else ignore (individually_pooled e insts))
-                    in
-                    (if use_conj then begin
-                       st.av_conj <-
-                         (if st.av_conj < 0.0 then per
-                          else (st.av_conj +. per) /. 2.0);
-                       e.g_conj <- e.g_conj +. per;
-                       e.g_conj_n <- e.g_conj_n + 1
-                     end
-                     else begin
-                       st.av_indiv <-
-                         (if st.av_indiv < 0.0 then per
-                          else (st.av_indiv +. per) /. 2.0);
-                       e.g_indiv <- e.g_indiv +. per;
-                       e.g_indiv_n <- e.g_indiv_n + 1
-                     end))
+            | insts ->
+                let st =
+                  match Hashtbl.find_opt elim.arms c.Constr.sub_id with
+                  | Some st -> st
+                  | None ->
+                      let st = { av_conj = -1.0; av_indiv = -1.0 } in
+                      Hashtbl.add elim.arms c.Constr.sub_id st;
+                      st
+                in
+                (* Estimate each arm from this constraint's own samples,
+                   falling back to the global prior; play the cheaper
+                   arm, sampling any arm the whole run has never
+                   tried. *)
+                let est own sum cnt =
+                  if own >= 0.0 then own
+                  else if cnt > 0 then sum /. float_of_int cnt
+                  else -1.0
+                in
+                let ec = est st.av_conj elim.g_conj elim.g_conj_n in
+                let ei = est st.av_indiv elim.g_indiv elim.g_indiv_n in
+                let use_conj =
+                  if ec < 0.0 then true else if ei < 0.0 then false else ec < ei
+                in
+                let per =
+                  visit_work (List.length insts) (fun () ->
+                      if use_conj then conjoined insts else individually insts)
+                in
+                let ema old = if old < 0.0 then per else (old +. per) /. 2.0 in
+                if use_conj then begin
+                  st.av_conj <- ema st.av_conj;
+                  elim.g_conj <- elim.g_conj +. per;
+                  elim.g_conj_n <- elim.g_conj_n + 1
+                end
+                else begin
+                  st.av_indiv <- ema st.av_indiv;
+                  elim.g_indiv <- elim.g_indiv +. per;
+                  elim.g_indiv_n <- elim.g_indiv_n + 1
+                end
           in
           rounds pending;
           if List.for_all (fun q -> ISet.mem (Pred.tag q) !valid) pending then
@@ -722,7 +692,7 @@ let weaken (sh : shared) (c : Constr.sub) (k : Rtype.kvar)
 
 (* -- Worklist ------------------------------------------------------------------------- *)
 
-let run_worklist ?elim (subs : Constr.sub list) (stats : stats)
+let run_worklist ~elim (subs : Constr.sub list) (stats : stats)
     (assignment : Constr.solution ref) ~(lookup : Rtype.kvar -> Pred.t list) :
     unit =
   (* Dependency index: κ -> constraints that must be re-checked when the
@@ -801,9 +771,8 @@ let fresh_stats () =
    of the unit's own κs; [base] holds the final solutions of every
    upstream κ the unit's constraints read.  [elim] is the run's
    model-based elimination state, shared with every other unit of the
-   run; without it the unit is solved pool-free.  All other engine state
-   is local to this call. *)
-let run_unit ?elim ~(stats : stats) ~(base : Constr.solution)
+   run.  All other engine state is local to this call. *)
+let run_unit ~elim ~(stats : stats) ~(base : Constr.solution)
     ~(init : Constr.solution) (subs : Constr.sub list) : partial =
   stats.initial_candidates <-
     KMap.fold (fun _ ps n -> n + List.length ps) init stats.initial_candidates;
@@ -816,7 +785,7 @@ let run_unit ?elim ~(stats : stats) ~(base : Constr.solution)
     | Some ps -> ps
     | None -> Constr.sol_find base k
   in
-  run_worklist ?elim subs stats assignment ~lookup;
+  run_worklist ~elim subs stats assignment ~lookup;
   (* Final pass: concrete obligations, in original constraint order. *)
   let failures =
     List.filter_map
@@ -845,10 +814,6 @@ let run_unit ?elim ~(stats : stats) ~(base : Constr.solution)
       subs
   in
   { pr_solution = !assignment; pr_failures = failures }
-
-let solve_unit ~base ~init subs =
-  let stats = fresh_stats () in
-  (run_unit ~stats ~base ~init subs, stats)
 
 (* -- Solving a plan ----------------------------------------------------------------- *)
 

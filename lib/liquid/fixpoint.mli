@@ -1,10 +1,8 @@
 (** Liquid constraint solving by predicate abstraction: the paper's
     [Solve]/[Weaken] fixpoint with a dependency-directed worklist and
     model-based elimination, followed by the final check of concrete
-    obligations.  There is one weakening engine and one solve path:
-    {!solve} runs it over a whole plan, unit by unit, and {!solve_unit}
-    runs it pool-free on one unit, the reference the tests hold it
-    to. *)
+    obligations.  There is one weakening engine, with one mode, and one
+    solve path: {!solve} runs it over a whole plan, unit by unit. *)
 
 open Liquid_logic
 
@@ -94,17 +92,6 @@ type partial = { pr_solution : Constr.solution; pr_failures : failure list }
     [partial] written under one tag is never read under another.  Bump
     on any semantic change to what a partial represents. *)
 val partial_version : string
-
-(** [solve_unit ~base ~init subs] solves one unit to fixpoint and checks
-    its concrete obligations, pool-free: the reference that tests hold
-    {!solve} to.  [base] holds the final solutions of every upstream κ
-    read but not owned by the unit; [init] is the initial assignment of
-    the unit's own κs.  Returns the unit's partial and its counters. *)
-val solve_unit :
-  base:Constr.solution ->
-  init:Constr.solution ->
-  Constr.sub list ->
-  partial * stats
 
 (** [solve ?reuse ?persist ~quals ~consts wfs subs plan] solves the
     system described by [plan] (built from [wfs]/[subs]) unit by unit, in

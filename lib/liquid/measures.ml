@@ -11,6 +11,9 @@
 open Liquid_logic
 open Liquid_lang
 
+(* Translate one equation body, binders resolved to argument positions;
+   raises [Invalid_argument] on bodies {!Liquid_lang.Declcheck}
+   rejects. *)
 let body_of_mterm (argnames : string option list) (t : Ast.mterm) :
     Measure.body =
   let index x =

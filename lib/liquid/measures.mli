@@ -4,13 +4,6 @@
 
 open Liquid_lang
 
-(** Translate one equation body (binders resolved to argument
-    positions).
-    @raise Invalid_argument on bodies {!Liquid_lang.Declcheck} rejects. *)
-val body_of_mterm : string option list -> Ast.mterm -> Liquid_logic.Measure.body
-
-val eqn_of_meqn : Ast.meqn -> Liquid_logic.Measure.eqn
-
 (** Reset the measure table to the built-ins and register every declared
     measure, in source order. *)
 val load : Ast.decls -> unit

@@ -82,20 +82,14 @@ val instances_tagged :
 (** The shared default qualifier set (see the paper's Figure 1). *)
 val defaults : t list
 
-val defaults_source : string
-
 (** Qualifiers for list-length ([llen]) reasoning; kept separate so
     array-only programs don't pay for the extra instances. *)
 val list_defaults : t list
-
-val list_defaults_source : string
 
 (** Qualifier patterns for the named user measures (the [llen] set,
     generalized).  Call after the measure table is loaded: the pattern
     parser only recognizes registered measure names. *)
 val measure_defaults : string list -> t list
-
-val measure_defaults_source : string -> string
 
 val pp_rterm : Format.formatter -> rterm -> unit
 val pp_rpred : Format.formatter -> rpred -> unit

@@ -34,7 +34,6 @@ type t =
 val known : Pred.t -> refinement
 val trivial : refinement
 val is_trivial : refinement -> bool
-val fresh_kvar : unit -> kvar
 val fresh_kvar_ref : unit -> refinement
 val reset_kvars : unit -> unit
 
@@ -46,10 +45,6 @@ val meet : refinement -> refinement -> refinement
 (** Logical sort of the classified values. *)
 val sort_of : t -> Sort.t
 
-(** [compose_subst s1 s2] applies [s1] first, then [s2]. *)
-val compose_subst : Pred.subst -> Pred.subst -> Pred.subst
-
-val subst_refinement : Pred.subst -> refinement -> refinement
 val subst : Pred.subst -> t -> t
 val subst1 : Ident.t -> Pred.value -> t -> t
 
@@ -63,14 +58,6 @@ val shape : Mltype.t -> t
 (** Template with a fresh κ at every refinable position. *)
 val template : Mltype.t -> t
 
-(** Translate a type-variable refinement to the instance sort (only
-    equality selfifications survive re-sorting; the rest degrade to
-    [true], soundly). *)
-val resort_pred : Sort.t -> Pred.t -> Pred.t
-
-val resort_refinement : Sort.t -> refinement -> refinement
-val strengthen_top : refinement -> t -> t
-
 (** Instantiate a polymorphic binder's type at a use site: [Tyvar]
     positions get one fresh template per type variable, strengthened by
     any refinement the scheme carried there.
@@ -82,18 +69,12 @@ val instantiate : t -> Mltype.t -> t
 (** Uninterpreted projection symbol for tuple component [i] at a sort. *)
 val proj_symbol : int -> Sort.t -> Symbol.t
 
-(** The equality [ν = x] at a sort. *)
-val self_pred : Sort.t -> Ident.t -> Pred.t
-
-val strengthen_with_proj : int -> Sort.t -> Term.t -> t -> t
-
 (** Strengthen the top-level refinement with [ν = x] (the paper's rule
     for variable occurrences). *)
 val selfify : Ident.t -> t -> t
 
 (** {1 Queries} *)
 
-val fold_refinements : ('a -> refinement -> 'a) -> 'a -> t -> 'a
 val kvars : t -> kvar list
 
 (** Program variables mentioned by refinements (including pending

@@ -55,17 +55,10 @@ val app : string -> Term.t -> Term.t
 (** [m v >= 0] when the measure is provably non-negative. *)
 val nonneg_fact : t -> Term.t -> Pred.t option
 
-(** The instantiated defining axiom [m(value) = body] for one
-    constructor application; [None] if the constructor has no equation
-    or a needed argument is unavailable. *)
-val ctor_axiom :
-  t -> ctor:string -> value:Term.t -> args:Term.t option list -> Pred.t option
-
 (** All axioms for one constructor application, over the measures of
     [tycon], registration order. *)
 val ctor_axioms :
   tycon:string -> ctor:string -> value:Term.t -> args:Term.t option list -> Pred.t list
 
-val pp_body : Format.formatter -> body -> unit
 val pp_eqn : Format.formatter -> eqn -> unit
 val pp : Format.formatter -> t -> unit

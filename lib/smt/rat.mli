@@ -10,7 +10,6 @@ exception Overflow
 
 val add_int : int -> int -> int
 val mul_int : int -> int -> int
-val gcd_int : int -> int -> int
 
 (** Rationals, kept normalized: positive denominator, gcd 1. *)
 type t

@@ -54,8 +54,9 @@ let pp_stats ppf () =
 (* ------------------------------------------------------------------ *)
 
 (* Entries keep the answer, model included, plus the deterministic work
-   units the original SAT check cost, replayed on hits: a warm re-run
-   observes exactly the answers and work the cold run observed. *)
+   units the original SAT check cost, replayed on hits, so the work
+   meter reads the same whether a query is decided fresh or repeats.
+   The cache lives for one run: {!reset_run_state} empties it. *)
 type centry = { ce_res : result; ce_work : int }
 
 let cache : centry Pred.Tbl.t = Pred.Tbl.create 4096
@@ -74,15 +75,15 @@ let clear_cache () = Pred.Tbl.reset cache
     reproducible across runs and cache temperatures. *)
 let work_total : int ref = ref 0
 
-(** Reset the per-run instrumentation counters of {!Dpll}, {!Theory},
-    {!Simplex} and {!Lia}.  The pipeline calls this at the start of
-    every run.
+(** Empty the result cache and reset the per-run instrumentation
+    counters of {!Dpll}, {!Theory}, {!Simplex} and {!Lia}.  The pipeline
+    calls this at the start of every run, so a run's cache hits are its
+    own.
 
-    Deliberately untouched: the result cache (its entries are keyed on
-    interned queries and valid forever — clearing it is what
-    {!clear_cache} is for) and the cumulative {!stats} counters and
+    Deliberately untouched: the cumulative {!stats} counters and
     {!work_total}, which every consumer reads as before/after deltas. *)
 let reset_run_state () =
+  clear_cache ();
   Dpll.models_total := 0;
   Theory.nlits_total := 0;
   Simplex.npivots := 0;

@@ -47,10 +47,10 @@ val clear_cache : unit -> unit
     temperature. *)
 val work_total : int ref
 
-(** Reset the per-run instrumentation counters of {!Dpll}, {!Theory},
-    {!Simplex} and {!Lia}.  Does {e not} clear the result cache
-    ({!clear_cache}), the cumulative {!stats} or {!work_total}, which
-    consumers read as before/after deltas. *)
+(** Empty the result cache ({!clear_cache}) and reset the per-run
+    instrumentation counters of {!Dpll}, {!Theory}, {!Simplex} and
+    {!Lia}.  Does {e not} reset the cumulative {!stats} or
+    {!work_total}, which consumers read as before/after deltas. *)
 val reset_run_state : unit -> unit
 
 (** The relevance index of a hypothesis set and its [kept] facts, built

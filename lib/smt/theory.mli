@@ -21,7 +21,7 @@ type model = (string * value) list
 val pp_value : Format.formatter -> value -> unit
 
 (** [Sat (display, raw)]: a satisfying model under display labels
-    ({!clean_label}) and under the entities' {e original} labels
+    ({!display_labels}) and under the entities' {e original} labels
     (alpha-renaming suffixes intact, internal names included).  Display
     labels are lossy — distinct solver variables can collide on one —
     so callers that {e evaluate} predicates under a model read the raw
@@ -36,13 +36,10 @@ val pp_value : Format.formatter -> value -> unit
     explanations. *)
 type result = Sat of model * model | Unsat of int list option | Unknown
 
-(** Display form of an entity label: [None] for internal ('%'-prefixed)
-    names and non-measure application proxies; strips alpha-renaming
-    [#N] suffixes and renders the value variable [VV] as [v]. *)
-val clean_label : string -> string option
-
-(** The entries of a raw model whose labels have a display form
-    ({!clean_label}), relabelled, in the same order. *)
+(** The entries of a raw model whose labels have a display form,
+    relabelled, in the same order: internal ('%'-prefixed) names and
+    non-measure application proxies are dropped, alpha-renaming [#N]
+    suffixes stripped, and the value variable [VV] renders as [v]. *)
 val display_labels : model -> model
 
 (** Decide the conjunction of the given signed atoms ([(p, false)]

@@ -9,7 +9,4 @@ type example = {
 }
 
 val max_example : example
-val sum_example : example
-val foldn_example : example
-val arraymax_example : example
 val all : example list

@@ -18,10 +18,6 @@ type result = {
 (** Syntactic values (generalizable under the value restriction). *)
 val is_value : Ast.expr -> bool
 
-(** Constructor environment of a declaration unit (constructor name to
-    argument types and datatype name). *)
-val ctor_env : Ast.decls -> (string, Mltype.t list * string) Hashtbl.t
-
 (** @raise Type_error on ill-typed programs.  [decls] supplies the
     constructor environment for programs with [type] declarations. *)
 val infer_program : ?decls:Ast.decls -> Ast.program -> result

@@ -3,9 +3,9 @@
    has verified nothing: one verifies another program first, the other
    only the input.  The two must agree on the report without its
    [stats], and on the counters that follow the solver's queries
-   ([n_smt_queries], [n_implication_checks], [n_explain_smt_queries]).
-   Only the result cache's hit counters may differ: the warm child's
-   cache holds the first program's answers.
+   ([n_smt_queries], [n_smt_cache_hits], [n_implication_checks],
+   [n_explain_smt_queries]): the result cache lives for one run, so the
+   warm child's holds none of the first program's answers.
 
    The inputs: each T1 program after its predecessor in [Programs.all],
    and each T1 mutant, with explanations, after its unmutated program.
@@ -50,9 +50,11 @@ let observe i =
   let r = verify i in
   let s = r.Pipeline.stats in
   Child.render ~file:i.file r
-  ^ Fmt.str "n_smt_queries: %d\nn_implication_checks: %d\nn_explain_smt_queries: %d\n"
-      s.Pipeline.n_smt_queries s.Pipeline.n_implication_checks
-      s.Pipeline.n_explain_smt_queries
+  ^ Fmt.str
+      "n_smt_queries: %d\nn_smt_cache_hits: %d\nn_implication_checks: %d\n\
+       n_explain_smt_queries: %d\n"
+      s.Pipeline.n_smt_queries s.Pipeline.n_smt_cache_hits
+      s.Pipeline.n_implication_checks s.Pipeline.n_explain_smt_queries
 
 (* (what runs first, the input) *)
 let pairs =

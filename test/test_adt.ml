@@ -1,8 +1,9 @@
 (* Tests for user-declared algebraic datatypes and measures: declaration
    validation (structured diagnostics with spans), measure-indexed
    refinement inference, measure hypotheses in explanation cores,
-   determinism across engines (pooled and pool-free, cache, daemon),
-   and the cache-soundness of the declaration digest. *)
+   agreement with the naive reference solve, determinism across the
+   cache and the daemon, and the cache-soundness of the declaration
+   digest. *)
 
 open Liquid_lang
 module Pipeline = Liquid_driver.Pipeline
@@ -363,11 +364,12 @@ let test_unrelated_edit_reuses_partitions () =
         (report_fingerprint v3))
 
 (* ------------------------------------------------------------------ *)
-(* Pooled solve = pool-free reference                                  *)
+(* Pooled solve = naive reference                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* The datatype programs the pooled solves are held to the reference
-   on: safe, unsafe, and unsafe through an edited measure definition. *)
+(* The datatype programs the pooled solves are held to the naive
+   reference on: safe, unsafe, and unsafe through an edited measure
+   definition. *)
 let elim_programs =
   [
     ("tree", src_tree_safe);
@@ -484,7 +486,7 @@ let tests =
       test_measureless_programs_unchanged;
     Alcotest.test_case "explain cites measure axiom" `Quick
       test_unsafe_explain_cites_measure;
-    Alcotest.test_case "pooled solve equals the pool-free reference" `Quick
+    Alcotest.test_case "pooled solve equals the naive reference" `Quick
       test_elim_identity;
     Alcotest.test_case "declcheck: unknown constructor" `Quick
       test_declcheck_unknown_ctor;

@@ -714,16 +714,32 @@ let test_no_cache_dir_no_probes () =
 (* Per-run solver-state reset                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* The meters restart, and the result cache empties: a query posed
+   before the reset is SAT-checked again after it. *)
 let test_reset_run_state () =
+  let module Solver = Liquid_smt.Solver in
+  let open Liquid_logic in
+  let x = Term.var "x" Sort.Int and y = Term.var "y" Sort.Int in
+  let check () =
+    Solver.check_valid [ Pred.le x y ] (Pred.le x (Term.add y (Term.int 1)))
+  in
+  ignore (check ());
+  let sat0 = Solver.stats.Solver.sat_checks in
+  ignore (check ());
+  check_int "before the reset, the query is answered from the cache" sat0
+    Solver.stats.Solver.sat_checks;
   Liquid_smt.Dpll.models_total := 123;
   Liquid_smt.Theory.nlits_total := 45;
   Liquid_smt.Simplex.npivots := 67;
   Liquid_smt.Lia.nnodes_total := 89;
-  Liquid_smt.Solver.reset_run_state ();
+  Solver.reset_run_state ();
   check_int "DPLL models cleared" 0 !Liquid_smt.Dpll.models_total;
   check_int "theory literals cleared" 0 !Liquid_smt.Theory.nlits_total;
   check_int "simplex pivots cleared" 0 !Liquid_smt.Simplex.npivots;
-  check_int "LIA nodes cleared" 0 !Liquid_smt.Lia.nnodes_total
+  check_int "LIA nodes cleared" 0 !Liquid_smt.Lia.nnodes_total;
+  ignore (check ());
+  check_int "after the reset, the query is SAT-checked again" (sat0 + 1)
+    Solver.stats.Solver.sat_checks
 
 (* A safe run in between must not change what an unsafe program
    reports: the same errors, counterexamples included (the daemon

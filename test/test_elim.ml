@@ -1,10 +1,10 @@
 (* Tests for model-based elimination and for the candidate set it starts
    from, in two groups.  [elim]: equality of the pooled solve with the
-   pool-free and naive references (see [Elim_reference]) on every T1 and
-   E1 program, and pooled reports through the persistent cache and
-   through the daemon.  [prune]: what instantiation prunes from the
-   candidate set (twin-free instantiation, the orientation collapse) and
-   the SMT counter invariant of a verification run. *)
+   naive reference (see [Elim_reference]) on every T1 and E1 program,
+   and pooled reports through the persistent cache and through the
+   daemon.  [prune]: what instantiation prunes from the candidate set
+   (twin-free instantiation, the orientation collapse) and the SMT
+   counter invariant of a verification run. *)
 
 open Liquid_smt
 open Liquid_logic
@@ -77,22 +77,14 @@ let each_system builds f = List.iter (fun build -> f (build ())) builds
 (* The pool engages and the report does not move                       *)
 (* ------------------------------------------------------------------ *)
 
-(* On a safe and an unsafe program the pooled solve makes fewer
-   implication checks than the pool-free reference yet reaches its
+(* On a safe and an unsafe program the pooled solve reaches the naive
    solution and failures; the pipeline still explains the failure. *)
 let test_pool_active () =
   let loop = system "loop.ml" loop_src in
-  let c = check_reference loop in
-  check_bool
-    (Fmt.str "pooled solve checks less (%d < %d)"
-       c.pooled.Fixpoint.implication_checks
-       c.reference.Fixpoint.implication_checks)
-    true
-    (c.pooled.Fixpoint.implication_checks
-    < c.reference.Fixpoint.implication_checks);
+  let stats = check_reference loop in
   check_int "initial candidates counted"
     (KMap.fold (fun _ insts n -> n + List.length insts) (initial loop) 0)
-    c.pooled.Fixpoint.initial_candidates;
+    stats.Fixpoint.initial_candidates;
   ignore (check_reference (system "overrun.ml" overrun_src));
   let r = verify loop_src in
   check_bool "program is safe" true r.Pipeline.safe;
@@ -125,22 +117,13 @@ let test_twin_free () =
         [ s.quals; s.quals @ mirror ])
 
 (* ------------------------------------------------------------------ *)
-(* The suites: pooled = pool-free = naive                              *)
+(* The suites: pooled = naive                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Every T1 and E1 program's pooled solve equals the pool-free and
-   naive references, and together they make fewer implication checks
-   than the pool-free ones. *)
+(* Every T1 and E1 program's pooled solve equals the naive
+   reference. *)
 let test_suite_identity () =
-  let pooled = ref 0 and reference = ref 0 in
-  each_system suite_systems (fun s ->
-      let c = check_reference s in
-      pooled := !pooled + c.pooled.Fixpoint.implication_checks;
-      reference := !reference + c.reference.Fixpoint.implication_checks);
-  check_bool
-    (Fmt.str "pooled solves check less (%d < %d)" !pooled !reference)
-    true
-    (!pooled < !reference)
+  each_system suite_systems (fun s -> ignore (check_reference s))
 
 (* ------------------------------------------------------------------ *)
 (* SMT counters add up                                                 *)
@@ -235,8 +218,7 @@ let slow name f = Alcotest.test_case name `Slow f
 let tests =
   [
     tc "pool engages, report unchanged" test_pool_active;
-    slow "suite equals the pool-free reference, and the naive one"
-      test_suite_identity;
+    slow "suite equals the naive reference" test_suite_identity;
     tc "persistent cache replays report" test_cache_replay;
     tc "daemon round-trips a report" test_daemon_round_trip;
   ]

@@ -66,6 +66,19 @@ let prop_safe_programs_do_not_trap =
             | exception Liquid_eval.Eval.Out_of_fuel -> true
           end)
 
+(* The weakening engine against its naive reference on the same
+   programs: [Fixpoint.solve] must reach the naive Kleene solve's
+   solution per κ and the naive concrete pass's failures (see
+   [Elim_reference.check_reference]). *)
+let prop_engine_equals_naive =
+  QCheck.Test.make ~count:60 ~long_factor:10
+    ~name:"engine equals the naive reference on generated programs"
+    (QCheck.make ~print:Fun.id gen_program)
+    (fun src ->
+      ignore
+        (Elim_reference.check_reference (Elim_reference.system "rand.ml" src));
+      true)
+
 (* The converse direction is not a theorem (inference is incomplete),
    but the generator's style-0/2/4 programs with bound "i < n" are
    simple enough that the system should accept them: a completeness
@@ -118,6 +131,7 @@ let test_both_verdicts_occur () =
 let tests =
   [
     QCheck_alcotest.to_alcotest prop_safe_programs_do_not_trap;
+    QCheck_alcotest.to_alcotest prop_engine_equals_naive;
     Alcotest.test_case "generator produced both verdicts" `Quick
       test_both_verdicts_occur;
     Alcotest.test_case "simple guarded program accepted" `Quick
