@@ -48,6 +48,18 @@ let create () =
     conflict = false;
   }
 
+let copy t =
+  {
+    t with
+    exprs = Array.copy t.exprs;
+    parent = Array.copy t.parent;
+    rank = Array.copy t.rank;
+    konst = Array.copy t.konst;
+    parents = Array.copy t.parents;
+    node_tbl = Hashtbl.copy t.node_tbl;
+    sig_tbl = Hashtbl.copy t.sig_tbl;
+  }
+
 let rec find t n =
   let p = t.parent.(n) in
   if p = n then n

@@ -15,6 +15,10 @@ type t
 
 val create : unit -> t
 
+(** An independent copy, which later assertions to either do not
+    reach. *)
+val copy : t -> t
+
 (** Node constructors (hash-consed; congruent applications merge). *)
 
 val var : t -> int -> node

@@ -1,15 +1,27 @@
 (** Lazy-SMT search: DPLL over the propositional abstraction, consulting
     the combined theory solver ({!Theory}) at each propositional model.
 
-    The loop is the classic offline lazy schema: find a propositional
-    model; check the induced conjunction of theory literals; on theory
-    conflict add a blocking clause, the negation of a core of the
-    assigned theory literals, and resume.  Every conflict, from the
-    first model on, is blocked by a core: the literals the theory names
-    as its explanation, or else a core bisected out of the assignment
-    ({!shrink_core}).  Termination: a core is a subset of the assigned
-    literals, so each blocking clause removes at least the current
-    propositional model from a finite space.
+    The loop is the offline lazy schema over incremental theory states:
+    find a propositional model; decide the induced conjunction of theory
+    literals; on theory conflict add a blocking clause, the negation of
+    a core of the assigned theory literals, and resume.  Every conflict,
+    from the first model on, is blocked by a core: the literals the
+    theory names as its explanation, or else a core bisected out of the
+    assignment ({!shrink_core}), whose probes decide fresh states.
+    Termination: a core is a subset of the assigned literals, so each
+    blocking clause removes at least the current propositional model
+    from a finite space.
+
+    No conjunction is rebuilt from nothing.  The literals unit
+    propagation forces hold in every model; the state that decides them
+    extends the repaired state of the query's {e base}, its top-level
+    atomic conjuncts after the first (for a validity query, its
+    hypotheses), and each model's state extends the forced one by the
+    model's other literals.  A model with no other literal takes the
+    forced state's answer.  One entry keeps the last base's state, so
+    the next query over the same hypotheses starts from it; a kept state
+    is exactly the one a query would build, so answers and work units do
+    not depend on which query came before.
 
     The propositional search itself is a recursive DPLL with unit
     propagation, stopping as soon as every clause is satisfied (leaving
@@ -17,7 +29,7 @@
     blocking clauses general). *)
 
 (** [Sat (display, raw)]: the counterexample assignment under display
-    and original labels, as {!Theory.result} carries it. *)
+    and original labels, as {!Theory.answer} carries it. *)
 type result = Sat of Theory.model * Theory.model | Unsat | Unknown
 
 let models_total = ref 0
@@ -148,17 +160,77 @@ let shrink_core ~(unsat : 'a list -> bool) (lits : 'a list) : 'a list =
   in
   go [] 0
 
-(* The elements of [l] at the increasing positions [is], in order. *)
-let at_positions is l =
-  let rec go i is l =
-    match (is, l) with
-    | j :: is', x :: l' -> if i = j then x :: go (i + 1) is' l' else go (i + 1) is l'
+(* -- The base of a query ----------------------------------------------- *)
+
+(* The literal of a top-level atomic conjunct, canonicalized as
+   {!Prop.of_pred} canonicalizes atoms. *)
+let literal_of_conjunct q =
+  let open Liquid_logic.Pred in
+  match view q with
+  | Atom _ | Bvar _ -> Some (Prop.canon q)
+  | Not r -> (
+      match view r with
+      | Atom _ | Bvar _ ->
+          let a, pos = Prop.canon r in
+          Some (a, not pos)
+      | _ -> None)
+  | _ -> None
+
+(** The base of [p]: the literals of its top-level atomic conjuncts
+    after the first, in order, each atom once, and the table of their
+    atoms.  For a validity query [¬goal ∧ hyps] that is its hypotheses.
+    Each is forced by unit propagation, so where propagation succeeds no
+    atom comes with both polarities. *)
+let base_of (p : Liquid_logic.Pred.t) : Theory.lit list * unit Liquid_logic.Pred.Tbl.t =
+  let atoms = Liquid_logic.Pred.Tbl.create 16 in
+  let lits =
+    match Liquid_logic.Pred.view p with
+    | Liquid_logic.Pred.And (_ :: rest) ->
+        List.filter_map
+          (fun q ->
+            match literal_of_conjunct q with
+            | Some (a, _) when Liquid_logic.Pred.Tbl.mem atoms a -> None
+            | Some ((a, _) as l) ->
+                Liquid_logic.Pred.Tbl.add atoms a ();
+                Some l
+            | None -> None)
+          rest
     | _ -> []
   in
-  go 0 is l
+  (lits, atoms)
+
+let same_lits (l : Theory.lit list) (l' : Theory.lit list) =
+  List.equal (fun (a, pos) (b, pos') -> a == b && pos = pos') l l'
+
+(* The repaired state of the last base, and the pivots that built it.
+   A query over the same base extends it instead of building it again,
+   and is metered as if it had built it. *)
+type base = { lits : Theory.lit list; state : Theory.state; pivots : int }
+
+let last_base : base option ref = ref None
+
+let forget_base () = last_base := None
+
+(* The state of [lits], repaired: the kept one if [lits] is the last
+   base, else a new one, which is then kept.  With the pivots it took to
+   build, replayed for a kept one. *)
+let base_state lits =
+  match !last_base with
+  | Some b when same_lits b.lits lits -> (b.state, b.pivots)
+  | _ ->
+      let p0 = !Simplex.npivots in
+      let state = Theory.create () in
+      Theory.assert_lits state lits;
+      Theory.repair state;
+      last_base := Some { lits; state; pivots = !Simplex.npivots - p0 };
+      (state, 0)
+
+(* -- Checking ----------------------------------------------------------- *)
 
 (** Check satisfiability of [p] (a quantifier-free EUFLIA predicate). *)
-let check_sat (p : Liquid_logic.Pred.t) : result =
+let check_sat (p : Liquid_logic.Pred.t) : result * int =
+  let w0 = !Theory.nlits_total + !Simplex.npivots in
+  let work replayed = !Theory.nlits_total + !Simplex.npivots - w0 + replayed in
   let cnf = Prop.of_pred p in
   (* [of_pred] interns atoms first, so they form the variable prefix:
      variable [v] names the theory atom [atoms.(v)] below [natoms], and
@@ -171,26 +243,49 @@ let check_sat (p : Liquid_logic.Pred.t) : result =
       1 clauses0
   in
   let natoms = Array.length atoms in
+  (* Theory literals (variable id, atom, polarity) of an assignment,
+     newest variable first. *)
+  let theory_lits asg =
+    let lits = ref [] in
+    for v = 0 to natoms - 1 do
+      if asg.(v) <> 0 then lits := (v, atoms.(v), asg.(v) = 1) :: !lits
+    done;
+    !lits
+  in
+  let conj = List.map (fun (_, a, pos) -> (a, pos)) in
+  let asg0 = Array.make nvars 0 in
+  match propagate asg0 clauses0 with
+  | None -> (Unsat, work 0)
+  | Some _ ->
   (* Fast path: literals forced by unit propagation hold in every
      propositional model, so if they are already theory-inconsistent the
      whole formula is unsatisfiable after a single theory call.  Liquid
      validity queries are dominated by this case: hypotheses are mostly
      top-level conjuncts and goals are atomic, so the contradiction is
-     usually visible without any case analysis. *)
+     usually visible without any case analysis.  The forced state
+     extends the state of the base, which the base's literals, all
+     forced, share with the last query over the same hypotheses; every
+     model then extends the forced state. *)
+  let forced = theory_lits asg0 in
+  let base, base_atoms = base_of p in
+  let forced_st, replayed =
+    if base = [] then (Theory.create (), 0)
+    else
+      let st, pivots = base_state base in
+      (Theory.copy st, pivots)
+  in
+  Theory.assert_lits forced_st
+    (conj (List.filter (fun (_, a, _) -> not (Liquid_logic.Pred.Tbl.mem base_atoms a)) forced));
   let fast =
-    let asg = Array.make nvars 0 in
-    match propagate asg clauses0 with
-    | None -> Some Unsat
-    | Some _ ->
-        let lits = ref [] in
-        for v = 0 to natoms - 1 do
-          if asg.(v) <> 0 then lits := (atoms.(v), asg.(v) = 1) :: !lits
-        done;
-        if !lits <> [] && theory_unsat !lits then Some Unsat else None
+    if forced = [] then None
+    else begin
+      Theory.nlits_total := !Theory.nlits_total + List.length forced;
+      Some (Theory.decide forced_st)
+    end
   in
   match fast with
-  | Some r -> r
-  | None ->
+  | Some (Theory.Unsat _) -> (Unsat, work replayed)
+  | _ ->
   let extra = ref [] in
   let rec loop iters =
     if iters <= 0 then Unknown
@@ -199,12 +294,21 @@ let check_sat (p : Liquid_logic.Pred.t) : result =
       if not (find_model asg nvars (clauses0 @ !extra)) then Unsat
       else begin
         (* Project onto theory literals (variable id, atom, polarity). *)
-        let lits = ref [] in
-        for v = 0 to natoms - 1 do
-          if asg.(v) <> 0 then lits := (v, atoms.(v), asg.(v) = 1) :: !lits
-        done;
+        let lits = theory_lits asg in
         incr models_total;
-        match Theory.check_sat (List.map (fun (_, a, p) -> (a, p)) !lits) with
+        Theory.nlits_total := !Theory.nlits_total + List.length lits;
+        (* The model's literals beyond the forced ones; with none, the
+           fast path has decided the model already. *)
+        let unforced = List.filter (fun (v, _, _) -> asg0.(v) = 0) lits in
+        let answer =
+          match fast with
+          | Some answer when unforced = [] -> answer
+          | _ ->
+              let st = Theory.copy forced_st in
+              Theory.assert_lits st (conj unforced);
+              Theory.decide st
+        in
+        match answer with
         | Theory.Sat (from_theory, from_theory_raw) ->
             (* The theory model only values arithmetic entities; boolean
                program variables live as propositional [Bvar] atoms whose
@@ -219,7 +323,7 @@ let check_sat (p : Liquid_logic.Pred.t) : result =
                         ( Liquid_common.Ident.to_string x,
                           Theory.Vbool pos )
                   | _ -> None)
-                !lits
+                lits
             in
             let bools = Theory.display_labels bools_raw in
             let merge from_theory bools =
@@ -242,14 +346,13 @@ let check_sat (p : Liquid_logic.Pred.t) : result =
                enumeration. *)
             let core =
               match explained with
-              | Some is ->
+              | Some named ->
                   (* Reversed, as a bisected core comes back. *)
-                  List.rev (at_positions is !lits)
-              | None ->
-                  shrink_core
-                    ~unsat:(fun ls ->
-                      theory_unsat (List.map (fun (_, a, p) -> (a, p)) ls))
-                    !lits
+                  List.rev
+                    (List.filter
+                       (fun (_, a, pos) -> List.exists (fun (b, pos') -> a == b && pos = pos') named)
+                       lits)
+              | None -> shrink_core ~unsat:(fun ls -> theory_unsat (conj ls)) lits
             in
             let blocking =
               List.map (fun (v, _, pos) -> if pos then -(v + 1) else v + 1) core
@@ -259,4 +362,5 @@ let check_sat (p : Liquid_logic.Pred.t) : result =
       end
     end
   in
-  loop 2000
+  let r = loop 2000 in
+  (r, work replayed)

@@ -11,11 +11,17 @@
       which callers must treat as "possibly satisfiable" (sound for a
       validity checker).
 
-    An [Unsat] answer explains itself when it can, by the positions of
-    input constraints that are infeasible together: the one constraint
-    that normalization refutes, or the simplex's explanation of an
-    infeasible root relaxation.  A conflict found only after branching
-    has no explanation. *)
+    Normalization feeds one constraint at a time into a {!Simplex}
+    tableau, which callers may keep and extend.  Branch and bound starts
+    from such a tableau: the root is its repair, and each branch adds its
+    bound to a copy of its parent's repaired tableau, the branch toward
+    zero first.
+
+    An [Unsat] answer explains itself when it can, by the sources of
+    constraints that are infeasible together: the one constraint that
+    normalization refutes, or the simplex's explanation of an infeasible
+    root relaxation.  A conflict found only after branching has no
+    explanation. *)
 
 type op = Le | Lt | Eq
 
@@ -88,63 +94,65 @@ let to_simplex { exp; op; rhs } =
   | Eq -> Simplex.cons exp Simplex.Eq rhs
   | Lt -> (* eliminated by [normalize] *) Simplex.cons exp Simplex.Le rhs
 
-(** Find a variable with a fractional value in the model. *)
-let fractional model =
-  let n = Array.length model in
+(** Normalize [c] and add it to tableau [t] with source [k]; a
+    constraint normalization refutes makes [t] infeasible with
+    explanation [[k]]. *)
+let add t k c =
+  match normalize c with
+  | None -> Simplex.refute t [ k ]
+  | Some None -> ()
+  | Some (Some c) -> Simplex.add t k (to_simplex c)
+
+(* The source of a branch bound, which no explanation may name. *)
+let branched = min_int
+
+(** The first problem variable below [nvars] whose value is
+    fractional. *)
+let fractional t nvars =
   let rec go i =
-    if i >= n then None
-    else if Rat.is_integer model.(i) then go (i + 1)
-    else Some (i, model.(i))
+    if i >= nvars then None
+    else
+      let x = Simplex.value t i in
+      if Rat.is_integer x then go (i + 1) else Some (i, x)
   in
   go 0
 
-let check ~nvars (cs : cons list) : result =
+let search ~nvars t : result =
   let nodes = ref 0 in
-  (* Normalize once up front, keeping the position in [cs] of each
-     constraint that stays; later branch constraints are already
-     integral. *)
-  let exception Refuted of int in
-  let rec normal k = function
-    | [] -> ([], [])
-    | c :: rest -> (
-        match normalize c with
-        | None -> raise (Refuted k)
-        | Some None -> normal (k + 1) rest
-        | Some (Some c') ->
-            let cs, ks = normal (k + 1) rest in
-            (c' :: cs, k :: ks))
+  let rec bb t root =
+    incr nodes;
+    incr nnodes_total;
+    if !nodes > budget then Unknown
+    else
+      match Simplex.check t with
+      | `Unsat ks -> Unsat (if root then Some ks else None)
+      | `Sat -> (
+          match fractional t nvars with
+          | None -> Sat (Array.init nvars (Simplex.value t))
+          | Some (v, x) -> (
+              let branch op bound =
+                let t = Simplex.copy t in
+                Simplex.add t branched (Simplex.cons (Linexp.var v) op (Rat.of_int bound));
+                bb t false
+              in
+              (* The branch toward zero first: a branch inherits its
+                 parent's values, and away from zero a feasible branch
+                 can lead to another, the values drifting further at
+                 every node. *)
+              let lo () = branch Simplex.Le (Rat.floor x)
+              and hi () = branch Simplex.Ge (Rat.ceil x) in
+              let first, second = if Rat.sign x > 0 then (lo, hi) else (hi, lo) in
+              match first () with
+              | Sat m -> Sat m
+              | Unknown -> ( match second () with Sat m -> Sat m | _ -> Unknown)
+              | Unsat _ -> second ()))
   in
+  try bb t true with Rat.Overflow -> Unknown
+
+let check ~nvars (cs : cons list) : result =
+  let t = Simplex.create () in
   try
-    let root, ks = normal 0 cs in
-    let origin = Array.of_list ks in
-    let rec bb (cs : cons list) : result =
-      incr nodes;
-      incr nnodes_total;
-      if !nodes > budget then Unknown
-      else
-        match Simplex.solve ~nvars (List.map to_simplex cs) with
-        | `Unsat ks ->
-            Unsat (if cs == root then Some (List.map (fun k -> origin.(k)) ks) else None)
-        | `Sat model -> (
-            match fractional model with
-            | None -> Sat model
-            | Some (v, value) -> (
-                let lo =
-                  { exp = Linexp.var v; op = Le; rhs = Rat.of_int (Rat.floor value) }
-                in
-                let hi =
-                  {
-                    exp = Linexp.neg (Linexp.var v);
-                    op = Le;
-                    rhs = Rat.of_int (-Rat.ceil value);
-                  }
-                in
-                match bb (lo :: cs) with
-                | Sat m -> Sat m
-                | Unknown -> ( match bb (hi :: cs) with Sat m -> Sat m | _ -> Unknown)
-                | Unsat _ -> bb (hi :: cs)))
-    in
-    bb root
-  with
-  | Refuted k -> Unsat (Some [ k ])
-  | Rat.Overflow -> Unknown
+    Simplex.ensure t nvars;
+    List.iteri (add t) cs;
+    search ~nvars t
+  with Rat.Overflow -> Unknown

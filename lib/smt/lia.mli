@@ -1,17 +1,17 @@
 (** Linear integer arithmetic over the rational simplex: strict-inequality
-    tightening, the GCD test on equalities, and bounded branch-and-bound.
-    [Unknown] (budget or overflow) must be treated as "possibly
-    satisfiable" — sound for a validity checker.  An [Unsat] found
-    before any branching names the input constraints behind it. *)
+    tightening, the GCD test on equalities, and bounded branch-and-bound
+    on a live tableau.  [Unknown] (budget or overflow) must be treated as
+    "possibly satisfiable" — sound for a validity checker.  An [Unsat]
+    found before any branching names the constraints behind it. *)
 
 type op = Le | Lt | Eq
 
 type cons = { exp : Linexp.t; op : op; rhs : Rat.t }
 
-(** [Unsat (Some ks)]: the constraints at positions [ks] of the input,
-    increasing, are infeasible on their own — the one that
-    normalization refutes, or the simplex's explanation of the root
-    relaxation.  A conflict found only after branching has none. *)
+(** [Unsat (Some ks)]: the constraints with sources [ks], increasing,
+    are infeasible on their own — the one that normalization refutes, or
+    the simplex's explanation of the root relaxation.  A conflict found
+    only after branching has none. *)
 type result = Sat of Rat.t array | Unsat of int list option | Unknown
 
 (** Branch-and-bound nodes across all checks (instrumentation). *)
@@ -23,6 +23,19 @@ val nnodes_total : int ref
     hold (including the GCD test).  May raise {!Rat.Overflow}. *)
 val normalize : cons -> cons option option
 
+(** [add t k c] normalizes [c] and adds it to [t] with source [k]; a
+    constraint that normalization refutes makes [t] infeasible with
+    explanation [[k]].  May raise {!Rat.Overflow}. *)
+val add : Simplex.t -> int -> cons -> unit
+
+(** Branch and bound from [t], whose repair is the root: each branch
+    adds its bound to a copy of the repaired tableau above it, the one
+    toward zero first, and [t] keeps no branch bound.  The model values problem variables
+    [0 .. nvars-1]; [Unknown] once the search exceeds 400 nodes, or on
+    overflow. *)
+val search : nvars:int -> Simplex.t -> result
+
 (** Decide a conjunction of integer constraints over variables
-    [0 .. nvars-1]; [Unknown] once branch and bound exceeds 400 nodes. *)
+    [0 .. nvars-1] on a fresh tableau, the sources of the constraints
+    being their positions. *)
 val check : nvars:int -> cons list -> result

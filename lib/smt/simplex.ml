@@ -6,25 +6,40 @@
     the rationals and produces a model on success.  The integer layer
     ({!Lia}) adds branch-and-bound on top.
 
-    The implementation is the one-shot variant of that design.  A
-    constraint over one variable becomes a bound on that variable, its
-    right-hand side divided by the coefficient.  The constraints over two
-    or more variables share one slack variable [s = e] per linear form
-    [e], oriented so that its first coefficient is positive, and become
-    bounds on [s].  A pivoting loop then repairs bound violations of
-    basic variables.  Bland's rule (always choose the smallest eligible
-    index) guarantees termination.
+    One tableau serves both uses.  It is incremental: a constraint can be
+    added after the tableau has been repaired, and {!copy} branches it.
+    A constraint over one variable becomes a bound on that variable, its
+    right-hand side divided by the coefficient; a bound that excludes a
+    nonbasic variable's value moves the variable to it and updates the
+    basic values.  The constraints over two or more variables share one
+    slack variable [s = e] per linear form [e], oriented so that its
+    first coefficient is positive, and become bounds on [s]; a new
+    form's row is written over the nonbasic variables of the moment.
+    {!check} repairs bound violations of basic variables by pivoting.
+    Bland's rule (always choose the smallest eligible index) guarantees
+    termination.
 
-    Each bound remembers the constraint that set it, so an infeasible
-    conjunction comes with its explanation: the two bounds that clash at
-    installation, or, when no pivot can repair a basic variable, its
-    violated bound and the bounds its row's nonbasic variables sit at.
+    Problem variables, the caller's, are numbered apart from the
+    tableau's, and allocated on demand: a problem variable gets its
+    column the first time a constraint or {!ensure} names it, after
+    every lower one.  A variable allocated since the last check is
+    valued at that check: a nonbasic one at its lower bound, else at its
+    upper bound, else at zero, and a basic one by its row.
 
-    [test/simplex_reference.ml] is the map-based tableau, installing the
-    same way, that this one is held to pivot for pivot.  A column index
-    keeps, for each variable, the basic rows that mention it, so a pivot
-    substitutes into those rows, in increasing order, without searching
-    the others.  It changes no pivot, model or overflow. *)
+    Each bound remembers the constraint that set it, by a source number
+    the caller chooses, so an infeasible conjunction comes with its
+    explanation: the two bounds that clash at installation, or, when no
+    pivot can repair a basic variable, its violated bound and the bounds
+    its row's nonbasic variables sit at.  An infeasible tableau keeps its
+    explanation and ignores later constraints.
+
+    {!solve} is the one-shot use: problem variables first, then slacks,
+    every variable valued at the one check.  [test/simplex_reference.ml]
+    is the map-based tableau, installing the same way, that it is held
+    to pivot for pivot.  A column index keeps, for each variable, the
+    basic rows that mention it, so a pivot substitutes into those rows,
+    in increasing order, without searching the others.  It changes no
+    pivot, model or overflow. *)
 
 type op = Le | Ge | Eq
 
@@ -32,7 +47,7 @@ type cons = { exp : Linexp.t; op : op; rhs : Rat.t }
 
 let cons exp op rhs = { exp; op; rhs }
 
-(* An infeasible conjunction, with the positions of constraints that are
+(* An infeasible conjunction, with the sources of constraints that are
    infeasible together. *)
 exception Conflict of int list
 
@@ -71,36 +86,51 @@ let rec find vars v lo hi =
    [bits] bits each, so that its members come out in increasing order. *)
 let bits = 62
 
+module Linexp_tbl = Hashtbl.Make (Linexp)
+
 type t = {
   mutable nvars : int;
-  lower : Rat.t option array;
-  upper : Rat.t option array;
-  (* The position of the constraint that set each bound. *)
-  lower_src : int array;
-  upper_src : int array;
-  beta : Rat.t array;
-  basic : bool array;
+  (* Variables below [ninit] have values; the others are valued at the
+     next check. *)
+  mutable ninit : int;
+  mutable lower : Rat.t option array;
+  mutable upper : Rat.t option array;
+  (* The source of the constraint that set each bound. *)
+  mutable lower_src : int array;
+  mutable upper_src : int array;
+  mutable beta : Rat.t array;
+  mutable basic : bool array;
   (* [rows.(i)] is meaningful iff [basic.(i)]. *)
-  rows : row array;
+  mutable rows : row array;
   (* The column index: [cols.(v * words + w)] holds bits [w * bits ..]
      of the set of basic rows containing [v].  Built at the first pivot
-     ([words = 0] until then), since most solves make none. *)
+     ([words = 0] until then, and again once the tableau grows), since
+     most solves make none. *)
   mutable cols : int array;
   mutable words : int;
-  (* Substitution output, copied out once per row. *)
-  buf_vars : int array;
-  buf_coeffs : Rat.t array;
-  (* The rows the last pivot substituted into, increasing. *)
-  touched : int array;
+  (* Work buffers, shared by copies: substitution output, copied out
+     once per row, and the rows the last pivot substituted into,
+     increasing. *)
+  mutable buf_vars : int array;
+  mutable buf_coeffs : Rat.t array;
+  mutable touched : int array;
   mutable ntouched : int;
+  (* The column of each problem variable below [nprob]. *)
+  mutable col_of : int array;
+  mutable nprob : int;
+  (* The slack of each oriented form over two or more problem
+     variables. *)
+  forms : int Linexp_tbl.t;
+  (* The explanation of an infeasible tableau, increasing. *)
+  mutable conflict : int list option;
 }
 
-(* Room for [cap] variables: the problem's plus at most one slack per
-   constraint. *)
-let create nvars cap =
+(* Room for [cap] variables before the tableau grows. *)
+let create_cap cap =
   let cap = max cap 1 in
   {
-    nvars;
+    nvars = 0;
+    ninit = 0;
     lower = Array.make cap None;
     upper = Array.make cap None;
     lower_src = Array.make cap (-1);
@@ -114,34 +144,73 @@ let create nvars cap =
     buf_coeffs = Array.make cap Rat.zero;
     touched = Array.make cap 0;
     ntouched = 0;
+    col_of = Array.make cap 0;
+    nprob = 0;
+    forms = Linexp_tbl.create 8;
+    conflict = None;
   }
+
+let create () = create_cap 16
+
+let copy t =
+  {
+    t with
+    lower = Array.copy t.lower;
+    upper = Array.copy t.upper;
+    lower_src = Array.copy t.lower_src;
+    upper_src = Array.copy t.upper_src;
+    beta = Array.copy t.beta;
+    basic = Array.copy t.basic;
+    rows = Array.copy t.rows;
+    cols = Array.copy t.cols;
+    col_of = Array.copy t.col_of;
+    forms = Linexp_tbl.copy t.forms;
+  }
+
+let extend a n fill =
+  let a' = Array.make n fill in
+  Array.blit a 0 a' 0 (Array.length a);
+  a'
+
+(* Double the room for variables; the column index is rebuilt at the
+   next pivot. *)
+let grow t =
+  let cap = 2 * Array.length t.basic in
+  t.lower <- extend t.lower cap None;
+  t.upper <- extend t.upper cap None;
+  t.lower_src <- extend t.lower_src cap (-1);
+  t.upper_src <- extend t.upper_src cap (-1);
+  t.beta <- extend t.beta cap Rat.zero;
+  t.basic <- extend t.basic cap false;
+  t.rows <- extend t.rows cap empty_row;
+  t.cols <- [||];
+  t.words <- 0;
+  t.buf_vars <- Array.make cap 0;
+  t.buf_coeffs <- Array.make cap Rat.zero;
+  t.touched <- Array.make cap 0
 
 let fresh_var t =
   let v = t.nvars in
+  if v = Array.length t.basic then grow t;
   t.nvars <- v + 1;
   v
 
-(* Bound [v] by constraint [k]; a bound no tighter than the one [v]
-   has keeps the older one. *)
-let set_lower t v c k =
-  match t.lower.(v) with
-  | Some l when Rat.le c l -> ()
-  | _ ->
-      (match t.upper.(v) with
-      | Some u when Rat.lt u c -> raise (Conflict [ t.upper_src.(v); k ])
-      | _ -> ());
-      t.lower.(v) <- Some c;
-      t.lower_src.(v) <- k
+(* Allocate the problem variables below [n] that have no column yet, in
+   increasing order. *)
+let ensure t n =
+  if n > Array.length t.col_of then t.col_of <- extend t.col_of (max n (2 * t.nprob)) 0;
+  while t.nprob < n do
+    t.col_of.(t.nprob) <- fresh_var t;
+    t.nprob <- t.nprob + 1
+  done
 
-let set_upper t v c k =
-  match t.upper.(v) with
-  | Some u when Rat.le u c -> ()
-  | _ ->
-      (match t.lower.(v) with
-      | Some l when Rat.lt c l -> raise (Conflict [ t.lower_src.(v); k ])
-      | _ -> ());
-      t.upper.(v) <- Some c;
-      t.upper_src.(v) <- k
+let column t p =
+  ensure t (p + 1);
+  t.col_of.(p)
+
+let value t p = if p < t.nprob then t.beta.(t.col_of.(p)) else Rat.zero
+
+let refute t ks = if t.conflict = None then t.conflict <- Some (List.sort_uniq Int.compare ks)
 
 (* -- The column index ------------------------------------------------ *)
 
@@ -189,10 +258,22 @@ let eval t (r : row) =
   done;
   !acc
 
-let recompute_basic t =
-  for v = 0 to t.nvars - 1 do
+(* Value the variables allocated since the last check: a nonbasic one
+   at its lower bound, else its upper bound, else zero; then a basic one
+   by its row, which only mentions nonbasic variables. *)
+let init_fresh t =
+  for v = t.ninit to t.nvars - 1 do
+    if not t.basic.(v) then
+      t.beta.(v) <-
+        (match (t.lower.(v), t.upper.(v)) with
+        | Some l, _ -> l
+        | None, Some u -> u
+        | None, None -> Rat.zero)
+  done;
+  for v = t.ninit to t.nvars - 1 do
     if t.basic.(v) then t.beta.(v) <- eval t t.rows.(v)
-  done
+  done;
+  t.ninit <- t.nvars
 
 (* Pivots performed across all solves: the natural unit of simplex
    work, counted for the deterministic cost metering in {!Solver}. *)
@@ -392,7 +473,60 @@ let check_loop t =
         if not (repair t xi target) then raise (Conflict (explain t xi below))
   done
 
-module Linexp_tbl = Hashtbl.Make (Linexp)
+(* -- Adding constraints ------------------------------------------------ *)
+
+(* Move the valued nonbasic [v] to [x], and every valued basic variable
+   whose row mentions it along. *)
+let move t v x =
+  let delta = Rat.sub x t.beta.(v) in
+  t.beta.(v) <- x;
+  let shift k =
+    if k < t.ninit then begin
+      let r = t.rows.(k) in
+      let q = find r.vars v 0 (Array.length r.vars) in
+      if q >= 0 then t.beta.(k) <- Rat.add t.beta.(k) (Rat.mul r.coeffs.(q) delta)
+    end
+  in
+  if t.words > 0 then begin
+    let base = v * t.words in
+    for w = 0 to t.words - 1 do
+      let set = ref t.cols.(base + w) in
+      while !set <> 0 do
+        let low = !set land - !set in
+        set := !set lxor low;
+        shift ((w * bits) + bit_index low)
+      done
+    done
+  end
+  else
+    for k = 0 to t.ninit - 1 do
+      if t.basic.(k) then shift k
+    done
+
+(* Bound [v] by constraint [k]; a bound no tighter than the one [v]
+   has keeps the older one.  A valued nonbasic variable the new bound
+   excludes moves to it. *)
+let set_lower t v c k =
+  match t.lower.(v) with
+  | Some l when Rat.le c l -> ()
+  | _ ->
+      (match t.upper.(v) with
+      | Some u when Rat.lt u c -> raise (Conflict [ t.upper_src.(v); k ])
+      | _ -> ());
+      t.lower.(v) <- Some c;
+      t.lower_src.(v) <- k;
+      if v < t.ninit && (not t.basic.(v)) && Rat.lt t.beta.(v) c then move t v c
+
+let set_upper t v c k =
+  match t.upper.(v) with
+  | Some u when Rat.le u c -> ()
+  | _ ->
+      (match t.lower.(v) with
+      | Some l when Rat.lt c l -> raise (Conflict [ t.lower_src.(v); k ])
+      | _ -> ());
+      t.upper.(v) <- Some c;
+      t.upper_src.(v) <- k;
+      if v < t.ninit && (not t.basic.(v)) && Rat.lt c t.beta.(v) then move t v c
 
 let flip = function Le -> Ge | Ge -> Le | Eq -> Eq
 
@@ -404,9 +538,42 @@ let set_bound t v op c k =
       set_lower t v c k;
       set_upper t v c k
 
-(* Install constraint [k] as a bound.  [rows] maps each oriented form
-   over two or more variables to its slack. *)
-let install t rows k { exp; op; rhs } =
+(* The row of a new slack for [exp], an oriented form over problem
+   variables: each term over a nonbasic column as it is, each term over
+   a basic one replaced by that variable's row. *)
+let new_row t (exp : Linexp.t) : row =
+  let le =
+    Linexp.fold
+      (fun p c acc ->
+        let v = column t p in
+        if t.basic.(v) then begin
+          let r = t.rows.(v) in
+          let acc = ref acc in
+          for q = 0 to Array.length r.vars - 1 do
+            acc := Linexp.add_term r.vars.(q) (Rat.mul c r.coeffs.(q)) !acc
+          done;
+          !acc
+        end
+        else Linexp.add_term v c acc)
+      exp Linexp.zero
+  in
+  row_of_linexp le
+
+(* The slack of the oriented form [exp], made basic with its row the
+   first time the form is met. *)
+let slack t exp =
+  match Linexp_tbl.find_opt t.forms exp with
+  | Some s -> s
+  | None ->
+      let row = new_row t exp in
+      let s = fresh_var t in
+      Linexp_tbl.add t.forms exp s;
+      t.basic.(s) <- true;
+      t.rows.(s) <- row;
+      if t.words > 0 then Array.iter (fun v -> col_add t v s) row.vars;
+      s
+
+let install t k { exp; op; rhs } =
   let rhs, exp =
     let c = Linexp.constant exp in
     if Rat.is_zero c then (rhs, exp) else (Rat.sub rhs c, Linexp.sub exp (Linexp.const c))
@@ -420,42 +587,43 @@ let install t rows k { exp; op; rhs } =
         | Eq -> Rat.is_zero rhs
       in
       if not holds then raise (Conflict [ k ])
-  | Some (v, c) when Linexp.cardinal exp = 1 ->
+  | Some (p, c) when Linexp.cardinal exp = 1 ->
+      let v = column t p in
       if Rat.equal c Rat.one then set_bound t v op rhs k
       else set_bound t v (if Rat.sign c < 0 then flip op else op) (Rat.div rhs c) k
   | Some (_, c) ->
       let exp, op, rhs =
         if Rat.sign c > 0 then (exp, op, rhs) else (Linexp.neg exp, flip op, Rat.neg rhs)
       in
-      let s =
-        match Linexp_tbl.find_opt rows exp with
-        | Some s -> s
-        | None ->
-            let s = fresh_var t in
-            Linexp_tbl.add rows exp s;
-            t.basic.(s) <- true;
-            t.rows.(s) <- row_of_linexp exp;
-            s
-      in
-      set_bound t s op rhs k
+      set_bound t (slack t exp) op rhs k
 
-(** Decide a conjunction of constraints over variables [0 .. nvars-1].
-    On success returns a model assigning a rational to each variable; on
-    failure, the positions of constraints that are infeasible together. *)
+(** Add constraint [c] with source [k]; a no-op on an infeasible
+    tableau. *)
+let add t k c =
+  if t.conflict = None then try install t k c with Conflict ks -> refute t ks
+
+(** Repair the tableau: value the variables allocated since the last
+    check, then pivot until no basic variable violates a bound. *)
+let check t : [ `Sat | `Unsat of int list ] =
+  match t.conflict with
+  | Some ks -> `Unsat ks
+  | None -> (
+      try
+        init_fresh t;
+        check_loop t;
+        `Sat
+      with Conflict ks ->
+        refute t ks;
+        `Unsat (Option.get t.conflict))
+
+(** Decide a conjunction of constraints over variables [0 .. nvars-1],
+    the sources of the constraints being their positions.  On success
+    returns a model assigning a rational to each variable; on failure,
+    the positions of constraints that are infeasible together. *)
 let solve ~nvars (cs : cons list) : [ `Sat of Rat.t array | `Unsat of int list ] =
-  let t = create nvars (nvars + List.length cs) in
-  try
-    List.iteri (install t (Linexp_tbl.create 8)) cs;
-    (* Initialize nonbasic values within their bounds. *)
-    for v = 0 to t.nvars - 1 do
-      if not t.basic.(v) then
-        t.beta.(v) <-
-          (match (t.lower.(v), t.upper.(v)) with
-          | Some l, _ -> l
-          | None, Some u -> u
-          | None, None -> Rat.zero)
-    done;
-    recompute_basic t;
-    check_loop t;
-    `Sat (Array.sub t.beta 0 nvars)
-  with Conflict ks -> `Unsat (List.sort_uniq Int.compare ks)
+  let t = create_cap (nvars + List.length cs) in
+  ensure t nvars;
+  List.iteri (add t) cs;
+  match check t with
+  | `Sat -> `Sat (Array.init nvars (value t))
+  | `Unsat ks -> `Unsat ks

@@ -69,14 +69,16 @@ let clear_cache () = Pred.Tbl.reset cache
 
 (** Monotone sum of the deterministic work units of every decided query:
     theory literals processed plus simplex pivots spent by its SAT check
-    — measured on fresh checks, {e replayed} from the cache on hits, zero
-    for trivially decided queries.  Unlike wall-clock time it is a pure
-    function of the queries, so policy decisions made on its deltas are
-    reproducible across runs and cache temperatures. *)
+    ({!Dpll.check_sat}, which also counts the pivots of a kept base
+    state) — measured on fresh checks, {e replayed} from the cache on
+    hits, zero for trivially decided queries.  Unlike wall-clock time it
+    is a pure function of the queries, so policy decisions made on its
+    deltas are reproducible across runs and cache temperatures. *)
 let work_total : int ref = ref 0
 
-(** Empty the result cache and reset the per-run instrumentation
-    counters of {!Dpll}, {!Theory}, {!Simplex} and {!Lia}.  The pipeline
+(** Empty the result cache, drop the kept base state of {!Dpll} and
+    reset the per-run instrumentation counters of {!Dpll}, {!Theory},
+    {!Simplex} and {!Lia}.  The pipeline
     calls this at the start of every run, so a run's cache hits are its
     own.
 
@@ -84,6 +86,7 @@ let work_total : int ref = ref 0
     {!work_total}, which every consumer reads as before/after deltas. *)
 let reset_run_state () =
   clear_cache ();
+  Dpll.forget_base ();
   Dpll.models_total := 0;
   Theory.nlits_total := 0;
   Simplex.npivots := 0;
@@ -92,16 +95,16 @@ let reset_run_state () =
 (* A fresh SAT check of [q] and the work units it cost. *)
 let check_formula (q : Pred.t) : result * int =
   stats.sat_checks <- stats.sat_checks + 1;
-  let w0 = !Theory.nlits_total + !Simplex.npivots in
+  let r, work = Dpll.check_sat q in
   let r =
-    match Dpll.check_sat q with
+    match r with
     | Dpll.Unsat -> Valid
     | Dpll.Sat (display, raw) -> Invalid { display; raw }
     | Dpll.Unknown ->
         stats.unknowns <- stats.unknowns + 1;
         Unknown
   in
-  (r, max 1 (!Theory.nlits_total + !Simplex.npivots - w0))
+  (r, max 1 work)
 
 (* ------------------------------------------------------------------ *)
 (* Hypothesis relevance pruning                                        *)
@@ -258,4 +261,4 @@ let check_valid ?kept (hyps : Pred.t list) (goal : Pred.t) : result =
 
 (** Satisfiability of a conjunction (used by tests). *)
 let is_sat (p : Pred.t) : bool =
-  match Dpll.check_sat p with Dpll.Unsat -> false | _ -> true
+  match fst (Dpll.check_sat p) with Dpll.Unsat -> false | _ -> true

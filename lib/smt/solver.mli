@@ -39,15 +39,18 @@ val pp_stats : Format.formatter -> unit -> unit
 val clear_cache : unit -> unit
 
 (** Monotone sum of the deterministic work units of every decided query
-    (theory literals processed + simplex pivots of its SAT check) —
-    measured fresh, replayed on cache hits, zero for trivially decided
+    — measured fresh, replayed on cache hits, zero for trivially decided
     queries — for metering spans of solver work via before/after deltas.
-    A reproducible cost proxy: unlike wall-clock time it is a pure
-    function of the queries, independent of machine load and cache
-    temperature. *)
+    A query's units are the literals of every conjunction its SAT check
+    decided plus the simplex pivots it spent, where a query that extends
+    the kept state of its hypotheses counts the pivots that built that
+    state as if it had built it.  A reproducible cost proxy: unlike
+    wall-clock time it is a pure function of the queries, independent of
+    machine load, cache temperature and the queries decided before. *)
 val work_total : int ref
 
-(** Empty the result cache ({!clear_cache}) and reset the per-run
+(** Empty the result cache ({!clear_cache}), drop the kept state of
+    the last hypotheses ({!Dpll.forget_base}) and reset the per-run
     instrumentation counters of {!Dpll}, {!Theory}, {!Simplex} and
     {!Lia}.  Does {e not} reset the cumulative {!stats} or
     {!work_total}, which consumers read as before/after deltas. *)

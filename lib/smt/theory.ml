@@ -19,6 +19,17 @@
       same-symbol applications) are asserted back into CC, up to a fixed
       budget.
 
+    The solver is a {!state}: the entities, the congruence closure, one
+    tableau and the literals asserted so far.  {!assert_lits} purifies
+    literals and queues their constraints, {!repair} installs them and
+    repairs the tableau, and {!decide} answers for the literals asserted.
+    A state can be copied and extended, so a caller that decides many
+    conjunctions sharing a prefix asserts and repairs the prefix once.
+    {!decide} repairs the state, adds the CC-derived equalities and
+    repairs the root; the disequality splits, branch and bound and the
+    exchange's probes then work on copies of that repaired tableau.  The
+    root is decided before any disequality is split.
+
     Any "unknown" outcome is reported as {!Unknown}: overflow, the
     branch-and-bound budget, and an exhausted exchange — rounds or
     budget run out while the model leaves some unprobed candidate pair
@@ -26,7 +37,8 @@
     congruence the model may violate).  An exhausted exchange whose
     model separates every unprobed pair still answers [Sat].  The
     validity checker treats [Unknown] as "possibly satisfiable", which
-    is sound. *)
+    is sound.  A state that overflowed while asserting or repairing
+    answers [Unknown], and so does every state extended from it. *)
 
 open Liquid_common
 open Liquid_logic
@@ -39,10 +51,16 @@ type value = Vint of int | Vbool of bool
     non-internal entities of the query. *)
 type model = (string * value) list
 
+(** A signed atom: [(p, false)] asserts the negation of [p]. *)
+type lit = Pred.t * bool
+
 (** [Sat (display, raw)]: the satisfying model under display labels
     ({!clean_label}) and under the entities' original labels, which a
-    strict evaluator needs (display labels can collide). *)
-type result = Sat of model * model | Unsat of int list option | Unknown
+    strict evaluator needs (display labels can collide).  [Unsat e]
+    carries the explanation, when there is one. *)
+type 'core answer = Sat of model * model | Unsat of 'core option | Unknown
+
+type result = int list answer
 
 (* Literals processed across all calls: prices each check by the size
    of the conjunction it decides (congruence closure and constraint
@@ -52,6 +70,13 @@ let nlits_total = ref 0
 
 module Linexp_tbl = Hashtbl.Make (Linexp)
 
+(* The source of an arithmetic constraint is the number of the literal
+   it came from, in the order the state asserted them, or one of these:
+   a proxy definition, which always holds, and an equality derived by
+   congruence, which an explanation cannot name. *)
+let always = -1
+let derived = -2
+
 type state = {
   cc : Cc.t;
   mutable nents : int;
@@ -59,11 +84,16 @@ type state = {
   mutable ent_sort : Sort.t array; (* [ent_sort.(id)] for [id < nents] *)
   app_proxy : (Cc.node, int) Hashtbl.t; (* app node -> entity id *)
   linexp_proxy : int Linexp_tbl.t; (* compound linexp -> entity id *)
-  mutable defs : Lia.cons list;
-  (* Each constraint with the index of the literal it came from. *)
-  mutable arith : (Lia.cons * int) list;
-  mutable diseqs : (Linexp.t * int) list; (* d <> 0 constraints, branched at the end *)
   labels : (int, string) Hashtbl.t; (* entity id -> display label *)
+  mutable lits : lit array; (* the asserted literals, by number *)
+  mutable nlits : int;
+  (* Constraints not yet in the tableau, newest first: proxy
+     definitions, and each literal's constraint with its source. *)
+  mutable defs : Lia.cons list;
+  mutable arith : (Lia.cons * int) list;
+  mutable diseqs : (Linexp.t * int) list; (* d <> 0 constraints, split in [decide] *)
+  tab : Simplex.t;
+  mutable overflowed : bool;
 }
 
 let create () =
@@ -74,10 +104,27 @@ let create () =
     ent_sort = Array.make 16 Sort.Int;
     app_proxy = Hashtbl.create 16;
     linexp_proxy = Linexp_tbl.create 16;
+    labels = Hashtbl.create 16;
+    lits = [||];
+    nlits = 0;
     defs = [];
     arith = [];
     diseqs = [];
-    labels = Hashtbl.create 16;
+    tab = Simplex.create ();
+    overflowed = false;
+  }
+
+let copy st =
+  {
+    st with
+    cc = Cc.copy st.cc;
+    ent_of_ident = Ident.Tbl.copy st.ent_of_ident;
+    ent_sort = Array.copy st.ent_sort;
+    app_proxy = Hashtbl.copy st.app_proxy;
+    linexp_proxy = Linexp_tbl.copy st.linexp_proxy;
+    labels = Hashtbl.copy st.labels;
+    lits = Array.copy st.lits;
+    tab = Simplex.copy st.tab;
   }
 
 let fresh_ent st sort =
@@ -225,49 +272,75 @@ let assert_atom st i ((p : Pred.t), (polarity : bool)) =
   | Not _ | And _ | Or _ | Imp _ | Iff _ ->
       invalid_arg "Theory.assert_atom: non-atomic predicate"
 
-(* -- Satisfiability check --------------------------------------------- *)
+(* -- Asserting and repairing ------------------------------------------- *)
 
-(* The source of an arithmetic constraint that no literal asserts: a
-   proxy definition, which always holds, or an equality derived by
-   congruence, which an explanation cannot name. *)
-let always = -1
-let derived = -2
+(** Purify [lits] into the congruence closure and queue their
+    constraints, numbering them after the literals asserted so far. *)
+let assert_lits st (lits : lit list) =
+  List.iter
+    (fun lit ->
+      let i = st.nlits in
+      if i = Array.length st.lits then begin
+        let grown = Array.make (max 8 (2 * i)) lit in
+        Array.blit st.lits 0 grown 0 i;
+        st.lits <- grown
+      end;
+      st.lits.(i) <- lit;
+      st.nlits <- i + 1;
+      if not st.overflowed then
+        try assert_atom st i lit with Rat.Overflow -> st.overflowed <- true)
+    lits
 
-(** The literals behind the constraints at positions [ks] of a list
-    whose sources are [srcs], increasing; [None] if one of them is
-    derived. *)
-let literals srcs ks =
-  let srcs = Array.of_list srcs in
-  let rec go acc = function
-    | [] -> Some (List.sort_uniq Int.compare acc)
-    | k :: rest ->
-        let s = srcs.(k) in
-        if s = derived then None else go (if s = always then acc else s :: acc) rest
-  in
-  go [] ks
+(* Install the queued constraints, proxy definitions first, each list
+   newest first, then [extra]; every entity gets a column first. *)
+let install st extra =
+  let tab = st.tab in
+  Simplex.ensure tab st.nents;
+  List.iter (Lia.add tab always) st.defs;
+  List.iter (fun (c, i) -> Lia.add tab i c) st.arith;
+  List.iter (fun c -> Lia.add tab derived c) extra;
+  st.defs <- [];
+  st.arith <- []
 
-(** LIA check with integer disequalities handled by case-splitting;
-    [srcs] are the sources of [cons], and an [Unsat] explanation names
-    literals.  Both branches of a split name the disequality's literal,
-    and a split explains its [Unsat] by both branches' explanations. *)
-let rec lia_with_diseqs ~nvars cons srcs diseqs : Lia.result =
+(** Install the queued constraints and repair the tableau. *)
+let repair st =
+  if not st.overflowed then
+    try
+      install st [];
+      ignore (Simplex.check st.tab)
+    with Rat.Overflow -> st.overflowed <- true
+
+(** The literals, by number, behind the constraints with sources [ks],
+    increasing; [None] if one of them is derived. *)
+let literals ks =
+  if List.mem derived ks then None else Some (List.filter (fun k -> k >= 0) ks)
+
+(* Explanations of both branches of a split, or none. *)
+let union e e' =
+  match (e, e') with
+  | Some e, Some e' -> Some (List.sort_uniq Int.compare (e @ e'))
+  | _ -> None
+
+(** LIA check with integer disequalities handled by case-splitting, on
+    copies of the repaired tableau [tab].  Both branches of a split name
+    the disequality's literal, and a split explains its [Unsat] by both
+    branches' explanations. *)
+let rec lia_with_diseqs ~nvars tab diseqs : Lia.result =
   match diseqs with
-  | [] -> (
-      match Lia.check ~nvars cons with
-      | Lia.Unsat (Some ks) -> Lia.Unsat (literals srcs ks)
-      | r -> r)
+  | [] -> Lia.search ~nvars tab
   | (d, i) :: rest -> (
-      let lo = { Lia.exp = d; op = Lia.Lt; rhs = Rat.zero } in
-      let hi = { Lia.exp = Linexp.neg d; op = Lia.Lt; rhs = Rat.zero } in
-      let branch c = lia_with_diseqs ~nvars (c :: cons) (i :: srcs) rest in
-      match branch lo with
+      let branch exp =
+        let tab = Simplex.copy tab in
+        Lia.add tab i { Lia.exp; op = Lia.Lt; rhs = Rat.zero };
+        lia_with_diseqs ~nvars tab rest
+      in
+      match branch d with
       | Lia.Sat m -> Lia.Sat m
       | Lia.Unsat e -> (
-          match (e, branch hi) with
-          | Some e, Lia.Unsat (Some e') -> Lia.Unsat (Some (List.sort_uniq Int.compare (e @ e')))
-          | _, Lia.Unsat _ -> Lia.Unsat None
-          | _, r -> r)
-      | Lia.Unknown -> ( match branch hi with Lia.Sat m -> Lia.Sat m | _ -> Lia.Unknown))
+          match branch (Linexp.neg d) with
+          | Lia.Unsat e' -> Lia.Unsat (union e e')
+          | r -> r)
+      | Lia.Unknown -> ( match branch (Linexp.neg d) with Lia.Sat m -> Lia.Sat m | _ -> Lia.Unknown))
 
 (** CC-derived equalities between integer entities, as LIA constraints. *)
 let cc_equalities st =
@@ -421,68 +494,99 @@ let display_labels (m : model) : model =
     (fun (label, v) -> Option.map (fun l -> (l, v)) (clean_label label))
     m
 
-let check_sat (lits : (Pred.t * bool) list) : result =
+(* Decide [st], whose literals are asserted: repair it, add the
+   CC-derived equalities to it and repair it again (an overflow there
+   spoils [st] for good), then split, branch and probe on copies.  An
+   explanation names literals by number. *)
+let rec decide_numbered st rounds budget : int list answer =
+  let root =
+    if not (Cc.ok st.cc) then None
+    else begin
+      repair st;
+      if st.overflowed then None
+      else
+        try
+          install st (cc_equalities st);
+          Some (Simplex.check st.tab)
+        with Rat.Overflow ->
+          st.overflowed <- true;
+          None
+    end
+  in
+  if st.overflowed then Unknown
+  else
+    match root with
+    | None -> Unsat None
+    | Some (`Unsat ks) -> Unsat (literals ks)
+    | Some `Sat -> ( try exchange st rounds budget with Rat.Overflow -> Unknown)
+
+(* The disequality splits, branch and bound and the exchange, on
+   copies of the repaired root of [st]. *)
+and exchange st rounds budget =
+  let nvars = st.nents in
+  let sat m =
+    let raw = extract_model_raw st m in
+    Sat (List.sort compare (display_labels raw), raw)
+  in
+  (* An unprobed pair the model leaves unseparated may be forced
+     equal: the model may then violate congruence, and only a
+     probe could tell. *)
+  let sat_unless_unseparated m unprobed =
+    if List.exists (fun (u, v) -> Rat.equal m.(u) m.(v)) unprobed then Unknown
+    else sat m
+  in
+  match lia_with_diseqs ~nvars st.tab st.diseqs with
+  | Lia.Unsat e -> Unsat (Option.bind e literals)
+  | Lia.Unknown -> Unknown
+  | Lia.Sat m when rounds = 0 -> sat_unless_unseparated m (candidate_pairs st)
+  | Lia.Sat m ->
+      (* LIA -> CC: discover implied equalities among shared pairs,
+         each probe on a copy of the repaired root, which holds no
+         disequality.  [m] is an integer model of the root; where
+         it separates [u] and [v] it satisfies one of the two
+         probes, so [u = v] is not implied and the probes are
+         skipped.  A merge goes into a copy of [st]. *)
+      let implied u v =
+        let refuted exp =
+          let tab = Simplex.copy st.tab in
+          Lia.add tab always { Lia.exp; op = Lia.Lt; rhs = Rat.zero };
+          match Lia.search ~nvars tab with Lia.Unsat _ -> true | _ -> false
+        in
+        let d = Linexp.sub (Linexp.var u) (Linexp.var v) in
+        Rat.equal m.(u) m.(v) && refuted d && refuted (Linexp.neg d)
+      in
+      let budget = ref budget in
+      let merged = ref None in
+      let skipped = ref [] in
+      List.iter
+        (fun (u, v) ->
+          if !budget > 0 then begin
+            budget := !budget - 2;
+            if implied u v then begin
+              let st' = match !merged with Some st' -> st' | None -> copy st in
+              Cc.assert_eq st'.cc (Cc.var st'.cc u) (Cc.var st'.cc v);
+              merged := Some st'
+            end
+          end
+          else skipped := (u, v) :: !skipped)
+        (candidate_pairs st);
+      match !merged with
+      | Some st' -> decide_numbered st' (rounds - 1) !budget
+      | None -> sat_unless_unseparated m !skipped
+
+(** Decide the literals asserted in [st], after repairing it, adding
+    the CC-derived equalities to it and repairing it again; anything
+    else happens on copies, so [st] can still be extended.  An
+    explanation names literals, in the order [st] asserted them. *)
+let decide st : lit list answer =
+  match decide_numbered st 3 propagation_budget with
+  | Sat (display, raw) -> Sat (display, raw)
+  | Unsat e -> Unsat (Option.map (List.map (fun i -> st.lits.(i))) e)
+  | Unknown -> Unknown
+
+let check_sat (lits : lit list) : result =
   nlits_total := !nlits_total + List.length lits;
   let st = create () in
-  try
-    List.iteri (assert_atom st) lits;
-    let rec loop rounds budget =
-      if not (Cc.ok st.cc) then Unsat None
-      else
-        let nvars = st.nents in
-        let ccs = cc_equalities st in
-        let cons = st.defs @ List.map fst st.arith @ ccs in
-        let srcs =
-          List.map (fun _ -> always) st.defs
-          @ List.map snd st.arith
-          @ List.map (fun _ -> derived) ccs
-        in
-        let sat m =
-          let raw = extract_model_raw st m in
-          Sat (List.sort compare (display_labels raw), raw)
-        in
-        (* An unprobed pair the model leaves unseparated may be forced
-           equal: the model may then violate congruence, and only a
-           probe could tell. *)
-        let sat_unless_unseparated m unprobed =
-          if List.exists (fun (u, v) -> Rat.equal m.(u) m.(v)) unprobed then
-            Unknown
-          else sat m
-        in
-        match lia_with_diseqs ~nvars cons srcs st.diseqs with
-        | Lia.Unsat e -> Unsat e
-        | Lia.Unknown -> Unknown
-        | Lia.Sat m when rounds = 0 ->
-            sat_unless_unseparated m (candidate_pairs st)
-        | Lia.Sat m ->
-            (* LIA -> CC: discover implied equalities among shared pairs.
-               [m] is an integer model of [cons]; where it separates [u]
-               and [v] it satisfies one of the two probes, so [u = v] is
-               not implied and the probes are skipped. *)
-            let implied u v =
-              let neq d =
-                { Lia.exp = d; op = Lia.Lt; rhs = Rat.zero }
-              in
-              let d = Linexp.sub (Linexp.var u) (Linexp.var v) in
-              let refuted c = match Lia.check ~nvars (c :: cons) with Lia.Unsat _ -> true | _ -> false in
-              Rat.equal m.(u) m.(v) && refuted (neq d) && refuted (neq (Linexp.neg d))
-            in
-            let budget = ref budget in
-            let merged = ref false in
-            let skipped = ref [] in
-            List.iter
-              (fun (u, v) ->
-                if !budget > 0 then begin
-                  budget := !budget - 2;
-                  if implied u v then begin
-                    Cc.assert_eq st.cc (Cc.var st.cc u) (Cc.var st.cc v);
-                    merged := true
-                  end
-                end
-                else skipped := (u, v) :: !skipped)
-              (candidate_pairs st);
-            if !merged then loop (rounds - 1) !budget
-            else sat_unless_unseparated m !skipped
-    in
-    loop 3 propagation_budget
-  with Rat.Overflow -> Unknown
+  assert_lits st lits;
+  (* A fresh state numbers its literals by their positions. *)
+  decide_numbered st 3 propagation_budget

@@ -1,9 +1,15 @@
 (** Combined theory solver for QF-EUFLIA conjunctions: purification into
     {!Lia} constraints and {!Cc} assertions, with a bounded Nelson–Oppen
     equality exchange.  [Unknown] must be treated as "possibly
-    satisfiable".  An [Unsat] answer names the literals behind it when
-    the arithmetic explains its conflict without a congruence-derived
-    equality. *)
+    satisfiable".
+
+    The solver is a {!state} that grows: literals are asserted into it,
+    the state is repaired, and a repaired state can be copied and
+    extended by more literals, so conjunctions that share literals share
+    the work of asserting and repairing them.  {!check_sat} is a fresh
+    state through the same code.  An [Unsat] answer names the literals
+    behind it when the arithmetic explains its conflict without a
+    congruence-derived equality. *)
 
 open Liquid_logic
 
@@ -20,6 +26,9 @@ type model = (string * value) list
 
 val pp_value : Format.formatter -> value -> unit
 
+(** A signed atom: [(p, false)] asserts the negation of [p]. *)
+type lit = Pred.t * bool
+
 (** [Sat (display, raw)]: a satisfying model under display labels
     ({!display_labels}) and under the entities' {e original} labels
     (alpha-renaming suffixes intact, internal names included).  Display
@@ -27,14 +36,17 @@ val pp_value : Format.formatter -> value -> unit
     so callers that {e evaluate} predicates under a model read the raw
     one.
 
-    [Unsat (Some is)]: the literals at positions [is] of the input,
-    increasing, are unsat on their own.  It is the arithmetic's
-    explanation, with proxy definitions, which always hold, dropped; an
-    explanation that leans on a congruence-derived equality is dropped
-    whole ([Unsat None]), and so is a congruence conflict.  A
-    disequality split explains its conflict by both branches'
-    explanations. *)
-type result = Sat of model * model | Unsat of int list option | Unknown
+    [Unsat (Some core)]: literals that are unsat on their own.  It is
+    the arithmetic's explanation, with proxy definitions, which always
+    hold, dropped; an explanation that leans on a congruence-derived
+    equality is dropped whole ([Unsat None]), and so is a congruence
+    conflict.  A disequality split explains its conflict by both
+    branches' explanations. *)
+type 'core answer = Sat of model * model | Unsat of 'core option | Unknown
+
+(** A {!check_sat} answer: an explanation names literals by their
+    positions in the input, increasing. *)
+type result = int list answer
 
 (** The entries of a raw model whose labels have a display form,
     relabelled, in the same order: internal ('%'-prefixed) names and
@@ -42,7 +54,34 @@ type result = Sat of model * model | Unsat of int list option | Unknown
     suffixes stripped, and the value variable [VV] renders as [v]. *)
 val display_labels : model -> model
 
-(** Decide the conjunction of the given signed atoms ([(p, false)]
-    asserts the negation of [p]).  Non-atomic predicates are rejected
-    with [Invalid_argument]. *)
-val check_sat : (Pred.t * bool) list -> result
+(** The entities, the congruence closure, one tableau and the literals
+    asserted so far. *)
+type state
+
+(** A state without literals. *)
+val create : unit -> state
+
+(** An independent copy, to extend without touching the original. *)
+val copy : state -> state
+
+(** Purify the literals into the state and queue their constraints.
+    Non-atomic predicates are rejected with [Invalid_argument]. *)
+val assert_lits : state -> lit list -> unit
+
+(** Install the queued constraints and repair the tableau.  A state
+    that overflows here, or while asserting, answers [Unknown], and so
+    does every copy of it. *)
+val repair : state -> unit
+
+(** Decide the conjunction of the literals asserted: the state is
+    repaired, then the CC-derived equalities join it and its root is
+    repaired again; if that leaves it feasible, the disequality splits,
+    branch and bound and the equality exchange's probes run on copies
+    of the repaired root.  The state can still be extended afterwards.
+    An explanation names literals, in the order the state asserted
+    them. *)
+val decide : state -> lit list answer
+
+(** Decide the conjunction of the given signed atoms on a fresh
+    state. *)
+val check_sat : lit list -> result

@@ -325,6 +325,19 @@ let test_exchange_exhaustion () =
         (answer d = Solver.Unknown))
     [ 4; 5; 6 ]
 
+(* [3 * (-2 - z) >= y] and [4 + y = -3 * x] hold at [x = 0, y = -4,
+   z = -1].  Branching away from zero first, each branch inherits a
+   model whose values the next branch pushes further out, and the
+   search spends its budget. *)
+let test_branch_toward_zero () =
+  let a = Pred.atom (Term.mul (Term.int 3) (Term.sub (Term.int (-2)) z)) Pred.Lt y in
+  let b = Pred.atom (Term.sub (Term.int 0) (Term.sub (Term.int (-4)) y)) Pred.Eq (Term.mul (Term.int (-3)) x) in
+  List.iter
+    (fun lits ->
+      check_bool "decided Sat" true
+        (match Theory.check_sat lits with Theory.Sat _ -> true | _ -> false))
+    [ [ (a, false); (b, true) ]; [ (b, true); (a, false) ] ]
+
 (* ------------------------------------------------------------------ *)
 (* Property tests: cross-check the solver against brute-force          *)
 (* evaluation of random formulas over a small integer domain.          *)
@@ -1138,6 +1151,128 @@ let prop_invalid_models_satisfy_queries =
       | Solver.Invalid cex -> eval_raw cex.Solver.raw q.Solver.query <> Some false
       | Solver.Valid | Solver.Unknown -> true)
 
+(* -- Incremental states: extending agrees with deciding afresh -------- *)
+
+let lit_pred (a, pol) = if pol then a else Pred.not_ a
+
+(* Answers of a theory state for [lits] that hold whatever the other
+   side says: a Sat model never makes an atom's literal false (a folded
+   [true] or [false] has no theory content), and the literals an
+   explanation names are unsat on their own. *)
+let theory_answer_sound lits = function
+  | Theory.Sat (_, raw) ->
+      List.for_all
+        (fun ((a, _) as l) ->
+          match Pred.view a with
+          | Pred.Atom _ -> eval_raw raw (lit_pred l) <> Some false
+          | _ -> true)
+        lits
+  | Theory.Unsat (Some core) -> core <> [] && theory_unsat core
+  | Theory.Unsat None | Theory.Unknown -> true
+
+let sat_unsat_agree a b =
+  match (a, b) with
+  | Theory.Sat _, Theory.Unsat _ | Theory.Unsat _, Theory.Sat _ -> false
+  | _ -> true
+
+(* The state of a prefix, repaired, extended on a copy by the rest of
+   the list and decided, against [Theory.check_sat] of the whole list;
+   the prefix's own state, decided afterwards, against [check_sat] of
+   the prefix. *)
+let prop_extension_agrees =
+  QCheck.Test.make ~count:500 ~long_factor:10
+    ~name:"theory: extending a repaired state agrees with deciding afresh"
+    (QCheck.make
+       ~print:(fun (lits, at) -> Printf.sprintf "%s, split at %d" (print_lits lits) at)
+       QCheck.Gen.(
+         let* lits = gen_theory_lits in
+         let+ at = int_range 0 (List.length lits) in
+         (lits, at)))
+    (fun (lits, at) ->
+      let prefix = Liquid_common.Listx.take at lits
+      and rest = Liquid_common.Listx.drop at lits in
+      let st = Theory.create () in
+      Theory.assert_lits st prefix;
+      Theory.repair st;
+      let ext = Theory.copy st in
+      Theory.assert_lits ext rest;
+      Theory.repair ext;
+      let extended = Theory.decide ext in
+      let whole = Theory.check_sat lits in
+      let alone = Theory.decide st in
+      sat_unsat_agree extended whole
+      && theory_answer_sound lits extended
+      && sat_unsat_agree alone (Theory.check_sat prefix)
+      && theory_answer_sound prefix alone)
+
+(* A [gen_shared_system] split at a generated point: the prefix added
+   and checked, then the rest added to a copy and checked, against
+   Fourier-Motzkin; the prefix's tableau, checked again, still answers
+   for the prefix. *)
+let prop_simplex_extension_agrees =
+  QCheck.Test.make ~count:1000 ~long_factor:10
+    ~name:"simplex: extending a repaired tableau agrees with Fourier-Motzkin and explains"
+    (QCheck.make
+       ~print:(fun (cs, at) -> Printf.sprintf "%s, split at %d" (print_simplex_system cs) at)
+       QCheck.Gen.(
+         let* cs = gen_shared_system in
+         let+ at = int_range 0 (List.length cs) in
+         (cs, at)))
+    (fun (cs, at) ->
+      let agrees t cs =
+        match Simplex.check t with
+        | `Sat ->
+            Fm.solve cs = `Sat
+            && List.for_all
+                 (fun (c : Simplex.cons) ->
+                   let v = Linexp.eval (Simplex.value t) c.Simplex.exp in
+                   match c.Simplex.op with
+                   | Simplex.Le -> Rat.le v c.Simplex.rhs
+                   | Simplex.Ge -> Rat.le c.Simplex.rhs v
+                   | Simplex.Eq -> Rat.equal v c.Simplex.rhs)
+                 cs
+        | `Unsat ks ->
+            Fm.solve cs = `Unsat
+            && ks <> []
+            && List.for_all (fun k -> k >= 0 && k < List.length cs) ks
+            && Fm.solve (at_positions ks cs) = `Unsat
+      in
+      let prefix = Liquid_common.Listx.take at cs in
+      let t = Simplex.create () in
+      List.iteri (Simplex.add t) prefix;
+      ignore (Simplex.check t);
+      let ext = Simplex.copy t in
+      List.iteri (fun k c -> if k >= at then Simplex.add ext k c) cs;
+      agrees ext cs && agrees t prefix)
+
+(* [g] over [hyps] decided right after another goal over the same
+   hypotheses, whose SAT check leaves their base state behind, and
+   again after a query over other hypotheses has replaced it: the same
+   answer, model included, and the same work units. *)
+let prop_answer_is_a_function_of_the_query =
+  let other = Pred.le (Term.var "w" Sort.Int) (Term.int 7) in
+  QCheck.Test.make ~count:300 ~long_factor:10
+    ~name:"solver: an answer is a function of its query"
+    (QCheck.make
+       ~print:(fun (hyps, goal) ->
+         String.concat ", " (List.map Pred.to_string hyps) ^ " => " ^ Pred.to_string goal)
+       gen_query)
+    (fun (hyps, goal) ->
+      let idx = Solver.index hyps in
+      let q = Solver.prepare idx goal in
+      let decide () =
+        let w0 = !Solver.work_total in
+        let r = Solver.check_query q in
+        (r, !Solver.work_total - w0)
+      in
+      Solver.clear_cache ();
+      ignore (Solver.check_query (Solver.prepare idx (Pred.not_ goal)));
+      let after_same = decide () in
+      Solver.clear_cache ();
+      ignore (Solver.check_valid [ other ] (Pred.lt (Term.var "w" Sort.Int) (Term.int 9)));
+      let after_other = decide () in
+      after_same = after_other)
+
 let tests =
   tests
   @ List.map QCheck_alcotest.to_alcotest
@@ -1153,4 +1288,15 @@ let tests =
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_simplex_matches_reference_large; prop_normalize_matches_reference ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ prop_simplex_explains; prop_theory_explains; prop_invalid_models_satisfy_queries ]
+      [
+        prop_simplex_explains;
+        prop_theory_explains;
+        prop_invalid_models_satisfy_queries;
+        prop_extension_agrees;
+        prop_simplex_extension_agrees;
+        prop_answer_is_a_function_of_the_query;
+      ]
+  @ [
+      Alcotest.test_case "lia: branch and bound tries the branch toward zero first" `Quick
+        test_branch_toward_zero;
+    ]
