@@ -3,7 +3,10 @@
     Nodes are hash-consed terms over entity variables (integer ids shared
     with the arithmetic layer), integer constants, and applications.  The
     structure maintains a union-find partition closed under congruence
-    and checks disequalities (and distinct-constant merges) eagerly. *)
+    and checks disequalities (and distinct-constant merges) eagerly.
+    Each assertion carries a source, chosen by the caller, and a proof
+    forest records why each merge happened, so an equality between two
+    nodes of one class, and a conflict, are explained by sources. *)
 
 open Liquid_logic
 
@@ -25,19 +28,24 @@ val var : t -> int -> node
 val const : t -> int -> node
 val app : t -> Symbol.t -> node list -> node
 
-val assert_eq : t -> node -> node -> unit
-val assert_ne : t -> node -> node -> unit
+(** [assert_eq t a b k] and [assert_ne t a b k] assert with source
+    [k]. *)
 
-(** [false] once a conflict (disequality or distinct constants merged)
-    has been detected. *)
-val ok : t -> bool
+val assert_eq : t -> node -> node -> int -> unit
+val assert_ne : t -> node -> node -> int -> unit
+
+(** [Some ks] once a conflict (a disequality, or distinct constants,
+    merged) has been detected: the sources, increasing, of the
+    assertions behind the first one. *)
+val conflict : t -> int list option
 
 val equal : t -> node -> node -> bool
+
+(** [explain t a b] for [a] and [b] of one class: the sources,
+    increasing, of the assertions that make them equal. *)
+val explain : t -> node -> node -> int list
 
 (** All nodes with their current representative. *)
 val nodes_with_reprs : t -> (node * node) list
 
 val expr_of : t -> node -> expr
-
-(** Fold over all application nodes. *)
-val fold_apps : ('a -> node -> Symbol.t -> node list -> 'a) -> t -> 'a -> 'a

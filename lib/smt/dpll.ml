@@ -6,11 +6,9 @@
     literals; on theory conflict add a blocking clause, the negation of
     a core of the assigned theory literals, and resume.  Every conflict,
     from the first model on, is blocked by a core: the literals the
-    theory names as its explanation, or else a core bisected out of the
-    assignment ({!shrink_core}), whose probes decide fresh states.
-    Termination: a core is a subset of the assigned literals, so each
-    blocking clause removes at least the current propositional model
-    from a finite space.
+    theory names as its explanation.  Termination: a core is a subset of
+    the assigned literals, so each blocking clause removes at least the
+    current propositional model from a finite space.
 
     No conjunction is rebuilt from nothing.  The literals unit
     propagation forces hold in every model; the state that decides them
@@ -129,36 +127,6 @@ let rec find_model (asg : assignment) nvars clauses =
           end
         end
       end
-
-let theory_unsat lits =
-  match Theory.check_sat lits with Theory.Unsat _ -> true | _ -> false
-
-(** Shrink an unsat list [l0 … l(n-1)] to a (locally) minimal core, as
-    the greedy deletion filter would: it walks the list with the kept
-    literals [kept] (newest first), dropping [li] when [kept @ l(i+1..)]
-    is still [unsat].  Under a monotone oracle the next literal it keeps
-    from position [i] is [l(t)] for the largest [t >= i] such that
-    [kept @ l(t..)] is unsat, so a binary search over [t] finds it in
-    about log2(n - i) calls instead of one call per literal.  The search
-    stops once [kept] alone is unsat.  Every probe has the filter's
-    shape ([kept], newest first, then a suffix in list order), and the
-    core comes back in the filter's order, newest kept first. *)
-let shrink_core ~(unsat : 'a list -> bool) (lits : 'a list) : 'a list =
-  let rec tails l = l :: (match l with [] -> [] | _ :: rest -> tails rest) in
-  let suffix = Array.of_list (tails lits) in
-  let n = Array.length suffix - 1 in
-  (* Invariant: [kept @ suffix.(i)] is unsat. *)
-  let rec go kept i =
-    let lo = ref i and hi = ref (n + 1) in
-    while !hi - !lo > 1 do
-      let mid = (!lo + !hi) / 2 in
-      if unsat (kept @ suffix.(mid)) then lo := mid else hi := mid
-    done;
-    match suffix.(!lo) with
-    | [] -> kept (* [kept] alone is unsat *)
-    | l :: _ -> go (l :: kept) (!lo + 1)
-  in
-  go [] 0
 
 (* -- The base of a query ----------------------------------------------- *)
 
@@ -335,24 +303,16 @@ let check_sat (p : Liquid_logic.Pred.t) : result * int =
             in
             Sat (merge from_theory bools, merge from_theory_raw bools_raw)
         | Theory.Unknown -> Unknown
-        | Theory.Unsat explained ->
-            (* Block a core of the conflict rather than the whole
-               assignment: a short blocking clause excludes
-               exponentially more future models.  The theory's
-               explanation is a core for free.  A conflict it cannot
-               explain is shrunk to a (locally) minimal core by
-               bisection, about log2 n theory calls per core literal,
-               which pays for itself by slashing the model
-               enumeration. *)
+        | Theory.Unsat named ->
+            (* Block the theory's explanation of the conflict rather
+               than the whole assignment: a short blocking clause
+               excludes exponentially more future models.  Its
+               literals come oldest variable first. *)
             let core =
-              match explained with
-              | Some named ->
-                  (* Reversed, as a bisected core comes back. *)
-                  List.rev
-                    (List.filter
-                       (fun (_, a, pos) -> List.exists (fun (b, pos') -> a == b && pos = pos') named)
-                       lits)
-              | None -> shrink_core ~unsat:(fun ls -> theory_unsat (conj ls)) lits
+              List.rev
+                (List.filter
+                   (fun (_, a, pos) -> List.exists (fun (b, pos') -> a == b && pos = pos') named)
+                   lits)
             in
             let blocking =
               List.map (fun (v, _, pos) -> if pos then -(v + 1) else v + 1) core

@@ -17,17 +17,17 @@
     bound to a copy of its parent's repaired tableau, the branch toward
     zero first.
 
-    An [Unsat] answer explains itself when it can, by the sources of
-    constraints that are infeasible together: the one constraint that
-    normalization refutes, or the simplex's explanation of an infeasible
-    root relaxation.  A conflict found only after branching has no
-    explanation. *)
+    An [Unsat] answer explains itself by the sources of constraints that
+    are infeasible together: the one constraint that normalization
+    refutes, the simplex's explanation of an infeasible relaxation, or,
+    for a node that branched, the union of its two branches'
+    explanations less the branch bounds. *)
 
 type op = Le | Lt | Eq
 
 type cons = { exp : Linexp.t; op : op; rhs : Rat.t }
 
-type result = Sat of Rat.t array | Unsat of int list option | Unknown
+type result = Sat of Rat.t array | Unsat of int list | Unknown
 
 let budget = 400 (* branch-and-bound nodes per check *)
 
@@ -103,7 +103,9 @@ let add t k c =
   | Some None -> ()
   | Some (Some c) -> Simplex.add t k (to_simplex c)
 
-(* The source of a branch bound, which no explanation may name. *)
+(* The source of a branch bound.  A node's explanation leaves every
+   branch bound out: the bounds of its own branches cover the integers,
+   and those above it are left out again by its ancestors. *)
 let branched = min_int
 
 (** The first problem variable below [nvars] whose value is
@@ -119,13 +121,13 @@ let fractional t nvars =
 
 let search ~nvars t : result =
   let nodes = ref 0 in
-  let rec bb t root =
+  let rec bb t =
     incr nodes;
     incr nnodes_total;
     if !nodes > budget then Unknown
     else
       match Simplex.check t with
-      | `Unsat ks -> Unsat (if root then Some ks else None)
+      | `Unsat ks -> Unsat (List.filter (fun k -> k <> branched) ks)
       | `Sat -> (
           match fractional t nvars with
           | None -> Sat (Array.init nvars (Simplex.value t))
@@ -133,7 +135,7 @@ let search ~nvars t : result =
               let branch op bound =
                 let t = Simplex.copy t in
                 Simplex.add t branched (Simplex.cons (Linexp.var v) op (Rat.of_int bound));
-                bb t false
+                bb t
               in
               (* The branch toward zero first: a branch inherits its
                  parent's values, and away from zero a feasible branch
@@ -145,9 +147,12 @@ let search ~nvars t : result =
               match first () with
               | Sat m -> Sat m
               | Unknown -> ( match second () with Sat m -> Sat m | _ -> Unknown)
-              | Unsat _ -> second ()))
+              | Unsat e -> (
+                  match second () with
+                  | Unsat e' -> Unsat (List.sort_uniq Int.compare (e @ e'))
+                  | r -> r)))
   in
-  try bb t true with Rat.Overflow -> Unknown
+  try bb t with Rat.Overflow -> Unknown
 
 let check ~nvars (cs : cons list) : result =
   let t = Simplex.create () in

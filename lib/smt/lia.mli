@@ -2,17 +2,18 @@
     tightening, the GCD test on equalities, and bounded branch-and-bound
     on a live tableau.  [Unknown] (budget or overflow) must be treated as
     "possibly satisfiable" — sound for a validity checker.  An [Unsat]
-    found before any branching names the constraints behind it. *)
+    names the constraints behind it. *)
 
 type op = Le | Lt | Eq
 
 type cons = { exp : Linexp.t; op : op; rhs : Rat.t }
 
-(** [Unsat (Some ks)]: the constraints with sources [ks], increasing,
-    are infeasible on their own — the one that normalization refutes, or
-    the simplex's explanation of the root relaxation.  A conflict found
-    only after branching has none. *)
-type result = Sat of Rat.t array | Unsat of int list option | Unknown
+(** [Unsat ks]: the constraints with sources [ks], increasing, are
+    infeasible on their own over the integers — the one that
+    normalization refutes, the simplex's explanation of the root
+    relaxation, or the union of a branched node's two branches'
+    explanations, less the branch bounds. *)
+type result = Sat of Rat.t array | Unsat of int list | Unknown
 
 (** Branch-and-bound nodes across all checks (instrumentation). *)
 val nnodes_total : int ref

@@ -6,8 +6,8 @@
     - linear integer arithmetic ({!Lia} over {!Simplex}), and
     - equality with uninterpreted functions ({!Cc}),
 
-    using a purification pass and a bounded Nelson–Oppen-style equality
-    exchange:
+    using a purification pass and model-based theory combination (de Moura
+    and Bjørner, "Model-based theory combination", 2008):
 
     - every program variable becomes an {e entity} (a small integer id);
     - uninterpreted applications get entity {e proxies} linked to their CC
@@ -15,9 +15,12 @@
     - compound arithmetic terms appearing under uninterpreted symbols get
       proxy entities with defining equations;
     - CC-derived equalities between integer entities are asserted in LIA;
-      LIA-implied equalities between candidate entity pairs (arguments of
-      same-symbol applications) are asserted back into CC, up to a fixed
-      budget.
+    - when the arithmetic model gives equal values to a candidate pair
+      (arguments of same-symbol applications that congruence has not
+      merged), the pair is split: first merged in CC, the model's
+      choice, then, if that is [Unsat], held apart.  Every branch either
+      merges two classes or separates a pair for good, so the splits
+      end, and a [Sat] model respects congruence.
 
     The solver is a {!state}: the entities, the congruence closure, one
     tableau and the literals asserted so far.  {!assert_lits} purifies
@@ -27,18 +30,20 @@
     conjunctions sharing a prefix asserts and repairs the prefix once.
     {!decide} repairs the state, adds the CC-derived equalities and
     repairs the root; the disequality splits, branch and bound and the
-    exchange's probes then work on copies of that repaired tableau.  The
+    congruence splits then work on copies of that repaired state.  The
     root is decided before any disequality is split.
 
-    Any "unknown" outcome is reported as {!Unknown}: overflow, the
-    branch-and-bound budget, and an exhausted exchange — rounds or
-    budget run out while the model leaves some unprobed candidate pair
-    unseparated (equal in the model, so possibly forced equal, with a
-    congruence the model may violate).  An exhausted exchange whose
-    model separates every unprobed pair still answers [Sat].  The
-    validity checker treats [Unknown] as "possibly satisfiable", which
-    is sound.  A state that overflowed while asserting or repairing
-    answers [Unknown], and so does every state extended from it. *)
+    Every [Unsat] names the literals behind it: the congruence closure
+    explains its conflicts, branch and bound its branched ones, and a
+    split is explained by both branches.  A CC-derived equality enters
+    the tableau under a source of its own, which stands for the literals
+    of its proof in the closure.
+
+    Any "unknown" outcome is reported as {!Unknown}: overflow and the
+    branch-and-bound budget.  The validity checker treats [Unknown] as
+    "possibly satisfiable", which is sound.  A state that overflowed
+    while asserting or repairing answers [Unknown], and so does every
+    state extended from it. *)
 
 open Liquid_common
 open Liquid_logic
@@ -57,8 +62,8 @@ type lit = Pred.t * bool
 (** [Sat (display, raw)]: the satisfying model under display labels
     ({!clean_label}) and under the entities' original labels, which a
     strict evaluator needs (display labels can collide).  [Unsat e]
-    carries the explanation, when there is one. *)
-type 'core answer = Sat of model * model | Unsat of 'core option | Unknown
+    carries the explanation. *)
+type 'core answer = Sat of model * model | Unsat of 'core | Unknown
 
 type result = int list answer
 
@@ -70,12 +75,13 @@ let nlits_total = ref 0
 
 module Linexp_tbl = Hashtbl.Make (Linexp)
 
-(* The source of an arithmetic constraint is the number of the literal
-   it came from, in the order the state asserted them, or one of these:
-   a proxy definition, which always holds, and an equality derived by
-   congruence, which an explanation cannot name. *)
+(* The source of a constraint or a CC assertion is the number of the
+   literal it came from, in the order the state asserted them, or
+   [always] for a proxy definition or link, which always holds, or
+   [assumed] for a split's assumption, which its two branches discharge
+   together, or a number below both for a CC-derived equality. *)
 let always = -1
-let derived = -2
+let assumed = -2
 
 type state = {
   cc : Cc.t;
@@ -94,6 +100,7 @@ type state = {
   mutable diseqs : (Linexp.t * int) list; (* d <> 0 constraints, split in [decide] *)
   tab : Simplex.t;
   mutable overflowed : bool;
+  mutable derived : (int * (Cc.node * Cc.node)) list; (* source -> equal nodes *)
 }
 
 let create () =
@@ -112,6 +119,7 @@ let create () =
     diseqs = [];
     tab = Simplex.create ();
     overflowed = false;
+    derived = [];
   }
 
 let copy st =
@@ -216,7 +224,7 @@ and proxy_of_app st t f args =
         match Term.view t with Term.App _ -> t | _ -> Term.make (Term.App (f, args))
       in
       Hashtbl.replace st.labels p (Term.to_string app);
-      Cc.assert_eq st.cc (Cc.var st.cc p) node;
+      Cc.assert_eq st.cc (Cc.var st.cc p) node always;
       p
 
 (* -- Literal assertion ------------------------------------------------ *)
@@ -226,7 +234,10 @@ and proxy_of_app st t f args =
 let assert_atom st i ((p : Pred.t), (polarity : bool)) =
   let open Pred in
   match view p with
-  | Bvar _ | True | False -> () (* propositional; no theory content *)
+  | Bvar _ -> () (* propositional; no theory content *)
+  | True | False ->
+      (* A folded literal that cannot hold refutes the state. *)
+      if polarity <> (view p = True) then Simplex.refute st.tab [ i ]
   | Atom (t1, rel, t2) -> (
       let rel =
         if polarity then rel
@@ -243,7 +254,7 @@ let assert_atom st i ((p : Pred.t), (polarity : bool)) =
       let is_obj = Sort.equal s1 Sort.Obj in
       match rel with
       | Eq ->
-          Cc.assert_eq st.cc (node_of_term st t1) (node_of_term st t2);
+          Cc.assert_eq st.cc (node_of_term st t1) (node_of_term st t2) i;
           if not is_obj then
             st.arith <-
               ( {
@@ -254,7 +265,7 @@ let assert_atom st i ((p : Pred.t), (polarity : bool)) =
                 i )
               :: st.arith
       | Ne ->
-          Cc.assert_ne st.cc (node_of_term st t1) (node_of_term st t2);
+          Cc.assert_ne st.cc (node_of_term st t1) (node_of_term st t2) i;
           if not is_obj then
             st.diseqs <-
               (Linexp.sub (linexp_of_term st t1) (linexp_of_term st t2), i) :: st.diseqs
@@ -292,13 +303,13 @@ let assert_lits st (lits : lit list) =
     lits
 
 (* Install the queued constraints, proxy definitions first, each list
-   newest first, then [extra]; every entity gets a column first. *)
+   newest first, then [extra], with their sources; every entity gets a
+   column first. *)
 let install st extra =
   let tab = st.tab in
   Simplex.ensure tab st.nents;
   List.iter (Lia.add tab always) st.defs;
-  List.iter (fun (c, i) -> Lia.add tab i c) st.arith;
-  List.iter (fun c -> Lia.add tab derived c) extra;
+  List.iter (fun (c, i) -> Lia.add tab i c) (st.arith @ extra);
   st.defs <- [];
   st.arith <- []
 
@@ -310,16 +321,18 @@ let repair st =
       ignore (Simplex.check st.tab)
     with Rat.Overflow -> st.overflowed <- true
 
-(** The literals, by number, behind the constraints with sources [ks],
-    increasing; [None] if one of them is derived. *)
-let literals ks =
-  if List.mem derived ks then None else Some (List.filter (fun k -> k >= 0) ks)
+(** The literals, by number, increasing, behind the sources [ks]: a
+    derived equality stands for the literals of its proof. *)
+let literals st ks =
+  List.concat_map
+    (fun k ->
+      match List.assoc_opt k st.derived with Some (a, b) -> Cc.explain st.cc a b | None -> [ k ])
+    ks
+  |> List.filter (fun k -> k >= 0)
+  |> List.sort_uniq Int.compare
 
-(* Explanations of both branches of a split, or none. *)
-let union e e' =
-  match (e, e') with
-  | Some e, Some e' -> Some (List.sort_uniq Int.compare (e @ e'))
-  | _ -> None
+(* The explanation of two branches of a split. *)
+let union e e' = List.sort_uniq Int.compare (e @ e')
 
 (** LIA check with integer disequalities handled by case-splitting, on
     copies of the repaired tableau [tab].  Both branches of a split name
@@ -342,10 +355,11 @@ let rec lia_with_diseqs ~nvars tab diseqs : Lia.result =
           | r -> r)
       | Lia.Unknown -> ( match branch (Linexp.neg d) with Lia.Sat m -> Lia.Sat m | _ -> Lia.Unknown))
 
-(** CC-derived equalities between integer entities, as LIA constraints. *)
+(** CC-derived equalities between integer entities, as LIA constraints,
+    each under a fresh source that stands for the two nodes it equates. *)
 let cc_equalities st =
   (* Group entity nodes by CC representative. *)
-  let by_repr : (int, (int option * int list) ref) Hashtbl.t =
+  let by_repr : (int, ((int * Cc.node) option * (int * Cc.node) list) ref) Hashtbl.t =
     Hashtbl.create 16
   in
   List.iter
@@ -361,57 +375,55 @@ let cc_equalities st =
       match Cc.expr_of st.cc n with
       | Cc.Evar id when Sort.equal (sort_of_ent st id) Sort.Int ->
           let k, es = !cell in
-          cell := (k, id :: es)
+          cell := (k, (id, n) :: es)
       | Cc.Econst k ->
           let _, es = !cell in
-          cell := (Some k, es)
+          cell := (Some (k, n), es)
       | _ -> ())
     (Cc.nodes_with_reprs st.cc);
+  let derive a b exp rhs acc =
+    let k = match st.derived with (k, _) :: _ -> k - 1 | [] -> assumed - 1 in
+    st.derived <- (k, (a, b)) :: st.derived;
+    ({ Lia.exp; op = Lia.Eq; rhs }, k) :: acc
+  in
   Hashtbl.fold
     (fun _ cell acc ->
       let konst, ents = !cell in
       let acc =
         match (konst, ents) with
-        | Some k, e :: _ ->
-            {
-              Lia.exp = Linexp.var e;
-              op = Lia.Eq;
-              rhs = Rat.of_int k;
-            }
-            :: acc
+        | Some (k, c), (e, n) :: _ -> derive n c (Linexp.var e) (Rat.of_int k) acc
         | _ -> acc
       in
       match ents with
       | [] | [ _ ] -> acc
-      | e0 :: rest ->
+      | (e0, n0) :: rest ->
           List.fold_left
-            (fun acc e ->
-              {
-                Lia.exp = Linexp.sub (Linexp.var e0) (Linexp.var e);
-                op = Lia.Eq;
-                rhs = Rat.zero;
-              }
-              :: acc)
+            (fun acc (e, n) ->
+              derive n0 n (Linexp.sub (Linexp.var e0) (Linexp.var e)) Rat.zero acc)
             acc rest)
     by_repr []
 
-(** Maximum number of LIA queries spent discovering implied equalities for
-    the LIA -> CC direction of the combination. *)
-let propagation_budget = 64
-
-(** Entity pairs whose equality would enable new congruences: integer
-    entities appearing at the same argument position of two applications
-    of the same symbol that are not yet known equal.  Testing arbitrary
-    pairs would be sound but wastes LIA queries on pairs no congruence
-    cares about. *)
+(** Pairs of nodes whose equality would enable new congruences: for two
+    applications of the same symbol that are not known equal, their
+    arguments at one position that are not known equal either, each
+    named by the first node of its class that arithmetic values (an
+    integer entity or a constant).  Testing arbitrary pairs would be
+    sound but would split on pairs no congruence cares about. *)
 let candidate_pairs st =
+  let nodes = Cc.nodes_with_reprs st.cc in
+  let repr = Array.of_list (List.map snd nodes) in
+  (* The valued node of each class, and the applications, newest first. *)
+  let valued = Hashtbl.create 16 in
   let apps =
-    Cc.fold_apps (fun acc node f args -> (node, f, args) :: acc) st.cc []
-  in
-  let int_ent n =
-    match Cc.expr_of st.cc n with
-    | Cc.Evar id when Sort.equal (sort_of_ent st id) Sort.Int -> Some id
-    | _ -> None
+    List.fold_left
+      (fun apps (n, r) ->
+        match Cc.expr_of st.cc n with
+        | Cc.Eapp (f, args) -> (n, f, args) :: apps
+        | Cc.Evar id when not (Sort.equal (sort_of_ent st id) Sort.Int) -> apps
+        | Cc.Evar _ | Cc.Econst _ ->
+            if not (Hashtbl.mem valued r) then Hashtbl.add valued r n;
+            apps)
+      [] nodes
   in
   let pairs = ref [] in
   let rec walk = function
@@ -422,15 +434,14 @@ let candidate_pairs st =
             if
               Symbol.equal f1 f2
               && List.length args1 = List.length args2
-              && not (Cc.equal st.cc n1 n2)
+              && repr.(n1) <> repr.(n2)
             then
               List.iter2
                 (fun a1 a2 ->
-                  match (int_ent a1, int_ent a2) with
-                  | Some u, Some v
-                    when not (Cc.equal st.cc (Cc.var st.cc u) (Cc.var st.cc v))
-                    ->
-                      pairs := (u, v) :: !pairs
+                  match
+                    (Hashtbl.find_opt valued repr.(a1), Hashtbl.find_opt valued repr.(a2))
+                  with
+                  | Some u, Some v when repr.(a1) <> repr.(a2) -> pairs := (u, v) :: !pairs
                   | _ -> ())
                 args1 args2)
           rest;
@@ -496,92 +507,71 @@ let display_labels (m : model) : model =
 
 (* Decide [st], whose literals are asserted: repair it, add the
    CC-derived equalities to it and repair it again (an overflow there
-   spoils [st] for good), then split, branch and probe on copies.  An
+   spoils [st] for good), then split and branch on copies.  An
    explanation names literals by number. *)
-let rec decide_numbered st rounds budget : int list answer =
+let rec decide_numbered st : int list answer =
   let root =
-    if not (Cc.ok st.cc) then None
-    else begin
-      repair st;
-      if st.overflowed then None
-      else
-        try
-          install st (cc_equalities st);
-          Some (Simplex.check st.tab)
-        with Rat.Overflow ->
-          st.overflowed <- true;
-          None
-    end
+    match Cc.conflict st.cc with
+    | Some ks -> Some (`Unsat ks)
+    | None -> (
+        repair st;
+        if st.overflowed then None
+        else
+          try
+            install st (cc_equalities st);
+            Some (Simplex.check st.tab)
+          with Rat.Overflow ->
+            st.overflowed <- true;
+            None)
   in
-  if st.overflowed then Unknown
-  else
-    match root with
-    | None -> Unsat None
-    | Some (`Unsat ks) -> Unsat (literals ks)
-    | Some `Sat -> ( try exchange st rounds budget with Rat.Overflow -> Unknown)
+  match root with
+  | Some (`Unsat ks) when not st.overflowed -> Unsat (literals st ks)
+  | Some `Sat -> ( try split st with Rat.Overflow -> Unknown)
+  | _ -> Unknown
 
-(* The disequality splits, branch and bound and the exchange, on
-   copies of the repaired root of [st]. *)
-and exchange st rounds budget =
-  let nvars = st.nents in
-  let sat m =
-    let raw = extract_model_raw st m in
-    Sat (List.sort compare (display_labels raw), raw)
-  in
-  (* An unprobed pair the model leaves unseparated may be forced
-     equal: the model may then violate congruence, and only a
-     probe could tell. *)
-  let sat_unless_unseparated m unprobed =
-    if List.exists (fun (u, v) -> Rat.equal m.(u) m.(v)) unprobed then Unknown
-    else sat m
-  in
-  match lia_with_diseqs ~nvars st.tab st.diseqs with
-  | Lia.Unsat e -> Unsat (Option.bind e literals)
+(* The disequality splits and branch and bound, on copies of the
+   repaired root of [st]; then the split on the first candidate pair
+   the model gives equal values, on copies of [st]: [u = v] merged, and
+   if that is [Unsat], [u <> v] held apart. *)
+and split st =
+  match lia_with_diseqs ~nvars:st.nents st.tab st.diseqs with
+  | Lia.Unsat ks -> Unsat (literals st ks)
   | Lia.Unknown -> Unknown
-  | Lia.Sat m when rounds = 0 -> sat_unless_unseparated m (candidate_pairs st)
-  | Lia.Sat m ->
-      (* LIA -> CC: discover implied equalities among shared pairs,
-         each probe on a copy of the repaired root, which holds no
-         disequality.  [m] is an integer model of the root; where
-         it separates [u] and [v] it satisfies one of the two
-         probes, so [u = v] is not implied and the probes are
-         skipped.  A merge goes into a copy of [st]. *)
-      let implied u v =
-        let refuted exp =
-          let tab = Simplex.copy st.tab in
-          Lia.add tab always { Lia.exp; op = Lia.Lt; rhs = Rat.zero };
-          match Lia.search ~nvars tab with Lia.Unsat _ -> true | _ -> false
-        in
-        let d = Linexp.sub (Linexp.var u) (Linexp.var v) in
-        Rat.equal m.(u) m.(v) && refuted d && refuted (Linexp.neg d)
+  | Lia.Sat m -> (
+      let linexp n =
+        match Cc.expr_of st.cc n with
+        | Cc.Econst k -> Linexp.const (Rat.of_int k)
+        | Cc.Evar id -> Linexp.var id
+        | Cc.Eapp _ -> assert false
       in
-      let budget = ref budget in
-      let merged = ref None in
-      let skipped = ref [] in
-      List.iter
-        (fun (u, v) ->
-          if !budget > 0 then begin
-            budget := !budget - 2;
-            if implied u v then begin
-              let st' = match !merged with Some st' -> st' | None -> copy st in
-              Cc.assert_eq st'.cc (Cc.var st'.cc u) (Cc.var st'.cc v);
-              merged := Some st'
-            end
-          end
-          else skipped := (u, v) :: !skipped)
-        (candidate_pairs st);
-      match !merged with
-      | Some st' -> decide_numbered st' (rounds - 1) !budget
-      | None -> sat_unless_unseparated m !skipped
+      let value n = Linexp.eval (fun id -> m.(id)) (linexp n) in
+      match List.find_opt (fun (u, v) -> Rat.equal (value u) (value v)) (candidate_pairs st) with
+      | None ->
+          let raw = extract_model_raw st m in
+          Sat (List.sort compare (display_labels raw), raw)
+      | Some (u, v) -> (
+          let branch assume =
+            let st = copy st in
+            assume st;
+            decide_numbered st
+          in
+          match branch (fun st -> Cc.assert_eq st.cc u v assumed) with
+          | Unsat e -> (
+              let apart st =
+                Cc.assert_ne st.cc u v assumed;
+                st.diseqs <- (Linexp.sub (linexp u) (linexp v), assumed) :: st.diseqs
+              in
+              match branch apart with Unsat e' -> Unsat (union e e') | r -> r)
+          | r -> r))
 
 (** Decide the literals asserted in [st], after repairing it, adding
     the CC-derived equalities to it and repairing it again; anything
     else happens on copies, so [st] can still be extended.  An
     explanation names literals, in the order [st] asserted them. *)
 let decide st : lit list answer =
-  match decide_numbered st 3 propagation_budget with
+  match decide_numbered st with
   | Sat (display, raw) -> Sat (display, raw)
-  | Unsat e -> Unsat (Option.map (List.map (fun i -> st.lits.(i))) e)
+  | Unsat e -> Unsat (List.map (fun i -> st.lits.(i)) e)
   | Unknown -> Unknown
 
 let check_sat (lits : lit list) : result =
@@ -589,4 +579,4 @@ let check_sat (lits : lit list) : result =
   let st = create () in
   assert_lits st lits;
   (* A fresh state numbers its literals by their positions. *)
-  decide_numbered st 3 propagation_budget
+  decide_numbered st

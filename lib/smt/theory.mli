@@ -1,15 +1,15 @@
 (** Combined theory solver for QF-EUFLIA conjunctions: purification into
-    {!Lia} constraints and {!Cc} assertions, with a bounded Nelson–Oppen
-    equality exchange.  [Unknown] must be treated as "possibly
-    satisfiable".
+    {!Lia} constraints and {!Cc} assertions, combined by splitting on the
+    candidate pairs the arithmetic model leaves equal.  [Unknown]
+    (overflow, or the branch-and-bound budget) must be treated as
+    "possibly satisfiable".
 
     The solver is a {!state} that grows: literals are asserted into it,
     the state is repaired, and a repaired state can be copied and
     extended by more literals, so conjunctions that share literals share
     the work of asserting and repairing them.  {!check_sat} is a fresh
     state through the same code.  An [Unsat] answer names the literals
-    behind it when the arithmetic explains its conflict without a
-    congruence-derived equality. *)
+    behind it. *)
 
 open Liquid_logic
 
@@ -34,15 +34,19 @@ type lit = Pred.t * bool
     (alpha-renaming suffixes intact, internal names included).  Display
     labels are lossy — distinct solver variables can collide on one —
     so callers that {e evaluate} predicates under a model read the raw
-    one.
+    one.  The model respects congruence: where it gives the arguments
+    of two applications of one symbol equal values, it gives the
+    applications equal values.
 
-    [Unsat (Some core)]: literals that are unsat on their own.  It is
-    the arithmetic's explanation, with proxy definitions, which always
-    hold, dropped; an explanation that leans on a congruence-derived
-    equality is dropped whole ([Unsat None]), and so is a congruence
-    conflict.  A disequality split explains its conflict by both
-    branches' explanations. *)
-type 'core answer = Sat of model * model | Unsat of 'core option | Unknown
+    [Unsat core]: literals that are unsat on their own, up to the
+    branch-and-bound budget (a subset can lack the bounds that made the
+    whole list decidable).  It is the arithmetic's explanation, with
+    proxy definitions, which always hold, dropped and each
+    congruence-derived equality replaced by the literals of its proof,
+    or the congruence closure's explanation of its conflict; a
+    disequality split or a congruence split explains its conflict by
+    both branches' explanations. *)
+type 'core answer = Sat of model * model | Unsat of 'core | Unknown
 
 (** A {!check_sat} answer: an explanation names literals by their
     positions in the input, increasing. *)
@@ -64,7 +68,8 @@ val create : unit -> state
 (** An independent copy, to extend without touching the original. *)
 val copy : state -> state
 
-(** Purify the literals into the state and queue their constraints.
+(** Purify the literals into the state and queue their constraints; a
+    [True] or [False] literal that cannot hold refutes the state.
     Non-atomic predicates are rejected with [Invalid_argument]. *)
 val assert_lits : state -> lit list -> unit
 
@@ -76,9 +81,9 @@ val repair : state -> unit
 (** Decide the conjunction of the literals asserted: the state is
     repaired, then the CC-derived equalities join it and its root is
     repaired again; if that leaves it feasible, the disequality splits,
-    branch and bound and the equality exchange's probes run on copies
-    of the repaired root.  The state can still be extended afterwards.
-    An explanation names literals, in the order the state asserted
+    branch and bound and the congruence splits run on copies of the
+    repaired root.  The state can still be extended afterwards.  An
+    explanation names literals, in the order the state asserted
     them. *)
 val decide : state -> lit list answer
 

@@ -127,51 +127,77 @@ let test_lia_branch () =
       rhs = Rat.of_int 3;
     }
   in
-  check_bool "2x + 2y = 3 unsat over Z" true (lia_unsat (Lia.check ~nvars:2 [ c ]))
+  check_bool "2x + 2y = 3 unsat over Z" true (lia_unsat (Lia.check ~nvars:2 [ c ]));
+  (* x + y = 1 and x = y, as two inequalities, beside w = 5: x = y = 1/2
+     over the rationals, so the search branches on x.  Below, x <= 0 is
+     refuted with x - y >= 0, above, x >= 1 with x - y <= 0, and the
+     explanation is both branches'. *)
+  let cons exp op rhs = { Lia.exp; op; rhs = Rat.of_int rhs } in
+  let cs =
+    [
+      cons (Linexp.add v0 v1) Lia.Eq 1;
+      cons (Linexp.sub v0 v1) Lia.Le 0;
+      cons (Linexp.sub v1 v0) Lia.Le 0;
+      cons (Linexp.var 2) Lia.Eq 5;
+    ]
+  in
+  check_bool "x + y = 1, x = y: unsat, explained by both branches" true
+    (Lia.check ~nvars:3 cs = Lia.Unsat [ 0; 1; 2 ])
 
 (* ------------------------------------------------------------------ *)
 (* Congruence closure                                                  *)
 (* ------------------------------------------------------------------ *)
+
+let explanation = Alcotest.(check (list int))
 
 let test_cc_congruence () =
   let cc = Cc.create () in
   let a = Cc.var cc 0 and b = Cc.var cc 1 in
   let fa = Cc.app cc Symbol.len [ a ] and fb = Cc.app cc Symbol.len [ b ] in
   check_bool "len a != len b initially" false (Cc.equal cc fa fb);
-  Cc.assert_eq cc a b;
+  Cc.assert_eq cc a b 7;
   check_bool "a = b => len a = len b" true (Cc.equal cc fa fb);
-  check_bool "no conflict" true (Cc.ok cc)
+  explanation "explained by a = b" [ 7 ] (Cc.explain cc fa fb);
+  check_bool "no conflict" true (Cc.conflict cc = None)
 
 let test_cc_transitive () =
   let cc = Cc.create () in
-  let a = Cc.var cc 0 and b = Cc.var cc 1 and c = Cc.var cc 2 in
-  Cc.assert_eq cc a b;
-  Cc.assert_eq cc b c;
-  check_bool "a = c by transitivity" true (Cc.equal cc a c)
+  let a = Cc.var cc 0 and b = Cc.var cc 1 and c = Cc.var cc 2 and d = Cc.var cc 3 in
+  Cc.assert_eq cc a b 0;
+  Cc.assert_eq cc c d 1;
+  Cc.assert_eq cc b c 2;
+  check_bool "a = c by transitivity" true (Cc.equal cc a c);
+  explanation "a = c by a = b, b = c" [ 0; 2 ] (Cc.explain cc a c);
+  explanation "a = d by all three" [ 0; 1; 2 ] (Cc.explain cc a d)
 
 let test_cc_conflict () =
   let cc = Cc.create () in
-  let a = Cc.var cc 0 and b = Cc.var cc 1 in
-  Cc.assert_ne cc a b;
-  Cc.assert_eq cc a b;
-  check_bool "conflict detected" false (Cc.ok cc)
+  let a = Cc.var cc 0 and b = Cc.var cc 1 and c = Cc.var cc 2 in
+  Cc.assert_ne cc a b 3;
+  Cc.assert_eq cc c b 4;
+  Cc.assert_eq cc a c 5;
+  check_bool "conflict detected" true (Cc.conflict cc = Some [ 3; 4; 5 ])
 
 let test_cc_constants () =
   let cc = Cc.create () in
   let c1 = Cc.const cc 1 and c2 = Cc.const cc 2 in
-  let a = Cc.var cc 0 in
-  Cc.assert_eq cc a c1;
-  Cc.assert_eq cc a c2;
-  check_bool "1 = 2 conflict" false (Cc.ok cc)
+  let a = Cc.var cc 0 and b = Cc.var cc 1 in
+  Cc.assert_eq cc a c1 0;
+  Cc.assert_eq cc b a 1;
+  Cc.assert_eq cc b c2 2;
+  check_bool "1 = 2 conflict" true (Cc.conflict cc = Some [ 0; 1; 2 ])
 
 let test_cc_nested () =
   (* a = b => f(f(a)) = f(f(b)) with f = len (arity 1, any sorts ok here) *)
   let cc = Cc.create () in
-  let a = Cc.var cc 0 and b = Cc.var cc 1 in
+  let a = Cc.var cc 0 and b = Cc.var cc 1 and c = Cc.var cc 2 in
   let f t = Cc.app cc Symbol.len [ t ] in
   let ffa = f (f a) and ffb = f (f b) in
-  Cc.assert_eq cc a b;
-  check_bool "f(f(a)) = f(f(b))" true (Cc.equal cc ffa ffb)
+  Cc.assert_eq cc c (f a) 0;
+  Cc.assert_eq cc a b 1;
+  check_bool "f(f(a)) = f(f(b))" true (Cc.equal cc ffa ffb);
+  explanation "explained by a = b alone" [ 1 ] (Cc.explain cc ffa ffb);
+  explanation "c = f(b) by both" [ 0; 1 ] (Cc.explain cc c (f b))
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end validity                                                 *)
@@ -288,12 +314,10 @@ let test_prepared_queries () =
   check_int "bad goal's second check is a cache hit" (hits0 + 1)
     Solver.stats.cache_hits
 
-(* The equality exchange runs a bounded number of rounds.  Each round
-   here adds one congruence: [x <= y /\ y <= x] forces [x = y], then
-   [f1(x) + 1 = f1(y) + 1], and so on up the nest.  When the rounds
-   run out with a pair still unseparated, the exchange does not know
-   the answer, and the model it holds need not respect congruence: the
-   answer is [Unknown], not a counterexample. *)
+(* [x <= y /\ y <= x] forces [x = y], then [nest1(x) + 1 = nest1(y) + 1],
+   and so on up the nest: each level is one congruence that the
+   arithmetic model leaves to a split, which merges the pair it gives
+   equal values.  No depth runs out. *)
 let nested depth t =
   let rec go k t =
     if k > depth then t
@@ -307,23 +331,26 @@ let nested depth t =
   in
   go 1 t
 
-let test_exchange_exhaustion () =
-  let answer depth =
-    Solver.check_valid [ Pred.le x y; Pred.le y x ]
-      (Pred.eq (nested depth x) (nested depth y))
-  in
+let test_nested_congruences () =
   List.iter
     (fun d ->
       check_bool (Printf.sprintf "depth %d: valid" d) true
-        (answer d = Solver.Valid))
-    [ 1; 2; 3 ];
+        (Solver.check_valid [ Pred.le x y; Pred.le y x ] (Pred.eq (nested d x) (nested d y))
+        = Solver.Valid))
+    [ 1; 2; 3; 4; 5; 6; 10 ]
+
+(* A folded literal that cannot hold refutes the conjunction, and is its
+   explanation. *)
+let test_folded_literals () =
   List.iter
-    (fun d ->
-      check_bool
-        (Printf.sprintf "depth %d: unknown, no invented counterexample" d)
-        true
-        (answer d = Solver.Unknown))
-    [ 4; 5; 6 ]
+    (fun (lits, core) ->
+      check_bool (Printf.sprintf "%d literals: Unsat" (List.length lits)) true
+        (Theory.check_sat lits = Theory.Unsat core))
+    [
+      ([ (Pred.tt, false) ], [ 0 ]);
+      ([ (Pred.ff, true) ], [ 0 ]);
+      ([ (Pred.lt x (i 3), true); (Pred.ff, true) ], [ 1 ]);
+    ]
 
 (* [3 * (-2 - z) >= y] and [4 + y = -3 * x] hold at [x = 0, y = -4,
    z = -1].  Branching away from zero first, each branch inherits a
@@ -383,11 +410,9 @@ let gen_pred ?(term = gen_term) ?(depth = 2) vars =
     depth
 
 (* The brute-force properties' formulas: Boolean depth 3 over terms with
-   products, so that queries reach congruence conflicts and the core
-   bisection.  [Pred.eval] multiplies, which is one interpretation of
-   the uninterpreted [mul], so a brute-force model is still a model.
-   The Invalid-model oracle below keeps linear terms: it multiplies,
-   while a solver model values [mul] as uninterpreted. *)
+   products, so that queries reach congruence conflicts and congruence
+   splits.  [Pred.eval] multiplies, which is one interpretation of the
+   uninterpreted [mul], so a brute-force model is still a model. *)
 let gen_brute_pred vars =
   let term vars =
     QCheck.Gen.(
@@ -470,7 +495,7 @@ let tests =
     tc "solver: cache and stats" test_cache_and_stats;
     tc "solver: cached Invalid restores counterexample" test_cached_invalid_cex;
     tc "solver: prepared queries" test_prepared_queries;
-    tc "theory: an exhausted exchange answers Unknown" test_exchange_exhaustion;
+    tc "theory: nested congruences are Valid at every depth" test_nested_congruences;
   ]
   @ qcheck_tests
 
@@ -863,146 +888,6 @@ let prop_relevance_matches_reference =
         goals)
 
 (* ------------------------------------------------------------------ *)
-(* Conflict cores: bisection against the deletion filter it replaced   *)
-(* (test/core_reference.ml).                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* A monotone oracle: a list is unsat when it holds every member of
-   some conflict set. *)
-let family_unsat family items =
-  List.exists
-    (fun conflict -> List.for_all (fun c -> List.mem c items) conflict)
-    family
-
-let ceil_log2 n =
-  let rec go k p = if p >= n then k else go (k + 1) (2 * p) in
-  go 0 1
-
-(* Items [0 .. n-1] in random order, and up to four non-empty conflict
-   sets over them, so the whole list is unsat. *)
-let gen_core_case =
-  let open QCheck.Gen in
-  let* n = int_range 1 48 in
-  let* items = shuffle_l (List.init n Fun.id) in
-  let* nsets = int_range 1 4 in
-  let* family =
-    list_repeat nsets
-      (let* k = int_range 1 (min 5 n) in
-       list_repeat k (int_range 0 (n - 1)))
-  in
-  return (items, family)
-
-let prop_core_matches_filter =
-  QCheck.Test.make ~count:2000 ~long_factor:10
-    ~name:"dpll: bisection finds the deletion filter's core"
-    (QCheck.make
-       ~print:(fun (items, family) ->
-         Printf.sprintf "items [%s], conflicts [%s]"
-           (String.concat "; " (List.map string_of_int items))
-           (String.concat "; "
-              (List.map
-                 (fun c -> String.concat "," (List.map string_of_int c))
-                 family)))
-       gen_core_case)
-    (fun (items, family) ->
-      let calls = ref 0 in
-      let unsat l =
-        incr calls;
-        family_unsat family l
-      in
-      let core = Dpll.shrink_core ~unsat items in
-      let bound =
-        (List.length core + 1) * ceil_log2 (List.length items + 1)
-      in
-      core = Core_reference.shrink_core ~unsat:(family_unsat family) items
-      && !calls <= bound)
-
-let theory_unsat lits =
-  match Theory.check_sat lits with Theory.Unsat _ -> true | _ -> false
-
-(* Random signed atoms over [x], [y], [z]; half the lists also hold the
-   complement of their first literal somewhere. *)
-let gen_theory_lits =
-  let open QCheck.Gen in
-  let atom =
-    map3
-      (fun a rel b -> Pred.atom a rel b)
-      (gen_term [ x; y; z ])
-      (oneofl Pred.[ Eq; Ne; Lt; Le; Gt; Ge ])
-      (gen_term [ x; y; z ])
-  in
-  let* lits = list_size (int_range 2 14) (pair atom bool) in
-  let* clash = bool in
-  let* at = int_range 0 (List.length lits) in
-  match lits with
-  | (a, pol) :: _ when clash ->
-      return (Liquid_common.Listx.take at lits @ [ (a, not pol) ] @ Liquid_common.Listx.drop at lits)
-  | _ -> return lits
-
-let print_lits lits =
-  String.concat " /\\ "
-    (List.map (fun (a, pol) -> (if pol then "" else "~") ^ Pred.to_string a) lits)
-
-(* The LIA budget makes the theory non-monotone, and its answers depend
-   on the order of the literals: a list can answer [Unknown] where a
-   sublist, or the same literals in another order, answer [Unsat].  The
-   two searches then probe different lists.  When no probe answered
-   [Unknown], every answer is exact, so the oracle is monotone on what
-   was probed and the bisection must find the filter's core.
-   Otherwise its core must be drawn from the input and, as a set, equal
-   a list some probe answered [Unsat]: the bisection keeps that as an
-   invariant of its search, and it makes the core truly unsat whatever
-   the theory answers for the core in its own order. *)
-let prop_core_matches_filter_on_theory =
-  QCheck.Test.make ~count:500 ~long_factor:10
-    ~name:"dpll: bisection finds the filter's core under the theory"
-    (QCheck.make ~print:print_lits gen_theory_lits)
-    (fun lits ->
-      let set ls =
-        List.sort_uniq compare (List.map (fun (a, pol) -> (Pred.tag a, pol)) ls)
-      in
-      let unknown = ref false and unsat_sets = ref [] in
-      let unsat ls =
-        match Theory.check_sat ls with
-        | Theory.Unsat _ ->
-            unsat_sets := set ls :: !unsat_sets;
-            true
-        | Theory.Unknown ->
-            unknown := true;
-            false
-        | Theory.Sat _ -> false
-      in
-      QCheck.assume (unsat lits);
-      let core = Dpll.shrink_core ~unsat lits in
-      let reference = Core_reference.shrink_core ~unsat lits in
-      if !unknown then
-        List.for_all (fun l -> List.mem l lits) core
-        && List.mem (set core) !unsat_sets
-      else core = reference)
-
-(* DPLL lists the model's literals newest variable first, so the
-   negated goal's atoms, interned first, come last: a core usually ends
-   at the list's tail.  The filter pays one call per literal. *)
-let test_core_bisection_calls () =
-  let conflict = [ 3; 17; 39 ] in
-  let calls = ref 0 in
-  let unsat l =
-    incr calls;
-    family_unsat [ conflict ] l
-  in
-  let items = List.init 40 Fun.id in
-  let core = Dpll.shrink_core ~unsat items in
-  let bisection = !calls in
-  calls := 0;
-  let filtered = Core_reference.shrink_core ~unsat items in
-  Alcotest.(check (list int)) "the filter's core" filtered core;
-  Alcotest.(check (list int)) "newest kept first" [ 39; 17; 3 ] core;
-  check_int "the filter makes one call per literal" 40 !calls;
-  check_bool
-    (Printf.sprintf "bisection makes at most 20 calls (made %d)" bisection)
-    true (bisection <= 20)
-
-(* ------------------------------------------------------------------ *)
 (* Explanations: the simplex's against Fourier-Motzkin, the theory's    *)
 (* against the theory, and the models of Invalid answers against their *)
 (* queries.                                                            *)
@@ -1070,26 +955,16 @@ let prop_simplex_explains =
           && List.for_all (fun k -> k >= 0 && k < List.length cs) ks
           && Fm.solve (at_positions ks cs) = `Unsat)
 
-let prop_theory_explains =
-  QCheck.Test.make ~count:1000 ~long_factor:10
-    ~name:"theory: the literals an Unsat names are unsat on their own"
-    (QCheck.make ~print:print_lits gen_theory_lits)
-    (fun lits ->
-      match Theory.check_sat lits with
-      | Theory.Unsat (Some is) ->
-          is <> []
-          && List.for_all (fun k -> k >= 0 && k < List.length lits) is
-          && theory_unsat (at_positions is lits)
-      | Theory.Unsat None | Theory.Sat _ | Theory.Unknown -> true)
-
 let uf = Symbol.declare "uf" { Sort.args = [ Sort.Int ]; result = Sort.Int }
 let flag = Pred.bvar (Liquid_common.Ident.of_string "flag")
 
-(* [p] under a raw model, whose labels are entities' original names and
-   applications' renderings: [None] where it reaches an entity the model
-   does not value. *)
-let eval_raw (raw : (string * Solver.cex_value) list) p =
-  let exception Unvalued in
+exception Unvalued
+
+(* [t] under a raw model, whose labels are entities' original names and
+   applications' renderings, a product of two non-constant terms being
+   the application of [mul] the theory purifies it to; raises
+   [Unvalued] where it reaches an entity the model does not value. *)
+let eval_raw_term (raw : (string * Solver.cex_value) list) t =
   let int_of label =
     match List.assoc_opt label raw with Some (Solver.Vint n) -> n | _ -> raise Unvalued
   in
@@ -1101,8 +976,17 @@ let eval_raw (raw : (string * Solver.cex_value) list) p =
     | Term.Neg a -> -term a
     | Term.Add (a, b) -> term a + term b
     | Term.Sub (a, b) -> term a - term b
-    | Term.Mul (a, b) -> term a * term b
+    | Term.Mul (a, b) -> (
+        match int_of (Term.to_string (Term.app Symbol.mul [ a; b ])) with
+        | n -> n
+        | exception Unvalued when Term.vars a = [] || Term.vars b = [] -> term a * term b)
   in
+  term t
+
+(* [p] under a raw model: [None] where it reaches an entity the model
+   does not value. *)
+let eval_raw raw p =
+  let term = eval_raw_term raw in
   let rec pred p =
     match Pred.view p with
     | Pred.True -> true
@@ -1128,6 +1012,131 @@ let eval_raw (raw : (string * Solver.cex_value) list) p =
   in
   match pred p with b -> Some b | exception Unvalued -> None
 
+(* Random signed atoms over [x], [y], [z] and applications of [uf], to a
+   variable, a sum or a constant, in terms with products, which the
+   theory purifies to applications of [mul]: congruence conflicts,
+   CC-derived equalities, branched conflicts and congruence splits all
+   occur.  Half the lists also hold the complement of their first
+   literal somewhere. *)
+let gen_theory_lits =
+  let open QCheck.Gen in
+  let vars =
+    [ x; y; z ] @ List.map (fun t -> Term.app uf [ t ]) [ x; y; z; Term.add x (i 1); i 0 ]
+  in
+  let term =
+    frequency [ (3, gen_term vars); (1, map2 Term.mul (gen_term vars) (gen_term vars)) ]
+  in
+  let atom =
+    map3 (fun a rel b -> Pred.atom a rel b) term (oneofl Pred.[ Eq; Ne; Lt; Le; Gt; Ge ]) term
+  in
+  let* lits = list_size (int_range 2 14) (pair atom bool) in
+  let* clash = bool in
+  let* at = int_range 0 (List.length lits) in
+  match lits with
+  | (a, pol) :: _ when clash ->
+      return (Liquid_common.Listx.take at lits @ [ (a, not pol) ] @ Liquid_common.Listx.drop at lits)
+  | _ -> return lits
+
+let print_lits lits =
+  String.concat " /\\ "
+    (List.map (fun (a, pol) -> (if pol then "" else "~") ^ Pred.to_string a) lits)
+
+(* The literals an explanation names, decided on their own: never Sat,
+   and Unsat unless the check spends more than the 400 nodes of one
+   branch-and-bound search.  A subset can lack the bounds that made the
+   whole list decidable within that budget. *)
+let unsat_on_its_own core =
+  let n0 = !Lia.nnodes_total in
+  match Theory.check_sat core with
+  | Theory.Unsat _ -> true
+  | Theory.Unknown -> !Lia.nnodes_total - n0 > 400
+  | Theory.Sat _ -> false
+
+let prop_theory_explains =
+  QCheck.Test.make ~count:1000 ~long_factor:10
+    ~name:"theory: the literals an Unsat names are unsat on their own"
+    (QCheck.make ~print:print_lits gen_theory_lits)
+    (fun lits ->
+      match Theory.check_sat lits with
+      | Theory.Unsat is ->
+          is <> []
+          && List.for_all (fun k -> k >= 0 && k < List.length lits) is
+          && unsat_on_its_own (at_positions is lits)
+      | Theory.Sat _ | Theory.Unknown -> true)
+
+(* A conjunction the core bisection's property drew at
+   [QCHECK_SEED=720890650] (in CI's long run), when deciding a sub-list
+   answered Unknown.  [3x - 5 = y], [2y = z - 3] and [z = 2x] give
+   [2y = 2x - 3], which has no integer solution.  The three literals
+   that say [2y = z - 3], [z = 2x] and [x <= 3] leave [y] and [z]
+   unbounded, and branch and bound spends its budget on them. *)
+let test_unsat_with_an_undecided_sublist () =
+  let lits =
+    [
+      (Pred.atom (Term.add (i 2) (Term.sub y (i (-2)))) Pred.Gt (Term.add x z), false);
+      (Pred.atom (Term.sub (Term.mul (i 3) x) (i 5)) Pred.Eq y, true);
+      (Pred.atom (Term.add x (Term.add z z)) Pred.Lt (Term.sub y (i 1)), false);
+      (Pred.atom (i 2) Pred.Gt x, true);
+      (Pred.atom y Pred.Eq (Term.sub (Term.add (i (-1)) z) (Term.sub y (i (-2)))), true);
+      (Pred.atom (Term.sub x (i 1)) Pred.Ne y, true);
+      (Pred.atom x Pred.Eq (Term.sub z x), true);
+      (Pred.atom (Term.add (i (-1)) x) Pred.Lt (Term.sub z (i 4)), false);
+    ]
+  in
+  Alcotest.(check string)
+    "the drawn conjunction"
+    "~(2 + (y - -2)) > (x + z) /\\ ((3 * x) - 5) = y /\\ ~(x + (z + z)) < (y - 1) /\\ 2 > x \
+     /\\ y = ((-1 + z) - (y - -2)) /\\ (x - 1) != y /\\ x = (z - x) /\\ ~(-1 + x) < (z - 4)"
+    (print_lits lits);
+  (match Theory.check_sat lits with
+  | Theory.Unsat is ->
+      check_bool "its explanation is unsat on its own" true
+        (unsat_on_its_own (at_positions is lits))
+  | Theory.Sat _ | Theory.Unknown -> Alcotest.fail "the conjunction is not Unsat");
+  check_bool "the sub-list answers Unknown" true
+    (Theory.check_sat (at_positions [ 4; 6; 7 ] lits) = Theory.Unknown)
+
+(* The applications of [uf] in [lits] and their products of two
+   non-constant terms, as the theory purifies them, with their
+   arguments. *)
+let applications lits =
+  let rec term acc t =
+    match Term.view t with
+    | Term.Int _ | Term.Var _ -> acc
+    | Term.App (f, args) -> List.fold_left term ((f, args, t) :: acc) args
+    | Term.Neg a -> term acc a
+    | Term.Add (a, b) | Term.Sub (a, b) -> term (term acc a) b
+    | Term.Mul (a, b) ->
+        let acc = term (term acc a) b in
+        if Term.vars a = [] || Term.vars b = [] then acc
+        else (Symbol.mul, [ a; b ], Term.app Symbol.mul [ a; b ]) :: acc
+  in
+  List.fold_left
+    (fun acc (p, _) -> match Pred.view p with Pred.Atom (a, _, b) -> term (term acc a) b | _ -> acc)
+    [] lits
+
+(* Where a Sat model gives the arguments of two applications of one
+   symbol equal values, it gives the applications equal values. *)
+let prop_models_respect_congruence =
+  QCheck.Test.make ~count:1000 ~long_factor:10
+    ~name:"theory: Sat models respect congruence"
+    (QCheck.make ~print:print_lits gen_theory_lits)
+    (fun lits ->
+      match Theory.check_sat lits with
+      | Theory.Sat (_, raw) ->
+          let valued t = try Some (eval_raw_term raw t) with Unvalued -> None in
+          let apps = applications lits in
+          List.for_all
+            (fun (f, args, t) ->
+              List.for_all
+                (fun (g, args', t') ->
+                  (not (Symbol.equal f g))
+                  || List.exists2 (fun a b -> valued a = None || valued a <> valued b) args args'
+                  || valued t = None || valued t' = None || valued t = valued t')
+                apps)
+            apps
+      | Theory.Unsat _ | Theory.Unknown -> true)
+
 (* Hypotheses and a goal over [x], [y], [z], applications of [uf] and a
    boolean. *)
 let gen_query =
@@ -1151,24 +1160,90 @@ let prop_invalid_models_satisfy_queries =
       | Solver.Invalid cex -> eval_raw cex.Solver.raw q.Solver.query <> Some false
       | Solver.Valid | Solver.Unknown -> true)
 
+(* -- The congruence closure's explanations -------------------------- *)
+
+(* Terms over four variables, [len] and [mul], as congruence closure
+   nodes see them. *)
+type cc_term = V of int | F of cc_term | G of cc_term * cc_term
+
+let rec cc_node cc = function
+  | V i -> Cc.var cc i
+  | F t -> Cc.app cc Symbol.len [ cc_node cc t ]
+  | G (a, b) -> Cc.app cc Symbol.mul [ cc_node cc a; cc_node cc b ]
+
+let rec print_cc_term = function
+  | V i -> Printf.sprintf "x%d" i
+  | F t -> Printf.sprintf "f(%s)" (print_cc_term t)
+  | G (a, b) -> Printf.sprintf "g(%s, %s)" (print_cc_term a) (print_cc_term b)
+
+let gen_cc_case =
+  let open QCheck.Gen in
+  let term =
+    fix
+      (fun self depth ->
+        if depth <= 0 then map (fun i -> V i) (int_range 0 3)
+        else
+          frequency
+            [
+              (3, map (fun i -> V i) (int_range 0 3));
+              (2, map (fun t -> F t) (self (depth - 1)));
+              (1, map2 (fun a b -> G (a, b)) (self (depth - 1)) (self (depth - 1)));
+            ])
+      2
+  in
+  list_size (int_range 1 10) (triple term term (frequency [ (4, return true); (1, return false) ]))
+
+(* Equalities and disequalities asserted with their positions as
+   sources.  For every two terms the closure makes equal, the
+   assertions [Cc.explain] names, asserted alone into a fresh closure,
+   make them equal too; and a conflict's named assertions, alone, make
+   a conflict. *)
+let prop_cc_explains =
+  QCheck.Test.make ~count:1000 ~long_factor:10
+    ~name:"cc: the assertions an explanation names make their equality"
+    (QCheck.make
+       ~print:(fun asserts ->
+         String.concat " /\\ "
+           (List.map
+              (fun (a, b, eq) -> print_cc_term a ^ (if eq then " = " else " != ") ^ print_cc_term b)
+              asserts))
+       gen_cc_case)
+    (fun asserts ->
+      let closure only =
+        let cc = Cc.create () in
+        List.iteri
+          (fun k (a, b, eq) ->
+            if only k then (if eq then Cc.assert_eq else Cc.assert_ne) cc (cc_node cc a) (cc_node cc b) k)
+          asserts;
+        cc
+      in
+      let cc = closure (fun _ -> true) in
+      let terms = List.concat_map (fun (a, b, _) -> [ a; b ]) asserts in
+      let named ks = closure (fun k -> List.mem k ks) in
+      List.for_all
+        (fun a ->
+          List.for_all
+            (fun b ->
+              let na = cc_node cc a and nb = cc_node cc b in
+              (not (Cc.equal cc na nb))
+              ||
+              let cc' = named (Cc.explain cc na nb) in
+              Cc.equal cc' (cc_node cc' a) (cc_node cc' b))
+            terms)
+        terms
+      && match Cc.conflict cc with None -> true | Some ks -> Cc.conflict (named ks) <> None)
+
 (* -- Incremental states: extending agrees with deciding afresh -------- *)
 
 let lit_pred (a, pol) = if pol then a else Pred.not_ a
 
 (* Answers of a theory state for [lits] that hold whatever the other
-   side says: a Sat model never makes an atom's literal false (a folded
-   [true] or [false] has no theory content), and the literals an
-   explanation names are unsat on their own. *)
+   side says: a Sat model never makes a literal false, and the literals
+   an explanation names are unsat on their own. *)
 let theory_answer_sound lits = function
-  | Theory.Sat (_, raw) ->
-      List.for_all
-        (fun ((a, _) as l) ->
-          match Pred.view a with
-          | Pred.Atom _ -> eval_raw raw (lit_pred l) <> Some false
-          | _ -> true)
-        lits
-  | Theory.Unsat (Some core) -> core <> [] && theory_unsat core
-  | Theory.Unsat None | Theory.Unknown -> true
+  | Theory.Sat (_, raw) -> List.for_all (fun l -> eval_raw raw (lit_pred l) <> Some false) lits
+  | Theory.Unsat core -> core <> [] && unsat_on_its_own core
+  | Theory.Unknown -> true
 
 let sat_unsat_agree a b =
   match (a, b) with
@@ -1275,15 +1350,13 @@ let prop_answer_is_a_function_of_the_query =
 
 let tests =
   tests
-  @ List.map QCheck_alcotest.to_alcotest
-      [
-        prop_relevance_matches_reference;
-        prop_core_matches_filter;
-        prop_core_matches_filter_on_theory;
-      ]
+  @ List.map QCheck_alcotest.to_alcotest [ prop_relevance_matches_reference ]
   @ [
-      Alcotest.test_case "dpll: a 3-literal core of 40 in at most 20 calls"
-        `Quick test_core_bisection_calls;
+      Alcotest.test_case "theory: a True or False literal that cannot hold is Unsat" `Quick
+        test_folded_literals;
+      Alcotest.test_case "theory: an Unsat conjunction whose sub-list answers Unknown" `Quick
+        test_unsat_with_an_undecided_sublist;
+      QCheck_alcotest.to_alcotest prop_models_respect_congruence;
     ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_simplex_matches_reference_large; prop_normalize_matches_reference ]
@@ -1299,4 +1372,5 @@ let tests =
   @ [
       Alcotest.test_case "lia: branch and bound tries the branch toward zero first" `Quick
         test_branch_toward_zero;
+      QCheck_alcotest.to_alcotest prop_cc_explains;
     ]
